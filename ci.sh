@@ -16,13 +16,23 @@ for manifest in crates/*/Cargo.toml shims/*/Cargo.toml Cargo.toml; do
 done
 echo "    total test wall time: $((SECONDS - suite_start))s"
 
-echo "==> ablation smoke matrix (differential + scheduler suites under env knobs)"
-for combo in "DRBW_NO_FUSE=1" "DRBW_NO_SIMD=1" "DRBW_SHARDS=1" "DRBW_SHARDS=4" \
-             "DRBW_NO_FUSE=1 DRBW_NO_SIMD=1 DRBW_SHARDS=4"; do
-    combo_start=$SECONDS
-    env $combo cargo test -q -p drbw --test differential --test scheduler > /dev/null
-    echo "    ${combo}: $((SECONDS - combo_start))s"
-done
+echo "==> scalar-twin arm (differential + scheduler suites under DRBW_NO_SIMD=1)"
+arm_start=$SECONDS
+DRBW_NO_SIMD=1 cargo test -q -p drbw --test differential --test scheduler > /dev/null
+echo "    DRBW_NO_SIMD=1: $((SECONDS - arm_start))s"
+
+echo "==> benchmark package tests (it path-depends on the workspace's public items)"
+bench_start=$SECONDS
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+echo "    benchmark: $((SECONDS - bench_start))s"
+
+echo "==> knob-creep gate (the only DRBW_* environment variables)"
+knobs=$(grep -rhoE 'DRBW_[A-Z0-9_]+' crates src examples tests | sort -u | tr '\n' ' ')
+if [ "$knobs" != "DRBW_NO_SIMD DRBW_RUNCACHE DRBW_RUNCACHE_DIR " ]; then
+    echo "knob-creep gate: expected DRBW_NO_SIMD DRBW_RUNCACHE DRBW_RUNCACHE_DIR, found: $knobs" >&2
+    exit 1
+fi
+echo "    $knobs"
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -147,8 +157,7 @@ if [ -f BENCH_engine.json ]; then
     echo "==> recorded walk ablation: fused ${fused:-?}s vs unfused ${unfused:-?}s (walk share ${walk:-?})"
     speedup=$(grep -A5 '"analyze_batch_1thread"' BENCH_engine.json | sed -n 's/.*"speedup": \([0-9.]*\).*/\1/p')
     simd=$(sed -n 's/.*"simd_vs_scalar": \([0-9.]*\).*/\1/p' BENCH_engine.json)
-    shard41=$(sed -n 's/.*"shards_4_vs_1": \([0-9.]*\).*/\1/p' BENCH_engine.json)
-    echo "==> recorded speedups: analyze_batch_1thread ${speedup:-?}x vs reference, simd vs scalar ${simd:-?}x, shards 4-vs-1 ${shard41:-?}x"
+    echo "==> recorded speedups: analyze_batch_1thread ${speedup:-?}x vs reference, simd vs scalar ${simd:-?}x"
 fi
 
 # Surface the recorded 21-program tuned-speedup summary (BENCH_tune.json

@@ -1,8 +1,9 @@
 //! Criterion: streaming-path costs — per-sample ingestion (window
-//! routing + accumulator push + sketch), window classification at the
-//! boundary, and the ring's offer/pop cycle. The detector sits between
-//! the sampler and the monitored program, so ingestion must stay cheap
-//! relative to the per-sample cost the profiler already charges.
+//! routing + accumulator push + sketch) and window classification at the
+//! boundary (the ring's offer/drain cycle is in `benches/ingest.rs`). The
+//! detector sits between the sampler and the monitored program, so
+//! ingestion must stay cheap relative to the per-sample cost the profiler
+//! already charges.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use drbw_core::classifier::ContentionClassifier;
@@ -13,7 +14,6 @@ use mldt::tree::TrainConfig;
 use numasim::hierarchy::DataSource;
 use numasim::topology::{CoreId, NodeId, ThreadId};
 use pebs::alloc::SiteId;
-use pebs::ring::SampleRing;
 use pebs::sample::MemSample;
 
 fn synth_samples(n: usize) -> Vec<MemSample> {
@@ -76,21 +76,6 @@ fn ingestion(c: &mut Criterion) {
             })
         });
     }
-    g.bench_function("ring_offer_pop_10k", |b| {
-        b.iter(|| {
-            let mut ring = SampleRing::new(256);
-            let mut popped = 0u64;
-            for chunk in samples.chunks(64) {
-                for s in chunk {
-                    ring.offer(*s);
-                }
-                while ring.pop().is_some() {
-                    popped += 1;
-                }
-            }
-            popped
-        })
-    });
     g.finish();
 }
 

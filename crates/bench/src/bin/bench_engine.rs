@@ -3,9 +3,8 @@
 //! same grid, plus the ablation matrix — the span-fusion walk
 //! (`EngineConfig::span_fusion` on vs. off), the SIMD tag scans (widest
 //! detected path vs. the scalar twins in a `DRBW_NO_SIMD=1` subprocess,
-//! since the ISA is resolved once per process), the intra-run shard
-//! counts 1/2/4 (`EngineConfig::shards`), and a pool thread-count sweep.
-//! Verifies bit-identity of everything it times, then writes the numbers
+//! since the ISA is resolved once per process), and a pool thread-count
+//! sweep. Verifies bit-identity of everything it times, then writes the numbers
 //! as JSON (default `BENCH_engine.json`).
 //!
 //! Every section is timed as one warmup run followed by seven measured
@@ -15,15 +14,6 @@
 //! ```text
 //! cargo run --release -p drbw-bench --bin bench_engine [out.json]
 //! ```
-//!
-//! Externally measured numbers can be embedded in the report through
-//! environment variables (all in seconds, each pair optional):
-//! `DRBW_TIER1_BASELINE_S` / `DRBW_TIER1_CURRENT_S` — tier-1 suite wall
-//! times before/after; `DRBW_SEED_GRID_S` / `DRBW_SEED_ANALYZE_S` — the
-//! pre-batching engine on the same grid (see the seed commit);
-//! `DRBW_UNOPT_REFERENCE_S` / `DRBW_UNOPT_BATCHED_S` — analyze_batch in
-//! an opt-level 0 build, the conditions the tier-1 suite used to run
-//! under.
 
 use drbw_bench::util::{write_text, BenchError};
 use drbw_core::training;
@@ -36,10 +26,6 @@ fn mcfg(exec: ExecMode, span_fusion: bool) -> MachineConfig {
     let mut m = MachineConfig::scaled();
     m.engine.exec = exec;
     m.engine.span_fusion = span_fusion;
-    // The presets default from DRBW_SHARDS / DRBW_NO_FUSE; the bench's
-    // sections control both knobs explicitly so one env setting cannot
-    // silently re-shape every other section.
-    m.engine.shards = 1;
     m
 }
 
@@ -66,20 +52,14 @@ fn section(median: f64, runs: &[f64]) -> String {
     format!("{{ \"median_s\": {median:.3}, \"runs_s\": [{}] }}", rs.join(", "))
 }
 
-fn env_secs(var: &str) -> Option<f64> {
-    std::env::var(var).ok()?.parse().ok()
-}
-
 /// Builds the quick-grid tool and times `analyze_batch` exactly like the
 /// fused arm of section 2. Shared by the main flow and the `--inner-simd`
 /// subprocess (SIMD dispatch is resolved once per process from
 /// `DRBW_NO_SIMD`, so the scalar arm must run in its own process).
-fn timed_fused_analyze(shards: usize, threads: usize) -> (Vec<drbw_core::Analysis>, f64, Vec<f64>) {
+fn timed_fused_analyze(threads: usize) -> (Vec<drbw_core::Analysis>, f64, Vec<f64>) {
     let specs = training::quick_training_specs();
-    let mut m = mcfg(ExecMode::Batched, true);
-    m.engine.shards = shards;
     let tool = DrBw::builder()
-        .machine(m)
+        .machine(mcfg(ExecMode::Batched, true))
         .training_set(TrainingSet::Quick)
         .threads(threads)
         .build()
@@ -91,7 +71,7 @@ fn timed_fused_analyze(shards: usize, threads: usize) -> (Vec<drbw_core::Analysi
 /// `--inner-simd` subprocess body: one fused analyze section, result on
 /// stdout as a single machine-readable line.
 fn inner_simd() {
-    let (_, median, runs) = timed_fused_analyze(1, 1);
+    let (_, median, runs) = timed_fused_analyze(1);
     let rs: Vec<String> = runs.iter().map(|r| format!("{r:.6}")).collect();
     println!("INNER simd_active={} median={median:.6} runs={}", numasim::simd::simd_active(), rs.join(","));
 }
@@ -275,7 +255,7 @@ fn main() -> Result<(), BenchError> {
     //    default (widest detected path); the scalar arm re-executes this
     //    binary under DRBW_NO_SIMD=1 because the ISA choice is fixed per
     //    process. Both arms are the fused batched analyze of section 2.
-    let (simd_on_analyses, simd_on_s, simd_on_runs) = timed_fused_analyze(1, 1);
+    let (simd_on_analyses, simd_on_s, simd_on_runs) = timed_fused_analyze(1);
     for (i, (a, f)) in simd_on_analyses.iter().zip(&fus_analyses).enumerate() {
         assert_eq!(a.profile.samples, f.profile.samples, "case {i}: simd-arm sample log diverged");
     }
@@ -288,47 +268,14 @@ fn main() -> Result<(), BenchError> {
         numasim::simd::simd_active()
     );
 
-    // 5. Deterministic intra-run sharding. Shard counts are plain config
-    //    (not process-wide), so every arm runs in this process, and every
-    //    arm's output is asserted bit-identical to the fused section-2
-    //    run before its time is reported. On a single-core host the
-    //    sharded arms measure pure protocol overhead; the exactness
-    //    guarantee is what the section certifies.
-    let host_par = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut shard_sections = Vec::new();
-    let mut shards1_s = 0.0f64;
-    let mut shards4_s = 0.0f64;
-    for shards in [1usize, 2, 4] {
-        let (analyses, s, runs) = timed_fused_analyze(shards, 1);
-        assert_eq!(analyses.len(), fus_analyses.len());
-        for (i, (a, f)) in analyses.iter().zip(&fus_analyses).enumerate() {
-            assert_eq!(a.profile.samples, f.profile.samples, "case {i} (shards={shards}): sample log diverged");
-            assert_eq!(a.detection.mode(), f.detection.mode(), "case {i} (shards={shards}): mode diverged");
-            assert_eq!(
-                a.detection.contended_channels, f.detection.contended_channels,
-                "case {i} (shards={shards}): channels diverged"
-            );
-        }
-        if shards == 1 {
-            shards1_s = s;
-        } else if shards == 4 {
-            shards4_s = s;
-        }
-        eprintln!("shard matrix: shards={shards} {s:.2}s (bit-identical to fused)");
-        shard_sections.push(format!("\"shards_{shards}\": {}", section(s, &runs)));
-    }
-    let shard_json = format!(
-        "{{\n    \"host_parallelism\": {host_par},\n    {},\n    \"shards_4_vs_1\": {:.2}\n  }}",
-        shard_sections.join(",\n    "),
-        shards1_s / shards4_s,
-    );
-
-    // 6. Thread-count sweep over the tool's analysis pool (fused batched,
-    //    unsharded): how the headline section scales when the *batch* is
-    //    parallelized instead of the individual simulation.
+    // 5. Thread-count sweep over the tool's analysis pool (fused
+    //    batched): how the headline section scales with the across-run
+    //    pool, the only host parallelism there is — compare against
+    //    `host_parallelism`.
+    let host_par = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut sweep_sections = Vec::new();
     for threads in [1usize, 2, 4] {
-        let (analyses, s, runs) = timed_fused_analyze(1, threads);
+        let (analyses, s, runs) = timed_fused_analyze(threads);
         assert_eq!(analyses.len(), fus_analyses.len());
         for (i, (a, f)) in analyses.iter().zip(&fus_analyses).enumerate() {
             assert_eq!(a.profile.samples, f.profile.samples, "case {i} (threads={threads}): sample log diverged");
@@ -338,35 +285,12 @@ fn main() -> Result<(), BenchError> {
     }
     let sweep_json = format!("{{\n    {}\n  }}", sweep_sections.join(",\n    "));
 
-    let pair = |a: &str, b: &str, ka: &str, kb: &str| match (env_secs(a), env_secs(b)) {
-        (Some(x), Some(y)) => {
-            format!("{{ \"{ka}\": {x:.2}, \"{kb}\": {y:.2}, \"speedup\": {:.2} }}", x / y)
-        }
-        _ => "null".to_string(),
-    };
-    let tier1 = pair("DRBW_TIER1_BASELINE_S", "DRBW_TIER1_CURRENT_S", "baseline_s", "current_s");
-    // The pre-batching engine survives verbatim as `ExecMode::Reference`,
-    // so when no externally measured seed numbers are supplied the
-    // reference sections of this very run are the seed engine, measured
-    // on this machine — recorded as such instead of leaving the field
-    // null.
-    let (seed_grid_s, seed_analyze_s, seed_src) = match (env_secs("DRBW_SEED_GRID_S"), env_secs("DRBW_SEED_ANALYZE_S"))
-    {
-        (Some(g), Some(a)) => (g, a, "env"),
-        _ => (grid_ref_s, analyze_ref_s, "reference-mode proxy (seed engine retained as ExecMode::Reference)"),
-    };
-    let seed = format!(
-        "{{ \"source\": \"{seed_src}\", \"grid_s\": {seed_grid_s:.2}, \"analyze_s\": {seed_analyze_s:.2}, \
-         \"batched_vs_seed_grid\": {:.2}, \"batched_vs_seed_analyze\": {:.2} }}",
-        seed_grid_s / grid_bat_s,
-        seed_analyze_s / analyze_fus_s
-    );
-    let unopt = pair("DRBW_UNOPT_REFERENCE_S", "DRBW_UNOPT_BATCHED_S", "reference_s", "batched_s");
     let json = format!(
         r#"{{
   "bench": "engine batched vs reference (ExecMode) + span-fusion walk ablation",
   "machine": "MachineConfig::scaled",
-  "machine_note": "single-core shared host; absolute seconds drift 15-25% between sessions, so cross-session comparisons should use within-run ratios (reference / batched_fused), which are stable",
+  "host_parallelism": {host_par},
+  "machine_note": "shared host; absolute seconds drift 15-25% between sessions, so cross-session comparisons should use within-run ratios (reference / batched_fused), which are stable",
   "grid_runs": {runs},
   "protocol": "1 warmup + 7 measured runs per section, median reported",
   "bit_identical": true,
@@ -393,12 +317,8 @@ fn main() -> Result<(), BenchError> {
     "simd_off_scalar": {simd_off},
     "simd_vs_scalar": {simd_speedup:.2}
   }},
-  "shard_matrix": {shard_json},
   "analyze_thread_sweep": {sweep_json},
-  "run_cache": {run_cache_json},
-  "seed_engine": {seed},
-  "analyze_batch_unoptimized": {unopt},
-  "tier1_suite": {tier1}
+  "run_cache": {run_cache_json}
 }}
 "#,
         runs = specs.len(),

@@ -337,9 +337,6 @@ fn main() -> Result<(), BenchError> {
         }
         if *contended {
             let raised = r.events.iter().any(|e| e.mode == Mode::Rmc);
-            if !raised && std::env::var_os("DRBW_SERVE_DEBUG").is_some() {
-                eprintln!("session {} windows: {:#?}", r.id, r.windows);
-            }
             assert!(raised, "contended session {} raised no rmc verdict", r.id);
             contended_with_verdict += 1;
         } else {

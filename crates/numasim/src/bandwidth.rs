@@ -174,27 +174,6 @@ impl BandwidthModel {
         self.factor_of_rho(rho).max(ctrl).clamp(1.0, self.max_factor)
     }
 
-    /// Fold another model's current-round byte demand into this one's
-    /// (shard merge; see [`crate::shard`]). Exact, and therefore
-    /// order-independent: the engine only ever records whole cache lines,
-    /// so every accumulator holds an integer multiple of the line size —
-    /// far below 2^53 — and each addition here is performed without
-    /// rounding. Summing the shards' partial demands in any order yields
-    /// the bit pattern the interleaved unsharded accumulation produces.
-    ///
-    /// # Panics
-    /// Panics if the two models have different channel/controller counts.
-    pub(crate) fn absorb_round_bytes(&mut self, other: &BandwidthModel) {
-        assert_eq!(self.ch_bytes.len(), other.ch_bytes.len(), "channel count mismatch");
-        assert_eq!(self.mc_bytes.len(), other.mc_bytes.len(), "controller count mismatch");
-        for (a, b) in self.ch_bytes.iter_mut().zip(&other.ch_bytes) {
-            *a += *b;
-        }
-        for (a, b) in self.mc_bytes.iter_mut().zip(&other.mc_bytes) {
-            *a += *b;
-        }
-    }
-
     /// Close the current round: fold demand into aggregates and derive the
     /// factors for the next round.
     pub fn end_round(&mut self) {

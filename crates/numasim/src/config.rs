@@ -140,7 +140,9 @@ pub enum ExecMode {
     Reference,
 }
 
-/// Engine scheduling parameters.
+/// Engine scheduling parameters. A simulation always runs on the host
+/// thread that calls the engine; host parallelism comes from running
+/// independent simulations concurrently (`drbw_core`'s across-run pool).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Cycles per accounting round. Congestion factors computed from round
@@ -158,17 +160,6 @@ pub struct EngineConfig {
     /// either way; the switch exists so benchmarks can ablate the fused
     /// walk's contribution. Default: enabled.
     pub span_fusion: bool,
-    /// Number of host threads one simulation's per-core state may be
-    /// partitioned across in [`ExecMode::Batched`] (see
-    /// [`crate::shard`]). `1` (the default) runs the classic
-    /// single-host-thread batched loop; `N > 1` splits the simulated
-    /// nodes over up to `N` host threads with a boundary-synchronized,
-    /// registration-ordered merge every accounting round. Results are
-    /// bit-identical for every value. Only
-    /// [`crate::engine::Engine::run_phase_auto`] /
-    /// [`crate::engine::Engine::run_phase_sharded`] honor this knob;
-    /// [`crate::engine::Engine::run_phase`] always runs unsharded.
-    pub shards: usize,
 }
 
 /// Complete machine description handed to the [`crate::engine::Engine`].
@@ -188,25 +179,6 @@ pub struct MachineConfig {
     pub congestion: CongestionConfig,
     /// Engine scheduling knobs.
     pub engine: EngineConfig,
-}
-
-/// `DRBW_SHARDS`: default shard count for the presets, for ablation runs
-/// that cannot thread a config through (ci smoke matrix, benches). Unset,
-/// empty, unparsable, or `0` all mean `1` (unsharded). Read once per
-/// process.
-pub fn env_shards() -> usize {
-    static SHARDS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        std::env::var("DRBW_SHARDS").ok().and_then(|v| v.trim().parse::<usize>().ok()).unwrap_or(1).max(1)
-    })
-}
-
-/// `DRBW_NO_FUSE`: any non-empty value other than `0` disables the fused
-/// span-level cache walk in the presets (same truthiness convention as
-/// `DRBW_NO_SIMD`). Read once per process.
-pub fn env_no_fuse() -> bool {
-    static NO_FUSE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *NO_FUSE.get_or_init(|| std::env::var_os("DRBW_NO_FUSE").is_some_and(|v| !v.is_empty() && v != "0"))
 }
 
 impl MachineConfig {
@@ -244,8 +216,7 @@ impl MachineConfig {
                 round_cycles: 20_000.0,
                 default_mlp: 4.0,
                 exec: ExecMode::Batched,
-                span_fusion: !env_no_fuse(),
-                shards: env_shards(),
+                span_fusion: true,
             },
         }
     }
@@ -295,7 +266,6 @@ impl MachineConfig {
         assert!(c.knee > 0.0 && c.knee < c.rho_cap && c.rho_cap < 1.0 && c.max_factor >= 1.0);
         assert!(c.ctrl_target > c.knee && c.ctrl_target < 1.0, "ctrl_target must lie in (knee, 1)");
         assert!(self.engine.round_cycles > 0.0 && self.engine.default_mlp >= 1.0);
-        assert!(self.engine.shards >= 1, "shards must be at least 1");
     }
 
     /// Unloaded latency of an access satisfied at `source`, before

@@ -133,15 +133,15 @@ impl ThreadSpec {
     }
 }
 
-pub(crate) struct ThreadCtx {
-    pub(crate) thread: ThreadId,
+struct ThreadCtx {
+    thread: ThreadId,
     core: CoreId,
-    pub(crate) node: NodeId,
+    node: NodeId,
     stream: Box<dyn AccessStream>,
-    pub(crate) clock: f64,
+    clock: f64,
     /// Effective mlp for the current run (resolved against the default).
     mlp: f64,
-    pub(crate) done: bool,
+    done: bool,
     /// Current (possibly partially consumed) run and the cursor into it.
     run: AccessRun,
     run_pos: u64,
@@ -226,12 +226,12 @@ const ZIP_BACKOFF_MAX: u32 = 8;
 /// The simulator. Owns the machine state (caches, bandwidth accounting,
 /// memory map) across phases; see [`Engine::run_phase`].
 pub struct Engine<O: Observer> {
-    pub(crate) cfg: MachineConfig,
-    pub(crate) hierarchy: Hierarchy,
-    pub(crate) bw: BandwidthModel,
-    pub(crate) memmap: MemoryMap,
-    pub(crate) observer: O,
-    pub(crate) max_run: u64,
+    cfg: MachineConfig,
+    hierarchy: Hierarchy,
+    bw: BandwidthModel,
+    memmap: MemoryMap,
+    observer: O,
+    max_run: u64,
 }
 
 impl<O: Observer> Engine<O> {
@@ -315,7 +315,7 @@ impl<O: Observer> Engine<O> {
         }
     }
 
-    pub(crate) fn make_ctxs(&self, threads: Vec<ThreadSpec>) -> Vec<ThreadCtx> {
+    fn make_ctxs(&self, threads: Vec<ThreadSpec>) -> Vec<ThreadCtx> {
         assert!(!threads.is_empty(), "phase needs at least one thread");
         let topo = &self.cfg.topology;
         let ctxs: Vec<ThreadCtx> = threads
@@ -463,44 +463,9 @@ impl<O: Observer> Engine<O> {
     }
 }
 
-impl<O: Observer + Clone + Send> Engine<O> {
-    /// Like [`Engine::run_phase`], but honoring
-    /// [`crate::config::EngineConfig::shards`]: in [`ExecMode::Batched`]
-    /// with `shards > 1` the phase runs through
-    /// [`Engine::run_phase_sharded`]; otherwise it falls through to the
-    /// classic single-host-thread loop. Results are bit-identical either
-    /// way. This is the production entry point (`drbw-workloads` drives
-    /// every phase through it); [`Engine::run_phase`] remains for
-    /// observers that are not `Clone + Send`.
-    pub fn run_phase_auto(&mut self, threads: Vec<ThreadSpec>) -> RunStats {
-        let shards = self.cfg.engine.shards;
-        if self.cfg.engine.exec == ExecMode::Batched && shards > 1 {
-            self.run_phase_sharded(threads, shards)
-        } else {
-            self.run_phase(threads)
-        }
-    }
-
-    /// Execute one phase with its per-core state partitioned over up to
-    /// `shards` host threads (bounded by the number of NUMA nodes that
-    /// have threads), merging at every round boundary in registration
-    /// order — bit-identical to [`Engine::run_phase`] in
-    /// [`ExecMode::Batched`] for every shard count. See [`crate::shard`]
-    /// for the partition/merge protocol and the observer contract.
-    ///
-    /// # Panics
-    /// Panics if thread specs are invalid (as [`Engine::run_phase`]), if
-    /// the observer violates the shard-local determinism contract, or on
-    /// a genuine same-round cross-shard first-touch race.
-    pub fn run_phase_sharded(&mut self, threads: Vec<ThreadSpec>, shards: usize) -> RunStats {
-        crate::shard::run_phase_sharded(self, threads, shards)
-    }
-}
-
-/// Per-phase constants of the batched inner loop, hoisted once so the
-/// per-slice body ([`run_thread_slice`]) shares them between the
-/// unsharded loop and the sharded round runner ([`crate::shard`]).
-pub(crate) struct SliceConsts {
+/// Per-phase constants of the batched inner loop, hoisted once for the
+/// per-slice body ([`run_thread_slice`]).
+struct SliceConsts {
     lfb_latency: f64,
     l1_latency: f64,
     line_bytes: f64,
@@ -511,7 +476,7 @@ pub(crate) struct SliceConsts {
 }
 
 impl SliceConsts {
-    pub(crate) fn new(cfg: &MachineConfig, max_run: u64) -> Self {
+    fn new(cfg: &MachineConfig, max_run: u64) -> Self {
         Self {
             lfb_latency: cfg.latency.lfb,
             l1_latency: cfg.latency.l1,
@@ -527,13 +492,10 @@ impl SliceConsts {
 /// One scheduling slice of thread `t` on the batched engine: advance it
 /// until its clock passes `round_end` or its stream ends, through the
 /// fused span walk, the interleaved (zip) path, and the per-line
-/// fallback. This body is shared verbatim by the unsharded loop
-/// ([`Engine::run_phase`] in [`ExecMode::Batched`]) and the sharded
-/// round runner ([`crate::shard`]) — which is what makes a sharded run
-/// bit-identical to the single-host-thread walk. Returns whether the
-/// thread finished (its stream ran dry this slice).
+/// fallback. Returns whether the thread finished (its stream ran dry this
+/// slice).
 #[allow(clippy::too_many_arguments)] // the engine's split field borrows
-pub(crate) fn run_thread_slice<O: Observer>(
+fn run_thread_slice<O: Observer>(
     cfg: &MachineConfig,
     sc: &SliceConsts,
     hierarchy: &mut Hierarchy,

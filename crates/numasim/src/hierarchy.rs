@@ -162,26 +162,6 @@ impl Hierarchy {
         NodeId((core.0 as usize / self.cores_per_node) as u8)
     }
 
-    /// Overwrite this hierarchy's caches for `node` (its shared L3 and the
-    /// L1/L2 of every core on it) with `src`'s. The sharded batched loop
-    /// runs each NUMA node's caches in a private [`Hierarchy`] clone —
-    /// nothing off-node ever touches them — and merges the owned nodes
-    /// back at phase end through this (see [`crate::shard`]).
-    ///
-    /// # Panics
-    /// Panics if the two hierarchies have different geometry or `node` is
-    /// out of range.
-    pub(crate) fn adopt_node_from(&mut self, src: &Hierarchy, node: NodeId) {
-        assert_eq!(self.cores_per_node, src.cores_per_node, "geometry mismatch");
-        assert_eq!(self.l1.len(), src.l1.len(), "geometry mismatch");
-        let n = node.0 as usize;
-        self.l3[n].clone_from(&src.l3[n]);
-        for c in n * self.cores_per_node..(n + 1) * self.cores_per_node {
-            self.l1[c].clone_from(&src.l1[c]);
-            self.l2[c].clone_from(&src.l2[c]);
-        }
-    }
-
     /// Flush every cache (used between independent runs sharing a machine).
     pub fn flush(&mut self) {
         for c in self.l1.iter_mut().chain(self.l2.iter_mut()).chain(self.l3.iter_mut()) {

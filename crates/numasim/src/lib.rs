@@ -63,7 +63,6 @@ pub mod fp;
 pub mod hierarchy;
 pub mod memmap;
 pub mod sched;
-pub mod shard;
 // The one crate module allowed to use `unsafe`: hand-written SIMD
 // intrinsics, each block carrying a SAFETY proof and a scalar twin
 // differential-tested against it.

@@ -341,20 +341,6 @@ const UNTOUCHED: u8 = u8::MAX;
 /// Allocations start above zero so a null-ish address is never valid.
 const BASE_ADDR: u64 = 0x1000_0000;
 
-/// One first-touch placement established while claim tracking was on: a
-/// shard's private [`MemoryMap`] clone records which pages it faulted in
-/// during a round so the merge can re-establish them everywhere else (see
-/// [`crate::shard`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FirstTouchClaim {
-    /// Index of the object in allocation order.
-    pub object: u32,
-    /// Page index within the object.
-    pub page: u32,
-    /// Node the page was placed on.
-    pub node: NodeId,
-}
-
 /// The simulated address space: a bump allocator plus the page-placement
 /// registry. Owned by the engine during a run.
 #[derive(Debug, Clone)]
@@ -368,12 +354,6 @@ pub struct MemoryMap {
     num_nodes: usize,
     /// One-entry lookup cache: index of the last object hit.
     last_hit: std::cell::Cell<usize>,
-    /// Whether first-touch establishments are logged to `claims` (only on
-    /// shard-private clones; one branch on the establish path, which runs
-    /// once per page, not per access).
-    track_claims: bool,
-    /// Claim log drained each round by [`MemoryMap::take_claims`].
-    claims: Vec<FirstTouchClaim>,
 }
 
 impl MemoryMap {
@@ -387,8 +367,6 @@ impl MemoryMap {
             huge_page_size: cfg.mem.huge_page_size,
             num_nodes: cfg.topology.num_nodes(),
             last_hit: std::cell::Cell::new(0),
-            track_claims: false,
-            claims: Vec::new(),
         }
     }
 
@@ -540,45 +518,6 @@ impl MemoryMap {
         }
     }
 
-    /// Turn first-touch claim logging on or off, clearing any pending log.
-    /// Shard-private clones run with it on; the canonical map never does.
-    pub(crate) fn set_claim_tracking(&mut self, on: bool) {
-        self.track_claims = on;
-        self.claims.clear();
-    }
-
-    /// Drain the claims logged since the last call (round merge).
-    pub(crate) fn take_claims(&mut self) -> Vec<FirstTouchClaim> {
-        std::mem::take(&mut self.claims)
-    }
-
-    /// Apply a claim from another map clone: establish the page on the
-    /// claimed node. Idempotent when the page is untouched or already on
-    /// that node. Never logged, even with tracking on — the claim is
-    /// already in flight.
-    ///
-    /// # Panics
-    /// Panics if the page is already placed on a *different* node: two
-    /// shards first-touched the same page from different nodes within one
-    /// round, an ordering race whose outcome the unsharded engine decides
-    /// by global event order. No silent divergence — the run must be
-    /// re-run unsharded (real workloads establish placement in a
-    /// single-threaded init phase, as the paper's master-alloc pattern
-    /// does, and never hit this).
-    pub(crate) fn establish_first_touch(&mut self, claim: FirstTouchClaim) {
-        let info = &mut self.objects[claim.object as usize];
-        let slot = &mut info.first_touch[claim.page as usize];
-        if *slot == UNTOUCHED {
-            *slot = claim.node.0;
-        } else {
-            assert_eq!(
-                *slot, claim.node.0,
-                "cross-shard first-touch conflict on object {} ({:?}) page {}: nodes {} vs {}",
-                claim.object, info.label, claim.page, *slot, claim.node.0
-            );
-        }
-    }
-
     /// The object containing `addr`, if any.
     #[inline]
     pub fn object_at(&self, addr: u64) -> Option<ObjectId> {
@@ -632,9 +571,6 @@ impl MemoryMap {
                 let slot = &mut info.first_touch[page];
                 if *slot == UNTOUCHED {
                     *slot = accessor.0;
-                    if self.track_claims {
-                        self.claims.push(FirstTouchClaim { object: idx as u32, page: page as u32, node: accessor });
-                    }
                 }
                 NodeId(*slot)
             }
@@ -676,9 +612,6 @@ impl MemoryMap {
                 let slot = &mut info.first_touch[page];
                 if *slot == UNTOUCHED {
                     *slot = accessor.0;
-                    if self.track_claims {
-                        self.claims.push(FirstTouchClaim { object: idx as u32, page: page as u32, node: accessor });
-                    }
                 }
                 (NodeId(*slot), page_end)
             }

@@ -18,15 +18,14 @@
 //! * [`numa_api`] is the libnuma facade (`numa_node_of_addr`,
 //!   `alloc_onnode`, interleaving) used both by the profiler (to find a
 //!   sample's locating node) and by the optimizations;
-//! * [`ring::SampleRing`] and [`stream::StreamingSampler`] are the online
-//!   path: a bounded ring with explicit backpressure/drop accounting and
-//!   an observer adapter that feeds it, so a live consumer (the
-//!   `drbw-stream` detector) can watch a run without retaining its full
-//!   sample log;
-//! * [`block::SampleBlock`] and [`ring::BlockRing`] are the columnar hot
-//!   path: samples move in fixed-capacity structure-of-arrays blocks,
-//!   handed off by pointer swap so each sample is copied once at ring
-//!   entry and never again;
+//! * [`block::SampleBlock`] and [`ring::BlockRing`] are the online path:
+//!   a bounded ring with explicit backpressure/drop accounting in which
+//!   samples move as fixed-capacity structure-of-arrays blocks, handed off
+//!   by pointer swap so each sample is copied once at ring entry and never
+//!   again;
+//! * [`stream::StreamingSampler`] is the observer adapter that feeds the
+//!   ring, so a live consumer (the `drbw-stream` detector) can watch a run
+//!   without retaining its full sample log;
 //! * [`tenant::TenantMap`] attributes samples from a multi-tenant scenario
 //!   (see `numasim::sched`) back to the tenant that issued them, so a mixed
 //!   sample log can be partitioned per tenant for replay.
@@ -49,7 +48,7 @@ pub use alloc::{AllocId, AllocationTracker, SiteId};
 pub use block::SampleBlock;
 pub use ibs::{IbsConfig, IbsSampler};
 pub use mrk::{MrkConfig, MrkSampler};
-pub use ring::{BlockOffer, BlockRing, Offer, OverflowPolicy, RingCounters, SampleRing};
+pub use ring::{BlockOffer, BlockRing, Offer, OverflowPolicy, RingCounters};
 pub use sample::MemSample;
 pub use sampler::{AddressSampler, SamplerConfig};
 pub use stream::StreamingSampler;

@@ -10,12 +10,11 @@
 //! ever offered is accounted for: `offered() == accepted() + dropped()`,
 //! and `accepted() == len() + popped()`.
 //!
-//! [`SampleRing`] is the per-sample struct ring. The hot service path
-//! uses [`BlockRing`] instead: the same bounded-FIFO semantics and loss
-//! accounting (all counters are in *samples*), but the queue is a chain
-//! of columnar [`SampleBlock`]s. A producer either pushes samples one at
-//! a time — each lands in the tail ("open") block, copied exactly once —
-//! or hands over a whole pre-filled block by pointer swap
+//! [`BlockRing`] keeps bounded-FIFO semantics and loss accounting in
+//! *samples*, but the queue is a chain of columnar [`SampleBlock`]s. A
+//! producer either pushes samples one at a time — each lands in the tail
+//! ("open") block, copied exactly once — or hands over a whole
+//! pre-filled block by pointer swap
 //! ([`BlockRing::offer_block`]). The consumer takes whole blocks
 //! ([`BlockRing::pop_block`]) and gives the emptied shells back
 //! ([`BlockRing::recycle`]), so a steady-state pipeline allocates
@@ -41,12 +40,12 @@ pub enum OverflowPolicy {
     /// Refuse the newest sample (explicit backpressure to the producer).
     #[default]
     RejectNewest,
-    /// Evict the oldest queued sample to make room (hardware-buffer
+    /// Evict the oldest queued block to make room (hardware-buffer
     /// overwrite semantics).
     DropOldest,
 }
 
-/// Outcome of one [`SampleRing::offer`].
+/// Outcome of one [`BlockRing::offer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Offer {
     /// The sample was queued.
@@ -54,127 +53,9 @@ pub enum Offer {
     /// The ring was full and the offered sample was refused
     /// ([`OverflowPolicy::RejectNewest`]).
     RejectedNewest,
-    /// The ring was full; the oldest queued sample was evicted and the
-    /// offered one queued ([`OverflowPolicy::DropOldest`]).
+    /// The ring was full; the oldest queued block was evicted and the
+    /// offered sample queued ([`OverflowPolicy::DropOldest`]).
     EvictedOldest,
-}
-
-/// Fixed-capacity FIFO of [`MemSample`]s with loss accounting.
-#[derive(Debug, Clone)]
-pub struct SampleRing {
-    buf: VecDeque<MemSample>,
-    capacity: usize,
-    policy: OverflowPolicy,
-    offered: u64,
-    dropped: u64,
-    popped: u64,
-    peak: usize,
-}
-
-impl SampleRing {
-    /// A ring holding at most `capacity` samples, rejecting the newest on
-    /// overflow.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, OverflowPolicy::RejectNewest)
-    }
-
-    /// A ring with an explicit overflow policy.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn with_policy(capacity: usize, policy: OverflowPolicy) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        Self { buf: VecDeque::with_capacity(capacity), capacity, policy, offered: 0, dropped: 0, popped: 0, peak: 0 }
-    }
-
-    /// Offer one sample; the outcome says whether it (or an older one) was
-    /// lost. Every offer increments either the accepted or the dropped
-    /// account.
-    pub fn offer(&mut self, s: MemSample) -> Offer {
-        self.offered += 1;
-        if self.buf.len() == self.capacity {
-            match self.policy {
-                OverflowPolicy::RejectNewest => {
-                    self.dropped += 1;
-                    return Offer::RejectedNewest;
-                }
-                OverflowPolicy::DropOldest => {
-                    self.buf.pop_front();
-                    self.dropped += 1;
-                    self.buf.push_back(s);
-                    return Offer::EvictedOldest;
-                }
-            }
-        }
-        self.buf.push_back(s);
-        self.peak = self.peak.max(self.buf.len());
-        Offer::Accepted
-    }
-
-    /// Dequeue the oldest queued sample.
-    pub fn pop(&mut self) -> Option<MemSample> {
-        let s = self.buf.pop_front();
-        if s.is_some() {
-            self.popped += 1;
-        }
-        s
-    }
-
-    /// Samples currently queued.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Whether the next offer will overflow.
-    pub fn is_full(&self) -> bool {
-        self.buf.len() == self.capacity
-    }
-
-    /// Maximum number of queued samples.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The overflow policy.
-    pub fn policy(&self) -> OverflowPolicy {
-        self.policy
-    }
-
-    /// Samples ever offered.
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// Samples lost to overflow (refused or evicted).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Samples the consumer has dequeued.
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// Samples accepted into the ring (`offered - dropped`; for
-    /// `DropOldest` an accepted sample may still be evicted later, which
-    /// then moves it to the dropped account).
-    pub fn accepted(&self) -> u64 {
-        self.offered - self.dropped
-    }
-
-    /// High-water mark of queued samples — the ring's actual retention
-    /// ceiling over its lifetime.
-    pub fn peak_len(&self) -> usize {
-        self.peak
-    }
 }
 
 /// Point-in-time snapshot of a ring's loss accounting.
@@ -217,12 +98,12 @@ pub enum BlockOffer {
 }
 
 /// A bounded FIFO of columnar [`SampleBlock`]s with per-sample loss
-/// accounting — the block pipeline's replacement for [`SampleRing`].
+/// accounting.
 ///
 /// The queue is `sealed` (full or handed-over blocks, oldest first)
 /// followed by one `open` tail block that per-sample offers append to.
-/// `capacity` bounds the **total queued samples** across all blocks,
-/// exactly like [`SampleRing::capacity`]. Consumed block shells return
+/// `capacity` bounds the **total queued samples** across all blocks.
+/// Consumed block shells return
 /// through [`BlockRing::recycle`] into a bounded free pool, making the
 /// steady state allocation-free. See the module docs for the handoff
 /// protocol and the `DropOldest` whole-block eviction semantics.
@@ -286,8 +167,8 @@ impl BlockRing {
     }
 
     /// Offer one sample into the open tail block (the sample's single
-    /// copy). Semantics mirror [`SampleRing::offer`], except that
-    /// `DropOldest` evicts the oldest whole *block*: the returned
+    /// copy). A full ring refuses the sample under `RejectNewest`;
+    /// `DropOldest` evicts the oldest whole *block*, so the returned
     /// [`Offer::EvictedOldest`] may then stand for several dropped
     /// samples — exact counts are always available as [`BlockRing::dropped`]
     /// deltas.
@@ -545,66 +426,9 @@ mod tests {
     }
 
     #[test]
-    fn fifo_order_and_counters() {
-        let mut r = SampleRing::new(4);
-        for a in 0..3 {
-            assert_eq!(r.offer(sample(a)), Offer::Accepted);
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.pop().unwrap().addr, 0);
-        assert_eq!(r.pop().unwrap().addr, 1);
-        assert_eq!((r.offered(), r.dropped(), r.popped()), (3, 0, 2));
-        assert_eq!(r.accepted(), 3);
-        assert_eq!(r.peak_len(), 3);
-    }
-
-    #[test]
-    fn reject_newest_accounts_every_drop() {
-        let mut r = SampleRing::new(2);
-        assert_eq!(r.offer(sample(0)), Offer::Accepted);
-        assert_eq!(r.offer(sample(1)), Offer::Accepted);
-        assert!(r.is_full());
-        for a in 2..7 {
-            assert_eq!(r.offer(sample(a)), Offer::RejectedNewest);
-        }
-        assert_eq!(r.dropped(), 5);
-        assert_eq!(r.offered(), 7);
-        assert_eq!(r.accepted(), 2);
-        // The survivors are the oldest two.
-        assert_eq!(r.pop().unwrap().addr, 0);
-        assert_eq!(r.pop().unwrap().addr, 1);
-        assert!(r.pop().is_none());
-        assert_eq!(r.popped(), 2);
-    }
-
-    #[test]
-    fn drop_oldest_keeps_the_newest() {
-        let mut r = SampleRing::with_policy(2, OverflowPolicy::DropOldest);
-        r.offer(sample(0));
-        r.offer(sample(1));
-        assert_eq!(r.offer(sample(2)), Offer::EvictedOldest);
-        assert_eq!(r.dropped(), 1);
-        assert_eq!(r.pop().unwrap().addr, 1);
-        assert_eq!(r.pop().unwrap().addr, 2);
-    }
-
-    #[test]
-    fn peak_tracks_high_water_not_current() {
-        let mut r = SampleRing::new(8);
-        for a in 0..5 {
-            r.offer(sample(a));
-        }
-        for _ in 0..5 {
-            r.pop();
-        }
-        assert!(r.is_empty());
-        assert_eq!(r.peak_len(), 5);
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        SampleRing::new(0);
+        BlockRing::new(0);
     }
 
     #[test]
@@ -721,9 +545,10 @@ mod tests {
         r.offer_block(b);
     }
 
-    /// Differential against [`SampleRing`]: under `RejectNewest`, the
-    /// same offer/pop schedule must yield the same accepted stream and
-    /// the same counters whether samples move as structs or as blocks.
+    /// Differential against the per-sample bounded FIFO the ring stands
+    /// for: under `RejectNewest`, the same offer/pop schedule must yield
+    /// the same accepted stream and the same counters whether samples
+    /// queue one by one in a `VecDeque` or as blocks.
     #[test]
     fn block_ring_matches_sample_ring_under_reject_newest() {
         use proptest::prelude::*;
@@ -731,22 +556,29 @@ mod tests {
             let capacity = (1usize..48).sample(rng);
             let block_capacity = (1usize..capacity + 1).sample(rng);
             let ops = (1usize..300).sample(rng);
-            let mut scalar = SampleRing::new(capacity);
+            let mut scalar: VecDeque<MemSample> = VecDeque::new();
+            let (mut scalar_offered, mut scalar_dropped, mut scalar_popped) = (0u64, 0u64, 0u64);
             let mut blocks = BlockRing::with_block_capacity(capacity, block_capacity, OverflowPolicy::RejectNewest);
             let mut scalar_seen = Vec::new();
             let mut block_seen = Vec::new();
             for a in 0..ops as u64 {
                 if (0usize..4).sample(rng) < 3 {
                     let s = sample(a);
-                    let scalar_outcome = scalar.offer(s);
+                    scalar_offered += 1;
+                    let scalar_outcome = if scalar.len() < capacity {
+                        scalar.push_back(s);
+                        Offer::Accepted
+                    } else {
+                        scalar_dropped += 1;
+                        Offer::RejectedNewest
+                    };
                     let block_outcome = blocks.offer(s, None);
                     prop_assert_eq!(scalar_outcome, block_outcome);
                 } else {
                     // Drain both completely: block pops arrive in whole
                     // blocks, struct pops one at a time.
-                    while let Some(s) = scalar.pop() {
-                        scalar_seen.push(s.addr);
-                    }
+                    scalar_popped += scalar.len() as u64;
+                    scalar_seen.extend(scalar.drain(..).map(|s| s.addr));
                     while let Some((b, _)) = blocks.pop_block() {
                         block_seen.extend(b.iter().map(|s| s.addr));
                         blocks.recycle(b);
@@ -754,17 +586,16 @@ mod tests {
                     prop_assert_eq!(&scalar_seen, &block_seen);
                 }
             }
-            while let Some(s) = scalar.pop() {
-                scalar_seen.push(s.addr);
-            }
+            scalar_popped += scalar.len() as u64;
+            scalar_seen.extend(scalar.drain(..).map(|s| s.addr));
             while let Some((b, _)) = blocks.pop_block() {
                 block_seen.extend(b.iter().map(|s| s.addr));
                 blocks.recycle(b);
             }
             prop_assert_eq!(scalar_seen, block_seen);
-            prop_assert_eq!(scalar.offered(), blocks.offered());
-            prop_assert_eq!(scalar.dropped(), blocks.dropped());
-            prop_assert_eq!(scalar.popped(), blocks.popped());
+            prop_assert_eq!(scalar_offered, blocks.offered());
+            prop_assert_eq!(scalar_dropped, blocks.dropped());
+            prop_assert_eq!(scalar_popped, blocks.popped());
         });
     }
 

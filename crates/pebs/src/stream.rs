@@ -1,5 +1,5 @@
 //! Streaming adapter: an [`Observer`] that feeds PEBS samples into a
-//! bounded [`SampleRing`] instead of an unbounded log.
+//! bounded [`BlockRing`] instead of an unbounded log.
 //!
 //! The batch pipeline's [`AddressSampler`] appends every record to a
 //! `Vec` that lives as long as the run — fine for offline analysis,
@@ -10,17 +10,17 @@
 //! (e.g. `drbw-stream`'s detector) drains it concurrently with the run.
 //! Overflow is the ring's policy; nothing here grows with run length.
 
-use crate::ring::SampleRing;
+use crate::ring::BlockRing;
 use crate::sampler::{AddressSampler, SamplerConfig};
 use numasim::engine::{AccessEvent, Observer};
 use numasim::stats::RunStats;
 use numasim::topology::ThreadId;
 
-/// An [`AddressSampler`] whose records land in a bounded [`SampleRing`].
+/// An [`AddressSampler`] whose records land in a bounded [`BlockRing`].
 #[derive(Debug, Clone)]
 pub struct StreamingSampler {
     inner: AddressSampler,
-    ring: SampleRing,
+    ring: BlockRing,
 }
 
 impl StreamingSampler {
@@ -29,17 +29,17 @@ impl StreamingSampler {
     ///
     /// # Panics
     /// Panics if `cfg.period == 0` (see [`AddressSampler::new`]).
-    pub fn new(cfg: SamplerConfig, ring: SampleRing) -> Self {
+    pub fn new(cfg: SamplerConfig, ring: BlockRing) -> Self {
         Self { inner: AddressSampler::new(cfg), ring }
     }
 
     /// The ring, for draining.
-    pub fn ring(&self) -> &SampleRing {
+    pub fn ring(&self) -> &BlockRing {
         &self.ring
     }
 
     /// Mutable ring access (the consumer side).
-    pub fn ring_mut(&mut self) -> &mut SampleRing {
+    pub fn ring_mut(&mut self) -> &mut BlockRing {
         &mut self.ring
     }
 
@@ -49,7 +49,7 @@ impl StreamingSampler {
     }
 
     /// Take the ring out of the adapter (e.g. after the run ends).
-    pub fn into_ring(self) -> SampleRing {
+    pub fn into_ring(self) -> BlockRing {
         self.ring
     }
 }
@@ -62,7 +62,7 @@ impl Observer for StreamingSampler {
         // into the ring so the inner log never grows.
         if !self.inner.samples().is_empty() {
             for s in self.inner.drain_samples() {
-                self.ring.offer(s);
+                self.ring.offer(s, None);
             }
         }
         cost
@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn records_flow_into_the_ring() {
-        let mut s = StreamingSampler::new(cfg(10), SampleRing::new(64));
+        let mut s = StreamingSampler::new(cfg(10), BlockRing::new(64));
         for i in 0..200 {
             s.on_access(&event(i));
         }
@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn overflow_is_accounted_not_silent() {
-        let mut s = StreamingSampler::new(cfg(10), SampleRing::new(5));
+        let mut s = StreamingSampler::new(cfg(10), BlockRing::new(5));
         for i in 0..200 {
             s.on_access(&event(i));
         }
@@ -138,12 +138,13 @@ mod tests {
 
     #[test]
     fn consumer_can_drain_mid_run() {
-        let mut s = StreamingSampler::new(cfg(10), SampleRing::new(5));
+        let mut s = StreamingSampler::new(cfg(10), BlockRing::new(5));
         let mut drained = 0u64;
         for i in 0..200 {
             s.on_access(&event(i));
-            while s.ring_mut().pop().is_some() {
-                drained += 1;
+            while let Some((b, _)) = s.ring_mut().pop_block() {
+                drained += b.len() as u64;
+                s.ring_mut().recycle(b);
             }
         }
         assert_eq!(drained, 20, "a keeping-up consumer loses nothing");
@@ -153,7 +154,7 @@ mod tests {
 
     #[test]
     fn disabled_phases_record_nothing() {
-        let mut s = StreamingSampler::new(cfg(10), SampleRing::new(64));
+        let mut s = StreamingSampler::new(cfg(10), BlockRing::new(64));
         s.set_enabled(false);
         for i in 0..100 {
             s.on_access(&event(i));

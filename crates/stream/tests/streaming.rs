@@ -1,8 +1,7 @@
 //! Property and integration tests for the streaming subsystem: windowed
-//! streaming extraction must reproduce batch extraction bit for bit, ring
-//! loss accounting must balance, and a replayed contended run must raise
-//! an `rmc` verdict before the run ends while retaining far fewer samples
-//! than the batch pipeline.
+//! streaming extraction must reproduce batch extraction bit for bit, and a
+//! replayed contended run must raise an `rmc` verdict before the run ends
+//! while retaining far fewer samples than the batch pipeline.
 
 use drbw_core::channels::ChannelBatches;
 use drbw_core::classifier::ContentionClassifier;
@@ -15,7 +14,6 @@ use mldt::tree::TrainConfig;
 use numasim::config::MachineConfig;
 use numasim::hierarchy::DataSource;
 use numasim::topology::{CoreId, NodeId, ThreadId};
-use pebs::ring::{OverflowPolicy, SampleRing};
 use pebs::sample::MemSample;
 use pebs::sampler::SamplerConfig;
 use proptest::prelude::*;
@@ -128,70 +126,6 @@ proptest! {
                 prop_assert_eq!(cw.traversed, traversed);
             }
         }
-    }
-
-    /// The ring's loss accounting balances under any offer/pop
-    /// interleaving and either overflow policy:
-    /// `offered == accepted + dropped` and `accepted == len + popped`.
-    #[test]
-    fn ring_accounting_balances(
-        ops in proptest::collection::vec(any::<bool>(), 1..200),
-        capacity in 1usize..8,
-        drop_oldest in any::<bool>(),
-    ) {
-        let policy = if drop_oldest { OverflowPolicy::DropOldest } else { OverflowPolicy::RejectNewest };
-        let mut ring = SampleRing::with_policy(capacity, policy);
-        let template = MemSample {
-            time: 0.0,
-            addr: 0,
-            cpu: CoreId(0),
-            thread: ThreadId(0),
-            node: NodeId(0),
-            source: DataSource::LocalDram,
-            home: Some(NodeId(0)),
-            latency: 100.0,
-            is_write: false,
-        };
-        for &is_offer in &ops {
-            if is_offer {
-                ring.offer(template);
-            } else {
-                ring.pop();
-            }
-            prop_assert!(ring.len() <= capacity);
-            prop_assert!(ring.peak_len() >= ring.len() && ring.peak_len() <= capacity);
-            prop_assert_eq!(ring.offered(), ring.accepted() + ring.dropped());
-            prop_assert_eq!(ring.accepted(), ring.len() as u64 + ring.popped());
-        }
-    }
-
-    /// A saturated ring with no consumer drops exactly the overflow, no
-    /// matter the policy.
-    #[test]
-    fn saturated_ring_drops_exactly_the_overflow(
-        offers in 1usize..60,
-        capacity in 1usize..10,
-        drop_oldest in any::<bool>(),
-    ) {
-        let policy = if drop_oldest { OverflowPolicy::DropOldest } else { OverflowPolicy::RejectNewest };
-        let mut ring = SampleRing::with_policy(capacity, policy);
-        let template = MemSample {
-            time: 0.0,
-            addr: 0,
-            cpu: CoreId(0),
-            thread: ThreadId(0),
-            node: NodeId(0),
-            source: DataSource::LocalDram,
-            home: Some(NodeId(0)),
-            latency: 100.0,
-            is_write: false,
-        };
-        for _ in 0..offers {
-            ring.offer(template);
-        }
-        prop_assert_eq!(ring.dropped() as usize, offers.saturating_sub(capacity));
-        prop_assert_eq!(ring.len(), offers.min(capacity));
-        prop_assert_eq!(ring.peak_len(), offers.min(capacity));
     }
 }
 

@@ -73,7 +73,7 @@ impl RunOutcome {
     }
 }
 
-fn execute<O: Observer + Clone + Send>(
+fn execute<O: Observer>(
     workload: &dyn Workload,
     mcfg: &MachineConfig,
     run: &RunConfig,
@@ -103,9 +103,7 @@ fn execute<O: Observer + Clone + Send>(
         if phase.warmup {
             engine.observer_mut().set_enabled(false);
         }
-        // Honors `cfg.engine.shards` (and through it `DRBW_SHARDS`);
-        // results are bit-identical for every shard count.
-        let stats = engine.run_phase_auto(phase.threads);
+        let stats = engine.run_phase(phase.threads);
         if phase.warmup {
             engine.observer_mut().set_enabled(true);
         }
@@ -119,7 +117,7 @@ fn execute<O: Observer + Clone + Send>(
 /// IBM-MRK sampling backends). Returns the phase outcomes, the allocation
 /// tracker, and the observer itself (holding whatever it collected).
 /// Warmup phases disable the observer via [`Observer::set_enabled`].
-pub fn run_observed<O: Observer + Clone + Send>(
+pub fn run_observed<O: Observer>(
     workload: &dyn Workload,
     mcfg: &MachineConfig,
     run_cfg: &RunConfig,
@@ -219,6 +217,31 @@ mod tests {
         let all: f64 = out.phases.iter().map(|p| p.stats.cycles).sum();
         assert_eq!(out.cycles(), measured);
         assert!(all > measured, "sumv has a warmup phase");
+    }
+
+    /// `run_observed` asks nothing of an observer beyond [`Observer`]: one
+    /// that is neither `Clone` nor `Send` sees every access of every phase.
+    #[test]
+    fn run_observed_takes_a_thread_bound_observer() {
+        use numasim::engine::AccessEvent;
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        struct Count(Rc<Cell<u64>>);
+        impl Observer for Count {
+            fn on_access(&mut self, _ev: &AccessEvent) -> f64 {
+                self.0.set(self.0.get() + 1);
+                0.0
+            }
+        }
+        let seen = Rc::new(Cell::new(0));
+        let mcfg = MachineConfig::scaled();
+        let rcfg = RunConfig::new(16, 2, Input::Small);
+        let (phases, _, _) = run_observed(&Sumv, &mcfg, &rcfg, Count(Rc::clone(&seen)));
+        // `Count` ignores `set_enabled`, so warmup phases count too.
+        let total: u64 = phases.iter().map(|p| p.stats.counts.total()).sum();
+        assert!(total > 0);
+        assert_eq!(seen.get(), total);
     }
 
     #[test]

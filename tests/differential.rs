@@ -12,7 +12,7 @@ use numasim::hierarchy::Hierarchy;
 use numasim::memmap::{MemoryMap, PlacementPolicy};
 use numasim::stats::RunStats;
 use numasim::topology::CoreId;
-use pebs::ring::SampleRing;
+use pebs::ring::BlockRing;
 use pebs::sample::MemSample;
 use pebs::sampler::{AddressSampler, SamplerConfig};
 use pebs::stream::StreamingSampler;
@@ -106,18 +106,14 @@ struct Outcome {
     suppressed: u64,
 }
 
-fn run_sampled(exec: ExecMode, schedule: Option<&[u64]>) -> Outcome {
-    run_sampled_sharded(exec, schedule, 1)
-}
-
-fn run_sampled_sharded(exec: ExecMode, schedule: Option<&[u64]>, shards: usize) -> Outcome {
+fn run_sampled(exec: ExecMode, span_fusion: bool, schedule: Option<&[u64]>) -> Outcome {
     let mut cfg = MachineConfig::scaled();
     cfg.engine.exec = exec;
-    cfg.engine.shards = shards;
+    cfg.engine.span_fusion = span_fusion;
     let mut mm = MemoryMap::new(&cfg);
     let threads = make_threads(&cfg, &mut mm, schedule);
     let mut eng = Engine::new(&cfg, mm, sampler());
-    let stats = eng.run_phase_auto(threads);
+    let stats = eng.run_phase(threads);
     let (_, s) = eng.into_parts();
     Outcome {
         stats,
@@ -130,45 +126,17 @@ fn run_sampled_sharded(exec: ExecMode, schedule: Option<&[u64]>, shards: usize) 
 /// The tentpole guarantee: batched == reference, bit for bit, with a live
 /// PEBS sampler attached — `RunStats` (hence channel bytes), the full
 /// sample log, the observed-access counter (which salts latency jitter),
-/// and the suppression counter.
+/// and the suppression counter — with the fused span walk on and ablated.
 #[test]
 fn batched_reproduces_reference_bit_for_bit() {
-    let reference = run_sampled(ExecMode::Reference, None);
+    let reference = run_sampled(ExecMode::Reference, true, None);
     assert!(!reference.samples.is_empty(), "phase must actually sample");
     assert!(reference.suppressed > 0, "threshold must actually suppress");
     let schedules: [Option<&[u64]>; 5] = [None, Some(&[1]), Some(&[7]), Some(&[64]), Some(&[1, 7, 64, u64::MAX])];
-    for schedule in schedules {
-        let batched = run_sampled(ExecMode::Batched, schedule);
-        assert_eq!(batched, reference, "batched run (schedule {schedule:?}) diverged");
-    }
-}
-
-/// The sharding guarantee (ISSUE 9 acceptance): partitioning one
-/// simulation's nodes over N host threads reproduces the single-threaded
-/// reference **bit for bit** — `RunStats` (hence channel bytes), the full
-/// sample log (whose jitter is salted on the *global* observed counter),
-/// and both sampler counters — for every N, including N beyond the node
-/// count (clamped) and N=1 (delegates to the classic loop).
-#[test]
-fn sharded_runs_reproduce_reference_bit_for_bit() {
-    let reference = run_sampled(ExecMode::Reference, None);
-    assert!(!reference.samples.is_empty(), "phase must actually sample");
-    for shards in [1usize, 2, 3, 4, 8] {
-        let sharded = run_sampled_sharded(ExecMode::Batched, None, shards);
-        assert_eq!(sharded, reference, "sharded run (shards={shards}) diverged");
-    }
-}
-
-/// Sharding composes with run-schedule chopping: boundary-desynchronized
-/// slices inside each shard still merge back to the reference.
-#[test]
-fn sharded_runs_with_schedules_reproduce_reference() {
-    let reference = run_sampled(ExecMode::Reference, None);
-    let schedules: [&[u64]; 3] = [&[1], &[7], &[1, 7, 64, u64::MAX]];
-    for schedule in schedules {
-        for shards in [2usize, 4] {
-            let sharded = run_sampled_sharded(ExecMode::Batched, Some(schedule), shards);
-            assert_eq!(sharded, reference, "shards={shards} schedule {schedule:?} diverged");
+    for span_fusion in [true, false] {
+        for schedule in schedules {
+            let batched = run_sampled(ExecMode::Batched, span_fusion, schedule);
+            assert_eq!(batched, reference, "batched run (fusion {span_fusion}, schedule {schedule:?}) diverged");
         }
     }
 }
@@ -184,7 +152,7 @@ fn streaming_sampler_ring_is_identical_across_modes() {
         let threads = make_threads(&cfg, &mut mm, None);
         let obs = StreamingSampler::new(
             SamplerConfig { period: 23, latency_threshold: 150.0, latency_jitter: 0.3, per_sample_cost: 40.0 },
-            SampleRing::new(1 << 16),
+            BlockRing::new(1 << 16),
         );
         let mut eng = Engine::new(&cfg, mm, obs);
         let stats = eng.run_phase(threads);
@@ -192,8 +160,8 @@ fn streaming_sampler_ring_is_identical_across_modes() {
         let observed = s.observed_accesses();
         let mut ring = s.into_ring();
         let mut drained = Vec::new();
-        while let Some(sample) = ring.pop() {
-            drained.push(sample);
+        while let Some((block, _)) = ring.pop_block() {
+            drained.extend(block.iter());
         }
         (stats, observed, ring.dropped(), drained)
     };
@@ -206,14 +174,10 @@ fn streaming_sampler_ring_is_identical_across_modes() {
 /// Property: *any* interleaving of run sizes — including ones that chop
 /// runs mid-line-group or span segment boundaries — reproduces the
 /// reference access-for-access. Smaller machine so 64 cases stay cheap.
-fn run_tiny(exec: ExecMode, schedule: Option<&[u64]>) -> Outcome {
-    run_tiny_sharded(exec, schedule, 1)
-}
-
-fn run_tiny_sharded(exec: ExecMode, schedule: Option<&[u64]>, shards: usize) -> Outcome {
+fn run_tiny(exec: ExecMode, span_fusion: bool, schedule: Option<&[u64]>) -> Outcome {
     let mut cfg = MachineConfig::tiny();
     cfg.engine.exec = exec;
-    cfg.engine.shards = shards;
+    cfg.engine.span_fusion = span_fusion;
     let mut mm = MemoryMap::new(&cfg);
     let a = mm.alloc("a", 256 << 10, PlacementPolicy::FirstTouch);
     let b = mm.alloc("b", 128 << 10, PlacementPolicy::interleave_all(2));
@@ -234,7 +198,7 @@ fn run_tiny_sharded(exec: ExecMode, schedule: Option<&[u64]>, shards: usize) -> 
         })
         .collect();
     let mut eng = Engine::new(&cfg, mm, sampler());
-    let stats = eng.run_phase_auto(threads);
+    let stats = eng.run_phase(threads);
     let (_, s) = eng.into_parts();
     Outcome {
         stats,
@@ -246,7 +210,7 @@ fn run_tiny_sharded(exec: ExecMode, schedule: Option<&[u64]>, shards: usize) -> 
 
 fn tiny_reference() -> &'static Outcome {
     static REF: std::sync::OnceLock<Outcome> = std::sync::OnceLock::new();
-    REF.get_or_init(|| run_tiny(ExecMode::Reference, None))
+    REF.get_or_init(|| run_tiny(ExecMode::Reference, true, None))
 }
 
 fn arb_cap() -> impl Strategy<Value = u64> {
@@ -256,21 +220,11 @@ fn arb_cap() -> impl Strategy<Value = u64> {
 proptest! {
     #[test]
     fn arbitrary_run_schedules_match_reference(
+        span_fusion in any::<bool>(),
         schedule in proptest::collection::vec(arb_cap(), 1..6),
     ) {
-        let batched = run_tiny(ExecMode::Batched, Some(&schedule));
-        prop_assert_eq!(&batched, tiny_reference(), "schedule {:?} diverged", schedule);
-    }
-
-    /// Property: any shard count × any span-chopping schedule still merges
-    /// back to the reference bit for bit.
-    #[test]
-    fn arbitrary_shard_counts_and_splits_match_reference(
-        shards in 1usize..6,
-        schedule in proptest::collection::vec(arb_cap(), 1..6),
-    ) {
-        let sharded = run_tiny_sharded(ExecMode::Batched, Some(&schedule), shards);
-        prop_assert_eq!(&sharded, tiny_reference(), "shards {} schedule {:?} diverged", shards, schedule);
+        let batched = run_tiny(ExecMode::Batched, span_fusion, Some(&schedule));
+        prop_assert_eq!(&batched, tiny_reference(), "fusion {} schedule {:?} diverged", span_fusion, schedule);
     }
 }
 

@@ -314,6 +314,7 @@ proptest! {
             }
             let c = ring.counters();
             prop_assert_eq!(c.offered, c.dropped + c.popped + c.len as u64);
+            prop_assert!(c.len <= c.peak && c.peak <= capacity);
             if i % drain_every == drain_every - 1 {
                 drain(&mut ring, &mut drained);
             }

@@ -8,7 +8,7 @@
 use numasim::config::{ExecMode, MachineConfig};
 use numasim::hierarchy::DataSource;
 use numasim::topology::{CoreId, NodeId, ThreadId};
-use pebs::ring::SampleRing;
+use pebs::ring::BlockRing;
 use pebs::sample::MemSample;
 use pebs::sampler::SamplerConfig;
 use pebs::stream::StreamingSampler;
@@ -77,11 +77,11 @@ fn warm_entries_match_streaming_sampler_log() {
     assert_eq!(cache.metrics().hits, 1);
 
     let (phases, _tracker, sampler) =
-        run_observed(&Sumv, &mcfg, &rcfg, StreamingSampler::new(scfg, SampleRing::new(1 << 20)));
+        run_observed(&Sumv, &mcfg, &rcfg, StreamingSampler::new(scfg, BlockRing::new(1 << 20)));
     let mut ring = sampler.into_ring();
     let mut streamed = Vec::with_capacity(ring.len());
-    while let Some(s) = ring.pop() {
-        streamed.push(s);
+    while let Some((block, _)) = ring.pop_block() {
+        streamed.extend(block.iter());
     }
     assert_eq!(warm.samples, streamed, "cache-served log diverged from the streaming sampler's ring");
     for (a, b) in warm.phases.iter().zip(&phases) {

@@ -118,35 +118,6 @@ fn scheduler_reproduces_reference_bit_for_bit() {
     }
 }
 
-/// Closing the triangle across execution strategies: the discrete-event
-/// scheduler facade, the node-sharded batched engine, and the reference
-/// engine all produce the same bits for the same phase — so any pair of
-/// them may be differentially tested against each other in the future.
-#[test]
-fn scheduler_and_sharded_engine_agree() {
-    let reference = run_reference();
-    let mut cfg = MachineConfig::scaled();
-    cfg.engine.exec = ExecMode::Batched;
-    cfg.engine.shards = 4;
-    let mut mm = MemoryMap::new(&cfg);
-    let threads = make_threads(&cfg, &mut mm);
-    let mut eng = Engine::new(&cfg, mm, sampler());
-    let stats = eng.run_phase_auto(threads);
-    let (_, s) = eng.into_parts();
-    let sharded = Outcome {
-        stats,
-        observed: s.observed_accesses(),
-        suppressed: s.suppressed_samples(),
-        samples: s.samples().to_vec(),
-    };
-    assert_eq!(sharded, reference, "sharded engine diverged from reference");
-    let cfg = MachineConfig::scaled();
-    let mut mm = MemoryMap::new(&cfg);
-    let threads = make_threads(&cfg, &mut mm);
-    let scheduled = run_scheduled(&cfg, mm, threads, &[4, 4]);
-    assert_eq!(scheduled, reference, "scheduler diverged from reference");
-}
-
 /// Per-tenant rollups must partition the global counts: no access is lost
 /// or double-counted across tenant boundaries.
 #[test]
