@@ -125,10 +125,11 @@ rm -rf "$serve_cache"
 
 echo "==> multi-tenant smoke (victim/aggressor through the discrete-event scheduler)"
 tenant_cache=$(mktemp -d)
-tenant_start=$SECONDS
+tenant_start=$(date +%s.%N)
 DRBW_RUNCACHE_DIR="$tenant_cache" ./target/release/scenario_tenants \
     > "$tenant_cache/smoke.out" 2>/dev/null
-tenant_secs=$((SECONDS - tenant_start))
+tenant_elapsed=$(echo "$(date +%s.%N) $tenant_start" | awk '{printf "%.2f", $1 - $2}')
+tenant_secs=${tenant_elapsed%.*}
 # The binary hard-asserts the control stays good and the contended run
 # raises rmc on the victim's 0->1 channel; here we gate the budget and
 # sanity-check the verdict lines it printed.
@@ -141,10 +142,10 @@ grep -q 'control verdict: good; contended verdict: rmc (detected)' "$tenant_cach
     exit 1
 }
 if [ "$tenant_secs" -ge 15 ]; then
-    echo "multi-tenant smoke: took ${tenant_secs}s (budget < 15s)" >&2
+    echo "multi-tenant smoke: took ${tenant_elapsed}s (budget < 15s)" >&2
     exit 1
 fi
-echo "    ${tenant_secs}s, $(grep 'victim slowdown' "$tenant_cache/smoke.out")"
+echo "    elapsed ${tenant_elapsed}s, $(grep 'victim slowdown' "$tenant_cache/smoke.out")"
 rm -rf "$tenant_cache"
 
 # Surface the recorded engine speedups so perf regressions are visible
@@ -158,6 +159,9 @@ if [ -f BENCH_engine.json ]; then
     speedup=$(grep -A5 '"analyze_batch_1thread"' BENCH_engine.json | sed -n 's/.*"speedup": \([0-9.]*\).*/\1/p')
     simd=$(sed -n 's/.*"simd_vs_scalar": \([0-9.]*\).*/\1/p' BENCH_engine.json)
     echo "==> recorded speedups: analyze_batch_1thread ${speedup:-?}x vs reference, simd vs scalar ${simd:-?}x"
+    sc_bodies=$(sed -n 's/.*"batched_vs_reference": \([0-9.]*\).*/\1/p' BENCH_engine.json)
+    sc_door=$(sed -n 's/.*"scenario_vs_engine": \([0-9.]*\).*/\1/p' BENCH_engine.json)
+    echo "==> recorded scenario ratios: victim_aggressor batched ${sc_bodies:-?}x vs reference body, one-tenant scenario ${sc_door:-?}x vs Engine::run_phase"
 fi
 
 # Surface the recorded 21-program tuned-speedup summary (BENCH_tune.json

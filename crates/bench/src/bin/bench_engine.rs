@@ -3,8 +3,9 @@
 //! same grid, plus the ablation matrix — the span-fusion walk
 //! (`EngineConfig::span_fusion` on vs. off), the SIMD tag scans (widest
 //! detected path vs. the scalar twins in a `DRBW_NO_SIMD=1` subprocess,
-//! since the ISA is resolved once per process), and a pool thread-count
-//! sweep. Verifies bit-identity of everything it times, then writes the numbers
+//! since the ISA is resolved once per process), a pool thread-count
+//! sweep, and the scheduler's two slice bodies on a multi-tenant scenario.
+//! Verifies bit-identity of everything it times, then writes the numbers
 //! as JSON (default `BENCH_engine.json`).
 //!
 //! Every section is timed as one warmup run followed by seven measured
@@ -19,8 +20,13 @@ use drbw_bench::util::{write_text, BenchError};
 use drbw_core::training;
 use drbw_core::{Case, DrBw, TrainingSet};
 use numasim::config::{ExecMode, MachineConfig};
+use numasim::engine::Engine;
+use numasim::memmap::{MemoryMap, PlacementPolicy};
+use numasim::sched::{ScenarioEngine, TenantRun};
+use pebs::sampler::{AddressSampler, SamplerConfig};
 use std::sync::Arc;
 use std::time::Instant;
+use workloads::scenario::{victim_aggressor, victim_threads, VictimAggressorConfig};
 
 fn mcfg(exec: ExecMode, span_fusion: bool) -> MachineConfig {
     let mut m = MachineConfig::scaled();
@@ -285,6 +291,66 @@ fn main() -> Result<(), BenchError> {
     }
     let sweep_json = format!("{{\n    {}\n  }}", sweep_sections.join(",\n    "));
 
+    // 6. The scheduler. (a) The default victim/aggressor scenario (26
+    //    threads, two tenants) through `ScenarioEngine` under each slice
+    //    body — what ROADMAP item 2 gates at >= 2x. (b) The victim alone,
+    //    once as a one-tenant scenario and once through
+    //    `Engine::run_phase`: the same loop, so the ratio is the cost of
+    //    the `ScenarioEngine` front door, i.e. ~1.00. The victim scans
+    //    longer here than in (a) so one run is tens of milliseconds.
+    let sampler = SamplerConfig { period: 101, ..SamplerConfig::default() };
+    let run_scenario = |exec: ExecMode| {
+        measure(|| victim_aggressor(&mcfg(exec, true), &VictimAggressorConfig::default()).run(Some(sampler)))
+    };
+    let (sc_ref, sc_ref_s, sc_ref_runs) = run_scenario(ExecMode::Reference);
+    let (sc_bat, sc_bat_s, sc_bat_runs) = run_scenario(ExecMode::Batched);
+    assert_eq!(sc_bat.stats, sc_ref.stats, "scenario: batched ScenarioStats diverged from reference");
+    assert_eq!(sc_bat.samples, sc_ref.samples, "scenario: batched sample log diverged from reference");
+    let scenario_speedup = sc_ref_s / sc_bat_s;
+    assert!(
+        scenario_speedup >= 2.0,
+        "the batched slice body must run victim_aggressor >= 2x the reference body (got {scenario_speedup:.2}x)"
+    );
+    let solo = VictimAggressorConfig { victim_passes: 64, ..VictimAggressorConfig::default() };
+    let solo_setup = || {
+        let cfg = mcfg(ExecMode::Batched, true);
+        let mut mm = MemoryMap::new(&cfg);
+        let buf = mm.alloc("victim_buf", solo.victim_bytes, PlacementPolicy::Bind(solo.remote_home));
+        let threads = victim_threads(&buf, &solo);
+        (cfg, mm, threads)
+    };
+    let (via_engine, solo_eng_s, solo_eng_runs) = measure(|| {
+        let (cfg, mm, threads) = solo_setup();
+        let mut eng = Engine::new(&cfg, mm, AddressSampler::new(sampler));
+        let stats = eng.run_phase(threads);
+        (stats, eng.into_parts().1.drain_samples())
+    });
+    let (via_scenario, solo_sc_s, solo_sc_runs) = measure(|| {
+        let (cfg, mm, threads) = solo_setup();
+        let mut eng = ScenarioEngine::new(&cfg, mm, AddressSampler::new(sampler));
+        let stats = eng.run(vec![TenantRun::new(0, threads)]);
+        (stats.run, eng.into_parts().1.drain_samples())
+    });
+    assert_eq!(via_scenario, via_engine, "one-tenant scenario diverged from Engine::run_phase");
+    let solo_ratio = solo_eng_s / solo_sc_s;
+    eprintln!(
+        "scenario (victim_aggressor, {} accesses): reference {sc_ref_s:.3}s, batched {sc_bat_s:.3}s \
+         ({scenario_speedup:.2}x); victim alone: run_phase {solo_eng_s:.3}s, one-tenant scenario {solo_sc_s:.3}s \
+         ({solo_ratio:.2}x)",
+        sc_bat.observed_accesses
+    );
+    let scenario_json = format!(
+        "{{\n    \"victim_aggressor\": {{\n      \"accesses\": {},\n      \"reference\": {},\n      \
+         \"batched\": {},\n      \"batched_vs_reference\": {scenario_speedup:.2}\n    }},\n    \
+         \"victim_alone\": {{\n      \"engine_run_phase\": {},\n      \"one_tenant_scenario\": {},\n      \
+         \"scenario_vs_engine\": {solo_ratio:.2}\n    }}\n  }}",
+        sc_bat.observed_accesses,
+        section(sc_ref_s, &sc_ref_runs),
+        section(sc_bat_s, &sc_bat_runs),
+        section(solo_eng_s, &solo_eng_runs),
+        section(solo_sc_s, &solo_sc_runs),
+    );
+
     let json = format!(
         r#"{{
   "bench": "engine batched vs reference (ExecMode) + span-fusion walk ablation",
@@ -318,6 +384,7 @@ fn main() -> Result<(), BenchError> {
     "simd_vs_scalar": {simd_speedup:.2}
   }},
   "analyze_thread_sweep": {sweep_json},
+  "scenario": {scenario_json},
   "run_cache": {run_cache_json}
 }}
 "#,

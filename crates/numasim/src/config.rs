@@ -123,7 +123,8 @@ pub struct CongestionConfig {
     pub saturation: f64,
 }
 
-/// How [`crate::engine::Engine::run_phase`] walks each thread's stream.
+/// Which slice body a thread runs between the scheduler's round
+/// boundaries ([`crate::sched`]), for phases and scenarios alike.
 ///
 /// Both modes produce bit-identical results (`RunStats`, channel bytes,
 /// observer event sequence); the reference mode exists so differential
@@ -135,7 +136,7 @@ pub enum ExecMode {
     /// dispatch over each run. The default.
     #[default]
     Batched,
-    /// Strictly one access at a time — the original inner loop, kept as
+    /// Strictly one access at a time — the original slice body, kept as
     /// the differential-testing oracle.
     Reference,
 }

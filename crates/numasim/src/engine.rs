@@ -13,6 +13,12 @@
 //! fixed order, so runs are bit-for-bit deterministic regardless of host
 //! parallelism.
 //!
+//! The round loop itself lives in [`crate::sched`]; this module holds what
+//! one thread does *inside* a round — the two slice bodies
+//! (`run_thread_slice` and `reference_slice`) and the `ThreadCtx` they
+//! advance — plus [`Engine`], which runs a single workload's phase as a
+//! one-tenant scenario on that loop.
+//!
 //! ## Clock accounting
 //!
 //! Per access: `clock += compute + latency / mlp`. `mlp` is the stream's
@@ -24,11 +30,11 @@
 
 use crate::access::{AccessRun, AccessStream};
 use crate::bandwidth::BandwidthModel;
-use crate::config::{ExecMode, MachineConfig};
+use crate::config::MachineConfig;
 use crate::fp::{bulk_add, bulk_line_chain, LineStep};
-
 use crate::hierarchy::{CoreCaches, DataSource, Hierarchy, MissProofMemo};
 use crate::memmap::MemoryMap;
+use crate::sched::{run_tenants, ScenarioError, ScenarioStats, TenantRun};
 use crate::stats::{AccessCounts, RunStats};
 use crate::topology::{CoreId, NodeId, ThreadId};
 
@@ -133,15 +139,17 @@ impl ThreadSpec {
     }
 }
 
-struct ThreadCtx {
-    thread: ThreadId,
-    core: CoreId,
-    node: NodeId,
+/// Everything one simulated thread carries between scheduling slices:
+/// binding, stream, private clock, and the batched slice body's cursors
+/// and memos. Owned by the thread's [`crate::sched::IssueUnit`].
+pub(crate) struct ThreadCtx {
+    pub(crate) thread: ThreadId,
+    pub(crate) core: CoreId,
+    pub(crate) node: NodeId,
     stream: Box<dyn AccessStream>,
-    clock: f64,
+    pub(crate) clock: f64,
     /// Effective mlp for the current run (resolved against the default).
     mlp: f64,
-    done: bool,
     /// Current (possibly partially consumed) run and the cursor into it.
     run: AccessRun,
     run_pos: u64,
@@ -189,7 +197,61 @@ struct ThreadCtx {
     /// Whether no other thread of the phase shares this thread's node —
     /// and so its L3. Only then do L3 absence frontiers survive between
     /// slices, making prove-ahead worthwhile at that level.
-    solo_l3: bool,
+    pub(crate) solo_l3: bool,
+}
+
+impl ThreadCtx {
+    /// A thread about to issue its first access at `clock`, bound to
+    /// `spec.core` on `node`.
+    pub(crate) fn new(spec: ThreadSpec, node: NodeId, clock: f64) -> Self {
+        Self {
+            thread: spec.thread,
+            core: spec.core,
+            node,
+            stream: spec.stream,
+            clock,
+            mlp: 1.0,
+            // Empty run: the first slice fetches one.
+            run: AccessRun { base: 0, stride: 0, len: 0, is_write: false, reps: 1, compute: 0.0, mlp: None },
+            run_pos: 0,
+            quiet: 0,
+            // Empty span: the first miss resolves one.
+            span_start: 0,
+            span_end: 0,
+            span_home: NodeId(0),
+            // NaN never compares equal: the first access computes.
+            lat_memo: f64::NAN,
+            mlp_memo: f64::NAN,
+            quot_memo: 0.0,
+            fuse_cooldown: 0,
+            fuse_backoff: FUSE_BACKOFF_MIN,
+            zip_lanes: Vec::new(),
+            zip_iters: 0,
+            zip_iter: 0,
+            zip_lane: 0,
+            zip_cooldown: 0,
+            zip_backoff: ZIP_BACKOFF_MIN,
+            fuse_proof: MissProofMemo::new(),
+            zip_proof: [MissProofMemo::new(); MAX_LANES],
+            solo_l3: true,
+        }
+    }
+
+    /// Move the thread to `core` on `node` (a scheduled migration). The
+    /// home-span cache and the miss-proof memos describe the old binding —
+    /// `Replicated` and untouched first-touch pages resolve to the
+    /// accessor's node, and the memos are keyed to the old core's install
+    /// epochs, which the new core's counters can equal by coincidence — so
+    /// both start over. Run cursor, zip lanes and quiet budget are
+    /// properties of the stream and the observer, and carry across.
+    pub(crate) fn rebind(&mut self, core: CoreId, node: NodeId) {
+        self.core = core;
+        self.node = node;
+        self.span_start = 0;
+        self.span_end = 0;
+        self.fuse_proof = MissProofMemo::new();
+        self.zip_proof = [MissProofMemo::new(); MAX_LANES];
+    }
 }
 
 /// Lane cap for the interleaved fused path; wider interleavings than any
@@ -224,7 +286,8 @@ const ZIP_BACKOFF_MIN: u32 = 1;
 const ZIP_BACKOFF_MAX: u32 = 8;
 
 /// The simulator. Owns the machine state (caches, bandwidth accounting,
-/// memory map) across phases; see [`Engine::run_phase`].
+/// memory map) across phases and scenarios; see [`Engine::run_phase`] and
+/// [`Engine::run`].
 pub struct Engine<O: Observer> {
     cfg: MachineConfig,
     hierarchy: Hierarchy,
@@ -252,7 +315,7 @@ impl<O: Observer> Engine<O> {
     }
 
     /// Cap the number of accesses pulled per [`AccessStream::next_run`]
-    /// call in [`ExecMode::Batched`]. Results are identical for any cap;
+    /// call by the batched slice body. Results are identical for any cap;
     /// differential tests use this to exercise run-boundary handling.
     ///
     /// # Panics
@@ -298,174 +361,59 @@ impl<O: Observer> Engine<O> {
         (self.memmap, self.observer)
     }
 
-    /// Execute one phase: run every thread to stream exhaustion.
-    ///
+    /// Run one scenario to completion: every tenant's threads to stream
+    /// exhaustion, on the discrete-event scheduler ([`crate::sched`]).
     /// Machine state (cache contents, first-touch placements) persists
-    /// across phases; bandwidth aggregates are reset per phase. The inner
-    /// loop strategy is selected by [`crate::config::EngineConfig::exec`];
-    /// both strategies produce bit-identical results.
+    /// across scenarios; bandwidth aggregates are reset at the start of
+    /// each. [`crate::config::EngineConfig::exec`] selects the slice body
+    /// each thread runs between round boundaries; both bodies produce
+    /// bit-identical results.
+    ///
+    /// # Errors
+    /// Returns a [`ScenarioError`], before touching any machine state, if
+    /// the scenario is malformed: no tenants, a tenant with no threads,
+    /// out-of-range cores, duplicate thread ids across the scenario,
+    /// non-finite or negative arrivals, a non-positive burst `on_cycles`
+    /// or negative `off_cycles`, or a migration naming a thread outside
+    /// its tenant, an out-of-range core, or an invalid time.
     ///
     /// # Panics
-    /// Panics if thread specs reference out-of-range cores or duplicate
-    /// thread ids, or if a stream accesses unallocated memory.
+    /// Panics if a stream accesses unallocated memory.
+    pub fn try_run(&mut self, tenants: Vec<TenantRun>) -> Result<ScenarioStats, ScenarioError> {
+        run_tenants(
+            &self.cfg,
+            &mut self.hierarchy,
+            &mut self.bw,
+            &mut self.memmap,
+            &mut self.observer,
+            tenants,
+            self.max_run,
+        )
+    }
+
+    /// [`Engine::try_run`] for callers that build their scenarios in code.
+    ///
+    /// # Panics
+    /// Panics with the [`ScenarioError`] text if the scenario is malformed.
+    pub fn run(&mut self, tenants: Vec<TenantRun>) -> ScenarioStats {
+        self.try_run(tenants).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Execute one phase — a one-tenant scenario arriving at 0 with no
+    /// bursts and no migrations — and return its machine-wide statistics.
+    ///
+    /// # Panics
+    /// As [`Engine::run`]: out-of-range cores, duplicate thread ids, no
+    /// threads.
     pub fn run_phase(&mut self, threads: Vec<ThreadSpec>) -> RunStats {
-        match self.cfg.engine.exec {
-            ExecMode::Batched => self.run_phase_batched(threads),
-            ExecMode::Reference => self.run_phase_reference(threads),
-        }
-    }
-
-    fn make_ctxs(&self, threads: Vec<ThreadSpec>) -> Vec<ThreadCtx> {
-        assert!(!threads.is_empty(), "phase needs at least one thread");
-        let topo = &self.cfg.topology;
-        let ctxs: Vec<ThreadCtx> = threads
-            .into_iter()
-            .map(|spec| {
-                assert!(topo.core_in_range(spec.core), "thread {:?} bound to invalid {:?}", spec.thread, spec.core);
-                let node = topo.node_of_core(spec.core);
-                ThreadCtx {
-                    thread: spec.thread,
-                    core: spec.core,
-                    node,
-                    stream: spec.stream,
-                    clock: 0.0,
-                    mlp: 1.0,
-                    done: false,
-                    // Empty run: the first loop iteration fetches one.
-                    run: AccessRun { base: 0, stride: 0, len: 0, is_write: false, reps: 1, compute: 0.0, mlp: None },
-                    run_pos: 0,
-                    quiet: 0,
-                    // Empty span: the first miss resolves one.
-                    span_start: 0,
-                    span_end: 0,
-                    span_home: NodeId(0),
-                    // NaN never compares equal: the first access computes.
-                    lat_memo: f64::NAN,
-                    mlp_memo: f64::NAN,
-                    quot_memo: 0.0,
-                    fuse_cooldown: 0,
-                    fuse_backoff: FUSE_BACKOFF_MIN,
-                    zip_lanes: Vec::new(),
-                    zip_iters: 0,
-                    zip_iter: 0,
-                    zip_lane: 0,
-                    zip_cooldown: 0,
-                    zip_backoff: ZIP_BACKOFF_MIN,
-                    fuse_proof: MissProofMemo::new(),
-                    zip_proof: [MissProofMemo::new(); MAX_LANES],
-                    solo_l3: true,
-                }
-            })
-            .collect();
-        let mut ctxs = ctxs;
-        // Whether each thread has the node's L3 to itself: siblings on the
-        // same node invalidate each other's L3 absence frontiers every
-        // slice, so proving ahead there is wasted scan work.
-        for i in 0..ctxs.len() {
-            ctxs[i].solo_l3 = !ctxs.iter().enumerate().any(|(j, c)| j != i && c.node == ctxs[i].node);
-        }
-        let ctxs = ctxs;
-        {
-            let mut ids: Vec<u32> = ctxs.iter().map(|c| c.thread.0).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            assert_eq!(ids.len(), ctxs.len(), "duplicate thread ids in phase");
-        }
-        ctxs
-    }
-
-    fn finish_phase(&mut self, ctxs: &[ThreadCtx], counts: AccessCounts) -> RunStats {
-        let stats = collect_run_stats(&self.bw, ctxs.iter().map(|t| t.clock).collect(), counts);
-        self.observer.on_phase_end(&stats);
-        stats
-    }
-
-    /// The original strictly per-access inner loop, kept as the oracle the
-    /// differential tests compare [`Engine::run_phase_batched`] against.
-    /// Pulls single-access runs so per-segment `compute`/`mlp` are honoured
-    /// here too.
-    fn run_phase_reference(&mut self, threads: Vec<ThreadSpec>) -> RunStats {
-        let mut ctxs = self.make_ctxs(threads);
-        self.bw.reset();
-        let round = self.cfg.engine.round_cycles;
-        let mut counts = AccessCounts::default();
-        let mut round_end = round;
-        let mut live = ctxs.len();
-
-        while live > 0 {
-            for t in ctxs.iter_mut().filter(|t| !t.done) {
-                while t.clock < round_end {
-                    let Some(run) = t.stream.next_run(1) else {
-                        t.done = true;
-                        live -= 1;
-                        break;
-                    };
-                    let mut m = MachineMut {
-                        cfg: &self.cfg,
-                        hierarchy: &mut self.hierarchy,
-                        bw: &mut self.bw,
-                        memmap: &mut self.memmap,
-                    };
-                    step_single_access(
-                        &mut m,
-                        &mut self.observer,
-                        &mut counts,
-                        t.thread,
-                        t.core,
-                        t.node,
-                        &mut t.clock,
-                        &run,
-                    );
-                }
-            }
-            self.bw.end_round();
-            round_end += round;
-        }
-        self.finish_phase(&ctxs, counts)
-    }
-
-    /// Run-batched inner loop: pulls [`AccessRun`]s, resolves the cache
-    /// handle once per thread slice, caches the home-node span across
-    /// misses, and delivers observer events through the
-    /// [`Observer::run_hint`]/[`Observer::on_run`] fast path. Performs the
-    /// identical sequence of floating-point operations as the reference
-    /// path, so results are bit-for-bit equal.
-    fn run_phase_batched(&mut self, threads: Vec<ThreadSpec>) -> RunStats {
-        let mut ctxs = self.make_ctxs(threads);
-        self.bw.reset();
-        let round = self.cfg.engine.round_cycles;
-        let consts = SliceConsts::new(&self.cfg, self.max_run);
-        let mut counts = AccessCounts::default();
-        let mut round_end = round;
-        let mut live = ctxs.len();
-
-        while live > 0 {
-            for t in ctxs.iter_mut().filter(|t| !t.done) {
-                let finished = run_thread_slice(
-                    &self.cfg,
-                    &consts,
-                    &mut self.hierarchy,
-                    &mut self.bw,
-                    &mut self.memmap,
-                    &mut self.observer,
-                    &mut counts,
-                    t,
-                    round_end,
-                );
-                if finished {
-                    live -= 1;
-                }
-            }
-            self.bw.end_round();
-            round_end += round;
-        }
-        self.finish_phase(&ctxs, counts)
+        self.run(vec![TenantRun::new(0, threads)]).run
     }
 }
 
-/// Per-phase constants of the batched inner loop, hoisted once for the
-/// per-slice body ([`run_thread_slice`]).
-struct SliceConsts {
+/// Per-run constants of the batched slice body ([`run_thread_slice`]),
+/// hoisted once per scenario.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SliceConsts {
     lfb_latency: f64,
     l1_latency: f64,
     line_bytes: f64,
@@ -476,7 +424,7 @@ struct SliceConsts {
 }
 
 impl SliceConsts {
-    fn new(cfg: &MachineConfig, max_run: u64) -> Self {
+    pub(crate) fn new(cfg: &MachineConfig, max_run: u64) -> Self {
         Self {
             lfb_latency: cfg.latency.lfb,
             l1_latency: cfg.latency.l1,
@@ -489,13 +437,15 @@ impl SliceConsts {
     }
 }
 
-/// One scheduling slice of thread `t` on the batched engine: advance it
-/// until its clock passes `round_end` or its stream ends, through the
-/// fused span walk, the interleaved (zip) path, and the per-line
-/// fallback. Returns whether the thread finished (its stream ran dry this
-/// slice).
-#[allow(clippy::too_many_arguments)] // the engine's split field borrows
-fn run_thread_slice<O: Observer>(
+/// The batched slice body ([`crate::config::ExecMode::Batched`]): advance
+/// thread `t` until its clock reaches `limit` or its stream ends, through
+/// the fused span walk, the interleaved (zip) path, and the per-line
+/// fallback. `limit` is whatever the scheduler must act on next — the
+/// round boundary, the end of a burst window, a migration time — and is
+/// tested before every line, exactly where [`reference_slice`] tests it.
+/// Returns whether the thread finished (its stream ran dry this slice).
+#[allow(clippy::too_many_arguments)] // the machine's split field borrows
+pub(crate) fn run_thread_slice<O: Observer + ?Sized>(
     cfg: &MachineConfig,
     sc: &SliceConsts,
     hierarchy: &mut Hierarchy,
@@ -504,7 +454,7 @@ fn run_thread_slice<O: Observer>(
     observer: &mut O,
     counts: &mut AccessCounts,
     t: &mut ThreadCtx,
-    round_end: f64,
+    limit: f64,
 ) -> bool {
     let &SliceConsts { lfb_latency, l1_latency, line_bytes, line_step, span_fusion, default_mlp, max_run } = sc;
     let mut finished = false;
@@ -515,7 +465,7 @@ fn run_thread_slice<O: Observer>(
     // Events skipped under `quiet` in this slice, not yet committed to
     // the observer.
     let mut pending: u64 = 0;
-    'slice: while t.clock < round_end {
+    'slice: while t.clock < limit {
         if t.run_pos == t.run.len {
             if t.zip_iter < t.zip_iters {
                 // An interleaved span is in flight. At an
@@ -524,7 +474,7 @@ fn run_thread_slice<O: Observer>(
                 // the exact single-access runs the stream
                 // would have handed out.
                 if span_fusion && t.zip_lane == 0 && t.zip_cooldown == 0 {
-                    zip_fuse(cfg, bw, memmap, &mut caches, counts, t, round_end, line_bytes, default_mlp, &mut pending);
+                    zip_fuse(cfg, bw, memmap, &mut caches, counts, t, limit, line_bytes, default_mlp, &mut pending);
                     if t.zip_iter == t.zip_iters {
                         t.zip_iters = 0;
                         t.zip_iter = 0;
@@ -559,7 +509,6 @@ fn run_thread_slice<O: Observer>(
                     }
                 }
                 let Some(run) = t.stream.next_run(max_run) else {
-                    t.done = true;
                     finished = true;
                     break 'slice;
                 };
@@ -570,7 +519,7 @@ fn run_thread_slice<O: Observer>(
         }
         let run = t.run;
         let compute = run.compute;
-        while t.run_pos < run.len && t.clock < round_end {
+        while t.run_pos < run.len && t.clock < limit {
             // Fused span walk: when the run hands over
             // consecutive lines and a prefix provably misses
             // all three levels, commit it in closed form
@@ -585,14 +534,14 @@ fn run_thread_slice<O: Observer>(
                 let mut k_cap = (run.len - t.run_pos).min(t.quiet / reps_total);
                 if k_cap >= FUSE_MIN {
                     // Proving more lines than can commit before
-                    // `round_end` is wasted tag-scan work that
+                    // `limit` is wasted tag-scan work that
                     // next round's proof repeats. Estimate the
                     // fit from the memoized quotient; any cap
                     // is sound — the loop simply proves the
                     // next chunk afterwards.
                     let per_line = reps_total as f64 * compute + t.quot_memo;
                     if per_line > 0.0 {
-                        let est = ((round_end - t.clock) / per_line) as u64 + 2;
+                        let est = ((limit - t.clock) / per_line) as u64 + 2;
                         k_cap = k_cap.min(est.max(FUSE_MIN));
                     }
                 }
@@ -622,7 +571,7 @@ fn run_thread_slice<O: Observer>(
                         // this same addend.
                         let rep_delta = compute + 0.0;
                         let mut done = 0u64;
-                        while done < k_miss && t.clock < round_end {
+                        while done < k_miss && t.clock < limit {
                             let addr = addr0 + done * run.stride;
                             let home = if addr >= t.span_start && addr < t.span_end {
                                 t.span_home
@@ -660,7 +609,7 @@ fn run_thread_slice<O: Observer>(
                             // per-line replay to one closed-form
                             // grid step per binade (bit-identical
                             // — see `fp::bulk_line_chain`).
-                            let (k_fit, clock) = bulk_line_chain(t.clock, addend, rep_delta, nreps, k_seg, round_end);
+                            let (k_fit, clock) = bulk_line_chain(t.clock, addend, rep_delta, nreps, k_seg, limit);
                             caches.install_span(line0 + done, k_fit);
                             counts.record_n(src, k_fit);
                             if nreps > 0 {
@@ -704,7 +653,7 @@ fn run_thread_slice<O: Observer>(
                             // charged its latency — the same
                             // per-rep addend every line.
                             let rep_delta = compute + l1_latency / t.mlp;
-                            let (k_fit, clock) = bulk_line_chain(t.clock, addend, rep_delta, nreps, k_hit, round_end);
+                            let (k_fit, clock) = bulk_line_chain(t.clock, addend, rep_delta, nreps, k_hit, limit);
                             caches.commit_hit_span(src, line0, k_fit);
                             // The hit commit installs only the
                             // span itself into the levels above
@@ -848,11 +797,9 @@ fn run_thread_slice<O: Observer>(
     finished
 }
 
-/// Split mutable borrows of the machine state every execution path works
-/// over: configuration, cache hierarchy, bandwidth model, and memory map.
-/// Groups what [`step_single_access`] needs so the reference inner loop
-/// and the discrete-event scheduler ([`crate::sched`]) share one access
-/// body.
+/// Split mutable borrows of the machine state the reference slice body
+/// works over: configuration, cache hierarchy, bandwidth model, and
+/// memory map.
 pub(crate) struct MachineMut<'a> {
     pub cfg: &'a MachineConfig,
     pub hierarchy: &'a mut Hierarchy,
@@ -860,14 +807,32 @@ pub(crate) struct MachineMut<'a> {
     pub memmap: &'a mut MemoryMap,
 }
 
+/// The reference slice body ([`crate::config::ExecMode::Reference`]):
+/// strictly one access at a time until the thread's clock reaches `limit` or its stream ends.
+/// The oracle [`run_thread_slice`] is held to, bit for bit. Returns whether
+/// the thread finished.
+pub(crate) fn reference_slice<O: Observer + ?Sized>(
+    m: &mut MachineMut<'_>,
+    observer: &mut O,
+    counts: &mut AccessCounts,
+    t: &mut ThreadCtx,
+    limit: f64,
+) -> bool {
+    while t.clock < limit {
+        // Single-access runs, so per-segment `compute`/`mlp` are honoured.
+        let Some(run) = t.stream.next_run(1) else {
+            return true;
+        };
+        step_single_access(m, observer, counts, t.thread, t.core, t.node, &mut t.clock, &run);
+    }
+    false
+}
+
 /// Execute one single-access run (`run.len == 1`) for a thread: cache
 /// lookup, DRAM service with the current congestion factor, clock advance,
-/// observer delivery, and the trailing same-line reps. This is the
-/// reference-mode access body, shared verbatim with the scheduler's issue
-/// units so a single-tenant scenario reproduces
-/// [`crate::config::ExecMode::Reference`] bit-for-bit.
-#[allow(clippy::too_many_arguments)] // the engine's split field borrows
-pub(crate) fn step_single_access<O: Observer + ?Sized>(
+/// observer delivery, and the trailing same-line reps.
+#[allow(clippy::too_many_arguments)] // the machine's split field borrows
+fn step_single_access<O: Observer + ?Sized>(
     m: &mut MachineMut<'_>,
     observer: &mut O,
     counts: &mut AccessCounts,
@@ -936,9 +901,8 @@ pub(crate) fn step_single_access<O: Observer + ?Sized>(
     }
 }
 
-/// Assemble a phase's [`RunStats`] from the final per-thread clocks, the
-/// event counts, and the bandwidth model's aggregates (shared by the
-/// engine and [`crate::sched`]).
+/// Assemble a run's [`RunStats`] from the final per-thread clocks, the
+/// event counts, and the bandwidth model's aggregates.
 pub(crate) fn collect_run_stats(bw: &BandwidthModel, thread_cycles: Vec<f64>, counts: AccessCounts) -> RunStats {
     let cycles = thread_cycles.iter().copied().fold(0.0, f64::max);
     RunStats {
@@ -971,7 +935,7 @@ fn zip_fuse(
     caches: &mut CoreCaches<'_>,
     counts: &mut AccessCounts,
     t: &mut ThreadCtx,
-    round_end: f64,
+    limit: f64,
     line_bytes: f64,
     default_mlp: f64,
     pending: &mut u64,
@@ -993,7 +957,7 @@ fn zip_fuse(
     // the next iteration boundary proves the following chunk.
     let per_iter: f64 = t.zip_lanes.iter().map(|l| l.reps as f64 * l.compute).sum::<f64>() + nl as f64 * t.quot_memo;
     if per_iter > 0.0 {
-        let est = ((round_end - t.clock) / per_iter) as u64 + 2;
+        let est = ((limit - t.clock) / per_iter) as u64 + 2;
         k_cap = k_cap.min(est.max(ZIP_MIN));
     }
     let mut first = [0u64; MAX_LANES];
@@ -1069,7 +1033,7 @@ fn zip_fuse(
             // The reference path re-checks the round boundary before each
             // line (reps included), so the replay must stop mid-iteration
             // exactly where it would.
-            if clock >= round_end {
+            if clock >= limit {
                 partial = i;
                 break 'replay;
             }

@@ -1,13 +1,12 @@
-//! Discrete-event multi-tenant scheduler: co-resident workloads on one
-//! simulated machine.
+//! Discrete-event scheduler: the one round loop every simulation runs on.
 //!
-//! The closed-loop engine ([`crate::engine`]) advances one workload's
-//! threads round by round in a fixed nested loop. This module rebuilds
-//! that loop as a discrete-event scheduler so *several* independent thread
-//! groups ("tenants") can share the machine with staggered arrival times,
-//! bursty on/off phases, and mid-run core migration — the cross-tenant
-//! contention regime that hyperscale memory-subsystem studies report and
-//! that DR-BW's single-workload evaluation never sees.
+//! A run is a set of independent thread groups ("tenants") sharing one
+//! simulated machine, with staggered arrival times, bursty on/off phases,
+//! and mid-run core migration — the cross-tenant contention regime that
+//! hyperscale memory-subsystem studies report and that DR-BW's
+//! single-workload evaluation never sees. A single workload's phase
+//! ([`crate::engine::Engine::run_phase`]) is the one-tenant special case:
+//! arrival 0, no bursts, no migrations.
 //!
 //! ## Component model
 //!
@@ -18,12 +17,11 @@
 //! scans for the minimum pending wake time, advances the global clock to
 //! it, and fires every component whose wake time equals that minimum, in
 //! registration order (the deterministic tie-break). Two component kinds
-//! reproduce the engine's round model:
+//! make up the round model:
 //!
 //! * [`IssueUnit`] — one per software thread, bound to a core. At each
 //!   wake (a round boundary) it issues accesses until its private clock
-//!   crosses the boundary, exactly like one iteration of the reference
-//!   loop's `while clock < round_end` slice.
+//!   crosses the boundary.
 //! * [`RoundBus`] — the memory-controller/channel aggregation. The
 //!   per-channel and per-controller byte counters live in
 //!   [`BandwidthModel`]; the bus fires at every round boundary *after*
@@ -34,37 +32,51 @@
 //! ## Clock discipline
 //!
 //! All wake times live on one grid: the left fold `b += round_cycles`
-//! starting from `round_cycles`, exactly the `round_end += round` sequence
-//! the engine computes. Every component derives its wake time by stepping
-//! that same fold from a value already on the grid, so equal boundaries
-//! are equal *bitwise* and the scheduler's `==` tie-match is exact — no
-//! epsilon comparisons anywhere. An issue unit whose clock overshot
-//! several rounds simply sleeps through the intervening boundaries (where
-//! the reference loop would test `clock < round_end` and do nothing), and
-//! the bus alone keeps the round accounting advancing.
+//! starting from `round_cycles`. Every component derives its wake time by
+//! stepping that same fold from a value already on the grid, so equal
+//! boundaries are equal *bitwise* and the scheduler's `==` tie-match is
+//! exact — no epsilon comparisons anywhere. An issue unit whose clock
+//! overshot several rounds simply sleeps through the intervening
+//! boundaries, and the bus alone keeps the round accounting advancing.
 //!
-//! ## Single-tenant oracle
+//! ## One loop, two slice bodies
 //!
-//! A scenario with one tenant (arrival 0, no bursts, no migrations)
-//! issues the same access sequence, in the same order, with the same
-//! floating-point arithmetic as [`crate::config::ExecMode::Reference`] —
-//! the per-access body is literally the same function
-//! (`engine::step_single_access`). The differential suites
-//! (`tests/scheduler.rs` at the workspace root and the unit tests below)
-//! hold the scheduler to bit-for-bit equality on stats *and* sampled
-//! events.
+//! [`Scheduler::run`] is the only loop that advances rounds, and
+//! [`RoundBus::tick`] the only caller of [`BandwidthModel::end_round`].
+//! What [`crate::config::ExecMode`] selects is the *slice body* an issue
+//! unit runs inside a tick: the batched body (fused span proofs,
+//! closed-form clock collapse, observer `run_hint`/`on_run`) or the
+//! reference body (strictly one access at a time), both in
+//! [`crate::engine`]. Each takes a `limit` and tests `clock < limit`
+//! before every line. A tick alternates its scenario gates — burst idle
+//! windows, due migrations — with a slice bounded by
+//!
+//! ```text
+//! limit = min(now, burst_off_at, next migration time)
+//! ```
+//!
+//! so a slice stops at exactly the access after which a gate would fire
+//! (`clock >= burst_off_at`, `at_cycles <= clock`) or the round ends
+//! (`clock >= now`), in either body. For a plain tenant the last two terms
+//! are infinite and the slice is the whole round. The reference body is
+//! the oracle: the differential suites (`tests/differential.rs`,
+//! `tests/scheduler.rs` at the workspace root, and the unit tests below)
+//! hold the batched body to it bit for bit, on stats *and* sampled events,
+//! including under bursts, migrations and staggered arrivals.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
-use crate::access::AccessStream;
 use crate::bandwidth::BandwidthModel;
-use crate::config::MachineConfig;
-use crate::engine::{collect_run_stats, step_single_access, MachineMut, Observer, ThreadSpec};
+use crate::config::{ExecMode, MachineConfig};
+use crate::engine::{
+    collect_run_stats, reference_slice, run_thread_slice, Engine, MachineMut, Observer, SliceConsts, ThreadCtx,
+    ThreadSpec,
+};
 use crate::hierarchy::Hierarchy;
 use crate::memmap::MemoryMap;
 use crate::stats::{AccessCounts, RunStats};
-use crate::topology::{CoreId, NodeId, ThreadId};
+use crate::topology::{CoreId, ThreadId};
 
 /// Identifies a tenant — an independently arriving workload — within a
 /// scenario.
@@ -73,7 +85,7 @@ pub struct TenantId(pub u32);
 
 /// On/off duty cycle for a bursty tenant, relative to its arrival time:
 /// the tenant issues for `on_cycles`, idles for `off_cycles`, and repeats.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstConfig {
     /// Length of each issuing window, in cycles (must be positive).
     pub on_cycles: f64,
@@ -228,20 +240,18 @@ impl Scheduler {
     }
 }
 
-/// Per-thread issue unit: replays one thread's slice of the engine's
-/// reference loop at each round boundary it is awake for, with optional
-/// burst gating and scheduled migrations applied between accesses.
+/// Per-thread issue unit: runs one thread's slices at each round boundary
+/// it is awake for, with burst gating and scheduled migrations applied
+/// between slices.
 pub struct IssueUnit {
     tenant: TenantId,
-    thread: ThreadId,
-    core: CoreId,
-    node: NodeId,
-    stream: Box<dyn AccessStream>,
-    clock: f64,
+    t: ThreadCtx,
+    sc: SliceConsts,
     wake: Option<f64>,
     round: f64,
     burst: Option<BurstConfig>,
-    /// End of the current "on" window (start of the next idle window).
+    /// End of the current "on" window (start of the next idle window);
+    /// infinite for a tenant without a duty cycle.
     burst_off_at: f64,
     /// This thread's migrations, sorted by time, and the next to apply.
     migrations: Vec<Migration>,
@@ -250,19 +260,18 @@ pub struct IssueUnit {
     live: Rc<Cell<usize>>,
 }
 
-/// Everything beyond the `ThreadSpec` that shapes one issue unit: which
-/// tenant it belongs to, where it starts, and its scheduled dynamics.
-struct UnitSetup {
-    tenant: TenantId,
-    node: NodeId,
-    arrival: f64,
-    burst: Option<BurstConfig>,
-    migrations: Vec<Migration>,
-}
-
 impl IssueUnit {
-    fn new(spec: ThreadSpec, setup: UnitSetup, round: f64, live: Rc<Cell<usize>>) -> Self {
-        let UnitSetup { tenant, node, arrival, burst, migrations } = setup;
+    /// A unit for thread `t`, whose clock stands at its tenant's arrival.
+    fn new(
+        tenant: TenantId,
+        t: ThreadCtx,
+        burst: Option<BurstConfig>,
+        migrations: Vec<Migration>,
+        sc: SliceConsts,
+        round: f64,
+        live: Rc<Cell<usize>>,
+    ) -> Self {
+        let arrival = t.clock;
         // First wake: the first grid boundary strictly past the arrival
         // clock, stepped on the same `+= round` fold the bus uses.
         let mut w = round;
@@ -272,11 +281,8 @@ impl IssueUnit {
         let burst_off_at = arrival + burst.map_or(f64::INFINITY, |b| b.on_cycles);
         Self {
             tenant,
-            thread: spec.thread,
-            core: spec.core,
-            node,
-            stream: spec.stream,
-            clock: arrival,
+            t,
+            sc,
             wake: Some(w),
             round,
             burst,
@@ -295,12 +301,12 @@ impl IssueUnit {
 
     /// The unit's thread id.
     pub fn thread(&self) -> ThreadId {
-        self.thread
+        self.t.thread
     }
 
     /// The unit's private clock (final finish time once done).
     pub fn clock(&self) -> f64 {
-        self.clock
+        self.t.clock
     }
 
     /// Events this unit has issued, by data source.
@@ -315,48 +321,57 @@ impl Component for IssueUnit {
     }
 
     fn tick(&mut self, now: f64, ctx: &mut SchedCtx<'_>) {
+        let t = &mut self.t;
         loop {
-            // Scenario gates; both reduce to no-ops for a plain tenant, so
-            // the single-tenant loop below is exactly the reference slice.
+            // Scenario gates; neither ever fires for a plain tenant.
             if let Some(b) = self.burst {
-                while self.clock >= self.burst_off_at {
+                while t.clock >= self.burst_off_at {
                     let idle_end = self.burst_off_at + b.off_cycles;
-                    if self.clock < idle_end {
-                        self.clock = idle_end;
+                    if t.clock < idle_end {
+                        t.clock = idle_end;
                     }
                     self.burst_off_at += b.on_cycles + b.off_cycles;
                 }
             }
-            while self.mig_next < self.migrations.len() && self.migrations[self.mig_next].at_cycles <= self.clock {
-                let to = self.migrations[self.mig_next].to;
-                self.core = to;
-                self.node = ctx.cfg.topology.node_of_core(to);
+            while let Some(m) = self.migrations.get(self.mig_next).filter(|m| m.at_cycles <= t.clock) {
+                t.rebind(m.to, ctx.cfg.topology.node_of_core(m.to));
                 self.mig_next += 1;
             }
-            if self.clock >= now {
+            if t.clock >= now {
                 break;
             }
-            let Some(run) = self.stream.next_run(1) else {
+            // Issue up to whichever comes first: the round boundary or the
+            // next gate. Both gates have just been drained, so `limit` is
+            // strictly past the clock and the slice makes progress.
+            let next_migration = self.migrations.get(self.mig_next).map_or(f64::INFINITY, |m| m.at_cycles);
+            let limit = now.min(self.burst_off_at).min(next_migration);
+            let finished = match ctx.cfg.engine.exec {
+                ExecMode::Batched => run_thread_slice(
+                    ctx.cfg,
+                    &self.sc,
+                    ctx.hierarchy,
+                    ctx.bw,
+                    ctx.memmap,
+                    ctx.observer,
+                    &mut self.counts,
+                    t,
+                    limit,
+                ),
+                ExecMode::Reference => {
+                    let mut m = MachineMut { cfg: ctx.cfg, hierarchy: ctx.hierarchy, bw: ctx.bw, memmap: ctx.memmap };
+                    reference_slice(&mut m, ctx.observer, &mut self.counts, t, limit)
+                }
+            };
+            if finished {
                 self.wake = None;
                 self.live.set(self.live.get() - 1);
                 return;
-            };
-            let mut m = MachineMut { cfg: ctx.cfg, hierarchy: ctx.hierarchy, bw: ctx.bw, memmap: ctx.memmap };
-            step_single_access(
-                &mut m,
-                ctx.observer,
-                &mut self.counts,
-                self.thread,
-                self.core,
-                self.node,
-                &mut self.clock,
-                &run,
-            );
+            }
         }
         // Next boundary strictly past the clock, stepped on the grid from
         // the boundary just processed.
         let mut w = now;
-        while w <= self.clock {
+        while w <= t.clock {
             w += self.round;
         }
         self.wake = Some(w);
@@ -366,8 +381,7 @@ impl Component for IssueUnit {
 /// The memory-controller/channel component: closes the bandwidth
 /// accounting round at every boundary (after all issue units have run
 /// their slices), and retires once no issue unit remains live — firing
-/// one final time in the boundary where the last unit finished, exactly
-/// like the reference loop's trailing `end_round`.
+/// one final time in the boundary where the last unit finished.
 pub struct RoundBus {
     boundary: f64,
     round: f64,
@@ -424,189 +438,186 @@ pub struct ScenarioStats {
     pub tenants: Vec<TenantStats>,
 }
 
-/// Drives multi-tenant scenarios through the discrete-event scheduler.
-/// Owns the same machine state as [`crate::engine::Engine`] and persists
-/// it across scenarios (caches, first-touch placement), mirroring the
-/// engine's phase semantics.
-pub struct ScenarioEngine<O: Observer> {
-    cfg: MachineConfig,
-    hierarchy: Hierarchy,
-    bw: BandwidthModel,
-    memmap: MemoryMap,
-    observer: O,
+/// Why a scenario was rejected before it ran (see [`Engine::try_run`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ScenarioError {
+    /// The scenario has no tenants.
+    NoTenants,
+    /// A tenant has no threads.
+    EmptyTenant(TenantId),
+    /// A tenant's arrival time is negative or not finite.
+    InvalidArrival(TenantId, f64),
+    /// A burst `on_cycles` is not positive, `off_cycles` is negative, or
+    /// either is not finite.
+    InvalidBurst(TenantId, BurstConfig),
+    /// A thread is bound to a core the topology does not have.
+    InvalidCore(ThreadId, CoreId),
+    /// Two threads of the scenario share an id.
+    DuplicateThreadIds,
+    /// A migration time is negative or not finite.
+    InvalidMigrationTime(ThreadId, f64),
+    /// A migration targets a core the topology does not have.
+    InvalidMigrationCore(ThreadId, CoreId),
+    /// A migration names a thread that is not in its tenant.
+    ForeignMigration(ThreadId, TenantId),
 }
 
-impl<O: Observer> ScenarioEngine<O> {
-    /// Build a scenario engine for `cfg` over an allocated `memmap`.
-    ///
-    /// # Panics
-    /// Panics if the configuration fails validation.
-    pub fn new(cfg: &MachineConfig, memmap: MemoryMap, observer: O) -> Self {
-        cfg.validate();
-        Self { cfg: cfg.clone(), hierarchy: Hierarchy::new(cfg), bw: BandwidthModel::new(cfg), memmap, observer }
-    }
-
-    /// The machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
-    /// Read access to the memory map.
-    pub fn memmap(&self) -> &MemoryMap {
-        &self.memmap
-    }
-
-    /// Mutable access to the memory map (e.g. to re-place objects between
-    /// scenarios).
-    pub fn memmap_mut(&mut self) -> &mut MemoryMap {
-        &mut self.memmap
-    }
-
-    /// The observer.
-    pub fn observer(&self) -> &O {
-        &self.observer
-    }
-
-    /// Mutable access to the observer (e.g. to drain collected samples).
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
-    }
-
-    /// Flush all caches (cold-start the next scenario).
-    pub fn flush_caches(&mut self) {
-        self.hierarchy.flush();
-    }
-
-    /// Tear down, returning the memory map and observer.
-    pub fn into_parts(self) -> (MemoryMap, O) {
-        (self.memmap, self.observer)
-    }
-
-    /// Run one scenario to completion: every tenant's threads to stream
-    /// exhaustion. Bandwidth aggregates are reset at scenario start;
-    /// cache and placement state persist, as across engine phases.
-    ///
-    /// # Panics
-    /// Panics if the scenario is malformed: no tenants, a tenant with no
-    /// threads, out-of-range cores, duplicate thread ids across the
-    /// scenario, non-finite or negative arrivals, a non-positive burst
-    /// `on_cycles` or negative `off_cycles`, or a migration naming a
-    /// thread outside its tenant or an out-of-range core.
-    pub fn run(&mut self, tenants: Vec<TenantRun>) -> ScenarioStats {
-        assert!(!tenants.is_empty(), "scenario needs at least one tenant");
-        let topo = &self.cfg.topology;
-        let round = self.cfg.engine.round_cycles;
-        let n_units: usize = tenants.iter().map(|t| t.threads.len()).sum();
-        let live = Rc::new(Cell::new(n_units));
-
-        let mut units: Vec<IssueUnit> = Vec::with_capacity(n_units);
-        // (unit range, tenant id) per tenant, for the per-tenant rollup.
-        let mut tenant_ranges: Vec<(TenantId, usize, usize)> = Vec::with_capacity(tenants.len());
-        for run in tenants {
-            assert!(!run.threads.is_empty(), "tenant {:?} has no threads", run.tenant);
-            assert!(
-                run.arrival_cycles.is_finite() && run.arrival_cycles >= 0.0,
-                "tenant {:?} has invalid arrival {}",
-                run.tenant,
-                run.arrival_cycles
-            );
-            if let Some(b) = run.burst {
-                assert!(
-                    b.on_cycles.is_finite() && b.on_cycles > 0.0 && b.off_cycles.is_finite() && b.off_cycles >= 0.0,
-                    "tenant {:?} has invalid burst config {:?}",
-                    run.tenant,
-                    b
-                );
+impl std::fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NoTenants => write!(f, "scenario needs at least one tenant"),
+            Self::EmptyTenant(tenant) => write!(f, "tenant {tenant:?} has no threads"),
+            Self::InvalidArrival(tenant, at) => write!(f, "tenant {tenant:?} has invalid arrival {at}"),
+            Self::InvalidBurst(tenant, b) => write!(f, "tenant {tenant:?} has invalid burst config {b:?}"),
+            Self::InvalidCore(thread, core) => write!(f, "thread {thread:?} bound to invalid {core:?}"),
+            Self::DuplicateThreadIds => write!(f, "duplicate thread ids in scenario"),
+            Self::InvalidMigrationTime(thread, at) => write!(f, "migration of {thread:?} at invalid time {at}"),
+            Self::InvalidMigrationCore(thread, to) => write!(f, "migration of {thread:?} to invalid {to:?}"),
+            Self::ForeignMigration(thread, tenant) => {
+                write!(f, "migration names {thread:?}, not a thread of tenant {tenant:?}")
             }
-            for m in &run.migrations {
-                assert!(
-                    m.at_cycles.is_finite() && m.at_cycles >= 0.0,
-                    "migration of {:?} at invalid time {}",
-                    m.thread,
-                    m.at_cycles
-                );
-                assert!(topo.core_in_range(m.to), "migration of {:?} to invalid {:?}", m.thread, m.to);
-                assert!(
-                    run.threads.iter().any(|s| s.thread == m.thread),
-                    "migration names {:?}, not a thread of tenant {:?}",
-                    m.thread,
-                    run.tenant
-                );
-            }
-            let start = units.len();
-            for spec in run.threads {
-                assert!(topo.core_in_range(spec.core), "thread {:?} bound to invalid {:?}", spec.thread, spec.core);
-                let node = topo.node_of_core(spec.core);
-                let mut migs: Vec<Migration> =
-                    run.migrations.iter().copied().filter(|m| m.thread == spec.thread).collect();
-                migs.sort_by(|a, b| a.at_cycles.total_cmp(&b.at_cycles));
-                let setup = UnitSetup {
-                    tenant: run.tenant,
-                    node,
-                    arrival: run.arrival_cycles,
-                    burst: run.burst,
-                    migrations: migs,
-                };
-                units.push(IssueUnit::new(spec, setup, round, Rc::clone(&live)));
-            }
-            tenant_ranges.push((run.tenant, start, units.len()));
         }
-        {
-            let mut ids: Vec<u32> = units.iter().map(|u| u.thread.0).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            assert_eq!(ids.len(), units.len(), "duplicate thread ids in scenario");
-        }
-
-        self.bw.reset();
-        let mut bus = RoundBus::new(round, Rc::clone(&live));
-        {
-            let mut components: Vec<&mut dyn Component> = units.iter_mut().map(|u| u as &mut dyn Component).collect();
-            components.push(&mut bus);
-            let mut ctx = SchedCtx {
-                cfg: &self.cfg,
-                hierarchy: &mut self.hierarchy,
-                bw: &mut self.bw,
-                memmap: &mut self.memmap,
-                observer: &mut self.observer,
-            };
-            let mut sched = Scheduler::new();
-            sched.run(&mut components, &mut ctx);
-        }
-
-        let mut total = AccessCounts::default();
-        for u in &units {
-            total.merge(&u.counts);
-        }
-        let run = collect_run_stats(&self.bw, units.iter().map(|u| u.clock).collect(), total);
-        let tenants = tenant_ranges
-            .into_iter()
-            .map(|(tenant, start, end)| {
-                let slice = &units[start..end];
-                let mut counts = AccessCounts::default();
-                for u in slice {
-                    counts.merge(&u.counts);
-                }
-                TenantStats {
-                    tenant,
-                    counts,
-                    finish_cycles: slice.iter().map(|u| u.clock).fold(0.0, f64::max),
-                    thread_cycles: slice.iter().map(|u| u.clock).collect(),
-                }
-            })
-            .collect();
-        self.observer.on_phase_end(&run);
-        ScenarioStats { run, tenants }
     }
 }
+
+impl std::error::Error for ScenarioError {}
+
+/// The one place thread specs and tenant schedules are checked.
+fn validate(cfg: &MachineConfig, tenants: &[TenantRun]) -> Result<(), ScenarioError> {
+    let topo = &cfg.topology;
+    let time_ok = |t: f64| t.is_finite() && t >= 0.0;
+    if tenants.is_empty() {
+        return Err(ScenarioError::NoTenants);
+    }
+    let mut ids = Vec::new();
+    for run in tenants {
+        if run.threads.is_empty() {
+            return Err(ScenarioError::EmptyTenant(run.tenant));
+        }
+        if !time_ok(run.arrival_cycles) {
+            return Err(ScenarioError::InvalidArrival(run.tenant, run.arrival_cycles));
+        }
+        if let Some(b) = run.burst.filter(|b| !(time_ok(b.on_cycles) && b.on_cycles > 0.0 && time_ok(b.off_cycles))) {
+            return Err(ScenarioError::InvalidBurst(run.tenant, b));
+        }
+        for m in &run.migrations {
+            if !time_ok(m.at_cycles) {
+                return Err(ScenarioError::InvalidMigrationTime(m.thread, m.at_cycles));
+            }
+            if !topo.core_in_range(m.to) {
+                return Err(ScenarioError::InvalidMigrationCore(m.thread, m.to));
+            }
+            if !run.threads.iter().any(|s| s.thread == m.thread) {
+                return Err(ScenarioError::ForeignMigration(m.thread, run.tenant));
+            }
+        }
+        for spec in &run.threads {
+            if !topo.core_in_range(spec.core) {
+                return Err(ScenarioError::InvalidCore(spec.thread, spec.core));
+            }
+            ids.push(spec.thread.0);
+        }
+    }
+    let n = ids.len();
+    ids.sort_unstable();
+    ids.dedup();
+    if ids.len() != n {
+        return Err(ScenarioError::DuplicateThreadIds);
+    }
+    Ok(())
+}
+
+/// Run `tenants` to stream exhaustion over the given machine state: the
+/// body of [`Engine::try_run`]. `max_run` caps the accesses the batched
+/// slice body pulls per stream call.
+pub(crate) fn run_tenants(
+    cfg: &MachineConfig,
+    hierarchy: &mut Hierarchy,
+    bw: &mut BandwidthModel,
+    memmap: &mut MemoryMap,
+    observer: &mut dyn Observer,
+    tenants: Vec<TenantRun>,
+    max_run: u64,
+) -> Result<ScenarioStats, ScenarioError> {
+    validate(cfg, &tenants)?;
+    let topo = &cfg.topology;
+    let round = cfg.engine.round_cycles;
+    let sc = SliceConsts::new(cfg, max_run);
+    let n_units: usize = tenants.iter().map(|t| t.threads.len()).sum();
+    let live = Rc::new(Cell::new(n_units));
+
+    let mut units: Vec<IssueUnit> = Vec::with_capacity(n_units);
+    // (tenant id, unit range) per tenant, for the per-tenant rollup.
+    let mut tenant_ranges: Vec<(TenantId, usize, usize)> = Vec::with_capacity(tenants.len());
+    // A thread has its node's L3 to itself only if no other thread of the
+    // whole scenario sits there and none can move there.
+    let mut per_node = vec![0usize; topo.num_nodes()];
+    let mut any_migration = false;
+    for run in tenants {
+        any_migration |= !run.migrations.is_empty();
+        let start = units.len();
+        for spec in run.threads {
+            let node = topo.node_of_core(spec.core);
+            per_node[node.0 as usize] += 1;
+            let mut migrations: Vec<Migration> =
+                run.migrations.iter().copied().filter(|m| m.thread == spec.thread).collect();
+            migrations.sort_by(|a, b| a.at_cycles.total_cmp(&b.at_cycles));
+            let t = ThreadCtx::new(spec, node, run.arrival_cycles);
+            units.push(IssueUnit::new(run.tenant, t, run.burst, migrations, sc, round, Rc::clone(&live)));
+        }
+        tenant_ranges.push((run.tenant, start, units.len()));
+    }
+    for u in &mut units {
+        u.t.solo_l3 = !any_migration && per_node[u.t.node.0 as usize] == 1;
+    }
+
+    bw.reset();
+    let mut bus = RoundBus::new(round, Rc::clone(&live));
+    {
+        let mut components: Vec<&mut dyn Component> = units.iter_mut().map(|u| u as &mut dyn Component).collect();
+        components.push(&mut bus);
+        let mut ctx = SchedCtx { cfg, hierarchy, bw, memmap, observer };
+        Scheduler::new().run(&mut components, &mut ctx);
+    }
+
+    let mut total = AccessCounts::default();
+    for u in &units {
+        total.merge(&u.counts);
+    }
+    let run = collect_run_stats(bw, units.iter().map(|u| u.t.clock).collect(), total);
+    let tenants = tenant_ranges
+        .into_iter()
+        .map(|(tenant, start, end)| {
+            let slice = &units[start..end];
+            let mut counts = AccessCounts::default();
+            for u in slice {
+                counts.merge(&u.counts);
+            }
+            TenantStats {
+                tenant,
+                counts,
+                finish_cycles: slice.iter().map(|u| u.t.clock).fold(0.0, f64::max),
+                thread_cycles: slice.iter().map(|u| u.t.clock).collect(),
+            }
+        })
+        .collect();
+    observer.on_phase_end(&run);
+    Ok(ScenarioStats { run, tenants })
+}
+
+/// The engine under the name scenario code knows it by: one type owns the
+/// machine state whether it runs a phase ([`Engine::run_phase`]) or a
+/// multi-tenant scenario ([`Engine::try_run`], [`Engine::run`]).
+pub type ScenarioEngine<O> = Engine<O>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::{AccessMix, ChainStream, RandomStream, SeqStream};
+    use crate::access::{AccessMix, AccessStream, ChainStream, RandomStream, SeqStream};
     use crate::config::ExecMode;
-    use crate::engine::{Engine, NullObserver};
+    use crate::engine::NullObserver;
     use crate::memmap::PlacementPolicy;
+    use crate::topology::NodeId;
 
     fn scaled() -> MachineConfig {
         MachineConfig::scaled()
@@ -739,6 +750,117 @@ mod tests {
         assert!(migrated.run.cycles > pinned.run.cycles, "remote tail should cost cycles");
     }
 
+    /// Run a scenario under both slice bodies and hold the batched one to
+    /// the reference, returning the (common) stats and the final memory map.
+    fn both_bodies(build: impl Fn(&MachineConfig, &mut MemoryMap) -> Vec<TenantRun>) -> (ScenarioStats, MemoryMap) {
+        let run = |exec: ExecMode| {
+            let mut cfg = scaled();
+            cfg.engine.exec = exec;
+            let mut mm = MemoryMap::new(&cfg);
+            let tenants = build(&cfg, &mut mm);
+            let mut eng = ScenarioEngine::new(&cfg, mm, NullObserver);
+            let stats = eng.run(tenants);
+            (stats, eng.into_parts().0)
+        };
+        let (reference, _) = run(ExecMode::Reference);
+        let (batched, mm) = run(ExecMode::Batched);
+        assert_eq!(batched, reference, "batched slice body diverged from the reference body");
+        (batched, mm)
+    }
+
+    /// First core of `node` on the scaled machine.
+    fn core_on(cfg: &MachineConfig, node: usize) -> CoreId {
+        CoreId((cfg.topology.cores_per_node() * node) as u32)
+    }
+
+    /// One thread scans an 8 MiB object placed by `policy` from node 0 and
+    /// moves to node 1 partway through.
+    fn scan_across_a_move(policy: PlacementPolicy) -> (ScenarioStats, MemoryMap) {
+        both_bodies(|cfg, mm| {
+            let a = mm.alloc("a", 8 << 20, policy.clone());
+            let stream = SeqStream::new(a.base, a.size, 1, AccessMix::read_only());
+            let tenant = TenantRun::new(0, vec![ThreadSpec::new(0, CoreId(0), Box::new(stream))]);
+            vec![tenant.migrate(100_000.0, 0, core_on(cfg, 1))]
+        })
+    }
+
+    /// Regression: a rebind must drop the home-span cache. A `Replicated`
+    /// object is homed on whichever node reads it and its span is the whole
+    /// object, so a span resolved before the move would keep sending the
+    /// rest of the scan to the old node's replica — remote traffic the
+    /// reference body never sees. (Fails with `ThreadCtx::rebind`'s span
+    /// reset removed: `remote_dram` is the post-move half of the scan.)
+    #[test]
+    fn migration_re_resolves_a_replicated_span() {
+        let (stats, _) = scan_across_a_move(PlacementPolicy::Replicated);
+        assert_eq!(stats.run.counts.remote_dram, 0, "a replicated object is local from every node");
+        assert_eq!(stats.run.counts.local_dram, (8 << 20) / 64);
+    }
+
+    /// Pages of an untouched first-touch object that the thread reaches
+    /// after it moved are homed on its new node, under either body.
+    #[test]
+    fn migration_first_touches_on_the_new_node() {
+        let (stats, mm) = scan_across_a_move(PlacementPolicy::FirstTouch);
+        let (_, a) = mm.objects().next().expect("one object");
+        assert_eq!(mm.query_node(a.base), Some(NodeId(0)), "touched before the move");
+        assert_eq!(mm.query_node(a.base + a.size - 1), Some(NodeId(1)), "touched after the move");
+        // Only the rest of the page the move interrupted is remote.
+        assert!(stats.run.counts.remote_dram < 4096 / 64, "remote lines: {}", stats.run.counts.remote_dram);
+    }
+
+    /// Regression: a rebind must drop the miss-proof memos. They are keyed
+    /// to install epochs, and epochs of different cores are only counters:
+    /// when the destination core has installed exactly as many lines as the
+    /// source, a carried memo reads as current there and certifies lines
+    /// absent that the destination holds. Thread 1 first parks
+    /// `installs_at_move` lines of `o` — including the ones thread 0 reaches
+    /// next — in the destination's caches; thread 0 then arrives, ends a
+    /// cache-resident segment (so its first streaming proof overshoots the
+    /// round and leaves a long memo) and moves there mid-stream. (Fails with
+    /// `ThreadCtx::rebind`'s memo reset removed.)
+    #[test]
+    fn migration_drops_miss_proofs_keyed_to_the_old_core() {
+        const ARRIVAL: f64 = 1_000_000.0;
+        const MOVE_AT: f64 = ARRIVAL + 50_000.0;
+        let mover = |mm: &mut MemoryMap, cfg: &MachineConfig| {
+            let h = mm.alloc("h", 8 * 64, PlacementPolicy::Bind(NodeId(2)));
+            let o = mm.alloc("o", 4096 * 64, PlacementPolicy::Bind(NodeId(2)));
+            let warm = SeqStream::new(h.base, h.size, 50, AccessMix::read_only());
+            let scan = SeqStream::new(o.base, o.size, 1, AccessMix::read_only());
+            let chain = ChainStream::new(vec![Box::new(warm), Box::new(scan)]);
+            let tenant = TenantRun::new(0, vec![ThreadSpec::new(0, CoreId(0), Box::new(chain))])
+                .arriving_at(ARRIVAL)
+                .migrate(MOVE_AT, 0, core_on(cfg, 1));
+            (tenant, o)
+        };
+        // Lines thread 0 installs on core 0 before it moves: every DRAM
+        // fill it takes there (the warm segment never leaves L1 again).
+        struct FillsOnCore0(u64);
+        impl Observer for FillsOnCore0 {
+            fn on_access(&mut self, ev: &crate::engine::AccessEvent) -> f64 {
+                self.0 += u64::from(ev.core == CoreId(0) && ev.source.is_dram());
+                0.0
+            }
+        }
+        let mut cfg = scaled();
+        cfg.engine.exec = ExecMode::Reference;
+        let mut mm = MemoryMap::new(&cfg);
+        let (tenant, _) = mover(&mut mm, &cfg);
+        let mut eng = ScenarioEngine::new(&cfg, mm, FillsOnCore0(0));
+        eng.run(vec![tenant]);
+        let installs_at_move = eng.observer().0;
+        assert!((100..4000).contains(&installs_at_move), "the move must land mid-scan, got {installs_at_move}");
+
+        let (stats, _) = both_bodies(|cfg, mm| {
+            let (tenant, o) = mover(mm, cfg);
+            let park = SeqStream::new(o.base, installs_at_move * 64, 1, AccessMix::read_only());
+            vec![tenant, TenantRun::new(1, vec![ThreadSpec::new(1, core_on(cfg, 1), Box::new(park))])]
+        });
+        // The first lines after the move are the last ones thread 1 parked.
+        assert!(stats.tenants[0].counts.l1 > 8 * 49, "thread 0 must hit lines the destination core holds");
+    }
+
     /// Cross-tenant contention: a victim sharing channels with a
     /// bandwidth-hog aggressor slows down relative to running alone.
     #[test]
@@ -776,6 +898,41 @@ mod tests {
         let slowdown = contended.tenants[0].finish_cycles / alone.tenants[0].finish_cycles;
         assert_eq!(alone.tenants[0].counts, contended.tenants[0].counts, "victim's work changed");
         assert!(slowdown > 1.2, "aggressor should slow the victim, got {slowdown}x");
+    }
+
+    /// Every way a scenario can be malformed comes back from `try_run` as
+    /// its own `ScenarioError`, not as a panic.
+    #[test]
+    fn malformed_scenarios_are_typed_errors() {
+        let cfg = scaled();
+        let mut mm = MemoryMap::new(&cfg);
+        let a = mm.alloc("a", 1 << 20, PlacementPolicy::Bind(NodeId(0)));
+        let spec = |thread: u32, core: u32| {
+            ThreadSpec::new(thread, CoreId(core), Box::new(SeqStream::new(a.base, a.size, 1, AccessMix::read_only())))
+        };
+        let one = |thread: u32, core: u32| TenantRun::new(0, vec![spec(thread, core)]);
+        let (t0, tn0) = (ThreadId(0), TenantId(0));
+        let burst = BurstConfig { on_cycles: 0.0, off_cycles: 1.0 };
+        let cases: Vec<(Vec<TenantRun>, ScenarioError)> = vec![
+            (vec![], ScenarioError::NoTenants),
+            (vec![TenantRun::new(0, vec![])], ScenarioError::EmptyTenant(tn0)),
+            (vec![one(0, 0).arriving_at(-1.0)], ScenarioError::InvalidArrival(tn0, -1.0)),
+            (vec![one(0, 0).bursty(0.0, 1.0)], ScenarioError::InvalidBurst(tn0, burst)),
+            (vec![one(0, 999)], ScenarioError::InvalidCore(t0, CoreId(999))),
+            (vec![one(0, 0), TenantRun::new(1, vec![spec(0, 1)])], ScenarioError::DuplicateThreadIds),
+            (
+                vec![one(0, 0).migrate(f64::INFINITY, 0, CoreId(1))],
+                ScenarioError::InvalidMigrationTime(t0, f64::INFINITY),
+            ),
+            (vec![one(0, 0).migrate(1.0, 0, CoreId(999))], ScenarioError::InvalidMigrationCore(t0, CoreId(999))),
+            (vec![one(0, 0).migrate(1.0, 7, CoreId(1))], ScenarioError::ForeignMigration(ThreadId(7), tn0)),
+        ];
+        let mut eng = ScenarioEngine::new(&cfg, mm, NullObserver);
+        for (tenants, want) in cases {
+            assert_eq!(eng.try_run(tenants), Err(want));
+        }
+        // A rejected scenario leaves the engine usable.
+        assert!(eng.try_run(vec![one(0, 0)]).is_ok());
     }
 
     #[test]

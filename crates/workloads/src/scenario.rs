@@ -210,6 +210,20 @@ pub const VICTIM_TENANT: u32 = 0;
 /// Aggressor tenant id in [`victim_aggressor`] scenarios.
 pub const AGGRESSOR_TENANT: u32 = 1;
 
+/// The victim tenant's threads: contiguous slices of `buf`, on node 0's
+/// first cores. Public so a bench can run the same threads outside a
+/// [`Scenario`].
+pub fn victim_threads(buf: &ObjectHandle, cfg: &VictimAggressorConfig) -> Vec<ThreadSpec> {
+    let share = buf.size / cfg.victim_threads as u64;
+    (0..cfg.victim_threads)
+        .map(|i| {
+            let s = SeqStream::new(buf.base + i as u64 * share, share, cfg.victim_passes, AccessMix::read_only())
+                .with_compute(cfg.victim_compute);
+            ThreadSpec::new(i as u32, CoreId(i as u32), Box::new(s))
+        })
+        .collect()
+}
+
 /// Build the cross-tenant contention scenario.
 ///
 /// The victim runs on node 0 with its data bound to `cfg.remote_home`, so
@@ -234,16 +248,7 @@ pub fn victim_aggressor(mcfg: &MachineConfig, cfg: &VictimAggressorConfig) -> Sc
     let victim = sc.alloc("victim_buf", line!(), cfg.victim_bytes, PlacementPolicy::Bind(cfg.remote_home));
     let aggr = sc.alloc("aggressor_buf", line!(), cfg.aggressor_bytes, PlacementPolicy::Bind(cfg.remote_home));
 
-    // Victim: interleaved slices of its (remote-homed) array, on node 0.
-    let vthreads: Vec<ThreadSpec> = (0..cfg.victim_threads)
-        .map(|i| {
-            let share = victim.handle.size / cfg.victim_threads as u64;
-            let s =
-                SeqStream::new(victim.handle.base + i as u64 * share, share, cfg.victim_passes, AccessMix::read_only())
-                    .with_compute(cfg.victim_compute);
-            ThreadSpec::new(i as u32, CoreId(i as u32), Box::new(s))
-        })
-        .collect();
+    let vthreads = victim_threads(&victim.handle, cfg);
 
     // Aggressor: the home node's cores first (local, channel-uncapped),
     // then the sockets other than node 0; all traffic lands on the home

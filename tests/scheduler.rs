@@ -204,3 +204,125 @@ proptest! {
         prop_assert_eq!(&scheduled, tiny_reference(), "split {:?} diverged", split);
     }
 }
+
+// ---- what the reference *engine* cannot express -------------------------
+//
+// Staggered arrivals, burst gating and migrations exist only in the
+// scheduler, so the oracle for them is the scheduler itself running the
+// reference slice body: `ExecMode::Batched` must equal
+// `ExecMode::Reference` through `ScenarioEngine`, on the full
+// `ScenarioStats` and on everything the sampler recorded.
+
+/// Two tenants' worth of threads on the tiny machine: the chained
+/// sequential/block-cyclic mix above, a scan of a `Replicated` object (its
+/// home is the reader's node, so a migration must re-home it mid-span),
+/// and an interleaved (zip) segment — a migration can land in every fast
+/// path.
+fn make_dynamic_threads(mm: &mut MemoryMap) -> Vec<ThreadSpec> {
+    let a = mm.alloc("a", 256 << 10, PlacementPolicy::FirstTouch);
+    let b = mm.alloc("b", 128 << 10, PlacementPolicy::interleave_all(2));
+    let r = mm.alloc("r", 64 << 10, PlacementPolicy::Replicated);
+    (0..4u64)
+        .map(|i| {
+            let (sa, sb) = (a.size / 4, b.size / 4);
+            let seq = SeqStream::new(a.base + i * sa, sa, 1, AccessMix::write_every(3))
+                .with_compute(0.5 * i as f64)
+                .with_reps(4);
+            let blk = BlockCyclicStream::new(b.base, b.size, 4096, 4, i, 1, AccessMix::read_only());
+            let lanes: Vec<Box<dyn AccessStream>> = vec![
+                Box::new(SeqStream::new(r.base, r.size, 2, AccessMix::read_only()).with_reps(2)),
+                Box::new(SeqStream::new(b.base + i * sb, sb, 4, AccessMix::read_only())),
+            ];
+            let rep = SeqStream::new(r.base, r.size, 1, AccessMix::read_only()).with_reps(2);
+            let chain: Box<dyn AccessStream> = Box::new(ChainStream::new(vec![
+                Box::new(seq),
+                Box::new(rep),
+                Box::new(WithMlp::new(blk, 2.0)),
+                Box::new(numasim::access::ZipStream::new(lanes)),
+            ]));
+            ThreadSpec::new(i as u32, CoreId(i as u32), chain)
+        })
+        .collect()
+}
+
+/// One tenant's schedule: arrival, optional duty cycle, and migrations as
+/// (which of its two threads, when, destination core).
+#[derive(Debug, Clone)]
+struct Dynamics {
+    arrival: f64,
+    burst: Option<(f64, f64)>,
+    migrations: Vec<(u32, f64, u32)>,
+}
+
+fn arb_dynamics() -> impl Strategy<Value = Dynamics> {
+    (
+        prop_oneof![Just(0.0), 0.0f64..150_000.0],
+        proptest::option::of((2_000.0f64..60_000.0, 0.0f64..60_000.0)),
+        proptest::collection::vec((0u32..2, 0.0f64..400_000.0, 0u32..4), 0..3),
+    )
+        .prop_map(|(arrival, burst, migrations)| Dynamics { arrival, burst, migrations })
+}
+
+/// Machine-wide outcome plus per-tenant stats of one dynamic scenario
+/// under `exec`.
+fn run_dynamic(
+    exec: ExecMode,
+    dynamics: &[Dynamics; 2],
+    period: u64,
+    max_run: u64,
+) -> (Outcome, Vec<numasim::sched::TenantStats>) {
+    let mut cfg = MachineConfig::tiny();
+    cfg.engine.exec = exec;
+    let mut mm = MemoryMap::new(&cfg);
+    let mut threads = make_dynamic_threads(&mut mm).into_iter();
+    let tenants = dynamics
+        .iter()
+        .enumerate()
+        .map(|(tid, d)| {
+            let first = 2 * tid as u32;
+            let mut tenant = TenantRun::new(tid as u32, threads.by_ref().take(2).collect()).arriving_at(d.arrival);
+            if let Some((on, off)) = d.burst {
+                tenant = tenant.bursty(on, off);
+            }
+            for &(which, at, to) in &d.migrations {
+                tenant = tenant.migrate(at, first + which, CoreId(to));
+            }
+            tenant
+        })
+        .collect();
+    // `sampler()`'s settings at a chosen period: 23 chops every fused span
+    // short, 997 leaves the quiet budget room for whole-span commits.
+    let observer = AddressSampler::new(SamplerConfig {
+        period,
+        latency_threshold: 150.0,
+        latency_jitter: 0.3,
+        per_sample_cost: 40.0,
+    });
+    let mut eng = ScenarioEngine::new(&cfg, mm, observer);
+    eng.set_max_run(max_run);
+    let stats = eng.run(tenants);
+    let (_, s) = eng.into_parts();
+    let outcome = Outcome {
+        stats: stats.run,
+        observed: s.observed_accesses(),
+        suppressed: s.suppressed_samples(),
+        samples: s.samples().to_vec(),
+    };
+    (outcome, stats.tenants)
+}
+
+proptest! {
+    #[test]
+    fn batched_scenarios_match_reference_scenarios(
+        d0 in arb_dynamics(),
+        d1 in arb_dynamics(),
+        period in prop_oneof![Just(23u64), Just(997)],
+        max_run in prop_oneof![Just(1u64), Just(7), Just(u64::MAX), 1u64..97],
+    ) {
+        let dynamics = [d0, d1];
+        let reference = run_dynamic(ExecMode::Reference, &dynamics, period, max_run);
+        prop_assert!(!reference.0.samples.is_empty(), "scenario must actually sample");
+        let batched = run_dynamic(ExecMode::Batched, &dynamics, period, max_run);
+        prop_assert_eq!(&batched, &reference, "{:?} period {} max_run {} diverged", dynamics, period, max_run);
+    }
+}
