@@ -43,7 +43,6 @@
 //! vector — the property the streaming detector's tumbling/sliding
 //! windows (`drbw-stream`) are built on.
 
-use mldt::stats::Welford;
 use numasim::hierarchy::DataSource;
 use pebs::sample::MemSample;
 
@@ -117,6 +116,28 @@ const EXACT_FRAC_BITS: u32 = 75;
 /// 2⁷⁵ as an `f64` (exact: powers of two are representable).
 const EXACT_SCALE: f64 = (1u128 << EXACT_FRAC_BITS) as f64;
 
+/// One value in [`ExactSum`] units: `(x * 2⁷⁵).round()` as an `i128`.
+///
+/// A positive normal `x` with unbiased exponent `e` in [−23, 51] is
+/// `m · 2^(e−52)` for the 53-bit integer `m = mantissa | 1 << 52`, so
+/// `x · 2⁷⁵ = m << (e + 23)` is an integer below 2¹²⁷: the scale, the
+/// `round` and the cast are all exact and a 128-bit shift computes the
+/// same bits with no libm `round` and no compiler-rt `__fixdfti` call.
+/// Every latency the simulator produces lands there. Everything else
+/// (±0, negatives — the sign bit lands in `biased` —, subnormals, values
+/// with sub-unit bits, 2⁵² and up, non-finite) takes the rounding path.
+#[inline]
+fn to_units(x: f64) -> i128 {
+    let bits = x.to_bits();
+    let biased = (bits >> 52) as u32;
+    let shift = biased.wrapping_sub(1023 - 23);
+    if shift <= 51 + 23 {
+        (((bits & ((1 << 52) - 1)) | (1 << 52)) as i128) << shift
+    } else {
+        (x * EXACT_SCALE).round() as i128
+    }
+}
+
 /// An order-independent, mergeable sum of latencies.
 ///
 /// Values are converted **once, per observation**, to a signed 128-bit
@@ -147,40 +168,18 @@ impl ExactSum {
     /// Add one value.
     pub fn push(&mut self, x: f64) {
         debug_assert!(x.is_finite(), "latency sums are over finite values");
-        // Multiplying by a power of two is exact (no mantissa rounding);
-        // `round` then resolves sub-unit bits, identically wherever the
-        // same value is pushed.
-        let scaled = (x * EXACT_SCALE).round();
-        self.units = self.units.saturating_add(scaled as i128);
+        self.add_units(to_units(x));
     }
 
-    /// Add a whole slice with a four-lane split reduction.
-    ///
-    /// Each value is converted exactly as [`ExactSum::push`] converts it;
-    /// the lane partial sums are then folded with the same integer
-    /// addition, so the result is bit-identical to pushing the elements
-    /// one at a time — associativity and commutativity of integer
-    /// addition make the grouping invisible. (The `saturating_add` is
-    /// associative too until a partial sum actually saturates, which
-    /// needs ~4.5 × 10¹⁵ accumulated cycle-units — orders of magnitude
-    /// beyond any window, and `debug_assert`ed unreachable here.)
+    fn add_units(&mut self, units: i128) {
+        self.units = self.units.saturating_add(units);
+    }
+
+    /// Add a whole slice: the same sum as pushing the elements one at a
+    /// time, in any order (integer addition).
     pub fn push_slice(&mut self, xs: &[f64]) {
-        let mut lanes = [0i128; 4];
-        let quads = xs.chunks_exact(4);
-        let tail = quads.remainder();
-        for quad in quads {
-            for (lane, &x) in lanes.iter_mut().zip(quad) {
-                debug_assert!(x.is_finite(), "latency sums are over finite values");
-                *lane = lane.saturating_add((x * EXACT_SCALE).round() as i128);
-            }
-        }
-        for (lane, &x) in lanes.iter_mut().zip(tail) {
-            debug_assert!(x.is_finite(), "latency sums are over finite values");
-            *lane = lane.saturating_add((x * EXACT_SCALE).round() as i128);
-        }
-        for lane in lanes {
-            debug_assert!(lane > i128::MIN && lane < i128::MAX, "lane sum saturated");
-            self.units = self.units.saturating_add(lane);
+        for &x in xs {
+            self.push(x);
         }
     }
 
@@ -196,16 +195,16 @@ impl ExactSum {
 }
 
 /// Per-source running state: a count and an exact latency sum.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct SourceAccum {
     n: usize,
     lat: ExactSum,
 }
 
 impl SourceAccum {
-    fn push(&mut self, latency: f64) {
+    fn add(&mut self, units: i128) {
         self.n += 1;
-        self.lat.push(latency);
+        self.lat.add_units(units);
     }
 
     fn merge(&mut self, other: &SourceAccum) {
@@ -221,13 +220,10 @@ impl SourceAccum {
 /// built over disjoint sub-streams with [`FeatureAccumulator::merge`];
 /// produce the feature vector with [`FeatureAccumulator::finalize`].
 /// Counts are integers and latency sums are [`ExactSum`]s, so any
-/// push/merge schedule that covers each sample exactly once finalizes to
-/// the bit-identical vector [`selected_features`] computes over the whole
-/// batch. The accumulator additionally tracks the running latency moments
-/// ([`mldt::stats::Welford`]) for monitoring surfaces; the moments are not
-/// part of the feature vector (their merge is subject to ordinary
-/// floating-point rounding).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// push/merge schedule that covers each sample exactly once reaches the
+/// same state (`==`) and finalizes to the bit-identical vector
+/// [`selected_features`] computes over the whole batch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FeatureAccumulator {
     total: usize,
     above: [usize; 5],
@@ -235,7 +231,6 @@ pub struct FeatureAccumulator {
     local: SourceAccum,
     lfb: SourceAccum,
     lat_all: ExactSum,
-    moments: Welford,
 }
 
 impl FeatureAccumulator {
@@ -255,18 +250,19 @@ impl FeatureAccumulator {
 
     /// Ingest one sample.
     pub fn push(&mut self, s: &MemSample) {
+        debug_assert!(s.latency.is_finite(), "latency sums are over finite values");
         self.total += 1;
-        self.lat_all.push(s.latency);
-        self.moments.push(s.latency);
         for (i, &t) in LATENCY_THRESHOLDS.iter().enumerate() {
             if s.latency > t {
                 self.above[i] += 1;
             }
         }
+        let units = to_units(s.latency);
+        self.lat_all.add_units(units);
         match s.source {
-            DataSource::RemoteDram => self.remote.push(s.latency),
-            DataSource::LocalDram => self.local.push(s.latency),
-            DataSource::Lfb => self.lfb.push(s.latency),
+            DataSource::RemoteDram => self.remote.add(units),
+            DataSource::LocalDram => self.local.add(units),
+            DataSource::Lfb => self.lfb.add(units),
             _ => {}
         }
     }
@@ -275,36 +271,42 @@ impl FeatureAccumulator {
     /// `srcs[i]` describe sample `i` of a columnar
     /// [`pebs::block::SampleBlock`] segment.
     ///
-    /// Bit-identical to pushing the same samples in the same order with
+    /// Reaches the same state (`==`) as pushing the same samples with
     /// [`FeatureAccumulator::push`]: the latency-bucket counts come from
     /// the SIMD-dispatched [`numasim::simd::count_above`] (exact IEEE `>`
-    /// predicates, any grouping identical), the latency sums from the
-    /// lane-split [`ExactSum::push_slice`] (integer addition,
-    /// associative), the per-source state from an in-order scalar pass,
-    /// and the monitoring moments from in-order [`Welford`] pushes (the
-    /// one order-dependent piece, kept in stream order on purpose).
+    /// predicates, any grouping identical), and each latency is converted
+    /// to [`ExactSum`] units once, into the partial of its source
+    /// (remote / local / LFB / everything else); the total-latency sum is
+    /// the four partials added up — integer addition, so the split is
+    /// invisible.
     ///
     /// # Panics
     /// Panics if the lanes disagree in length.
     pub fn push_lanes(&mut self, lats: &[f64], srcs: &[DataSource]) {
         assert_eq!(lats.len(), srcs.len(), "lane lengths must agree");
         self.total += lats.len();
-        self.lat_all.push_slice(lats);
-        for &l in lats {
-            self.moments.push(l);
-        }
         let above = numasim::simd::count_above(lats, &LATENCY_THRESHOLDS);
         for (a, b) in self.above.iter_mut().zip(above) {
             *a += b;
         }
+        let mut parts = [SourceAccum::default(); 4];
         for (&l, &src) in lats.iter().zip(srcs) {
-            match src {
-                DataSource::RemoteDram => self.remote.push(l),
-                DataSource::LocalDram => self.local.push(l),
-                DataSource::Lfb => self.lfb.push(l),
-                _ => {}
-            }
+            debug_assert!(l.is_finite(), "latency sums are over finite values");
+            let slot = match src {
+                DataSource::RemoteDram => 0,
+                DataSource::LocalDram => 1,
+                DataSource::Lfb => 2,
+                _ => 3,
+            };
+            parts[slot].add(to_units(l));
         }
+        for part in &parts {
+            debug_assert!(part.lat.units > i128::MIN && part.lat.units < i128::MAX, "partial sum saturated");
+            self.lat_all.merge(&part.lat);
+        }
+        self.remote.merge(&parts[0]);
+        self.local.merge(&parts[1]);
+        self.lfb.merge(&parts[2]);
     }
 
     /// Fold an accumulator built over a disjoint sub-stream into this one.
@@ -317,7 +319,6 @@ impl FeatureAccumulator {
         self.local.merge(&other.local);
         self.lfb.merge(&other.lfb);
         self.lat_all.merge(&other.lat_all);
-        self.moments.merge(&other.moments);
     }
 
     /// Samples accumulated so far.
@@ -329,12 +330,6 @@ impl FeatureAccumulator {
     /// feature #6 before per-mille normalisation).
     pub fn remote_dram_count(&self) -> usize {
         self.remote.n
-    }
-
-    /// Running latency moments (count / mean / variance) of everything
-    /// accumulated — a monitoring by-product, not a Table I feature.
-    pub fn latency_moments(&self) -> Welford {
-        self.moments
     }
 
     /// Produce the 13 selected features (Table I order).
@@ -577,8 +572,7 @@ mod tests {
     }
 
     /// The columnar lane path must reach the exact accumulator state the
-    /// per-sample path reaches — including the order-dependent moments,
-    /// because `push_lanes` keeps the Welford pushes in stream order.
+    /// per-sample path reaches.
     #[test]
     fn push_lanes_is_bit_identical_to_per_sample_push() {
         let batch = jittery_batch();
@@ -630,15 +624,109 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_exposes_counts_and_moments() {
+    fn accumulator_exposes_counts() {
         let batch = jittery_batch();
         let acc = FeatureAccumulator::from_batch(&batch);
         assert_eq!(acc.count(), batch.len());
         assert_eq!(acc.remote_dram_count(), batch.iter().filter(|s| s.source == DataSource::RemoteDram).count());
-        let m = acc.latency_moments();
-        assert_eq!(m.count(), batch.len() as u64);
-        let lat: Vec<f64> = batch.iter().map(|s| s.latency).collect();
-        assert!((m.mean() - mldt::stats::mean(&lat)).abs() < 1e-9);
-        assert!((m.variance() - mldt::stats::variance(&lat)).abs() * 1e-9 < m.variance().max(1.0));
+    }
+
+    /// The conversion every `ExactSum` entry point used before the shift
+    /// fast path existed.
+    fn rounded_units(x: f64) -> i128 {
+        (x * EXACT_SCALE).round() as i128
+    }
+
+    #[test]
+    fn to_units_edges_match_the_rounding_conversion() {
+        let ulp_below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let two = |e: i32| 2f64.powi(e);
+        let edges = [
+            two(-23),
+            ulp_below(two(-23)),
+            two(-23) + two(-75),
+            two(-24),
+            two(-75),
+            two(-76),
+            1.5 * two(-76),
+            ulp_below(two(52)),
+            two(52),
+            two(52) + 1.0,
+            two(53),
+            f64::MIN_POSITIVE,
+            ulp_below(f64::MIN_POSITIVE),
+            f64::from_bits(1),
+            0.0,
+            -0.0,
+            -1.0,
+            -two(-23),
+            -950.25,
+            1.0,
+            950.25,
+            3.0000001,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in edges {
+            assert_eq!(to_units(x), rounded_units(x), "x = {x:e} ({:#018x})", x.to_bits());
+        }
+        assert_eq!(to_units(two(-23)), 1 << 52, "the smallest fast-path value");
+        assert_eq!(to_units(ulp_below(two(52))), ((1i128 << 53) - 1) << 74, "the largest fast-path value");
+    }
+
+    proptest::proptest! {
+        /// Raw bit patterns (any sign, exponent, mantissa — NaNs and
+        /// infinities included), plus the same mantissas re-homed to
+        /// exponents straddling both ends of the fast-path range.
+        #[test]
+        fn to_units_matches_the_rounding_conversion(
+            patterns in proptest::collection::vec((proptest::prelude::any::<u64>(), 0u64..160), 256..257),
+        ) {
+            for (bits, e) in patterns {
+                let near = (bits & !(0x7ff << 52)) | ((1023 - 60 + e) << 52);
+                for x in [f64::from_bits(bits), f64::from_bits(near)] {
+                    proptest::prop_assert_eq!(to_units(x), rounded_units(x), "bits {:#018x}", x.to_bits());
+                }
+            }
+        }
+
+        /// `push`, `push_slice` and the fused `push_lanes` are one
+        /// conversion: over finite latencies of any magnitude class they
+        /// land on the same sums, and on what the rounding conversion
+        /// gives.
+        #[test]
+        fn exact_sum_entry_points_agree(
+            raw in proptest::collection::vec((proptest::prelude::any::<u64>(), 0u64..84, 0usize..6), 0..200),
+        ) {
+            // Exponents in [-40, 44): both sides of the fast path's lower
+            // edge, and 200 values stay far from saturating the i128.
+            let lats: Vec<f64> =
+                raw.iter().map(|&(bits, e, _)| f64::from_bits((bits & !(0x7ff << 52)) | ((1023 - 40 + e) << 52))).collect();
+            let srcs: Vec<DataSource> = raw.iter().map(|&(_, _, k)| DataSource::ALL[k]).collect();
+            let want = lats.iter().fold(0i128, |acc, &x| acc + rounded_units(x));
+            let mut pushed = ExactSum::new();
+            for &x in &lats {
+                pushed.push(x);
+            }
+            let mut sliced = ExactSum::new();
+            sliced.push_slice(&lats);
+            let mut lanes = FeatureAccumulator::new();
+            lanes.push_lanes(&lats, &srcs);
+            proptest::prop_assert_eq!(pushed.units, want);
+            proptest::prop_assert_eq!(sliced, pushed);
+            proptest::prop_assert_eq!(lanes.lat_all, pushed);
+            let of = |src: DataSource| {
+                let mut sum = ExactSum::new();
+                lats.iter().zip(&srcs).filter(|(_, &s)| s == src).for_each(|(&x, _)| sum.push(x));
+                sum
+            };
+            proptest::prop_assert_eq!(lanes.remote.lat, of(DataSource::RemoteDram));
+            proptest::prop_assert_eq!(lanes.local.lat, of(DataSource::LocalDram));
+            proptest::prop_assert_eq!(lanes.lfb.lat, of(DataSource::Lfb));
+        }
     }
 }

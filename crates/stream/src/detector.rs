@@ -55,7 +55,9 @@ pub struct StreamConfig {
     /// Record a [`WindowSummary`] (features and raw verdicts per channel)
     /// for every closed window, for callers that audit window equivalence.
     /// The summaries queue until drained, so leave this off for unbounded
-    /// monitoring.
+    /// monitoring. A summary is owed for every window, so with this on an
+    /// idle gap is walked window by window instead of fast-forwarded: the
+    /// time to cross it grows with its length.
     pub record_windows: bool,
 }
 
@@ -126,7 +128,7 @@ pub struct WindowSummary {
 }
 
 /// Per-channel, per-pane accumulation state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct ChannelPane {
     acc: FeatureAccumulator,
     traversed: usize,
@@ -175,9 +177,12 @@ pub struct StreamingDetector {
     cur_pane: Option<i64>,
     /// The open pane, one slot per channel.
     open: Vec<ChannelPane>,
-    /// Sealed panes awaiting window closure, oldest first (≤ `panes`),
-    /// each tagged with its grid index.
-    sealed: VecDeque<(i64, Vec<ChannelPane>)>,
+    /// Sealed panes awaiting window closure, oldest first (≤ `panes`).
+    sealed: VecDeque<Vec<ChannelPane>>,
+    /// Pane `Vec`s out of use (after a `flush` or `reset`), reused before
+    /// any new one is allocated: `open`, `sealed` and `spare` together
+    /// never hold more than `panes` of them.
+    spare: Vec<Vec<ChannelPane>>,
     hysteresis: Vec<Hysteresis>,
     sketches: Vec<SpaceSaving<SketchKey>>,
     metrics: StreamMetrics,
@@ -221,6 +226,7 @@ impl StreamingDetector {
             cur_pane: None,
             open: vec![ChannelPane::default(); nch],
             sealed: VecDeque::with_capacity(cfg.window.panes()),
+            spare: Vec::new(),
             hysteresis: vec![Hysteresis::new(cfg.hysteresis); nch],
             sketches: vec![SpaceSaving::new(cfg.sketch_capacity); nch],
             metrics: StreamMetrics::default(),
@@ -270,13 +276,9 @@ impl StreamingDetector {
     /// installed immediately (nothing is in flight any more).
     pub fn reset(&mut self) {
         self.cur_pane = None;
-        for pane in &mut self.open {
-            *pane = ChannelPane::default();
-        }
-        self.sealed.clear();
-        for h in &mut self.hysteresis {
-            *h = Hysteresis::new(self.cfg.hysteresis);
-        }
+        self.open.fill(ChannelPane::default());
+        self.spare.extend(self.sealed.drain(..));
+        self.hysteresis.fill(Hysteresis::new(self.cfg.hysteresis));
         for s in &mut self.sketches {
             s.clear();
         }
@@ -336,8 +338,8 @@ impl StreamingDetector {
     /// footprint, constant in run length.
     pub fn retained_bytes(&self) -> usize {
         let pane = self.nch * std::mem::size_of::<ChannelPane>();
-        let panes = (1 + self.sealed.len()) * pane;
-        let sketches = self.nch * self.cfg.sketch_capacity * (std::mem::size_of::<(SketchKey, (u64, u64))>());
+        let panes = (1 + self.sealed.len() + self.spare.len()) * pane;
+        let sketches = self.nch * self.cfg.sketch_capacity * std::mem::size_of::<TopEntry<SketchKey>>();
         let fixed = self.nch * std::mem::size_of::<Hysteresis>();
         let queued = self.events.capacity() * std::mem::size_of::<VerdictEvent>();
         let scratch =
@@ -352,22 +354,7 @@ impl StreamingDetector {
     /// is accumulated.
     pub fn ingest(&mut self, s: &MemSample, site: SketchKey) {
         let pane = self.cfg.window.pane_index(self.cfg.origin_cycles, s.time);
-        match self.cur_pane {
-            None => self.cur_pane = Some(pane),
-            Some(cur) if pane > cur => {
-                for k in cur..pane {
-                    self.seal_pane(k, false);
-                }
-                self.cur_pane = Some(pane);
-            }
-            Some(cur) if pane < cur => {
-                // Out-of-order arrival for a sealed pane: fold into the
-                // open one rather than losing the sample, and account it.
-                self.metrics.late_samples += 1;
-            }
-            Some(_) => {}
-        }
-        self.metrics.samples_ingested += 1;
+        self.advance_to(pane, 1);
         let a = s.node.0 as usize;
         assert!(a < self.cfg.nodes, "sample from out-of-range node {a}");
         match s.home {
@@ -399,16 +386,12 @@ impl StreamingDetector {
     ///
     /// # Equivalence to the per-sample path
     ///
-    /// Every finalized feature, verdict, metric counter, and sketch state
-    /// is bit-identical to per-sample ingestion: integer/fixed-point
-    /// accumulator state is associative, threshold counts are exact
-    /// per-element predicates, remote-routed channels receive their
-    /// samples in stream order, and sketch offers happen in stream order
-    /// during the gather pass. The only divergence is the *non-feature*
-    /// Welford moment state of context-routed (non-remote) channels,
-    /// which is folded through one per-node accumulator and merged —
-    /// order-sensitive in its last bits but never observable through
-    /// features, verdicts, or summaries.
+    /// Every pane accumulator, verdict, metric counter, and sketch state
+    /// is identical to per-sample ingestion: integer/fixed-point
+    /// accumulator state is associative (context samples folded through
+    /// one per-node accumulator and merged land on the same state),
+    /// threshold counts are exact per-element predicates, and sketch
+    /// offers happen in stream order during the gather pass.
     pub fn ingest_block(&mut self, block: &SampleBlock) {
         if block.is_empty() {
             return;
@@ -427,22 +410,7 @@ impl StreamingDetector {
             // the samples of one pane form a contiguous run.
             let hi =
                 lo + times[lo..].partition_point(|&t| self.cfg.window.pane_index(self.cfg.origin_cycles, t) == pane);
-            match self.cur_pane {
-                None => self.cur_pane = Some(pane),
-                Some(cur) if pane > cur => {
-                    for k in cur..pane {
-                        self.seal_pane(k, false);
-                    }
-                    self.cur_pane = Some(pane);
-                }
-                Some(cur) if pane < cur => {
-                    // Late run for a sealed pane: fold into the open one,
-                    // accounting every sample (mirrors `ingest`).
-                    self.metrics.late_samples += (hi - lo) as u64;
-                }
-                Some(_) => {}
-            }
-            self.metrics.samples_ingested += (hi - lo) as u64;
+            self.advance_to(pane, (hi - lo) as u64);
             self.accumulate_run(block, lo, hi);
             lo = hi;
         }
@@ -453,10 +421,9 @@ impl StreamingDetector {
     /// Pass 1 routes each sample once into per-channel (remote) or
     /// per-node (context) gather lanes — sketch offers happen here, in
     /// stream order. Pass 2 drains each non-empty lane through the batch
-    /// kernels: remote channels get their exact per-channel sample order;
-    /// context samples fold through one per-node accumulator whose state
-    /// is merged into each of the node's outgoing channels (identical on
-    /// every finalized feature by associativity of the integer sums).
+    /// kernels: context samples fold through one per-node accumulator
+    /// whose state is merged into each of the node's outgoing channels
+    /// (the same state by associativity of the integer sums).
     fn accumulate_run(&mut self, block: &SampleBlock, lo: usize, hi: usize) {
         let nodes = block.nodes();
         let homes = block.homes();
@@ -497,48 +464,107 @@ impl StreamingDetector {
         }
     }
 
+    /// Account `n` samples arriving for grid pane `pane`, sealing every
+    /// pane the clock crossed to get there. Samples for an already-sealed
+    /// pane are late: they fold into the open one rather than being lost.
+    ///
+    /// An idle gap is crossed in closed form once it has nothing left to
+    /// say: when every sealed pane is empty and every channel's
+    /// hysteresis sits at its `Good` fixed point, each further window is
+    /// an empty one that classifies `good` everywhere and changes nothing
+    /// but the two window counters — so a far-future (or infinite)
+    /// timestamp costs a few windows, not one per pane.
+    fn advance_to(&mut self, pane: i64, n: u64) {
+        self.metrics.samples_ingested += n;
+        let Some(cur) = self.cur_pane else {
+            self.cur_pane = Some(pane);
+            return;
+        };
+        if pane < cur {
+            self.metrics.late_samples += n;
+            return;
+        }
+        for k in cur..pane {
+            self.seal_pane(k, false);
+            if k + 1 < pane && self.gap_is_settled() {
+                // A stream's first pane holds its first sample, so empty
+                // sealed panes mean the window is past its warm-up (every
+                // pane from here closes one) and a pending model swap
+                // installed at the boundary just crossed.
+                debug_assert_eq!(self.sealed.len() + 1, self.cfg.window.panes());
+                debug_assert!(self.pending_model.is_none());
+                let skipped = pane.abs_diff(k + 1);
+                self.windows_closed += skipped;
+                self.metrics.windows_classified += skipped;
+                break;
+            }
+        }
+        self.cur_pane = Some(pane);
+    }
+
+    /// Whether every further empty pane would close a window that leaves
+    /// all state but the window counters as it is (see `advance_to`).
+    /// Recorded windows are owed one summary each, so they are never
+    /// skipped.
+    fn gap_is_settled(&self) -> bool {
+        !self.cfg.record_windows
+            && self.hysteresis.iter().all(Hysteresis::is_settled_good)
+            && self.sealed.iter().flatten().all(|ch| ch.acc.count() == 0)
+    }
+
     /// Seal the open pane and close whatever window the stream has
     /// accumulated, even a partial one (end of run). No-op before the
     /// first sample.
     pub fn flush(&mut self) {
-        let Some(cur) = self.cur_pane else { return };
+        let Some(cur) = self.cur_pane.take() else { return };
         self.seal_pane(cur, true);
-        self.cur_pane = None;
-        self.sealed.clear();
+        self.spare.extend(self.sealed.drain(..));
     }
 
     /// Seal the open pane onto the queue as grid pane `index`; when a full
-    /// window (or, on `flush`, any window) is available, classify it.
+    /// window (or, on `flush`, any window) is available, classify it. The
+    /// next open pane reuses the `Vec` that fell out of the window.
     fn seal_pane(&mut self, index: i64, flushing: bool) {
-        let pane = std::mem::replace(&mut self.open, vec![ChannelPane::default(); self.nch]);
-        self.sealed.push_back((index, pane));
+        self.sealed.push_back(std::mem::take(&mut self.open));
         let full = self.sealed.len() == self.cfg.window.panes();
         if full || flushing {
-            self.classify_window(flushing && !full);
+            self.classify_window(index, flushing && !full);
         }
         if full {
-            self.sealed.pop_front();
+            self.spare.extend(self.sealed.pop_front());
         }
+        self.open = match self.spare.pop() {
+            Some(mut pane) => {
+                pane.fill(ChannelPane::default());
+                pane
+            }
+            None => vec![ChannelPane::default(); self.nch],
+        };
     }
 
-    /// Merge the sealed panes into one window per channel and classify.
-    fn classify_window(&mut self, partial: bool) {
-        let &(last, _) = self.sealed.back().expect("windows close only after a pane is sealed");
+    /// Merge the sealed panes — the newest being grid pane `last` — into
+    /// one window per channel and classify.
+    fn classify_window(&mut self, last: i64, partial: bool) {
         let end_cycles = self.cfg.window.pane_end(self.cfg.origin_cycles, last);
         // Both boundaries come from the pane grid, and the normalisation
         // duration is exactly their difference — so batch extraction over
         // [start, end) with `duration = end - start` reproduces these
         // features bit for bit even when the pane width is not exactly
         // representable.
-        let start_cycles = self.cfg.window.pane_end(self.cfg.origin_cycles, last - self.sealed.len() as i64);
-        let ctx = FeatureCtx { duration_cycles: end_cycles - start_cycles };
+        let start_cycles =
+            self.cfg.window.pane_end(self.cfg.origin_cycles, last.saturating_sub(self.sealed.len() as i64));
+        // A far-future timestamp can put the window where `f64` no longer
+        // resolves its two boundaries; its nominal length stands in.
+        let span = end_cycles - start_cycles;
+        let nominal = self.sealed.len() as f64 * self.cfg.window.slide_cycles();
+        let ctx = FeatureCtx { duration_cycles: if span > 0.0 { span } else { nominal } };
         let index = self.windows_closed;
         self.windows_closed += 1;
         self.metrics.windows_classified += 1;
         let mut channels = Vec::with_capacity(if self.cfg.record_windows { self.nch } else { 0 });
         for i in 0..self.nch {
             let mut merged = ChannelPane::default();
-            for (_, pane) in &self.sealed {
+            for pane in &self.sealed {
                 merged.acc.merge(&pane[i].acc);
                 merged.traversed += pane[i].traversed;
             }
@@ -825,15 +851,20 @@ mod tests {
     }
 
     /// reset() must be indistinguishable from a fresh detector: same
-    /// events, same windows, same metrics over the same input.
+    /// events, same windows, same metrics over the same input — with the
+    /// pane `Vec`s it recycles (from a mid-window flush and from the
+    /// panes in flight at the reset) coming back blank.
     #[test]
     fn reset_is_equivalent_to_fresh() {
-        let cfg = StreamConfig { record_windows: true, ..StreamConfig::new(4, WindowConfig::sliding(1000.0, 2)) };
+        let cfg = StreamConfig { record_windows: true, ..StreamConfig::new(4, WindowConfig::sliding(1000.0, 4)) };
         let mut fresh = StreamingDetector::new(classifier(), cfg);
         let mut pooled = StreamingDetector::new(classifier(), cfg);
-        // Dirty the pooled detector with a different stream, then reset.
+        // Dirty the pooled detector with a different stream: a flush in
+        // the middle of a pane, then a reset with three panes in flight.
         feed_contended(&mut pooled, 6, 48);
+        pooled.ingest(&sample(6300.0, 1, Some(0), DataSource::RemoteDram, 950.0), Some(SiteId(3)));
         pooled.flush();
+        feed_contended(&mut pooled, 1, 48);
         pooled.reset();
         feed_contended(&mut fresh, 4, 64);
         feed_contended(&mut pooled, 4, 64);
@@ -897,9 +928,150 @@ mod tests {
         feed_contended(&mut det, 2, 32);
         det.drain_events();
         let early = det.retained_bytes();
+        let pane_bytes = 12 * std::mem::size_of::<ChannelPane>();
+        assert_eq!(
+            early,
+            StreamingDetector::new(classifier(), cfg).retained_bytes() + 3 * pane_bytes,
+            "four panes live"
+        );
         feed_contended(&mut det, 50, 32);
         det.drain_events();
         assert_eq!(det.retained_bytes(), early, "state must not grow with the stream");
+        // A flush parks the sealed panes in the pool — still counted —
+        // and the next stream, flushed again two panes into its first
+        // window, reuses them instead of allocating.
+        det.flush();
+        assert_eq!(det.retained_bytes(), early, "the recycled panes are part of the footprint");
+        det.ingest(&sample(100.0, 1, Some(0), DataSource::RemoteDram, 950.0), None);
+        det.ingest(&sample(300.0, 1, Some(0), DataSource::RemoteDram, 950.0), None);
+        det.flush();
+        det.drain_events();
+        assert_eq!(det.retained_bytes(), early);
+        feed_contended(&mut det, 50, 32);
+        det.drain_events();
+        assert_eq!(det.retained_bytes(), early, "recycling must not grow the pool");
+    }
+
+    fn block_of(samples: &[MemSample]) -> SampleBlock {
+        let mut block = SampleBlock::with_capacity(samples.len());
+        for s in samples {
+            assert!(block.push(s, None));
+        }
+        block
+    }
+
+    /// Failing-first (it does not terminate at the parent commit): one
+    /// far-future or infinite timestamp used to walk the gap pane by pane
+    /// — up to 2⁶³ `seal_pane` calls on a shard worker. The gap is now
+    /// crossed in closed form once it settles, through either entry point.
+    #[test]
+    fn far_future_timestamp_does_not_wedge_ingest() {
+        let cfg = StreamConfig::new(4, WindowConfig::sliding(1000.0, 4));
+        let remote = |t: f64| sample(t, 1, Some(0), DataSource::RemoteDram, 950.0);
+        for by_block in [false, true] {
+            let feed = |det: &mut StreamingDetector, s: MemSample| match by_block {
+                true => det.ingest_block(&block_of(&[s])),
+                false => det.ingest(&s, None),
+            };
+            // Raise rmc on 1→0 first, so the gap also has a verdict to clear.
+            let mut det = StreamingDetector::new(classifier(), cfg);
+            feed_contended(&mut det, 4, 64);
+            assert_eq!(det.current_mode(ch(1, 0)), Mode::Rmc);
+            let before = det.metrics();
+            // 10¹² panes ahead: pane 15 is open, panes 15..10¹² are sealed.
+            feed(&mut det, remote(250.0 * 1e12 + 1.0));
+            let m = det.metrics();
+            assert_eq!(m.windows_classified - before.windows_classified, 1_000_000_000_000 - 15);
+            assert_eq!((m.samples_ingested, m.late_samples), (before.samples_ingested + 1, 0));
+            assert_eq!(det.current_mode(ch(1, 0)), Mode::Good, "the idle gap cleared the verdict");
+            let events = det.drain_events();
+            assert_eq!(events.len(), 2, "raised before the gap, cleared inside it");
+            assert_eq!(events[1].window_index, before.windows_classified + 5, "pane 15 leaves the window, then down=2");
+            // The grid is intact on the far side: contention there raises again.
+            for w in 0..3 {
+                for i in 0..64 {
+                    feed(&mut det, remote(250.0 * 1e12 + 1000.0 * w as f64 + 2.0 + 15.0 * i as f64));
+                }
+            }
+            det.flush();
+            let after = det.drain_events();
+            assert_eq!(after.len(), 1);
+            assert_eq!((after[0].mode, after[0].channel), (Mode::Rmc, ch(1, 0)));
+            assert!(after[0].window_index > 1_000_000_000_000 - 15);
+
+            // An infinite timestamp saturates the pane index; everything
+            // after it is late, and the end-of-run flush still classifies.
+            let mut det = StreamingDetector::new(classifier(), cfg);
+            feed_contended(&mut det, 2, 64);
+            feed(&mut det, remote(f64::INFINITY));
+            feed(&mut det, remote(2500.0));
+            assert_eq!(det.metrics().late_samples, 1);
+            assert_eq!(det.metrics().windows_classified, 4 + (i64::MAX as u64 - 7), "panes 3..=6, then 7 to the last");
+            det.flush();
+            assert_eq!(det.metrics().samples_ingested, 2 * 64 + 2);
+        }
+    }
+
+    /// The closed-form gap crossing must equal the window-by-window walk
+    /// (`record_windows` keeps the walk: a summary is owed per window):
+    /// over every gap length — shorter than the window, shorter than the
+    /// hysteresis `down` streak, and longer than both — tumbling and
+    /// sliding, before the gap either an rmc verdict that decays across
+    /// it or traffic too sparse to classify (hysteresis settled while the
+    /// sealed panes still hold samples the next windows must see leave).
+    #[test]
+    fn idle_gap_fast_forward_equals_the_per_window_walk() {
+        let remote = |t: f64| sample(t, 1, Some(0), DataSource::RemoteDram, 950.0);
+        for window in [WindowConfig::tumbling(1000.0), WindowConfig::sliding(1000.0, 4)] {
+            let slide = window.slide_cycles();
+            for (gap_panes, before) in (1..40).flat_map(|g| [(g, 192), (g, 12)]) {
+                // Three windows of `before` samples, the gap, three windows
+                // of 20 a window; a swap is requested right before the gap.
+                let resume = 3000.0 + gap_panes as f64 * slide;
+                let mut stream: Vec<MemSample> = Vec::new();
+                for (base, n) in [(0.0, before), (resume, 60)] {
+                    for i in 0..n {
+                        stream.push(remote(base + (i as f64 + 0.5) * 3000.0 / n as f64));
+                    }
+                }
+                for by_block in [false, true] {
+                    let run = |record_windows: bool| {
+                        let cfg = StreamConfig {
+                            record_windows,
+                            hysteresis: HysteresisConfig { up: 2, down: 3 },
+                            ..StreamConfig::new(4, window)
+                        };
+                        let mut det = StreamingDetector::with_model(Arc::new(classifier()), 1, cfg);
+                        for (i, half) in [&stream[..before], &stream[before..]].into_iter().enumerate() {
+                            match by_block {
+                                true => half.chunks(50).for_each(|c| det.ingest_block(&block_of(c))),
+                                false => half.iter().for_each(|s| det.ingest(s, Some(SiteId(i as u32)))),
+                            }
+                            det.swap_model(2, Arc::new(classifier()));
+                        }
+                        det
+                    };
+                    let (mut walked, mut skipped) = (run(true), run(false));
+                    let tag = format!("{window:?} {before} before a gap of {gap_panes}, block {by_block}");
+                    let recorded = walked.drain_windows().len() as u64;
+                    assert_eq!(recorded, walked.metrics().windows_classified, "{tag}: the walk records every window");
+                    assert!(skipped.drain_windows().is_empty());
+                    // Right after the far side of the gap, and again once
+                    // the state left behind has classified a flush window.
+                    for flushed in [false, true] {
+                        if flushed {
+                            walked.flush();
+                            skipped.flush();
+                        }
+                        assert_eq!(skipped.metrics(), walked.metrics(), "{tag}");
+                        assert_eq!(skipped.drain_events(), walked.drain_events(), "{tag}");
+                        assert_eq!(skipped.contended_channels(), walked.contended_channels(), "{tag}");
+                        assert_eq!(skipped.live_top(ch(1, 0), 4), walked.live_top(ch(1, 0), 4), "{tag}");
+                        assert_eq!(skipped.model_version(), walked.model_version(), "{tag}");
+                    }
+                }
+            }
+        }
     }
 
     /// A varied deterministic stream: all node/home/source routes, jittery

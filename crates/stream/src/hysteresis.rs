@@ -49,6 +49,11 @@ impl Hysteresis {
         self.state
     }
 
+    /// Whether a `good` window would leave this state exactly as it is.
+    pub(crate) fn is_settled_good(&self) -> bool {
+        self.state == Mode::Good && self.streak == 0
+    }
+
     /// Feed one window's raw verdict; returns the new stable mode when
     /// this observation flips the state, `None` otherwise.
     pub fn observe(&mut self, raw: Mode) -> Option<Mode> {

@@ -12,9 +12,6 @@
 //! stream length — which is what lets the diagnoser name culprit objects
 //! while the run is still going.
 
-use std::collections::HashMap;
-use std::hash::Hash;
-
 /// One sketch counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopEntry<K> {
@@ -34,40 +31,43 @@ impl<K> TopEntry<K> {
 }
 
 /// A space-saving sketch over keys of type `K`.
+///
+/// The counters live in a flat `Vec` scanned linearly: a sketch holds a
+/// handful of entries (16 per channel by default — a run has few
+/// allocation sites worth naming), so the scan touches a few cache lines
+/// where a hash table pays a SipHash per offer.
 #[derive(Debug, Clone)]
-pub struct SpaceSaving<K: Eq + Hash + Copy + Ord> {
+pub struct SpaceSaving<K: Copy + Ord> {
     capacity: usize,
-    counters: HashMap<K, (u64, u64)>, // key -> (count, overestimate)
+    counters: Vec<TopEntry<K>>,
     total: u64,
 }
 
-impl<K: Eq + Hash + Copy + Ord> SpaceSaving<K> {
+impl<K: Copy + Ord> SpaceSaving<K> {
     /// A sketch with at most `capacity` counters.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "sketch capacity must be positive");
-        Self { capacity, counters: HashMap::with_capacity(capacity), total: 0 }
+        Self { capacity, counters: Vec::with_capacity(capacity), total: 0 }
     }
 
     /// Observe one occurrence of `key`.
     pub fn offer(&mut self, key: K) {
         self.total += 1;
-        if let Some((count, _)) = self.counters.get_mut(&key) {
-            *count += 1;
+        if let Some(entry) = self.counters.iter_mut().find(|e| e.key == key) {
+            entry.count += 1;
             return;
         }
         if self.counters.len() < self.capacity {
-            self.counters.insert(key, (1, 0));
+            self.counters.push(TopEntry { key, count: 1, overestimate: 0 });
             return;
         }
         // Evict the minimum counter (deterministic tie-break on the key)
         // and inherit its count as the newcomer's overestimate.
-        let (&victim, &(min, _)) =
-            self.counters.iter().min_by(|(ka, (ca, _)), (kb, (cb, _))| ca.cmp(cb).then(ka.cmp(kb))).expect("non-empty");
-        self.counters.remove(&victim);
-        self.counters.insert(key, (min + 1, min));
+        let victim = self.counters.iter_mut().min_by_key(|e| (e.count, e.key)).expect("capacity is positive");
+        *victim = TopEntry { key, count: victim.count + 1, overestimate: victim.count };
     }
 
     /// Total observations offered.
@@ -95,8 +95,7 @@ impl<K: Eq + Hash + Copy + Ord> SpaceSaving<K> {
     /// The top `n` keys by estimated count, descending (deterministic
     /// tie-break on the key).
     pub fn top(&self, n: usize) -> Vec<TopEntry<K>> {
-        let mut out: Vec<TopEntry<K>> =
-            self.counters.iter().map(|(&key, &(count, overestimate))| TopEntry { key, count, overestimate }).collect();
+        let mut out = self.counters.clone();
         out.sort_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
         out.truncate(n);
         out
@@ -108,13 +107,14 @@ impl<K: Eq + Hash + Copy + Ord> SpaceSaving<K> {
         if self.total == 0 {
             return 0.0;
         }
-        self.counters.get(key).map_or(0.0, |&(count, _)| count as f64 / self.total as f64)
+        self.counters.iter().find(|e| e.key == *key).map_or(0.0, |e| e.count as f64 / self.total as f64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn exact_below_capacity() {
@@ -165,5 +165,81 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         SpaceSaving::<u32>::new(0);
+    }
+
+    /// The `HashMap` implementation the flat sketch replaced, kept as the
+    /// model it must agree with.
+    struct HashSketch {
+        capacity: usize,
+        counters: HashMap<u32, (u64, u64)>, // key -> (count, overestimate)
+        total: u64,
+    }
+
+    impl HashSketch {
+        fn offer(&mut self, key: u32) {
+            self.total += 1;
+            if let Some((count, _)) = self.counters.get_mut(&key) {
+                *count += 1;
+                return;
+            }
+            if self.counters.len() < self.capacity {
+                self.counters.insert(key, (1, 0));
+                return;
+            }
+            let (&victim, &(min, _)) = self
+                .counters
+                .iter()
+                .min_by(|(ka, (ca, _)), (kb, (cb, _))| ca.cmp(cb).then(ka.cmp(kb)))
+                .expect("non-empty");
+            self.counters.remove(&victim);
+            self.counters.insert(key, (min + 1, min));
+        }
+
+        fn top(&self, n: usize) -> Vec<TopEntry<u32>> {
+            let mut out: Vec<TopEntry<u32>> = self
+                .counters
+                .iter()
+                .map(|(&key, &(count, overestimate))| TopEntry { key, count, overestimate })
+                .collect();
+            out.sort_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
+            out.truncate(n);
+            out
+        }
+
+        fn cf_estimate(&self, key: &u32) -> f64 {
+            if self.total == 0 {
+                return 0.0;
+            }
+            self.counters.get(key).map_or(0.0, |&(count, _)| count as f64 / self.total as f64)
+        }
+    }
+
+    proptest::proptest! {
+        /// Key streams over a universe barely larger than the capacity
+        /// keep the sketch full of equal counts, so nearly every miss is
+        /// an eviction decided by the `(count, key)` tie-break.
+        #[test]
+        fn flat_sketch_matches_the_hash_map_model(
+            capacity in 1usize..17,
+            spread in 1u32..8,
+            picks in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..400),
+            n in 0usize..20,
+        ) {
+            let universe = capacity as u32 + spread;
+            let mut flat = SpaceSaving::new(capacity);
+            let mut model = HashSketch { capacity, counters: HashMap::new(), total: 0 };
+            for (i, pick) in picks.iter().enumerate() {
+                let key = pick % universe;
+                flat.offer(key);
+                model.offer(key);
+                proptest::prop_assert_eq!(flat.len(), model.counters.len(), "after offer {}", i);
+                proptest::prop_assert_eq!(flat.top(capacity), model.top(capacity), "after offer {}", i);
+            }
+            proptest::prop_assert_eq!(flat.total(), model.total);
+            proptest::prop_assert_eq!(flat.top(n), model.top(n));
+            for key in 0..universe + 1 {
+                proptest::prop_assert_eq!(flat.cf_estimate(&key), model.cf_estimate(&key));
+            }
+        }
     }
 }

@@ -61,9 +61,11 @@ impl WindowConfig {
         ((t - origin) / self.slide_cycles).floor() as i64
     }
 
-    /// End boundary (cycles) of pane `index` relative to `origin`.
+    /// End boundary (cycles) of pane `index` relative to `origin`. (The
+    /// `+ 1` is taken in `f64` so the last grid index cannot overflow;
+    /// below 2⁵³ it is the same integer either way.)
     pub fn pane_end(&self, origin: f64, index: i64) -> f64 {
-        origin + (index + 1) as f64 * self.slide_cycles
+        origin + (index as f64 + 1.0) * self.slide_cycles
     }
 }
 
@@ -96,6 +98,9 @@ mod tests {
         assert_eq!(w.pane_index(10.0, 5.0), -1, "before the origin");
         assert_eq!(w.pane_end(0.0, 0), 50.0);
         assert_eq!(w.pane_end(10.0, 1), 110.0);
+        assert_eq!(w.pane_end(0.0, -1), 0.0);
+        assert_eq!(w.pane_index(0.0, f64::INFINITY), i64::MAX, "saturates");
+        assert_eq!(w.pane_end(0.0, i64::MAX), 2f64.powi(63) * 50.0, "no overflow at the last index");
     }
 
     #[test]

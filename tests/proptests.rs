@@ -258,8 +258,8 @@ proptest! {
     }
 
     /// Lane-batched feature accumulation is bit-identical to per-sample
-    /// pushes under any chunking: the i128 exact sums, threshold counts,
-    /// and per-route moments land on the same bits regardless of how the
+    /// pushes under any chunking: the i128 exact sums and the threshold
+    /// and per-source counts land on the same bits regardless of how the
     /// latency/source lanes are split.
     #[test]
     fn accumulator_lane_split_is_invisible(
