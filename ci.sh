@@ -123,28 +123,41 @@ for arm in "block:" "block_no_simd:DRBW_NO_SIMD=1" "per_sample:--per-sample"; do
 done
 rm -rf "$serve_cache"
 
-echo "==> online-pipeline traced smoke (repo benchmark: serve-saturate --smoke --trace 1)"
-# The shard worker's per-sample cost and the verdict latency behind it,
-# from the benchmark's own traced run (a smoke is not a measurement: it
-# shows the layer is where CHANGES.md says it is, and that every
-# reference check still passes). Built first so the budget times the run.
-cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
-trace_out=$(mktemp)
-trace_start=$SECONDS
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    run --workload serve-saturate --smoke --trace 1 --seed 1 > "$trace_out"
-trace_secs=$((SECONDS - trace_start))
-grep -q '"failed": 0' "$trace_out" || {
-    echo "traced smoke: the run reports failed ops" >&2
-    exit 1
+# One workload of the repo benchmark as a traced smoke (a smoke is not a
+# measurement: it shows a layer is where CHANGES.md says it is, and that
+# every reference check still passes). Leaves the metric lines in
+# $trace_out for `layer` and the wall time in $trace_secs.
+traced_smoke() {
+    trace_out=$(mktemp)
+    local start=$SECONDS
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        run --workload "$1" --smoke --trace 1 --seed 1 > "$trace_out"
+    trace_secs=$((SECONDS - start))
+    grep -q '"failed": 0' "$trace_out" || {
+        echo "traced smoke ($1): the run reports failed ops" >&2
+        exit 1
+    }
+    if [ "$trace_secs" -ge 10 ]; then
+        echo "traced smoke ($1): took ${trace_secs}s (budget < 10s)" >&2
+        exit 1
+    fi
 }
-if [ "$trace_secs" -ge 10 ]; then
-    echo "traced smoke: took ${trace_secs}s (budget < 10s)" >&2
-    exit 1
-fi
 layer() { awk -F'\t' -v m="$1" '$2 == m { printf "%.1f", $3 }' "$trace_out"; }
+# Built first so the budgets time the runs.
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+
+echo "==> online-pipeline traced smoke (repo benchmark: serve-saturate --smoke --trace 1)"
+# The shard worker's per-sample cost and the verdict latency behind it.
+traced_smoke serve-saturate
 echo "    ${trace_secs}s, stream.ingest_block.ns_per_sample $(layer stream.ingest_block.ns_per_sample) ns," \
     "serve.verdict_latency_p50_us $(layer serve.verdict_latency_p50_us) us, 0 failed ops"
+rm -f "$trace_out"
+
+echo "==> batch-pipeline traced smoke (repo benchmark: batch-cold --smoke --trace 1)"
+# The engine's host cost per simulated access, every golden count
+# (accesses, simulated cycles, samples) and verdict still checked.
+traced_smoke batch-cold
+echo "    ${trace_secs}s, numasim.engine.ns_per_access $(layer numasim.engine.ns_per_access) ns, 0 failed ops"
 rm -f "$trace_out"
 
 echo "==> multi-tenant smoke (victim/aggressor through the discrete-event scheduler)"

@@ -35,8 +35,9 @@ pub struct Access {
 /// Read/write composition of a stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessMix {
-    /// Every `write_every`-th access is a write; 0 means read-only.
-    pub write_every: u32,
+    /// Every `write_every`-th access is a write; 0 means read-only. As
+    /// wide as [`AccessRun::write_every`], which carries it to the engine.
+    pub write_every: u16,
 }
 
 impl AccessMix {
@@ -53,45 +54,41 @@ impl AccessMix {
     /// One store per `n` accesses (n ≥ 1).
     ///
     /// # Panics
-    /// Panics if `n == 0` (use [`AccessMix::read_only`] for no writes).
+    /// Panics if `n == 0` (use [`AccessMix::read_only`] for no writes) or
+    /// `n` exceeds the 16 bits a run's packed pattern holds.
     pub fn write_every(n: u32) -> Self {
         assert!(n >= 1, "write_every(0) is ambiguous; use read_only()");
-        Self { write_every: n }
+        let write_every = u16::try_from(n).expect("write_every period must fit the run's 16-bit pattern");
+        Self { write_every }
     }
 
     #[inline]
     fn is_write(&self, counter: u64) -> bool {
         self.write_every != 0 && counter.is_multiple_of(self.write_every as u64)
     }
+}
 
-    /// Longest prefix of accesses with uniform write-ness, starting at
-    /// counter value `counter + 1` (the value [`AccessMix::is_write`] sees
-    /// for the next access) and capped at `max`. Returns `(len, is_write)`.
-    #[inline]
-    fn run_len(&self, counter: u64, max: u64) -> (u64, bool) {
-        let we = self.write_every as u64;
-        if we == 0 {
-            return (max, false);
-        }
-        if we == 1 {
-            return (max, true);
-        }
-        let next = counter + 1;
-        let rem = next % we;
-        if rem == 0 {
-            (1, true)
-        } else {
-            ((we - rem).min(max), false)
-        }
+/// [`AccessRun::write_phase`] of an access: `counter` — the value
+/// [`AccessMix::is_write`] sees for it — reduced modulo the store period.
+#[inline]
+fn store_phase(write_every: u16, counter: u64) -> u16 {
+    match write_every {
+        0 | 1 => 0,
+        we => (counter % we as u64) as u16,
     }
 }
 
 /// A run of homogeneous accesses: `len` line-granular operations at
-/// `base, base + stride, base + 2·stride, …`, all sharing the same
-/// direction, `reps`, and — crucially — the *current* `compute`/`mlp` of
-/// the producing stream. Runs are the unit of the engine's batched hot
-/// path: an O(1) descriptor stands in for up to `len` virtual
+/// `base, base + stride, base + 2·stride, …`, all sharing the same `reps`
+/// and — crucially — the *current* `compute`/`mlp` of the producing
+/// stream. Runs are the unit of the engine's batched hot path: an O(1)
+/// descriptor stands in for up to `len` virtual
 /// [`AccessStream::next_access`] calls.
+///
+/// Direction is *not* uniform: the run carries the stream's periodic
+/// store pattern, and [`AccessRun::is_write_at`] evaluates it for the one
+/// access an observer is actually shown. Nothing the machine model does
+/// depends on direction, so a store never has to end a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessRun {
     /// Address of the first access.
@@ -100,22 +97,28 @@ pub struct AccessRun {
     pub stride: u64,
     /// Number of accesses in the run (≥ 1).
     pub len: u64,
-    /// Store (true) or load (false), uniform over the run.
-    pub is_write: bool,
-    /// Element accesses per line (see [`Access::reps`]), uniform over the run.
-    pub reps: u16,
     /// Arithmetic cycles between memory operations for these accesses.
     pub compute: f64,
     /// Memory-level parallelism for these accesses; `None` uses the
     /// machine default.
     pub mlp: Option<f64>,
+    /// Element accesses per line (see [`Access::reps`]), uniform over the run.
+    pub reps: u16,
+    /// Store period (see [`AccessMix::write_every`]): 0 is all loads, 1
+    /// all stores.
+    pub write_every: u16,
+    /// The producing stream's access counter at the run's first access,
+    /// modulo `write_every`: access `i` stores iff `write_phase + i` is a
+    /// multiple of the period.
+    pub write_phase: u16,
 }
 
 impl AccessRun {
     /// A single-access run with explicit cost attributes.
     #[inline]
     pub fn single(acc: Access, compute: f64, mlp: Option<f64>) -> Self {
-        Self { base: acc.addr, stride: 0, len: 1, is_write: acc.is_write, reps: acc.reps, compute, mlp }
+        let write_every = acc.is_write as u16;
+        Self { base: acc.addr, stride: 0, len: 1, compute, mlp, reps: acc.reps, write_every, write_phase: 0 }
     }
 
     /// The `i`-th address of the run (`i < len`).
@@ -123,6 +126,20 @@ impl AccessRun {
     pub fn addr(&self, i: u64) -> u64 {
         debug_assert!(i < self.len);
         self.base + i * self.stride
+    }
+
+    /// Whether the `i`-th access of the run (`i < len`) is a store.
+    #[inline]
+    pub fn is_write_at(&self, i: u64) -> bool {
+        debug_assert!(i < self.len);
+        self.write_every != 0 && (self.write_phase as u64 + i).is_multiple_of(self.write_every as u64)
+    }
+
+    /// The `i`-th access of the run (`i < len`) as a run of its own.
+    #[inline]
+    pub fn nth(&self, i: u64) -> Self {
+        let write_phase = store_phase(self.write_every, self.write_phase as u64 + i);
+        Self { base: self.addr(i), len: 1, write_phase, ..*self }
     }
 }
 
@@ -329,34 +346,18 @@ impl AccessStream for SeqStream {
     }
 
     fn next_run(&mut self, max: u64) -> Option<AccessRun> {
-        if self.pass == self.passes {
-            return None;
-        }
-        // A run may not cross the wrap point (cursor reset), the pass
-        // boundary (step reset), or a change of write-ness.
-        let to_wrap = (self.len - self.cursor).div_ceil(self.stride);
-        let to_pass_end = self.steps_per_pass - self.step;
-        let cap = max.max(1).min(to_wrap).min(to_pass_end);
-        let (len, is_write) = self.mix.run_len(self.counter, cap);
-        let run = AccessRun {
-            base: self.base + self.cursor,
-            stride: self.stride,
-            len,
-            is_write,
-            reps: self.reps,
-            compute: self.compute,
-            mlp: self.mlp,
-        };
-        self.cursor += len * self.stride;
+        let mut run = self.seq_window()?;
+        run.len = run.len.min(max.max(1));
+        self.cursor += run.len * self.stride;
         if self.cursor >= self.len {
             self.cursor = self.wrap_to;
         }
-        self.step += len;
+        self.step += run.len;
         if self.step == self.steps_per_pass {
             self.step = 0;
             self.pass += 1;
         }
-        self.counter += len;
+        self.counter += run.len;
         Some(run)
     }
 
@@ -368,19 +369,19 @@ impl AccessStream for SeqStream {
         if self.pass == self.passes {
             return None;
         }
-        // Mirror of `next_run` with an unbounded `max`, minus the state
-        // advance: the same wrap/pass/write-ness caps apply.
+        // A run may not cross the wrap point (cursor reset) or the pass
+        // boundary (step reset).
         let to_wrap = (self.len - self.cursor).div_ceil(self.stride);
         let to_pass_end = self.steps_per_pass - self.step;
-        let (len, is_write) = self.mix.run_len(self.counter, to_wrap.min(to_pass_end));
         Some(AccessRun {
             base: self.base + self.cursor,
             stride: self.stride,
-            len,
-            is_write,
-            reps: self.reps,
+            len: to_wrap.min(to_pass_end),
             compute: self.compute,
             mlp: self.mlp,
+            reps: self.reps,
+            write_every: self.mix.write_every,
+            write_phase: store_phase(self.mix.write_every, self.counter + 1),
         })
     }
 }
@@ -810,28 +811,11 @@ impl AccessStream for BlockCyclicStream {
     }
 
     fn next_run(&mut self, max: u64) -> Option<AccessRun> {
-        if self.pass == self.passes {
-            return None;
-        }
-        let block_start = self.cur_block * self.block;
-        // A run stays within the current block's in-range lines and must
-        // have uniform write-ness.
-        let in_block = (self.block - self.cur_off).div_ceil(64);
-        let in_range = (self.len - block_start - self.cur_off).div_ceil(64);
-        let cap = max.max(1).min(in_block).min(in_range);
-        let (len, is_write) = self.mix.run_len(self.counter, cap);
-        let run = AccessRun {
-            base: self.base + block_start + self.cur_off,
-            stride: 64,
-            len,
-            is_write,
-            reps: self.reps,
-            compute: self.compute,
-            mlp: None,
-        };
-        self.counter += len;
-        self.cur_off += 64 * len;
-        if self.cur_off >= self.block || block_start + self.cur_off >= self.len {
+        let mut run = self.seq_window()?;
+        run.len = run.len.min(max.max(1));
+        self.counter += run.len;
+        self.cur_off += 64 * run.len;
+        if self.cur_off >= self.block || self.cur_block * self.block + self.cur_off >= self.len {
             self.cur_off = 0;
             self.cur_block += self.way;
             if self.cur_block * self.block >= self.len {
@@ -844,6 +828,26 @@ impl AccessStream for BlockCyclicStream {
 
     fn is_done(&self) -> bool {
         self.pass == self.passes
+    }
+
+    fn seq_window(&self) -> Option<AccessRun> {
+        if self.pass == self.passes {
+            return None;
+        }
+        let block_start = self.cur_block * self.block;
+        // A run stays within the current block's in-range lines.
+        let in_block = (self.block - self.cur_off).div_ceil(64);
+        let in_range = (self.len - block_start - self.cur_off).div_ceil(64);
+        Some(AccessRun {
+            base: self.base + block_start + self.cur_off,
+            stride: 64,
+            len: in_block.min(in_range),
+            compute: self.compute,
+            mlp: None,
+            reps: self.reps,
+            write_every: self.mix.write_every,
+            write_phase: store_phase(self.mix.write_every, self.counter + 1),
+        })
     }
 }
 
@@ -1153,7 +1157,7 @@ mod tests {
             assert!(r.len >= 1, "empty run");
             assert!(r.len <= schedule[(k - 1) % schedule.len()].max(1), "run exceeds cap");
             for i in 0..r.len {
-                v.push((Access { addr: r.addr(i), is_write: r.is_write, reps: r.reps }, r.compute, r.mlp));
+                v.push((Access { addr: r.addr(i), is_write: r.is_write_at(i), reps: r.reps }, r.compute, r.mlp));
                 assert!(v.len() < 1_000_000, "stream failed to terminate");
             }
         }
@@ -1274,49 +1278,122 @@ mod tests {
         // The interleaved-span contract: expanding the lanes returned by
         // `next_zip` as lane0[i], lane1[i], lane2[i], lane0[i+1], ... must
         // reproduce the per-access drain exactly — addresses, writeness,
-        // and reps — including across window caps (the write boundary in
-        // member c) and after the short member b drains.
-        let make = || {
-            ZipStream::new(vec![
-                Box::new(SeqStream::new(0, 64 * 40, 2, AccessMix::read_only()).with_reps(4)) as Box<dyn AccessStream>,
+        // and reps — including across window caps (pass ends, block ends)
+        // and after short members drain.
+        type Lanes = Vec<Box<dyn AccessStream>>;
+        let seq3 = || -> Lanes {
+            vec![
+                Box::new(SeqStream::new(0, 64 * 40, 2, AccessMix::read_only()).with_reps(4)),
                 Box::new(SeqStream::new(1 << 20, 64 * 24, 1, AccessMix::read_only())),
                 Box::new(SeqStream::new(2 << 20, 64 * 40, 2, AccessMix::write_every(9)).with_reps(2)),
-            ])
+            ]
         };
-        let oracle: Vec<Access> = drain(make());
-        let mut zip = make();
-        let mut got: Vec<Access> = Vec::new();
-        let mut lanes = Vec::new();
-        loop {
-            let iters = zip.next_zip(64, 7, &mut lanes);
-            if iters > 0 {
-                assert!(lanes.iter().all(|l| l.len == iters), "every lane spans the same iterations");
-                for i in 0..iters {
-                    for l in &lanes {
-                        got.push(Access { addr: l.base + i * l.stride, is_write: l.is_write, reps: l.reps });
+        // NW-shaped: block-cyclic lanes with different block sizes, so the
+        // windows end at different iterations, and a partial tail block.
+        let blocks = || -> Lanes {
+            vec![
+                Box::new(BlockCyclicStream::new(0, 64 * 100, 64 * 16, 2, 1, 2, AccessMix::write_every(6))),
+                Box::new(
+                    BlockCyclicStream::new(1 << 20, 64 * 90, 64 * 12, 3, 0, 2, AccessMix::read_only()).with_reps(2),
+                ),
+                Box::new(SeqStream::new(2 << 20, 64 * 50, 1, AccessMix::write_every(5))),
+            ]
+        };
+        // IRSmk-shaped: 29 lanes of staggered lengths and periods.
+        let wide = || -> Lanes {
+            (0..29u64)
+                .map(|i| {
+                    let mix = if i % 3 == 0 { AccessMix::read_only() } else { AccessMix::write_every(i as u32) };
+                    Box::new(SeqStream::new(i << 20, 64 * (20 + i), 2, mix)) as Box<dyn AccessStream>
+                })
+                .collect()
+        };
+        let makers: [&dyn Fn() -> Lanes; 3] = [&seq3, &blocks, &wide];
+        for make in makers {
+            let oracle: Vec<Access> = drain(ZipStream::new(make()));
+            let mut zip = ZipStream::new(make());
+            let mut got: Vec<Access> = Vec::new();
+            let mut lanes = Vec::new();
+            let mut zipped = 0;
+            loop {
+                let iters = zip.next_zip(64, 7, &mut lanes);
+                if iters > 0 {
+                    assert!(lanes.iter().all(|l| l.len == iters), "every lane spans the same iterations");
+                    zipped += iters;
+                    for i in 0..iters {
+                        got.extend(lanes.iter().map(|l| Access {
+                            addr: l.addr(i),
+                            is_write: l.is_write_at(i),
+                            reps: l.reps,
+                        }));
                     }
+                } else {
+                    let Some(a) = zip.next_access() else { break };
+                    got.push(a);
                 }
-            } else {
-                let Some(a) = zip.next_access() else { break };
-                got.push(a);
+                assert!(got.len() <= oracle.len(), "zip expansion overshot the oracle");
             }
-            assert!(got.len() <= oracle.len(), "zip expansion overshot the oracle");
+            assert!(zipped > 0, "no lane set ever zipped");
+            assert_eq!(got, oracle);
         }
-        assert!(got
-            .iter()
-            .zip(&oracle)
-            .all(|(g, o)| { g.addr == o.addr && g.is_write == o.is_write && g.reps == o.reps }));
-        assert_eq!(got.len(), oracle.len());
     }
 
     #[test]
-    fn mix_run_len_splits_at_write_boundaries() {
-        let mix = AccessMix::write_every(4);
-        // counter = 0: accesses 1, 2, 3 are reads, access 4 writes.
-        assert_eq!(mix.run_len(0, 100), (3, false));
-        assert_eq!(mix.run_len(3, 100), (1, true));
-        assert_eq!(mix.run_len(4, 2), (2, false));
-        assert_eq!(AccessMix::read_only().run_len(5, 9), (9, false));
-        assert_eq!(AccessMix::write_only().run_len(5, 9), (9, true));
+    fn run_pattern_matches_the_mix_across_wrap_and_pass() {
+        // A rotated two-pass scan hands out runs that end at the wrap point
+        // and at the pass boundary; the store pattern must carry the
+        // stream's counter across both.
+        let make = || SeqStream::new(0, 64 * 23, 2, AccessMix::write_every(5)).with_start(64 * 9).with_reps(2);
+        let oracle = drain(make());
+        assert!(oracle.iter().any(|a| a.is_write) && oracle.iter().any(|a| !a.is_write));
+        let mut s = make();
+        let (mut at, mut runs) = (0, 0);
+        while let Some(r) = s.next_run(u64::MAX) {
+            runs += 1;
+            for i in 0..r.len {
+                let one = r.nth(i);
+                assert_eq!((one.base, one.len, one.reps), (r.addr(i), 1, r.reps));
+                assert_eq!(one.is_write_at(0), r.is_write_at(i));
+                assert_eq!(r.is_write_at(i), oracle[at].is_write, "access {at}");
+                at += 1;
+            }
+        }
+        assert_eq!(at, oracle.len());
+        assert!(runs >= 4, "expected a wrap and a pass boundary, got {runs} runs");
+    }
+
+    #[test]
+    fn run_descriptor_stays_small() {
+        // Returned by value through two virtual calls per access on the
+        // pointer-chase and random lanes.
+        assert!(std::mem::size_of::<AccessRun>() <= 56);
+    }
+
+    #[test]
+    #[should_panic(expected = "16-bit pattern")]
+    fn mix_rejects_period_wider_than_the_run_pattern() {
+        AccessMix::write_every(1 << 16);
+    }
+
+    #[test]
+    fn block_cyclic_window_is_the_next_unbounded_run() {
+        // 3.5 blocks of 4 lines, two passes: full blocks, a block shrunk by
+        // a partial pull, the partial tail block, the last pass, and the
+        // drained stream.
+        let mut s = BlockCyclicStream::new(0, 14 * 64, 256, 2, 1, 2, AccessMix::write_every(3)).with_reps(2);
+        let mut lens = Vec::new();
+        for cap in [u64::MAX, 1, u64::MAX, 3, u64::MAX, u64::MAX] {
+            let w = s.seq_window().expect("stream still live");
+            // A clone pulls the whole window; the stream itself may take
+            // only part of it and must then expose the shrunken rest.
+            assert_eq!(s.clone().next_run(u64::MAX), Some(w));
+            lens.push(w.len);
+            let r = s.next_run(cap).expect("window promised a run");
+            assert_eq!(r, AccessRun { len: w.len.min(cap), ..w });
+        }
+        assert_eq!(lens, [4, 2, 1, 4, 1, 2], "block 1 and the 2-line tail block 3, twice");
+        assert!(s.is_done());
+        assert_eq!(s.seq_window(), None);
+        assert_eq!(s.next_run(u64::MAX), None);
     }
 }

@@ -320,7 +320,12 @@ impl Cache {
         let set_shift = sets.trailing_zeros(); // sets is a power of two
         let assoc = self.assoc as u64;
         let mut best = n;
+        // A candidate in the `k`-th touched set sits at span offset ≥ `k`,
+        // so no set at or past `best` can improve on it.
         for k in 0..n.min(sets) {
+            if k >= best {
+                break;
+            }
             let s = ((first + k) & self.set_mask) as usize;
             let base = s * self.assoc;
             let head = self.heads[s] as usize;
@@ -368,7 +373,12 @@ impl Cache {
         let set_shift = sets.trailing_zeros(); // sets is a power of two
         let n_eff = n.min(sets * self.assoc as u64);
         let mut best = n_eff;
+        // A gap in the `k`-th touched set sits at span offset ≥ `k`, so no
+        // set at or past `best` can shorten the prefix further.
         for k in 0..n_eff.min(sets) {
+            if k >= best {
+                break;
+            }
             let s = ((first + k) & self.set_mask) as usize;
             let base = s * self.assoc;
             // This set holds span lines k, k + sets, k + 2·sets, …:
@@ -570,6 +580,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn cold_miss_then_hit() {
@@ -831,6 +842,58 @@ mod tests {
         let mut twin = c.clone();
         assert!(c.access(15));
         assert!(!twin.access(16));
+    }
+
+    /// Per-line oracle for both proofs: how many leading lines of the
+    /// ascending walk over `[first, first + n)` miss (`hit == false`) or
+    /// hit (`hit == true`) on a clone of `c`.
+    fn leading(c: &Cache, first: u64, n: u64, hit: bool) -> u64 {
+        let mut c = c.clone();
+        (0..n).take_while(|&i| c.access(first + i) == hit).count() as u64
+    }
+
+    proptest! {
+        /// Both proofs stop scanning sets once no later set can change
+        /// the answer; the answer must stay the per-line oracle's. On top
+        /// of an arbitrary warm state, every case checks the states that
+        /// exit earliest and latest — the first span line resident, a
+        /// resident line only in the last touched set, the whole span
+        /// resident but (then) one line — at span lengths around the set
+        /// count and of exactly the cache's capacity.
+        #[test]
+        fn proofs_match_the_per_line_oracle(
+            geometry in prop_oneof![Just((1usize, 4usize)), Just((4, 2)), Just((8, 4)), Just((16, 8))],
+            warm in proptest::collection::vec((0u64..96, 1u64..80), 0..6),
+            first in 0u64..64,
+            len in 1u64..200,
+            poke in 0u64..300,
+        ) {
+            let (sets, assoc) = geometry;
+            let (nsets, cap) = (sets as u64, (sets * assoc) as u64);
+            let mut warmed = Cache::new(sets, assoc);
+            for &(f, k) in &warm {
+                per_line(&mut warmed, f, k);
+            }
+            for n in [1, 2, nsets - 1, nsets, nsets + 1, cap - 1, cap, cap + 1, len] {
+                if n == 0 {
+                    continue;
+                }
+                let late = first + n.min(nsets) - 1;
+                let mut states = vec![warmed.clone(); 6];
+                states[1].access(first);
+                states[2] = Cache::new(sets, assoc);
+                states[2].access(late);
+                states[3].access(late);
+                per_line(&mut states[4], first, n.min(cap));
+                states[5] = states[4].clone();
+                states[5].access(first + cap + poke);
+                for (i, c) in states.iter().enumerate() {
+                    let (miss, hit) = (leading(c, first, n, false), leading(c, first, n, true));
+                    prop_assert_eq!(c.span_miss_prefix(first, n), miss, "miss, n {} state {}", n, i);
+                    prop_assert_eq!(c.span_hit_prefix(first, n), hit, "hit, n {} state {}", n, i);
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! fill — but are still reported to the observer with the LFB latency, just
 //! as PEBS reports load-to-use latency for overlapped loads.
 
-use crate::access::{AccessRun, AccessStream};
+use crate::access::{Access, AccessRun, AccessStream};
 use crate::bandwidth::BandwidthModel;
 use crate::config::MachineConfig;
 use crate::fp::{bulk_add, bulk_line_chain, LineStep};
@@ -192,12 +192,9 @@ pub(crate) struct ThreadCtx {
     /// Cached absence frontiers of the sequential fused path (see
     /// [`MissProofMemo`]).
     fuse_proof: MissProofMemo,
-    /// Cached per-lane absence frontiers of the interleaved fused path.
-    zip_proof: [MissProofMemo; MAX_LANES],
-    /// Whether no other thread of the phase shares this thread's node —
-    /// and so its L3. Only then do L3 absence frontiers survive between
-    /// slices, making prove-ahead worthwhile at that level.
-    pub(crate) solo_l3: bool,
+    /// Cached per-lane absence frontiers of the interleaved fused path,
+    /// one per lane in flight.
+    zip_proof: Vec<MissProofMemo>,
 }
 
 impl ThreadCtx {
@@ -212,7 +209,7 @@ impl ThreadCtx {
             clock,
             mlp: 1.0,
             // Empty run: the first slice fetches one.
-            run: AccessRun { base: 0, stride: 0, len: 0, is_write: false, reps: 1, compute: 0.0, mlp: None },
+            run: AccessRun { len: 0, ..AccessRun::single(Access { addr: 0, is_write: false, reps: 1 }, 0.0, None) },
             run_pos: 0,
             quiet: 0,
             // Empty span: the first miss resolves one.
@@ -232,8 +229,7 @@ impl ThreadCtx {
             zip_cooldown: 0,
             zip_backoff: ZIP_BACKOFF_MIN,
             fuse_proof: MissProofMemo::new(),
-            zip_proof: [MissProofMemo::new(); MAX_LANES],
-            solo_l3: true,
+            zip_proof: Vec::new(),
         }
     }
 
@@ -250,19 +246,14 @@ impl ThreadCtx {
         self.span_start = 0;
         self.span_end = 0;
         self.fuse_proof = MissProofMemo::new();
-        self.zip_proof = [MissProofMemo::new(); MAX_LANES];
+        self.zip_proof.clear();
     }
 }
 
-/// Lane cap for the interleaved fused path; wider interleavings than any
-/// modelled kernel drain per-line.
-const MAX_LANES: usize = 8;
-
-/// Lines a fused proof certifies past its commit window when it scans at
-/// all: the absence frontier survives the thread's own commits (installs
-/// land below it), so one pass over the tag arrays amortises over many
-/// rounds of commits instead of rescanning every round.
-const PROOF_AHEAD: u64 = 0;
+/// Lane cap for the interleaved fused path — it sizes the replay's
+/// per-lane scratch arrays, and covers the widest modelled kernel (IRSmk:
+/// 27 stencil arrays, `x` and `b`); wider interleavings drain per-line.
+const MAX_LANES: usize = 32;
 
 /// Minimum provable span length worth committing through the fused walk;
 /// shorter proofs fall back to the per-line path (and trigger backoff).
@@ -482,8 +473,7 @@ pub(crate) fn run_thread_slice<O: Observer + ?Sized>(
                         continue 'slice;
                     }
                 }
-                let lane = t.zip_lanes[t.zip_lane];
-                let run = AccessRun { base: lane.base + t.zip_iter * lane.stride, len: 1, ..lane };
+                let run = t.zip_lanes[t.zip_lane].nth(t.zip_iter);
                 t.zip_lane += 1;
                 if t.zip_lane == t.zip_lanes.len() {
                     t.zip_lane = 0;
@@ -550,14 +540,8 @@ pub(crate) fn run_thread_slice<O: Observer + ?Sized>(
                     let line0 = caches.line_of(addr0);
                     // Memo-assisted proof: lines the cached
                     // absence frontier still covers skip their
-                    // tag scans, and any scan proves ahead so
-                    // it amortises across rounds. L3 frontiers
-                    // only survive between slices when no
-                    // sibling shares the node, so prove ahead
-                    // there only then.
-                    let a = if t.solo_l3 { PROOF_AHEAD } else { 0 };
-                    let ahead = [a, a, a];
-                    let k_miss = caches.span_miss_prefix_memo(line0, k_cap, ahead, &mut t.fuse_proof);
+                    // tag scans.
+                    let k_miss = caches.span_miss_prefix_memo(line0, k_cap, &mut t.fuse_proof);
                     debug_assert_eq!(
                         k_miss,
                         caches.span_miss_prefix(line0, k_cap),
@@ -677,7 +661,8 @@ pub(crate) fn run_thread_slice<O: Observer + ?Sized>(
                 }
             }
             t.fuse_cooldown = t.fuse_cooldown.saturating_sub(1);
-            let addr = run.base + t.run_pos * run.stride;
+            let pos = t.run_pos;
+            let addr = run.base + pos * run.stride;
             t.run_pos += 1;
             let (source, home, latency) = match caches.access(addr) {
                 Some(src) => (src, None, cfg.base_latency(src)),
@@ -729,7 +714,7 @@ pub(crate) fn run_thread_slice<O: Observer + ?Sized>(
                     core: t.core,
                     node: t.node,
                     addr,
-                    is_write: run.is_write,
+                    is_write: run.is_write_at(pos),
                     source,
                     home,
                     latency,
@@ -776,7 +761,7 @@ pub(crate) fn run_thread_slice<O: Observer + ?Sized>(
                                 core: t.core,
                                 node: t.node,
                                 addr,
-                                is_write: run.is_write,
+                                is_write: run.is_write_at(pos),
                                 source: rep_source,
                                 home: rep_home,
                                 latency: rep_latency,
@@ -869,7 +854,7 @@ fn step_single_access<O: Observer + ?Sized>(
         core,
         node,
         addr,
-        is_write: run.is_write,
+        is_write: run.is_write_at(0),
         source,
         home,
         latency,
@@ -893,7 +878,7 @@ fn step_single_access<O: Observer + ?Sized>(
             core,
             node,
             addr,
-            is_write: run.is_write,
+            is_write: run.is_write_at(0),
             source: rep_source,
             home: rep_home,
             latency: rep_latency,
@@ -967,28 +952,15 @@ fn zip_fuse(
     }
     // The per-lane all-miss proofs only stay valid under interleaved
     // replay if no lane can touch a line another lane installs: require
-    // pairwise-disjoint line ranges.
+    // pairwise-disjoint line ranges over the commit window.
+    let disjoint = (0..nl).all(|i| (0..i).all(|j| first[i] + k_cap <= first[j] || first[j] + k_cap <= first[i]));
     let mut k = k_cap;
-    // The per-lane all-miss proofs only stay valid under interleaved
-    // replay if no lane can touch a line another lane installs. Check
-    // disjointness out to the prove-ahead horizon when it holds there
-    // (the usual case — lanes walk different objects), so the cached
-    // frontiers survive this call's commits; otherwise fall back to the
-    // commit window alone and clamp the memos to it.
-    #[allow(clippy::unnecessary_min_or_max)] // PROOF_AHEAD is a tuning const, currently 0
-    let wide = k_cap.max(PROOF_AHEAD);
-    let far = (0..nl).all(|i| (0..i).all(|j| first[i] + wide <= first[j] || first[j] + wide <= first[i]));
-    let horizon = if far { wide } else { k_cap };
-    let disjoint = far || (0..nl).all(|i| (0..i).all(|j| first[i] + k <= first[j] || first[j] + k <= first[i]));
     if disjoint {
-        // L3 frontiers only survive between slices on a node with no
-        // sibling threads; elsewhere the extension probes are wasted.
-        let ahead = if t.solo_l3 { [horizon; 3] } else { [0; 3] };
+        t.zip_proof.resize(nl, MissProofMemo::new());
         for (i, &f) in first.iter().enumerate().take(nl) {
-            // Memo-assisted proof: the cached absence frontier skips the
-            // scans; when one happens it proves ahead (within the
-            // disjointness horizon) to amortise across rounds.
-            let ki = caches.span_miss_prefix_memo(f, k, ahead, &mut t.zip_proof[i]);
+            // Memo-assisted proof: lines the lane's cached absence
+            // frontier still covers skip their tag scans.
+            let ki = caches.span_miss_prefix_memo(f, k, &mut t.zip_proof[i]);
             debug_assert_eq!(ki, caches.span_miss_prefix(f, k), "cached miss proof diverged from a fresh scan");
             k = k.min(ki);
             if k < ZIP_MIN {
@@ -1098,11 +1070,10 @@ fn zip_fuse(
     // Keep the unconsumed tails of the lane proofs: the replay's installs
     // are exactly the committed lines — below each lane's own frontier,
     // and outside every other lane's kept range by the disjointness check
-    // that sized `horizon`. Stale lanes beyond `nl` need no clearing:
-    // their epochs no longer match.
+    // over `k_cap`.
     let epochs = caches.install_epochs();
     for i in 0..nl {
-        t.zip_proof[i].retire(epochs, first[i] + committed[i], first[i] + horizon);
+        t.zip_proof[i].retire(epochs, first[i] + committed[i], first[i] + k_cap);
     }
 }
 

@@ -257,15 +257,13 @@ impl CoreCaches<'_> {
 
     /// Memo-assisted [`CoreCaches::span_miss_prefix`]: the same composed
     /// prefix, but each level reuses its cached absence frontier and
-    /// scans only the window beyond it — proving up to `ahead` lines
-    /// past `first_line` when it scans at all, so one pass over the tag
-    /// array amortises across the many commits that stream through it.
+    /// scans only the window beyond it.
     ///
     /// Every level's memo is re-keyed to its current epoch on the way
     /// through (with an empty range when absence was refuted), so after
     /// this call the whole memo is valid *now* — the precondition for
     /// [`MissProofMemo::retire`] after the caller commits its installs.
-    pub fn span_miss_prefix_memo(&self, first_line: u64, n: u64, ahead: [u64; 3], memo: &mut MissProofMemo) -> u64 {
+    pub fn span_miss_prefix_memo(&self, first_line: u64, n: u64, memo: &mut MissProofMemo) -> u64 {
         let mut k = n;
         let levels: [&Cache; 3] = [self.l1, self.l2, self.l3];
         for (l, c) in levels.into_iter().enumerate() {
@@ -275,27 +273,12 @@ impl CoreCaches<'_> {
             if proven >= k {
                 continue;
             }
-            // Certify absence over exactly the needed window first (the
-            // scan the memo-less proof would do), then extend the
-            // frontier with a *separate* probe of the lines ahead — so a
-            // refuted extension never costs the needed certificate, and
-            // each line's tags are scanned at most once between them.
+            // Certify absence over exactly the part of the window the
+            // cached frontier does not cover.
             if c.span_absent(first_line + proven, k - proven) {
-                let mut end = first_line + k;
-                let ext = ahead[l].saturating_sub(k);
-                // A refuted extension leaves a sticky frontier: a tag sat
-                // somewhere in the probed range, so re-probing before the
-                // window has moved past it would mostly refute again.
-                if ext > 0 && first_line >= memo.ext_skip[l] {
-                    if c.span_absent(first_line + k, ext) {
-                        end = first_line + k + ext;
-                    } else {
-                        memo.ext_skip[l] = first_line + ahead[l];
-                    }
-                }
                 memo.snap[l] = cur;
                 memo.start[l] = if covered { memo.start[l] } else { first_line };
-                memo.end[l] = end;
+                memo.end[l] = first_line + k;
                 continue;
             }
             // Absence refuted: exact prefix over the remaining window.
@@ -432,11 +415,6 @@ pub struct MissProofMemo {
     snap: [u64; 3],
     start: [u64; 3],
     end: [u64; 3],
-    /// Extension probes are skipped while the window start sits below
-    /// this line — set when a probe was refuted, so the (purely
-    /// advisory) widening is not re-attempted every commit against the
-    /// same resident tag.
-    ext_skip: [u64; 3],
 }
 
 impl Default for MissProofMemo {
@@ -448,7 +426,7 @@ impl Default for MissProofMemo {
 impl MissProofMemo {
     /// A memo with no valid claims.
     pub const fn new() -> Self {
-        Self { snap: [u64::MAX; 3], start: [0; 3], end: [0; 3], ext_skip: [0; 3] }
+        Self { snap: [u64::MAX; 3], start: [0; 3], end: [0; 3] }
     }
 
     /// Advance the frontiers past a just-committed span ending at `below`

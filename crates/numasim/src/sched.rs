@@ -549,16 +549,10 @@ pub(crate) fn run_tenants(
     let mut units: Vec<IssueUnit> = Vec::with_capacity(n_units);
     // (tenant id, unit range) per tenant, for the per-tenant rollup.
     let mut tenant_ranges: Vec<(TenantId, usize, usize)> = Vec::with_capacity(tenants.len());
-    // A thread has its node's L3 to itself only if no other thread of the
-    // whole scenario sits there and none can move there.
-    let mut per_node = vec![0usize; topo.num_nodes()];
-    let mut any_migration = false;
     for run in tenants {
-        any_migration |= !run.migrations.is_empty();
         let start = units.len();
         for spec in run.threads {
             let node = topo.node_of_core(spec.core);
-            per_node[node.0 as usize] += 1;
             let mut migrations: Vec<Migration> =
                 run.migrations.iter().copied().filter(|m| m.thread == spec.thread).collect();
             migrations.sort_by(|a, b| a.at_cycles.total_cmp(&b.at_cycles));
@@ -566,9 +560,6 @@ pub(crate) fn run_tenants(
             units.push(IssueUnit::new(run.tenant, t, run.burst, migrations, sc, round, Rc::clone(&live)));
         }
         tenant_ranges.push((run.tenant, start, units.len()));
-    }
-    for u in &mut units {
-        u.t.solo_l3 = !any_migration && per_node[u.t.node.0 as usize] == 1;
     }
 
     bw.reset();

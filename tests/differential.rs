@@ -32,6 +32,12 @@ impl ScheduledRuns {
         assert!(!schedule.is_empty() && schedule.iter().all(|&c| c >= 1));
         Self { inner, schedule, next: 0 }
     }
+
+    fn next_cap(&mut self) -> u64 {
+        let cap = self.schedule[self.next];
+        self.next = (self.next + 1) % self.schedule.len();
+        cap
+    }
 }
 
 impl AccessStream for ScheduledRuns {
@@ -52,9 +58,15 @@ impl AccessStream for ScheduledRuns {
     }
 
     fn next_run(&mut self, max: u64) -> Option<AccessRun> {
-        let cap = self.schedule[self.next].min(max);
-        self.next = (self.next + 1) % self.schedule.len();
+        let cap = self.next_cap().min(max);
         self.inner.next_run(cap)
+    }
+
+    /// Interleaved pulls are clipped like runs are. (`seq_window` is not
+    /// forwarded: a clipped `next_run` could not honour the peek.)
+    fn next_zip(&mut self, line_step: u64, max_iters: u64, lanes: &mut Vec<AccessRun>) -> u64 {
+        let cap = self.next_cap().min(max_iters);
+        self.inner.next_zip(line_step, cap, lanes)
     }
 }
 
@@ -335,6 +347,103 @@ fn zipped_streams_match_reference_under_sampling() {
     let unfused = run(ExecMode::Batched, false);
     assert_eq!(fused, reference, "fused batched zip run diverged");
     assert_eq!(unfused, reference, "fusion-ablated batched zip run diverged");
+}
+
+/// The store pattern rides the run: runs now span stores, so the engine
+/// evaluates `is_write` per delivered event from the run's period and
+/// phase. Every stream shape that hands out such runs — sequential (with a
+/// wrap), block-cyclic, and two- and 29-lane zips that mix both — must
+/// report the direction the per-access reference reports, for every event
+/// (the period-1 sampler records them all, so nothing fuses and every
+/// position of every long run is evaluated) and at the events that follow
+/// fused commits (period 997), for any `next_run`/`next_zip` cap schedule.
+#[test]
+fn store_pattern_matches_reference_for_every_event() {
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        Seq,
+        BlockCyclic,
+        Zip2,
+        Zip29,
+    }
+    let run = |exec: ExecMode, shape: Shape, we: u32, reps: u16, period: u64, schedule: Option<&[u64]>| {
+        let mut cfg = MachineConfig::tiny();
+        cfg.engine.exec = exec;
+        let mut mm = MemoryMap::new(&cfg);
+        let a = mm.alloc("a", 256 << 10, PlacementPolicy::FirstTouch);
+        let b = mm.alloc("b", 128 << 10, PlacementPolicy::interleave_all(2));
+        let mix = if we == 0 { AccessMix::read_only() } else { AccessMix::write_every(we) };
+        let threads = (0..4u64)
+            .map(|i| {
+                let share = a.size / 4;
+                let seq = || -> Box<dyn AccessStream> {
+                    let s = SeqStream::new(a.base + i * share, share, 2, mix).with_start(64 * 100 * (i + 1));
+                    Box::new(s.with_reps(reps))
+                };
+                let blk = || -> Box<dyn AccessStream> {
+                    Box::new(BlockCyclicStream::new(b.base, b.size, 4096, 4, i, 2, mix).with_reps(reps))
+                };
+                let stream: Box<dyn AccessStream> = match shape {
+                    Shape::Seq => seq(),
+                    Shape::BlockCyclic => blk(),
+                    Shape::Zip2 => Box::new(numasim::access::ZipStream::new(vec![seq(), blk()])),
+                    Shape::Zip29 => {
+                        // 29 slices of the share, of staggered lengths so
+                        // lanes drain one by one and counters desynchronise.
+                        let slice = share / 29 / 64 * 64;
+                        let lanes = (0..29u64).map(|j| -> Box<dyn AccessStream> {
+                            let base = a.base + i * share + j * slice;
+                            Box::new(SeqStream::new(base, slice - 64 * (j % 5), 2, mix).with_reps(reps))
+                        });
+                        Box::new(numasim::access::ZipStream::new(lanes.collect()))
+                    }
+                };
+                let stream: Box<dyn AccessStream> = match schedule {
+                    Some(s) => Box::new(ScheduledRuns::new(stream, s.to_vec())),
+                    None => stream,
+                };
+                ThreadSpec::new(i as u32, CoreId(i as u32), stream)
+            })
+            .collect();
+        let obs = AddressSampler::new(SamplerConfig {
+            period,
+            latency_threshold: 0.0,
+            latency_jitter: 0.3,
+            per_sample_cost: 40.0,
+        });
+        let mut eng = Engine::new(&cfg, mm, obs);
+        let stats = eng.run_phase(threads);
+        let (_, s) = eng.into_parts();
+        Outcome {
+            stats,
+            observed: s.observed_accesses(),
+            suppressed: s.suppressed_samples(),
+            samples: s.samples().to_vec(),
+        }
+    };
+    let schedules: [Option<&[u64]>; 5] = [None, Some(&[1]), Some(&[7]), Some(&[64]), Some(&[1, 7, 64, u64::MAX])];
+    for shape in [Shape::Seq, Shape::BlockCyclic, Shape::Zip2, Shape::Zip29] {
+        for we in [0u32, 1, 2, 3, 5, 6, 29] {
+            for reps in [1u16, 4] {
+                for period in [1u64, 997] {
+                    let reference = run(ExecMode::Reference, shape, we, reps, period, None);
+                    if period == 1 {
+                        assert_eq!(reference.samples.len() as u64, reference.observed, "period 1 records every event");
+                        let stores = reference.samples.iter().filter(|s| s.is_write).count();
+                        let want = if we == 0 { 0 } else { reference.samples.len() / we as usize };
+                        assert!(stores.abs_diff(want) <= 4 * 29 * reps as usize, "{shape:?} we {we}: {stores} stores");
+                    }
+                    for schedule in schedules {
+                        let batched = run(ExecMode::Batched, shape, we, reps, period, schedule);
+                        assert_eq!(
+                            batched, reference,
+                            "{shape:?} write_every {we} reps {reps} period {period} schedule {schedule:?} diverged"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Cache-layer differential oracle: `access_span` must equal per-line
