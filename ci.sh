@@ -16,11 +16,6 @@ for manifest in crates/*/Cargo.toml shims/*/Cargo.toml Cargo.toml; do
 done
 echo "    total test wall time: $((SECONDS - suite_start))s"
 
-echo "==> scalar-twin arm (differential + scheduler suites under DRBW_NO_SIMD=1)"
-arm_start=$SECONDS
-DRBW_NO_SIMD=1 cargo test -q -p drbw --test differential --test scheduler > /dev/null
-echo "    DRBW_NO_SIMD=1: $((SECONDS - arm_start))s"
-
 echo "==> benchmark package tests (it path-depends on the workspace's public items)"
 bench_start=$SECONDS
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
@@ -28,8 +23,8 @@ echo "    benchmark: $((SECONDS - bench_start))s"
 
 echo "==> knob-creep gate (the only DRBW_* environment variables)"
 knobs=$(grep -rhoE 'DRBW_[A-Z0-9_]+' crates src examples tests | sort -u | tr '\n' ' ')
-if [ "$knobs" != "DRBW_NO_SIMD DRBW_RUNCACHE DRBW_RUNCACHE_DIR " ]; then
-    echo "knob-creep gate: expected DRBW_NO_SIMD DRBW_RUNCACHE DRBW_RUNCACHE_DIR, found: $knobs" >&2
+if [ "$knobs" != "DRBW_RUNCACHE DRBW_RUNCACHE_DIR " ]; then
+    echo "knob-creep gate: expected DRBW_RUNCACHE DRBW_RUNCACHE_DIR, found: $knobs" >&2
     exit 1
 fi
 echo "    $knobs"
@@ -42,9 +37,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
-
-echo "==> cargo bench --workspace --no-run (benches must compile)"
-cargo bench --workspace --no-run
 
 echo "==> run-cache cold->warm smoke (table1_features twice, byte-identical)"
 smoke_cache=$(mktemp -d)
@@ -83,24 +75,18 @@ fi
 echo "    warm pass ${warm_secs}s, $(grep '^autotune:' "$tune_cache/warm.out")"
 rm -rf "$tune_cache"
 
-echo "==> serve smoke matrix (50 concurrent sessions; block/per-sample/no-SIMD arms)"
+echo "==> serve smoke matrix (50 concurrent sessions; block/per-sample arms)"
 serve_cache=$(mktemp -d)
-# Three arms over one warm run cache: the columnar block path (default),
-# the same with SIMD kernels ablated, and the legacy per-sample offer
-# shim. The binary hard-asserts >=1 rmc verdict per contended session,
-# zero drops, block-vs-per-sample bit identity, and version-stamped
-# windows; here we only gate the budget and sanity-check the snapshots.
-for arm in "block:" "block_no_simd:DRBW_NO_SIMD=1" "per_sample:--per-sample"; do
+# Two arms over one warm run cache: the columnar block path (default)
+# and the legacy per-sample offer shim. The binary hard-asserts >=1 rmc
+# verdict per contended session, zero drops, block-vs-per-sample bit
+# identity, and version-stamped windows; here we only gate the budget
+# and sanity-check the snapshots.
+for arm in "block:" "per_sample:--per-sample"; do
     name=${arm%%:*}
-    opt=${arm#*:}
-    extra_env=""
-    extra_flag=""
-    case "$opt" in
-        *=*) extra_env=$opt ;;
-        --*) extra_flag=$opt ;;
-    esac
+    extra_flag=${arm#*:}
     serve_start=$SECONDS
-    env DRBW_RUNCACHE_DIR="$serve_cache" $extra_env ./target/release/serve_load --smoke $extra_flag \
+    DRBW_RUNCACHE_DIR="$serve_cache" ./target/release/serve_load --smoke $extra_flag \
         --out "$serve_cache/BENCH_serve_$name.json" > "$serve_cache/$name.out"
     serve_secs=$((SECONDS - serve_start))
     grep -q '"samples_dropped": 0' "$serve_cache/BENCH_serve_$name.json" || {
@@ -194,8 +180,7 @@ if [ -f BENCH_engine.json ]; then
     unfused=$(sed -n 's/.*"unfused_s": \([0-9.]*\).*/\1/p' BENCH_engine.json)
     echo "==> recorded walk ablation: fused ${fused:-?}s vs unfused ${unfused:-?}s (walk share ${walk:-?})"
     speedup=$(grep -A5 '"analyze_batch_1thread"' BENCH_engine.json | sed -n 's/.*"speedup": \([0-9.]*\).*/\1/p')
-    simd=$(sed -n 's/.*"simd_vs_scalar": \([0-9.]*\).*/\1/p' BENCH_engine.json)
-    echo "==> recorded speedups: analyze_batch_1thread ${speedup:-?}x vs reference, simd vs scalar ${simd:-?}x"
+    echo "==> recorded speedups: analyze_batch_1thread ${speedup:-?}x vs reference"
     sc_bodies=$(sed -n 's/.*"batched_vs_reference": \([0-9.]*\).*/\1/p' BENCH_engine.json)
     sc_door=$(sed -n 's/.*"scenario_vs_engine": \([0-9.]*\).*/\1/p' BENCH_engine.json)
     echo "==> recorded scenario ratios: victim_aggressor batched ${sc_bodies:-?}x vs reference body, one-tenant scenario ${sc_door:-?}x vs Engine::run_phase"

@@ -1,10 +1,8 @@
 //! Batched-vs-reference engine speedup, measured where it matters: the
 //! quick training grid (serial collection) and `analyze_batch` over the
 //! same grid, plus the ablation matrix — the span-fusion walk
-//! (`EngineConfig::span_fusion` on vs. off), the SIMD tag scans (widest
-//! detected path vs. the scalar twins in a `DRBW_NO_SIMD=1` subprocess,
-//! since the ISA is resolved once per process), a pool thread-count
-//! sweep, and the scheduler's two slice bodies on a multi-tenant scenario.
+//! (`EngineConfig::span_fusion` on vs. off), a pool thread-count sweep,
+//! and the scheduler's two slice bodies on a multi-tenant scenario.
 //! Verifies bit-identity of everything it times, then writes the numbers
 //! as JSON (default `BENCH_engine.json`).
 //!
@@ -22,7 +20,7 @@ use drbw_core::{Case, DrBw, TrainingSet};
 use numasim::config::{ExecMode, MachineConfig};
 use numasim::engine::Engine;
 use numasim::memmap::{MemoryMap, PlacementPolicy};
-use numasim::sched::{ScenarioEngine, TenantRun};
+use numasim::sched::TenantRun;
 use pebs::sampler::{AddressSampler, SamplerConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,9 +57,7 @@ fn section(median: f64, runs: &[f64]) -> String {
 }
 
 /// Builds the quick-grid tool and times `analyze_batch` exactly like the
-/// fused arm of section 2. Shared by the main flow and the `--inner-simd`
-/// subprocess (SIMD dispatch is resolved once per process from
-/// `DRBW_NO_SIMD`, so the scalar arm must run in its own process).
+/// fused arm of section 2, on a pool of `threads`.
 fn timed_fused_analyze(threads: usize) -> (Vec<drbw_core::Analysis>, f64, Vec<f64>) {
     let specs = training::quick_training_specs();
     let tool = DrBw::builder()
@@ -74,53 +70,7 @@ fn timed_fused_analyze(threads: usize) -> (Vec<drbw_core::Analysis>, f64, Vec<f6
     measure(move || tool.analyze_batch(&cases))
 }
 
-/// `--inner-simd` subprocess body: one fused analyze section, result on
-/// stdout as a single machine-readable line.
-fn inner_simd() {
-    let (_, median, runs) = timed_fused_analyze(1);
-    let rs: Vec<String> = runs.iter().map(|r| format!("{r:.6}")).collect();
-    println!("INNER simd_active={} median={median:.6} runs={}", numasim::simd::simd_active(), rs.join(","));
-}
-
-/// Re-runs this binary with `DRBW_NO_SIMD=1` and parses the inner line.
-fn spawn_scalar_arm() -> Result<(bool, f64, Vec<f64>), BenchError> {
-    let exe = std::env::current_exe().map_err(|e| BenchError::new(format!("current_exe: {e}")))?;
-    let out = std::process::Command::new(exe)
-        .arg("--inner-simd")
-        .env("DRBW_NO_SIMD", "1")
-        .output()
-        .map_err(|e| BenchError::new(format!("cannot spawn scalar arm: {e}")))?;
-    if !out.status.success() {
-        return Err(BenchError::new(format!("scalar arm failed: {}", String::from_utf8_lossy(&out.stderr))));
-    }
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let line = stdout
-        .lines()
-        .find(|l| l.starts_with("INNER "))
-        .ok_or_else(|| BenchError::new(format!("scalar arm printed no INNER line: {stdout}")))?;
-    let mut active = None;
-    let mut median = None;
-    let mut runs = Vec::new();
-    for field in line.split_whitespace().skip(1) {
-        if let Some(v) = field.strip_prefix("simd_active=") {
-            active = v.parse().ok();
-        } else if let Some(v) = field.strip_prefix("median=") {
-            median = v.parse().ok();
-        } else if let Some(v) = field.strip_prefix("runs=") {
-            runs = v.split(',').filter_map(|r| r.parse().ok()).collect();
-        }
-    }
-    match (active, median) {
-        (Some(a), Some(m)) if !runs.is_empty() => Ok((a, m, runs)),
-        _ => Err(BenchError::new(format!("malformed inner line: {line}"))),
-    }
-}
-
 fn main() -> Result<(), BenchError> {
-    if std::env::args().nth(1).as_deref() == Some("--inner-simd") {
-        inner_simd();
-        return Ok(());
-    }
     let out = std::env::args().nth(1).unwrap_or_else(|| "BENCH_engine.json".into());
     let specs = training::quick_training_specs();
 
@@ -257,24 +207,7 @@ fn main() -> Result<(), BenchError> {
     );
     std::fs::remove_dir_all(&cache_root).ok();
 
-    // 4. SIMD scan ablation. This process runs with the dispatchers'
-    //    default (widest detected path); the scalar arm re-executes this
-    //    binary under DRBW_NO_SIMD=1 because the ISA choice is fixed per
-    //    process. Both arms are the fused batched analyze of section 2.
-    let (simd_on_analyses, simd_on_s, simd_on_runs) = timed_fused_analyze(1);
-    for (i, (a, f)) in simd_on_analyses.iter().zip(&fus_analyses).enumerate() {
-        assert_eq!(a.profile.samples, f.profile.samples, "case {i}: simd-arm sample log diverged");
-    }
-    let (scalar_active, simd_off_s, simd_off_runs) = spawn_scalar_arm()?;
-    assert!(!scalar_active, "DRBW_NO_SIMD arm still reports SIMD active");
-    let simd_speedup = simd_off_s / simd_on_s;
-    eprintln!(
-        "simd ablation (fused analyze, 1 thread): simd {simd_on_s:.2}s, scalar {simd_off_s:.2}s \
-         ({simd_speedup:.2}x, simd_active={})",
-        numasim::simd::simd_active()
-    );
-
-    // 5. Thread-count sweep over the tool's analysis pool (fused
+    // 4. Thread-count sweep over the tool's analysis pool (fused
     //    batched): how the headline section scales with the across-run
     //    pool, the only host parallelism there is — compare against
     //    `host_parallelism`.
@@ -291,13 +224,13 @@ fn main() -> Result<(), BenchError> {
     }
     let sweep_json = format!("{{\n    {}\n  }}", sweep_sections.join(",\n    "));
 
-    // 6. The scheduler. (a) The default victim/aggressor scenario (26
-    //    threads, two tenants) through `ScenarioEngine` under each slice
+    // 5. The scheduler. (a) The default victim/aggressor scenario (26
+    //    threads, two tenants) through `Engine::run` under each slice
     //    body — what ROADMAP item 2 gates at >= 2x. (b) The victim alone,
     //    once as a one-tenant scenario and once through
     //    `Engine::run_phase`: the same loop, so the ratio is the cost of
-    //    the `ScenarioEngine` front door, i.e. ~1.00. The victim scans
-    //    longer here than in (a) so one run is tens of milliseconds.
+    //    the scenario front door, i.e. ~1.00. The victim scans longer
+    //    here than in (a) so one run is tens of milliseconds.
     let sampler = SamplerConfig { period: 101, ..SamplerConfig::default() };
     let run_scenario = |exec: ExecMode| {
         measure(|| victim_aggressor(&mcfg(exec, true), &VictimAggressorConfig::default()).run(Some(sampler)))
@@ -327,7 +260,7 @@ fn main() -> Result<(), BenchError> {
     });
     let (via_scenario, solo_sc_s, solo_sc_runs) = measure(|| {
         let (cfg, mm, threads) = solo_setup();
-        let mut eng = ScenarioEngine::new(&cfg, mm, AddressSampler::new(sampler));
+        let mut eng = Engine::new(&cfg, mm, AddressSampler::new(sampler));
         let stats = eng.run(vec![TenantRun::new(0, threads)]);
         (stats.run, eng.into_parts().1.drain_samples())
     });
@@ -377,12 +310,6 @@ fn main() -> Result<(), BenchError> {
     "fused_vs_unfused": {walk_speedup:.2},
     "walk_share": {walk_share:.3}
   }},
-  "simd_ablation": {{
-    "simd_active": {simd_active},
-    "simd_on": {simd_on},
-    "simd_off_scalar": {simd_off},
-    "simd_vs_scalar": {simd_speedup:.2}
-  }},
   "analyze_thread_sweep": {sweep_json},
   "scenario": {scenario_json},
   "run_cache": {run_cache_json}
@@ -394,9 +321,6 @@ fn main() -> Result<(), BenchError> {
         analyze_ref = section(analyze_ref_s, &analyze_ref_runs),
         analyze_fus = section(analyze_fus_s, &analyze_fus_runs),
         analyze_unf = section(analyze_unf_s, &analyze_unf_runs),
-        simd_active = numasim::simd::simd_active(),
-        simd_on = section(simd_on_s, &simd_on_runs),
-        simd_off = section(simd_off_s, &simd_off_runs),
     );
     write_text(&out, &json)?;
     print!("{json}");

@@ -14,16 +14,16 @@
 //! ingestion styles). Writes `BENCH_serve.json` (sessions, throughput,
 //! verdict p50/p99, the embedded [`drbw_serve::ServeMetrics::to_json`]
 //! snapshot, and an `ingest` section: warmup + median-of-7 single-core
-//! block vs per-sample arms plus a `DRBW_NO_SIMD` subprocess ablation,
-//! compared by within-run ratio per the BENCH_engine.json machine note).
+//! block vs per-sample arms, compared by within-run ratio per the
+//! BENCH_engine.json machine note).
 //!
 //! ```text
 //! cargo run --release -p drbw-bench --bin serve_load [--smoke] \
 //!     [--sessions N] [--per-sample] [--out BENCH_serve.json]
 //! ```
 //!
-//! `--smoke` is the CI shape: 50 sessions, 3 measured ingest runs, no
-//! subprocess arm, seconds end to end even with a cold run cache.
+//! `--smoke` is the CI shape: 50 sessions, 3 measured ingest runs,
+//! seconds end to end even with a cold run cache.
 
 use drbw_bench::sweep::train_tool;
 use drbw_bench::util::{memo_run, open_run_cache, write_text, BenchError};
@@ -58,22 +58,12 @@ struct Args {
     sessions: usize,
     producers: usize,
     per_sample: bool,
-    /// Hidden: run only the ingest measurement for one arm and print the
-    /// throughput (the parent uses this for the `DRBW_NO_SIMD` arm, which
-    /// needs its own process because SIMD dispatch latches per process).
-    ingest_child: Option<String>,
     out: String,
 }
 
 fn parse_args() -> Result<Args, BenchError> {
-    let mut args = Args {
-        smoke: false,
-        sessions: 1000,
-        producers: 4,
-        per_sample: false,
-        ingest_child: None,
-        out: "BENCH_serve.json".into(),
-    };
+    let mut args =
+        Args { smoke: false, sessions: 1000, producers: 4, per_sample: false, out: "BENCH_serve.json".into() };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -87,9 +77,6 @@ fn parse_args() -> Result<Args, BenchError> {
                 args.sessions = v.parse().map_err(|e| BenchError::new(format!("bad --sessions {v}: {e}")))?;
             }
             "--per-sample" => args.per_sample = true,
-            "--ingest-child" => {
-                args.ingest_child = Some(it.next().ok_or_else(|| BenchError::new("--ingest-child needs an arm"))?)
-            }
             "--out" => args.out = it.next().ok_or_else(|| BenchError::new("--out needs a value"))?,
             other => return Err(BenchError::new(format!("unknown argument {other}"))),
         }
@@ -221,22 +208,6 @@ fn main() -> Result<(), BenchError> {
     let window = WindowConfig::tumbling((hot_cycles / 10.0).max(1.0));
     let stream_cfg = StreamConfig { record_windows: true, ..StreamConfig::new(mcfg.topology.num_nodes(), window) };
 
-    // The hidden child mode: measure one ingest arm in this process (the
-    // parent sets DRBW_NO_SIMD before spawning us) and print one line.
-    let ingest_repeats = if args.smoke { 20 } else { 100 };
-    let ingest_measured = if args.smoke { 3 } else { 7 };
-    if let Some(arm) = &args.ingest_child {
-        let stream = ingest_stream(&hot, hot_cycles, ingest_repeats);
-        let block_path = match arm.as_str() {
-            "block" => true,
-            "per_sample" => false,
-            other => return Err(BenchError::new(format!("unknown ingest arm {other}"))),
-        };
-        let tp = ingest_median(&tool, stream_cfg, &stream, block_path, ingest_measured);
-        println!("INGEST_CHILD {tp:.0}");
-        return Ok(());
-    }
-
     let server = Arc::new(
         AnalysisServer::start(tool.classifier().clone(), ServerConfig::new(stream_cfg)).expect("start server"),
     );
@@ -355,20 +326,15 @@ fn main() -> Result<(), BenchError> {
 
     // The ingest section: single-core block vs per-sample arms measured
     // back to back in this run (within-run ratios, per the
-    // BENCH_engine.json machine note), plus bit identity and the
-    // subprocess DRBW_NO_SIMD ablation.
+    // BENCH_engine.json machine note), plus bit identity.
+    let ingest_repeats = if args.smoke { 20 } else { 100 };
+    let ingest_measured = if args.smoke { 3 } else { 7 };
     eprintln!("measuring single-core ingest arms (warmup + median of {ingest_measured})...");
     let ing_stream = ingest_stream(&hot, hot_cycles, ingest_repeats);
     assert_bit_identity(&tool, stream_cfg, &ing_stream);
     let per_sample_tp = ingest_median(&tool, stream_cfg, &ing_stream, false, ingest_measured);
     let block_tp = ingest_median(&tool, stream_cfg, &ing_stream, true, ingest_measured);
     let block_vs_per_sample = block_tp / per_sample_tp;
-    let simd_off_tp = if args.smoke {
-        None
-    } else {
-        eprintln!("measuring DRBW_NO_SIMD ingest arm (subprocess)...");
-        Some(ingest_child_throughput("block")?)
-    };
     if !args.smoke {
         assert!(
             block_vs_per_sample >= 3.0,
@@ -378,10 +344,6 @@ fn main() -> Result<(), BenchError> {
     }
 
     let throughput = metrics.samples_ingested as f64 / wall.as_secs_f64();
-    let simd_off_json = match simd_off_tp {
-        Some(tp) => format!("{tp:.0}"),
-        None => "null".into(),
-    };
     let json = format!(
         r#"{{
   "bench": "serve_load",
@@ -407,8 +369,7 @@ fn main() -> Result<(), BenchError> {
     "block_samples_per_s": {:.0},
     "block_vs_per_sample": {:.2},
     "recorded_baseline_samples_per_s": {:.0},
-    "block_vs_recorded_baseline": {:.2},
-    "simd_off_block_samples_per_s": {}
+    "block_vs_recorded_baseline": {:.2}
   }},
   "serve": {}
 }}
@@ -435,7 +396,6 @@ fn main() -> Result<(), BenchError> {
         block_vs_per_sample,
         RECORDED_BASELINE,
         block_tp / RECORDED_BASELINE,
-        simd_off_json,
         metrics.to_json(),
     );
     write_text(&args.out, &json)?;
@@ -453,28 +413,4 @@ fn main() -> Result<(), BenchError> {
     let server = Arc::into_inner(server).expect("all producer clones joined");
     server.shutdown();
     Ok(())
-}
-
-/// Run the ingest measurement for `arm` in a fresh subprocess with
-/// `DRBW_NO_SIMD=1` (SIMD dispatch latches once per process, so the
-/// ablation cannot run in-process) and parse its one-line result.
-fn ingest_child_throughput(arm: &str) -> Result<f64, BenchError> {
-    let exe = std::env::current_exe().map_err(|e| BenchError::new(format!("current_exe: {e}")))?;
-    let out = std::process::Command::new(exe)
-        .arg("--ingest-child")
-        .arg(arm)
-        .env("DRBW_NO_SIMD", "1")
-        .output()
-        .map_err(|e| BenchError::new(format!("spawn ingest child: {e}")))?;
-    if !out.status.success() {
-        return Err(BenchError::new(format!(
-            "ingest child failed ({}): {}",
-            out.status,
-            String::from_utf8_lossy(&out.stderr)
-        )));
-    }
-    String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .find_map(|l| l.strip_prefix("INGEST_CHILD ").and_then(|v| v.trim().parse::<f64>().ok()))
-        .ok_or_else(|| BenchError::new("ingest child printed no INGEST_CHILD line"))
 }

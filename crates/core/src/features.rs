@@ -213,6 +213,18 @@ impl SourceAccum {
     }
 }
 
+/// Per-threshold counts of elements strictly above each threshold:
+/// `out[k] = |{ x in xs : x > thresholds[k] }|` (NaN counts in no bucket).
+fn count_above<const K: usize>(xs: &[f64], thresholds: &[f64; K]) -> [usize; K] {
+    let mut counts = [0usize; K];
+    for &x in xs {
+        for (count, &t) in counts.iter_mut().zip(thresholds) {
+            *count += (x > t) as usize;
+        }
+    }
+    counts
+}
+
 /// Incremental, mergeable state from which the 13 Table I features are
 /// produced.
 ///
@@ -272,20 +284,19 @@ impl FeatureAccumulator {
     /// [`pebs::block::SampleBlock`] segment.
     ///
     /// Reaches the same state (`==`) as pushing the same samples with
-    /// [`FeatureAccumulator::push`]: the latency-bucket counts come from
-    /// the SIMD-dispatched [`numasim::simd::count_above`] (exact IEEE `>`
-    /// predicates, any grouping identical), and each latency is converted
-    /// to [`ExactSum`] units once, into the partial of its source
-    /// (remote / local / LFB / everything else); the total-latency sum is
-    /// the four partials added up — integer addition, so the split is
-    /// invisible.
+    /// [`FeatureAccumulator::push`]: the latency-bucket counts are the
+    /// same exact IEEE `>` predicates summed as integers, and each
+    /// latency is converted to [`ExactSum`] units once, into the partial
+    /// of its source (remote / local / LFB / everything else); the
+    /// total-latency sum is the four partials added up — integer
+    /// addition, so the split is invisible.
     ///
     /// # Panics
     /// Panics if the lanes disagree in length.
     pub fn push_lanes(&mut self, lats: &[f64], srcs: &[DataSource]) {
         assert_eq!(lats.len(), srcs.len(), "lane lengths must agree");
         self.total += lats.len();
-        let above = numasim::simd::count_above(lats, &LATENCY_THRESHOLDS);
+        let above = count_above(lats, &LATENCY_THRESHOLDS);
         for (a, b) in self.above.iter_mut().zip(above) {
             *a += b;
         }
@@ -591,6 +602,77 @@ mod tests {
             }
             assert_eq!(lanes, per_sample, "chunk size {chunk}");
             assert_eq!(lanes.finalize(&CTX), per_sample.finalize(&CTX));
+        }
+    }
+
+    /// Plain-definition oracle for [`count_above`].
+    fn oracle_count<const K: usize>(xs: &[f64], thresholds: &[f64; K]) -> [usize; K] {
+        let mut counts = [0usize; K];
+        for (k, &t) in thresholds.iter().enumerate() {
+            counts[k] = xs.iter().filter(|&&x| x > t).count();
+        }
+        counts
+    }
+
+    /// Deterministic pseudo-random integral latencies in `0..2048`.
+    fn rand_lats(seed: u64, len: usize) -> Vec<f64> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.gen_range(0..2048u64) as f64).collect()
+    }
+
+    /// [`count_above`] against the oracle: random latencies straddling
+    /// the thresholds, exact-threshold values (strictly-greater must
+    /// exclude them), NaN and ±∞ — mixed in and as whole lanes; NaN
+    /// counts in no bucket — over a length sweep. And `push_lanes`
+    /// against per-sample `push` on the finite part of the same lanes
+    /// (both debug-assert finiteness: the latency sums are over finite
+    /// values).
+    #[test]
+    fn count_above_matches_oracle_and_push_lanes_matches_push() {
+        let mut cases: Vec<Vec<f64>> = Vec::new();
+        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 127, 128, 129, 255, 256, 1000] {
+            for seed in [1u64, 42, 9999] {
+                cases.push(rand_lats(seed, len));
+            }
+            // Exact threshold hits, epsilon neighbours, and non-finite values.
+            cases.push(
+                (0..len)
+                    .map(|i| match i % 9 {
+                        0 => 1000.0,
+                        1 => 500.0,
+                        2 => 50.0,
+                        3 => f64::NAN,
+                        4 => f64::INFINITY,
+                        5 => f64::NEG_INFINITY,
+                        6 => 1000.0_f64.next_up(),
+                        7 => 50.0_f64.next_down(),
+                        _ => 0.0,
+                    })
+                    .collect(),
+            );
+            for (lane, in_every_bucket) in [(f64::NAN, false), (f64::INFINITY, true), (f64::NEG_INFINITY, false)] {
+                let xs = vec![lane; len];
+                assert_eq!(count_above(&xs, &LATENCY_THRESHOLDS), [if in_every_bucket { len } else { 0 }; 5]);
+                cases.push(xs);
+            }
+        }
+        let sources = [DataSource::RemoteDram, DataSource::LocalDram, DataSource::Lfb, DataSource::L3];
+        for xs in &cases {
+            assert_eq!(count_above(xs, &LATENCY_THRESHOLDS), oracle_count(xs, &LATENCY_THRESHOLDS));
+            // Also a different K, to cover the const-generic machinery.
+            let one = [250.0f64];
+            assert_eq!(count_above(xs, &one), oracle_count(xs, &one), "K=1");
+
+            let lats: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
+            let srcs: Vec<DataSource> = (0..lats.len()).map(|i| sources[i % sources.len()]).collect();
+            let mut lanes = FeatureAccumulator::new();
+            lanes.push_lanes(&lats, &srcs);
+            let mut per_sample = FeatureAccumulator::new();
+            for (&l, &src) in lats.iter().zip(&srcs) {
+                per_sample.push(&sample(src, l, 0, false));
+            }
+            assert_eq!(lanes, per_sample);
         }
     }
 

@@ -280,7 +280,7 @@ impl Cache {
         // `m >= first` iff `m.wrapping_sub(first)` does not borrow, i.e.
         // its sign bit is clear (both operands are < 2^63: lines carry a
         // byte address divided by the line size). The borrow-sign AND
-        // reduction runs as explicit SSE2/AVX2 in [`crate::simd::any_ge`].
+        // reduction is [`crate::simd::any_ge`].
         let suspect = if s0 + w <= nsets {
             crate::simd::any_ge(&self.set_max[s0..s0 + w], first)
         } else {
@@ -294,8 +294,8 @@ impl Cache {
         let len = (n.min(sets) as usize) * self.assoc;
         // Quick scan for any resident tag *near* the span, widened from
         // `n` to the next power of two `2^shift` so membership becomes a
-        // zero test on `off >> shift` — run as explicit SSE2/AVX2
-        // zero-detect in [`crate::simd::any_near`]. Widening only admits
+        // zero test on `off >> shift` — the zero-detect reduction in
+        // [`crate::simd::any_near`]. Widening only admits
         // tags in `[first + n, first + 2^shift)` — the lines the caller
         // is *about* to stream through, which are essentially never
         // resident — and a false positive is not an error: it just falls

@@ -63,11 +63,10 @@ pub mod fp;
 pub mod hierarchy;
 pub mod memmap;
 pub mod sched;
-// The one crate module allowed to use `unsafe`: hand-written SIMD
-// intrinsics, each block carrying a SAFETY proof and a scalar twin
-// differential-tested against it.
+// The one crate module allowed to use `unsafe`: the two calls into the
+// AVX2 compilations of the cache scans, each behind runtime detection.
 #[allow(unsafe_code)]
-pub mod simd;
+mod simd;
 pub mod stats;
 pub mod topology;
 
@@ -85,7 +84,7 @@ pub mod prelude {
     pub use crate::engine::{AccessEvent, Engine, NullObserver, Observer, ThreadSpec};
     pub use crate::hierarchy::DataSource;
     pub use crate::memmap::{MemoryMap, ObjectHandle, ObjectId, PlacementPolicy};
-    pub use crate::sched::{BurstConfig, Migration, ScenarioEngine, ScenarioStats, TenantId, TenantRun, TenantStats};
+    pub use crate::sched::{BurstConfig, Migration, ScenarioStats, TenantId, TenantRun, TenantStats};
     pub use crate::stats::{AccessCounts, RunStats};
     pub use crate::topology::{ChannelId, CoreId, NodeId, ThreadId, Topology};
 }

@@ -70,8 +70,7 @@ use std::rc::Rc;
 use crate::bandwidth::BandwidthModel;
 use crate::config::{ExecMode, MachineConfig};
 use crate::engine::{
-    collect_run_stats, reference_slice, run_thread_slice, Engine, MachineMut, Observer, SliceConsts, ThreadCtx,
-    ThreadSpec,
+    collect_run_stats, reference_slice, run_thread_slice, MachineMut, Observer, SliceConsts, ThreadCtx, ThreadSpec,
 };
 use crate::hierarchy::Hierarchy;
 use crate::memmap::MemoryMap;
@@ -438,7 +437,8 @@ pub struct ScenarioStats {
     pub tenants: Vec<TenantStats>,
 }
 
-/// Why a scenario was rejected before it ran (see [`Engine::try_run`]).
+/// Why a scenario was rejected before it ran (see
+/// [`crate::engine::Engine::try_run`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScenarioError {
     /// The scenario has no tenants.
@@ -528,8 +528,8 @@ fn validate(cfg: &MachineConfig, tenants: &[TenantRun]) -> Result<(), ScenarioEr
 }
 
 /// Run `tenants` to stream exhaustion over the given machine state: the
-/// body of [`Engine::try_run`]. `max_run` caps the accesses the batched
-/// slice body pulls per stream call.
+/// body of [`crate::engine::Engine::try_run`]. `max_run` caps the accesses
+/// the batched slice body pulls per stream call.
 pub(crate) fn run_tenants(
     cfg: &MachineConfig,
     hierarchy: &mut Hierarchy,
@@ -596,17 +596,12 @@ pub(crate) fn run_tenants(
     Ok(ScenarioStats { run, tenants })
 }
 
-/// The engine under the name scenario code knows it by: one type owns the
-/// machine state whether it runs a phase ([`Engine::run_phase`]) or a
-/// multi-tenant scenario ([`Engine::try_run`], [`Engine::run`]).
-pub type ScenarioEngine<O> = Engine<O>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::access::{AccessMix, AccessStream, ChainStream, RandomStream, SeqStream};
     use crate::config::ExecMode;
-    use crate::engine::NullObserver;
+    use crate::engine::{Engine, NullObserver};
     use crate::memmap::PlacementPolicy;
     use crate::topology::NodeId;
 
@@ -653,7 +648,7 @@ mod tests {
 
         let mut mm = MemoryMap::new(&cfg);
         let threads = build_threads(&mut mm, &cfg, 0, 8);
-        let mut sceng = ScenarioEngine::new(&cfg, mm, NullObserver);
+        let mut sceng = Engine::new(&cfg, mm, NullObserver);
         let scenario = sceng.run(vec![TenantRun::new(0, threads)]);
 
         assert_eq!(scenario.run, reference, "scheduler diverged from the reference engine");
@@ -672,7 +667,7 @@ mod tests {
             let mut mm = MemoryMap::new(&cfg);
             let t0 = build_threads(&mut mm, &cfg, 0, 4);
             let t1 = build_threads(&mut mm, &cfg, 100, 4);
-            let mut eng = ScenarioEngine::new(&cfg, mm, NullObserver);
+            let mut eng = Engine::new(&cfg, mm, NullObserver);
             eng.run(vec![TenantRun::new(0, t0), TenantRun::new(1, t1).arriving_at(50_000.0)])
         };
         let s1 = run();
@@ -701,7 +696,7 @@ mod tests {
             if let Some((on, off)) = burst {
                 tenant = tenant.bursty(on, off);
             }
-            let mut eng = ScenarioEngine::new(&cfg, mm, NullObserver);
+            let mut eng = Engine::new(&cfg, mm, NullObserver);
             eng.run(vec![tenant])
         };
         let steady = run(None);
@@ -730,7 +725,7 @@ mod tests {
                 let remote_core = CoreId(cfg.topology.cores_per_node() as u32);
                 tenant = tenant.migrate(100_000.0, 0, remote_core);
             }
-            let mut eng = ScenarioEngine::new(&cfg, mm, NullObserver);
+            let mut eng = Engine::new(&cfg, mm, NullObserver);
             eng.run(vec![tenant])
         };
         let pinned = run(false);
@@ -749,7 +744,7 @@ mod tests {
             cfg.engine.exec = exec;
             let mut mm = MemoryMap::new(&cfg);
             let tenants = build(&cfg, &mut mm);
-            let mut eng = ScenarioEngine::new(&cfg, mm, NullObserver);
+            let mut eng = Engine::new(&cfg, mm, NullObserver);
             let stats = eng.run(tenants);
             (stats, eng.into_parts().0)
         };
@@ -838,7 +833,7 @@ mod tests {
         cfg.engine.exec = ExecMode::Reference;
         let mut mm = MemoryMap::new(&cfg);
         let (tenant, _) = mover(&mut mm, &cfg);
-        let mut eng = ScenarioEngine::new(&cfg, mm, FillsOnCore0(0));
+        let mut eng = Engine::new(&cfg, mm, FillsOnCore0(0));
         eng.run(vec![tenant]);
         let installs_at_move = eng.observer().0;
         assert!((100..4000).contains(&installs_at_move), "the move must land mid-scan, got {installs_at_move}");
@@ -865,7 +860,7 @@ mod tests {
         let alone = {
             let mut mm = MemoryMap::new(&cfg);
             let t = victim_tenant(&mut mm);
-            let mut eng = ScenarioEngine::new(&cfg, mm, NullObserver);
+            let mut eng = Engine::new(&cfg, mm, NullObserver);
             eng.run(vec![t])
         };
         let contended = {
@@ -883,7 +878,7 @@ mod tests {
                     ThreadSpec::new(100 + i as u32, core, Box::new(s))
                 })
                 .collect();
-            let mut eng = ScenarioEngine::new(&cfg, mm, NullObserver);
+            let mut eng = Engine::new(&cfg, mm, NullObserver);
             eng.run(vec![t, TenantRun::new(1, threads)])
         };
         let slowdown = contended.tenants[0].finish_cycles / alone.tenants[0].finish_cycles;
@@ -918,7 +913,7 @@ mod tests {
             (vec![one(0, 0).migrate(1.0, 0, CoreId(999))], ScenarioError::InvalidMigrationCore(t0, CoreId(999))),
             (vec![one(0, 0).migrate(1.0, 7, CoreId(1))], ScenarioError::ForeignMigration(ThreadId(7), tn0)),
         ];
-        let mut eng = ScenarioEngine::new(&cfg, mm, NullObserver);
+        let mut eng = Engine::new(&cfg, mm, NullObserver);
         for (tenants, want) in cases {
             assert_eq!(eng.try_run(tenants), Err(want));
         }
@@ -935,7 +930,7 @@ mod tests {
         let mk = || -> Box<dyn AccessStream> { Box::new(SeqStream::new(a.base, a.size, 1, AccessMix::read_only())) };
         let t0 = TenantRun::new(0, vec![ThreadSpec::new(0, CoreId(0), mk())]);
         let t1 = TenantRun::new(1, vec![ThreadSpec::new(0, CoreId(1), mk())]);
-        let mut eng = ScenarioEngine::new(&cfg, mm, NullObserver);
+        let mut eng = Engine::new(&cfg, mm, NullObserver);
         eng.run(vec![t0, t1]);
     }
 
@@ -948,7 +943,7 @@ mod tests {
         let stream = SeqStream::new(a.base, a.size, 1, AccessMix::read_only());
         let tenant =
             TenantRun::new(0, vec![ThreadSpec::new(0, CoreId(0), Box::new(stream))]).migrate(1_000.0, 7, CoreId(1));
-        let mut eng = ScenarioEngine::new(&cfg, mm, NullObserver);
+        let mut eng = Engine::new(&cfg, mm, NullObserver);
         eng.run(vec![tenant]);
     }
 }

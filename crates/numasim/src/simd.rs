@@ -1,6 +1,6 @@
-//! Explicit SIMD kernels for the cache span walk and sample ingestion.
+//! The two boolean scans behind the cache span walk.
 //!
-//! [`crate::cache::Cache::span_miss_prefix`] reduces its two hot scans to
+//! [`crate::cache::Cache::span_absent`] reduces its two hot scans to
 //! branch-free `u64` arithmetic precisely so they vectorize:
 //!
 //! * **`any_ge`** — is any element `>= first`? Since every tag and bound
@@ -14,145 +14,50 @@
 //!   Zero-detect via `(x - 1) & !x`, whose sign bit is set only for
 //!   `x == 0`, OR-reduced over the slice.
 //!
-//! Both are pure boolean reductions over independent elements, so any
-//! grouping of the work — scalar chunks, 128-bit lanes, 256-bit lanes —
-//! computes the *same* answer: there is no floating point and no order
-//! dependence, which is what makes the SIMD paths trivially bit-identical
-//! to the scalar twins (property-tested below).
-//!
-//! * **`count_above`** — the ingestion-side kernel: per-threshold counts
-//!   of latencies strictly above each of `K` thresholds, feeding the
-//!   latency-bucket features of the streaming accumulator. Each count is
-//!   an integer sum of independent IEEE `>` predicates; `a > b` is exact
-//!   in IEEE 754 and NaN compares false under both the scalar operator
-//!   and the packed ordered compare, so here too every grouping of the
-//!   work produces the same counts bit-for-bit.
-//!
-//! This module hand-writes the kernels on `core::arch::x86_64` instead of
-//! hoping for autovectorization: SSE2 (the x86-64 baseline) has no packed
-//! 64-bit compare, but the borrow-sign and zero-detect formulations need
-//! only `sub`/`and`/`andnot`/`srl`/`movemask`, all SSE2. A wider AVX2
-//! path is selected by runtime detection. The scalar twins are always
-//! compiled (and exercised by tests on every target); non-x86-64 builds
-//! dispatch to them unconditionally, and setting the `DRBW_NO_SIMD`
-//! environment variable forces them at runtime for ablation.
+//! Each scan has **one body**, compiled twice: once for the target's
+//! baseline (SSE2 on x86-64) and, on x86-64, once more under
+//! `#[target_feature(enable = "avx2")]`, which the dispatcher picks when
+//! the running CPU reports AVX2. Both are AND/OR reductions of integers
+//! over independent elements — no floating point, no order dependence —
+//! so whatever lane width the compiler gives either compilation, the
+//! boolean is the same; there is no second implementation to keep equal.
+//! The wide compilation stays because the baseline alone is slower on
+//! the `tenants` workload and on training set-up (ratios in DESIGN §13.2).
 //!
 //! Scans early-exit per 128-element chunk: the common caller streams
 //! forward through a cold region, where the very first chunk usually
 //! decides the answer, but an L3 window can cover 32 K tag slots.
 
-/// Elements per early-exit chunk, matching the pre-SIMD scalar loops.
+/// Elements per early-exit chunk.
 const CHUNK: usize = 128;
-
-/// Instruction set selected once per process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Isa {
-    /// Portable scalar twins (non-x86-64, or `DRBW_NO_SIMD` set).
-    Scalar,
-    /// 128-bit baseline x86-64 path.
-    #[cfg(target_arch = "x86_64")]
-    Sse2,
-    /// 256-bit path, runtime-detected.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-/// The ISA the dispatchers use, resolved once: `DRBW_NO_SIMD` (any value
-/// but `0` or empty) forces scalar; otherwise the widest supported path.
-fn isa() -> Isa {
-    static ISA: std::sync::OnceLock<Isa> = std::sync::OnceLock::new();
-    *ISA.get_or_init(|| {
-        let disabled = std::env::var_os("DRBW_NO_SIMD").is_some_and(|v| !v.is_empty() && v != "0");
-        if disabled {
-            return Isa::Scalar;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                Isa::Avx2
-            } else {
-                // SSE2 is part of the x86-64 baseline: always present.
-                Isa::Sse2
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        Isa::Scalar
-    })
-}
-
-/// Whether the dispatchers are currently using a SIMD path (for bench
-/// reporting; `false` under `DRBW_NO_SIMD` or on non-x86-64 targets).
-pub fn simd_active() -> bool {
-    isa() != Isa::Scalar
-}
 
 /// True iff any element of `slice` is `>= first`, assuming every element
 /// and `first` are below `2^63` (as all line numbers and set bounds are).
 #[inline]
-pub fn any_ge(slice: &[u64], first: u64) -> bool {
-    match isa() {
-        Isa::Scalar => any_ge_scalar(slice, first),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is unconditionally available on x86_64.
-        Isa::Sse2 => unsafe { any_ge_sse2(slice, first) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `isa()` returned Avx2 only after runtime detection.
-        Isa::Avx2 => unsafe { any_ge_avx2(slice, first) },
+pub(crate) fn any_ge(slice: &[u64], first: u64) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(hit) = any_ge_avx2(slice, first) {
+        return hit;
     }
+    any_ge_baseline(slice, first)
 }
 
 /// True iff any element `t` of `slice` satisfies
 /// `(t.wrapping_sub(first)) >> shift == 0`, i.e. lies in the widened
 /// window `[first, first + 2^shift)`. Requires `shift < 64`.
 #[inline]
-pub fn any_near(slice: &[u64], first: u64, shift: u32) -> bool {
+pub(crate) fn any_near(slice: &[u64], first: u64, shift: u32) -> bool {
     debug_assert!(shift < 64, "shift must leave a non-empty window");
-    match isa() {
-        Isa::Scalar => any_near_scalar(slice, first, shift),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is unconditionally available on x86_64.
-        Isa::Sse2 => unsafe { any_near_sse2(slice, first, shift) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `isa()` returned Avx2 only after runtime detection.
-        Isa::Avx2 => unsafe { any_near_avx2(slice, first, shift) },
+    #[cfg(target_arch = "x86_64")]
+    if let Some(hit) = any_near_avx2(slice, first, shift) {
+        return hit;
     }
+    any_near_baseline(slice, first, shift)
 }
 
-/// Per-threshold counts of elements strictly above each threshold:
-/// `out[k] = |{ x in xs : x > thresholds[k] }|`.
-///
-/// This is the hot kernel behind the streaming accumulator's latency
-/// buckets: one pass over a latency lane produces all `K` bucket counts.
-/// The SIMD paths are bit-identical to the scalar twin because each
-/// count is an integer sum of independent, exact IEEE `>` predicates
-/// (ordered compares: NaN counts in no bucket on any path).
-#[inline]
-pub fn count_above<const K: usize>(xs: &[f64], thresholds: &[f64; K]) -> [usize; K] {
-    match isa() {
-        Isa::Scalar => count_above_scalar(xs, thresholds),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is unconditionally available on x86_64.
-        Isa::Sse2 => unsafe { count_above_sse2(xs, thresholds) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `isa()` returned Avx2 only after runtime detection.
-        Isa::Avx2 => unsafe { count_above_avx2(xs, thresholds) },
-    }
-}
-
-/// Scalar twin of [`count_above`].
-pub(crate) fn count_above_scalar<const K: usize>(xs: &[f64], thresholds: &[f64; K]) -> [usize; K] {
-    let mut counts = [0usize; K];
-    for &x in xs {
-        for (count, &t) in counts.iter_mut().zip(thresholds) {
-            *count += (x > t) as usize;
-        }
-    }
-    counts
-}
-
-/// Scalar twin of [`any_ge`]: the reference semantics every SIMD path
-/// must reproduce bit-for-bit.
-pub(crate) fn any_ge_scalar(slice: &[u64], first: u64) -> bool {
+/// The body of [`any_ge`], inlined into each of its compilations.
+#[inline(always)]
+fn any_ge_baseline(slice: &[u64], first: u64) -> bool {
     slice.chunks(CHUNK).any(|chunk| {
         let mut signs = u64::MAX;
         for &m in chunk {
@@ -162,8 +67,9 @@ pub(crate) fn any_ge_scalar(slice: &[u64], first: u64) -> bool {
     })
 }
 
-/// Scalar twin of [`any_near`].
-pub(crate) fn any_near_scalar(slice: &[u64], first: u64, shift: u32) -> bool {
+/// The body of [`any_near`], inlined into each of its compilations.
+#[inline(always)]
+fn any_near_baseline(slice: &[u64], first: u64, shift: u32) -> bool {
     slice.chunks(CHUNK).any(|chunk| {
         let mut zero_signs = 0u64;
         for &t in chunk {
@@ -174,197 +80,31 @@ pub(crate) fn any_near_scalar(slice: &[u64], first: u64, shift: u32) -> bool {
     })
 }
 
+/// [`any_ge_baseline`] compiled for AVX2; `None` where the running CPU
+/// does not report the feature.
 #[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::CHUNK;
-    use core::arch::x86_64::*;
-
-    /// `_mm_movemask_epi8` bits for the sign bytes of the two u64 lanes
-    /// of a 128-bit vector (bytes 7 and 15).
-    const SIGNS_128: i32 = 0x8080;
-    /// `_mm256_movemask_epi8` bits for the sign bytes of the four u64
-    /// lanes of a 256-bit vector (bytes 7, 15, 23, 31).
-    const SIGNS_256: i32 = 0x8080_8080u32 as i32;
-
-    /// SSE2 [`super::any_ge`]: AND-reduce `m - first` over two lanes at a
-    /// time; a chunk is suspect iff either accumulated sign bit is clear.
-    ///
-    /// # Safety
-    /// Requires SSE2 (always present on x86_64).
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn any_ge_sse2(slice: &[u64], first: u64) -> bool {
-        let vfirst = _mm_set1_epi64x(first as i64);
-        slice.chunks(CHUNK).any(|chunk| {
-            // SAFETY: intrinsics below read only through `loadu` (no
-            // alignment requirement) at `ptr..ptr + 2` for each pair
-            // yielded by `chunks_exact(2)`, which stays in bounds.
-            unsafe {
-                let mut acc = _mm_set1_epi64x(-1);
-                let pairs = chunk.chunks_exact(2);
-                let tail = pairs.remainder();
-                for pair in pairs {
-                    let v = _mm_loadu_si128(pair.as_ptr() as *const __m128i);
-                    acc = _mm_and_si128(acc, _mm_sub_epi64(v, vfirst));
-                }
-                let mut signs_clear = _mm_movemask_epi8(acc) & SIGNS_128 != SIGNS_128;
-                for &m in tail {
-                    signs_clear |= m.wrapping_sub(first) >> 63 == 0;
-                }
-                signs_clear
-            }
-        })
-    }
-
-    /// SSE2 [`super::any_near`]: `(x - 1) & !x` zero-detect, OR-reduced;
-    /// a chunk matches iff any accumulated sign bit is set.
-    ///
-    /// # Safety
-    /// Requires SSE2 (always present on x86_64). `shift < 64`.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn any_near_sse2(slice: &[u64], first: u64, shift: u32) -> bool {
-        let (vfirst, vshift, ones) =
-            (_mm_set1_epi64x(first as i64), _mm_cvtsi64_si128(shift as i64), _mm_set1_epi64x(1));
-        slice.chunks(CHUNK).any(|chunk| {
-            // SAFETY: as in `any_ge_sse2`, all loads are unaligned reads
-            // of in-bounds pairs from `chunks_exact(2)`.
-            unsafe {
-                let mut acc = _mm_setzero_si128();
-                let pairs = chunk.chunks_exact(2);
-                let tail = pairs.remainder();
-                for pair in pairs {
-                    let v = _mm_loadu_si128(pair.as_ptr() as *const __m128i);
-                    let x = _mm_srl_epi64(_mm_sub_epi64(v, vfirst), vshift);
-                    acc = _mm_or_si128(acc, _mm_andnot_si128(x, _mm_sub_epi64(x, ones)));
-                }
-                let mut found = _mm_movemask_epi8(acc) & SIGNS_128 != 0;
-                for &t in tail {
-                    let x = t.wrapping_sub(first) >> shift;
-                    found |= (x.wrapping_sub(1) & !x) >> 63 != 0;
-                }
-                found
-            }
-        })
-    }
-
-    /// SSE2 [`super::count_above`]: two latencies per step, one packed
-    /// ordered `>` compare per threshold, popcounted movemasks.
-    ///
-    /// # Safety
-    /// Requires SSE2 (always present on x86_64).
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn count_above_sse2<const K: usize>(xs: &[f64], thresholds: &[f64; K]) -> [usize; K] {
-        // SAFETY: all loads are unaligned (`loadu`) reads of in-bounds
-        // pairs yielded by `chunks_exact(2)`.
-        unsafe {
-            let vts: [__m128d; K] = core::array::from_fn(|k| _mm_set1_pd(thresholds[k]));
-            let mut counts = [0usize; K];
-            let pairs = xs.chunks_exact(2);
-            let tail = pairs.remainder();
-            for pair in pairs {
-                let v = _mm_loadu_pd(pair.as_ptr());
-                for (count, vt) in counts.iter_mut().zip(&vts) {
-                    *count += _mm_movemask_pd(_mm_cmpgt_pd(v, *vt)).count_ones() as usize;
-                }
-            }
-            for &x in tail {
-                for (count, &t) in counts.iter_mut().zip(thresholds) {
-                    *count += (x > t) as usize;
-                }
-            }
-            counts
-        }
-    }
-
-    /// AVX2 [`super::count_above`]: four latencies per step (the packed
-    /// compare itself needs only AVX, which AVX2 implies).
-    ///
-    /// # Safety
-    /// Requires AVX2 (callers must have runtime-detected it).
+#[inline]
+fn any_ge_avx2(slice: &[u64], first: u64) -> Option<bool> {
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn count_above_avx2<const K: usize>(xs: &[f64], thresholds: &[f64; K]) -> [usize; K] {
-        // SAFETY: unaligned 256-bit loads over in-bounds quads from
-        // `chunks_exact(4)`.
-        unsafe {
-            let vts: [__m256d; K] = core::array::from_fn(|k| _mm256_set1_pd(thresholds[k]));
-            let mut counts = [0usize; K];
-            let quads = xs.chunks_exact(4);
-            let tail = quads.remainder();
-            for quad in quads {
-                let v = _mm256_loadu_pd(quad.as_ptr());
-                for (count, vt) in counts.iter_mut().zip(&vts) {
-                    let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(v, *vt);
-                    *count += _mm256_movemask_pd(gt).count_ones() as usize;
-                }
-            }
-            for &x in tail {
-                for (count, &t) in counts.iter_mut().zip(thresholds) {
-                    *count += (x > t) as usize;
-                }
-            }
-            counts
-        }
+    fn wide(slice: &[u64], first: u64) -> bool {
+        any_ge_baseline(slice, first)
     }
-
-    /// AVX2 [`super::any_ge`]: four lanes per step.
-    ///
-    /// # Safety
-    /// Requires AVX2 (callers must have runtime-detected it).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn any_ge_avx2(slice: &[u64], first: u64) -> bool {
-        let vfirst = _mm256_set1_epi64x(first as i64);
-        slice.chunks(CHUNK).any(|chunk| {
-            // SAFETY: unaligned 256-bit loads over in-bounds quads from
-            // `chunks_exact(4)`.
-            unsafe {
-                let mut acc = _mm256_set1_epi64x(-1);
-                let quads = chunk.chunks_exact(4);
-                let tail = quads.remainder();
-                for quad in quads {
-                    let v = _mm256_loadu_si256(quad.as_ptr() as *const __m256i);
-                    acc = _mm256_and_si256(acc, _mm256_sub_epi64(v, vfirst));
-                }
-                let mut signs_clear = _mm256_movemask_epi8(acc) & SIGNS_256 != SIGNS_256;
-                for &m in tail {
-                    signs_clear |= m.wrapping_sub(first) >> 63 == 0;
-                }
-                signs_clear
-            }
-        })
-    }
-
-    /// AVX2 [`super::any_near`]: four lanes per step.
-    ///
-    /// # Safety
-    /// Requires AVX2 (callers must have runtime-detected it). `shift < 64`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn any_near_avx2(slice: &[u64], first: u64, shift: u32) -> bool {
-        let (vfirst, vshift, ones) =
-            (_mm256_set1_epi64x(first as i64), _mm_cvtsi64_si128(shift as i64), _mm256_set1_epi64x(1));
-        slice.chunks(CHUNK).any(|chunk| {
-            // SAFETY: unaligned 256-bit loads over in-bounds quads from
-            // `chunks_exact(4)`.
-            unsafe {
-                let mut acc = _mm256_setzero_si256();
-                let quads = chunk.chunks_exact(4);
-                let tail = quads.remainder();
-                for quad in quads {
-                    let v = _mm256_loadu_si256(quad.as_ptr() as *const __m256i);
-                    let x = _mm256_srl_epi64(_mm256_sub_epi64(v, vfirst), vshift);
-                    acc = _mm256_or_si256(acc, _mm256_andnot_si256(x, _mm256_sub_epi64(x, ones)));
-                }
-                let mut found = _mm256_movemask_epi8(acc) & SIGNS_256 != 0;
-                for &t in tail {
-                    let x = t.wrapping_sub(first) >> shift;
-                    found |= (x.wrapping_sub(1) & !x) >> 63 != 0;
-                }
-                found
-            }
-        })
-    }
+    // SAFETY: `wide` needs AVX2 and runs only once `is_x86_feature_detected!` reports it.
+    std::arch::is_x86_feature_detected!("avx2").then(|| unsafe { wide(slice, first) })
 }
 
+/// [`any_near_baseline`] compiled for AVX2; `None` where the running CPU
+/// does not report the feature.
 #[cfg(target_arch = "x86_64")]
-use x86::{any_ge_avx2, any_ge_sse2, any_near_avx2, any_near_sse2, count_above_avx2, count_above_sse2};
+#[inline]
+fn any_near_avx2(slice: &[u64], first: u64, shift: u32) -> Option<bool> {
+    #[target_feature(enable = "avx2")]
+    fn wide(slice: &[u64], first: u64, shift: u32) -> bool {
+        any_near_baseline(slice, first, shift)
+    }
+    // SAFETY: `wide` needs AVX2 and runs only once `is_x86_feature_detected!` reports it.
+    std::arch::is_x86_feature_detected!("avx2").then(|| unsafe { wide(slice, first, shift) })
+}
 
 #[cfg(test)]
 mod tests {
@@ -395,10 +135,10 @@ mod tests {
             .collect()
     }
 
-    /// Every compiled implementation against the oracle and each other,
-    /// over random slices of many lengths (exercising vector bodies and
-    /// scalar tails), boundary values, and the INVALID (u64::MAX) marker
-    /// real tag arrays contain.
+    /// Every compilation of each body, and the dispatcher, against the
+    /// oracle: random slices of many lengths (around the 4-lane and
+    /// 128-chunk edges), boundary values, and the INVALID (u64::MAX)
+    /// marker real tag arrays contain.
     #[test]
     fn all_paths_agree_with_scalar_and_oracle() {
         let mut cases: Vec<(Vec<u64>, u64, u32)> = Vec::new();
@@ -426,89 +166,18 @@ mod tests {
         }
         for (v, first, shift) in &cases {
             let (v, first, shift) = (v.as_slice(), *first, *shift);
-            assert_eq!(any_ge_scalar(v, first), oracle_ge(v, first), "ge scalar vs oracle");
-            assert_eq!(any_near_scalar(v, first, shift), oracle_near(v, first, shift), "near scalar vs oracle");
-            // Dispatcher (whatever ISA the host picked) == scalar.
-            assert_eq!(any_ge(v, first), any_ge_scalar(v, first), "ge dispatch vs scalar");
-            assert_eq!(any_near(v, first, shift), any_near_scalar(v, first, shift), "near dispatch vs scalar");
-            // Each intrinsic path directly, independent of DRBW_NO_SIMD.
+            let (ge, near) = (oracle_ge(v, first), oracle_near(v, first, shift));
+            assert_eq!(any_ge_baseline(v, first), ge, "ge baseline vs oracle");
+            assert_eq!(any_near_baseline(v, first, shift), near, "near baseline vs oracle");
+            // The AVX2 compilation directly, wherever the host has it.
             #[cfg(target_arch = "x86_64")]
             {
-                // SAFETY: SSE2 is unconditionally available on x86_64.
-                unsafe {
-                    assert_eq!(any_ge_sse2(v, first), any_ge_scalar(v, first), "ge sse2");
-                    assert_eq!(any_near_sse2(v, first, shift), any_near_scalar(v, first, shift), "near sse2");
-                }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: AVX2 just runtime-detected.
-                    unsafe {
-                        assert_eq!(any_ge_avx2(v, first), any_ge_scalar(v, first), "ge avx2");
-                        assert_eq!(any_near_avx2(v, first, shift), any_near_scalar(v, first, shift), "near avx2");
-                    }
-                }
+                assert!(any_ge_avx2(v, first).is_none_or(|hit| hit == ge), "ge avx2 vs oracle");
+                assert!(any_near_avx2(v, first, shift).is_none_or(|hit| hit == near), "near avx2 vs oracle");
             }
-        }
-    }
-
-    /// Plain-definition oracle for [`count_above`].
-    fn oracle_count<const K: usize>(xs: &[f64], thresholds: &[f64; K]) -> [usize; K] {
-        let mut counts = [0usize; K];
-        for (k, &t) in thresholds.iter().enumerate() {
-            counts[k] = xs.iter().filter(|&&x| x > t).count();
-        }
-        counts
-    }
-
-    /// Every compiled `count_above` path against the oracle: random
-    /// latencies straddling the thresholds, exact-threshold values
-    /// (strictly-greater must exclude them), NaN and infinities, and a
-    /// length sweep exercising vector bodies and scalar tails.
-    #[test]
-    fn count_above_paths_agree_with_scalar_and_oracle() {
-        let thresholds = [1000.0f64, 500.0, 200.0, 100.0, 50.0];
-        let mut cases: Vec<Vec<f64>> = Vec::new();
-        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 127, 128, 129, 255, 256, 1000] {
-            for seed in [1u64, 42, 9999] {
-                let v: Vec<f64> = rand_vec(seed, len, 0x7FF).into_iter().map(|u| u as f64).collect();
-                cases.push(v);
-            }
-            // Exact threshold hits, epsilon neighbours, and non-finite values.
-            let mut v: Vec<f64> = Vec::with_capacity(len);
-            for i in 0..len {
-                v.push(match i % 9 {
-                    0 => 1000.0,
-                    1 => 500.0,
-                    2 => 50.0,
-                    3 => f64::NAN,
-                    4 => f64::INFINITY,
-                    5 => f64::NEG_INFINITY,
-                    6 => 1000.0_f64.next_up(),
-                    7 => 50.0_f64.next_down(),
-                    _ => 0.0,
-                });
-            }
-            cases.push(v);
-        }
-        for xs in &cases {
-            let want = oracle_count(xs, &thresholds);
-            assert_eq!(count_above_scalar(xs, &thresholds), want, "scalar vs oracle");
-            assert_eq!(count_above(xs, &thresholds), want, "dispatch vs oracle");
-            // Also a different K, to cover the const-generic machinery.
-            let one = [250.0f64];
-            assert_eq!(count_above(xs, &one), oracle_count(xs, &one), "K=1 dispatch");
-            #[cfg(target_arch = "x86_64")]
-            {
-                // SAFETY: SSE2 is unconditionally available on x86_64.
-                unsafe {
-                    assert_eq!(count_above_sse2(xs, &thresholds), want, "sse2 vs oracle");
-                }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: AVX2 just runtime-detected.
-                    unsafe {
-                        assert_eq!(count_above_avx2(xs, &thresholds), want, "avx2 vs oracle");
-                    }
-                }
-            }
+            // Dispatcher (whichever compilation the host picked).
+            assert_eq!(any_ge(v, first), ge, "ge dispatch vs oracle");
+            assert_eq!(any_near(v, first, shift), near, "near dispatch vs oracle");
         }
     }
 
@@ -520,11 +189,15 @@ mod tests {
             let mut v = vec![5u64; 512]; // all far below `first`
             v[pos] = 0x4000; // the single element >= first
             assert!(any_ge(&v, 0x4000), "match at {pos} missed");
-            assert!(any_ge_scalar(&v, 0x4000));
+            assert!(any_ge_baseline(&v, 0x4000));
+            #[cfg(target_arch = "x86_64")]
+            assert_ne!(any_ge_avx2(&v, 0x4000), Some(false), "avx2 match at {pos} missed");
             let mut w = vec![u64::MAX - 7; 512]; // wraps far outside window
             w[pos] = 0x4002; // inside [0x4000, 0x4000 + 2^4)
             assert!(any_near(&w, 0x4000, 4), "near match at {pos} missed");
-            assert!(any_near_scalar(&w, 0x4000, 4));
+            assert!(any_near_baseline(&w, 0x4000, 4));
+            #[cfg(target_arch = "x86_64")]
+            assert_ne!(any_near_avx2(&w, 0x4000, 4), Some(false), "avx2 near match at {pos} missed");
         }
         assert!(!any_ge(&[], 5));
         assert!(!any_near(&[], 5, 3));

@@ -34,7 +34,7 @@ impl TenantMap {
     /// Build the map from the tenant specs of a scenario.
     ///
     /// Call this *before* handing the `TenantRun`s to
-    /// `ScenarioEngine::run`, which consumes them.
+    /// `Engine::run`, which consumes them.
     pub fn from_runs(runs: &[TenantRun]) -> Self {
         let mut map = Self::new();
         for run in runs {

@@ -20,6 +20,12 @@ pub enum ServeError {
         /// Index of the shard whose worker died.
         shard: usize,
     },
+    /// A [`crate::ServerConfig`] field that must be positive was zero;
+    /// nothing was started.
+    InvalidConfig {
+        /// Name of the offending field.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -31,6 +37,9 @@ impl fmt::Display for ServeError {
             ServeError::WorkerPanicked { shard } => {
                 write!(f, "shard {shard} worker panicked; session report unavailable")
             }
+            ServeError::InvalidConfig { field } => {
+                write!(f, "invalid server config: `{field}` must be positive")
+            }
         }
     }
 }
@@ -39,7 +48,7 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::SpawnFailed { source, .. } => Some(source),
-            ServeError::WorkerPanicked { .. } => None,
+            ServeError::WorkerPanicked { .. } | ServeError::InvalidConfig { .. } => None,
         }
     }
 }

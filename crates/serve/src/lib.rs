@@ -407,21 +407,47 @@ mod tests {
             other => panic!("wrong error: {other}"),
         }
         assert!(!err.to_string().is_empty());
-        // The two workers spawned before the failure were joined: no
-        // thread leak (give the OS a moment to reap).
-        for _ in 0..100 {
-            if thread_count() <= before {
-                break;
+        // The two workers spawned before the failure were joined.
+        assert_no_thread_leak(before, "spawned shards must be shut down on start failure");
+    }
+
+    /// A zero `shards`, `ring_capacity` or `drain_batch` is a typed error
+    /// naming the field, returned before any worker exists.
+    #[test]
+    fn zero_config_fields_are_typed_errors_before_any_spawn() {
+        let good = test_config(2);
+        for (bad, want) in [
+            (ServerConfig { shards: 0, ..good }, "shards"),
+            (ServerConfig { ring_capacity: 0, ..good }, "ring_capacity"),
+            (ServerConfig { drain_batch: 0, ..good }, "drain_batch"),
+        ] {
+            let before = thread_count();
+            let err = AnalysisServer::start(classifier(), bad).expect_err("zero field must be rejected");
+            match err {
+                ServeError::InvalidConfig { field } => assert_eq!(field, want),
+                other => panic!("wrong error for zero {want}: {other}"),
             }
-            std::thread::sleep(Duration::from_millis(10));
+            assert!(err.to_string().contains(want));
+            assert_no_thread_leak(before, "a rejected config must not leave a worker behind");
         }
-        assert!(thread_count() <= before, "spawned shards must be shut down on start failure");
     }
 
     /// Live threads of this process (Linux procfs; falls back to 0 so the
     /// leak assertion trivially passes on exotic platforms).
     fn thread_count() -> usize {
         std::fs::read_dir("/proc/self/task").map(|d| d.count()).unwrap_or(0)
+    }
+
+    /// Asserts the process is back to at most `before` threads, giving
+    /// the OS (and tests running beside this one) a moment to reap.
+    fn assert_no_thread_leak(before: usize, why: &str) {
+        for _ in 0..100 {
+            if thread_count() <= before {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("{why}: {} threads, {before} before", thread_count());
     }
 
     /// A sample whose node is far outside the configured topology: the

@@ -127,8 +127,7 @@ impl AnalysisServer {
     /// registry version 1).
     ///
     /// # Errors
-    /// [`ServeError::SpawnFailed`] when the OS refuses a worker thread;
-    /// any shards spawned before the failure are shut down cleanly first.
+    /// As [`AnalysisServer::start_with_registry`].
     pub fn start(classifier: ContentionClassifier, cfg: ServerConfig) -> Result<Self, ServeError> {
         Self::start_with_registry(Arc::new(ModelRegistry::new(classifier)), cfg)
     }
@@ -136,16 +135,18 @@ impl AnalysisServer {
     /// Start a server over an existing (possibly shared) registry.
     ///
     /// # Errors
+    /// [`ServeError::InvalidConfig`] if `cfg.shards`, `cfg.ring_capacity`
+    /// or `cfg.drain_batch` is zero, before anything is started.
     /// [`ServeError::SpawnFailed`] when the OS refuses a worker thread;
     /// any shards spawned before the failure are shut down cleanly first.
-    ///
-    /// # Panics
-    /// Panics if `cfg.shards == 0`, `cfg.ring_capacity == 0`, or
-    /// `cfg.drain_batch == 0`.
     pub fn start_with_registry(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> Result<Self, ServeError> {
-        assert!(cfg.shards > 0, "a server needs at least one shard");
-        assert!(cfg.ring_capacity > 0, "session rings need capacity");
-        assert!(cfg.drain_batch > 0, "drain batch must be positive");
+        for (field, value) in
+            [("shards", cfg.shards), ("ring_capacity", cfg.ring_capacity), ("drain_batch", cfg.drain_batch)]
+        {
+            if value == 0 {
+                return Err(ServeError::InvalidConfig { field });
+            }
+        }
         let shards = (0..cfg.shards)
             .map(|_| ShardState {
                 stats: Arc::new(ShardStats::default()),

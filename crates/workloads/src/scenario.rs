@@ -18,7 +18,6 @@
 //! the paper's single-tenant training set never exhibited.
 
 use numasim::prelude::*;
-use numasim::sched::ScenarioEngine;
 use pebs::numa_api::{tracked_alloc_with, TrackedAlloc};
 use pebs::sampler::{AddressSampler, SamplerConfig};
 use pebs::tenant::TenantMap;
@@ -100,7 +99,7 @@ impl Scenario {
         let start = Instant::now();
         match sampling {
             Some(cfg) => {
-                let mut eng = ScenarioEngine::new(&self.mcfg, self.mm, AddressSampler::new(cfg));
+                let mut eng = Engine::new(&self.mcfg, self.mm, AddressSampler::new(cfg));
                 let stats = eng.run(self.tenants);
                 let wall = start.elapsed();
                 let (_, mut sampler) = eng.into_parts();
@@ -115,7 +114,7 @@ impl Scenario {
                 }
             }
             None => {
-                let mut eng = ScenarioEngine::new(&self.mcfg, self.mm, NullObserver);
+                let mut eng = Engine::new(&self.mcfg, self.mm, NullObserver);
                 let stats = eng.run(self.tenants);
                 let wall = start.elapsed();
                 let observed = stats.run.counts.total();

@@ -15,7 +15,7 @@ use numasim::access::{AccessMix, AccessStream, BlockCyclicStream, ChainStream, S
 use numasim::config::{ExecMode, MachineConfig};
 use numasim::engine::{Engine, ThreadSpec};
 use numasim::memmap::{MemoryMap, PlacementPolicy};
-use numasim::sched::{ScenarioEngine, TenantRun};
+use numasim::sched::TenantRun;
 use numasim::stats::RunStats;
 use numasim::topology::CoreId;
 use pebs::sample::MemSample;
@@ -89,7 +89,7 @@ fn run_scheduled(cfg: &MachineConfig, mm: MemoryMap, threads: Vec<ThreadSpec>, s
     for (tid, &n) in split.iter().enumerate() {
         tenants.push(TenantRun::new(tid as u32, iter.by_ref().take(n).collect()));
     }
-    let mut eng = ScenarioEngine::new(cfg, mm, sampler());
+    let mut eng = Engine::new(cfg, mm, sampler());
     let stats = eng.run(tenants);
     let (_, s) = eng.into_parts();
     Outcome {
@@ -130,7 +130,7 @@ fn tenant_rollups_partition_the_global_counts() {
     for (tid, n) in [(0u32, 3usize), (1, 5)] {
         tenants.push(TenantRun::new(tid, iter.by_ref().take(n).collect()));
     }
-    let mut eng = ScenarioEngine::new(&cfg, mm, numasim::engine::NullObserver);
+    let mut eng = Engine::new(&cfg, mm, numasim::engine::NullObserver);
     let stats = eng.run(tenants);
     let mut rollup = numasim::stats::AccessCounts::default();
     for t in &stats.tenants {
@@ -210,7 +210,7 @@ proptest! {
 // Staggered arrivals, burst gating and migrations exist only in the
 // scheduler, so the oracle for them is the scheduler itself running the
 // reference slice body: `ExecMode::Batched` must equal
-// `ExecMode::Reference` through `ScenarioEngine`, on the full
+// `ExecMode::Reference` through `Engine::run`, on the full
 // `ScenarioStats` and on everything the sampler recorded.
 
 /// Two tenants' worth of threads on the tiny machine: the chained
@@ -298,7 +298,7 @@ fn run_dynamic(
         latency_jitter: 0.3,
         per_sample_cost: 40.0,
     });
-    let mut eng = ScenarioEngine::new(&cfg, mm, observer);
+    let mut eng = Engine::new(&cfg, mm, observer);
     eng.set_max_run(max_run);
     let stats = eng.run(tenants);
     let (_, s) = eng.into_parts();
