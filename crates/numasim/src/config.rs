@@ -123,24 +123,6 @@ pub struct CongestionConfig {
     pub saturation: f64,
 }
 
-/// Which slice body a thread runs between the scheduler's round
-/// boundaries ([`crate::sched`]), for phases and scenarios alike.
-///
-/// Both modes produce bit-identical results (`RunStats`, channel bytes,
-/// observer event sequence); the reference mode exists so differential
-/// tests can prove it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Pull [`crate::access::AccessRun`]s of same-stride accesses and
-    /// amortize bounds checks, home-node resolution, and observer
-    /// dispatch over each run. The default.
-    #[default]
-    Batched,
-    /// Strictly one access at a time — the original slice body, kept as
-    /// the differential-testing oracle.
-    Reference,
-}
-
 /// Engine scheduling parameters. A simulation always runs on the host
 /// thread that calls the engine; host parallelism comes from running
 /// independent simulations concurrently (`drbw_core`'s across-run pool).
@@ -153,14 +135,6 @@ pub struct EngineConfig {
     /// overlaps. Thread clocks advance by `latency / mlp` per miss unless a
     /// stream declares dependent accesses (pointer chasing ⇒ mlp 1).
     pub default_mlp: f64,
-    /// Inner-loop execution strategy (see [`ExecMode`]).
-    pub exec: ExecMode,
-    /// Whether [`ExecMode::Batched`] may commit provably all-miss line
-    /// spans through the fused span-level cache walk
-    /// ([`crate::cache::Cache::install_span`]). Results are bit-identical
-    /// either way; the switch exists so benchmarks can ablate the fused
-    /// walk's contribution. Default: enabled.
-    pub span_fusion: bool,
 }
 
 /// Complete machine description handed to the [`crate::engine::Engine`].
@@ -213,12 +187,7 @@ impl MachineConfig {
                 ctrl_target: 0.92,
                 saturation: 0.85,
             },
-            engine: EngineConfig {
-                round_cycles: 20_000.0,
-                default_mlp: 4.0,
-                exec: ExecMode::Batched,
-                span_fusion: true,
-            },
+            engine: EngineConfig { round_cycles: 20_000.0, default_mlp: 4.0 },
         }
     }
 

@@ -14,10 +14,10 @@
 //! parallelism.
 //!
 //! The round loop itself lives in [`crate::sched`]; this module holds what
-//! one thread does *inside* a round — the two slice bodies
-//! (`run_thread_slice` and `reference_slice`) and the `ThreadCtx` they
-//! advance — plus [`Engine`], which runs a single workload's phase as a
-//! one-tenant scenario on that loop.
+//! one thread does *inside* a round — the slice body (`run_thread_slice`)
+//! and the `ThreadCtx` it advances — plus [`Engine`], which runs a single
+//! workload's phase as a one-tenant scenario on that loop. The per-access
+//! body tests hold it to is [`crate::oracle`].
 //!
 //! ## Clock accounting
 //!
@@ -28,13 +28,13 @@
 //! fill — but are still reported to the observer with the LFB latency, just
 //! as PEBS reports load-to-use latency for overlapped loads.
 
-use crate::access::{Access, AccessRun, AccessStream};
+use crate::access::{AccessRun, AccessStream};
 use crate::bandwidth::BandwidthModel;
 use crate::config::MachineConfig;
 use crate::fp::{bulk_add, bulk_line_chain, LineStep};
 use crate::hierarchy::{CoreCaches, DataSource, Hierarchy, MissProofMemo};
 use crate::memmap::MemoryMap;
-use crate::sched::{run_tenants, ScenarioError, ScenarioStats, TenantRun};
+use crate::sched::{run_tenants, ScenarioError, ScenarioStats, SchedCtx, SliceBody, TenantRun};
 use crate::stats::{AccessCounts, RunStats};
 use crate::topology::{CoreId, NodeId, ThreadId};
 
@@ -140,13 +140,13 @@ impl ThreadSpec {
 }
 
 /// Everything one simulated thread carries between scheduling slices:
-/// binding, stream, private clock, and the batched slice body's cursors
-/// and memos. Owned by the thread's [`crate::sched::IssueUnit`].
+/// binding, stream, private clock, and the slice body's cursors and
+/// memos. Owned by the thread's [`crate::sched::IssueUnit`].
 pub(crate) struct ThreadCtx {
     pub(crate) thread: ThreadId,
     pub(crate) core: CoreId,
     pub(crate) node: NodeId,
-    stream: Box<dyn AccessStream>,
+    pub(crate) stream: Box<dyn AccessStream>,
     pub(crate) clock: f64,
     /// Effective mlp for the current run (resolved against the default).
     mlp: f64,
@@ -209,7 +209,7 @@ impl ThreadCtx {
             clock,
             mlp: 1.0,
             // Empty run: the first slice fetches one.
-            run: AccessRun { len: 0, ..AccessRun::single(Access { addr: 0, is_write: false, reps: 1 }, 0.0, None) },
+            run: AccessRun { len: 0, ..AccessRun::single(0, false, 1, 0.0, None) },
             run_pos: 0,
             quiet: 0,
             // Empty span: the first miss resolves one.
@@ -285,7 +285,6 @@ pub struct Engine<O: Observer> {
     bw: BandwidthModel,
     memmap: MemoryMap,
     observer: O,
-    max_run: u64,
 }
 
 impl<O: Observer> Engine<O> {
@@ -295,25 +294,7 @@ impl<O: Observer> Engine<O> {
     /// Panics if the configuration fails validation.
     pub fn new(cfg: &MachineConfig, memmap: MemoryMap, observer: O) -> Self {
         cfg.validate();
-        Self {
-            cfg: cfg.clone(),
-            hierarchy: Hierarchy::new(cfg),
-            bw: BandwidthModel::new(cfg),
-            memmap,
-            observer,
-            max_run: u64::MAX,
-        }
-    }
-
-    /// Cap the number of accesses pulled per [`AccessStream::next_run`]
-    /// call by the batched slice body. Results are identical for any cap;
-    /// differential tests use this to exercise run-boundary handling.
-    ///
-    /// # Panics
-    /// Panics if `max == 0`.
-    pub fn set_max_run(&mut self, max: u64) {
-        assert!(max >= 1, "max_run must allow at least one access");
-        self.max_run = max;
+        Self { cfg: cfg.clone(), hierarchy: Hierarchy::new(cfg), bw: BandwidthModel::new(cfg), memmap, observer }
     }
 
     /// The machine configuration.
@@ -356,9 +337,7 @@ impl<O: Observer> Engine<O> {
     /// exhaustion, on the discrete-event scheduler ([`crate::sched`]).
     /// Machine state (cache contents, first-touch placements) persists
     /// across scenarios; bandwidth aggregates are reset at the start of
-    /// each. [`crate::config::EngineConfig::exec`] selects the slice body
-    /// each thread runs between round boundaries; both bodies produce
-    /// bit-identical results.
+    /// each.
     ///
     /// # Errors
     /// Returns a [`ScenarioError`], before touching any machine state, if
@@ -371,15 +350,24 @@ impl<O: Observer> Engine<O> {
     /// # Panics
     /// Panics if a stream accesses unallocated memory.
     pub fn try_run(&mut self, tenants: Vec<TenantRun>) -> Result<ScenarioStats, ScenarioError> {
-        run_tenants(
-            &self.cfg,
-            &mut self.hierarchy,
-            &mut self.bw,
-            &mut self.memmap,
-            &mut self.observer,
-            tenants,
-            self.max_run,
-        )
+        self.run_with(tenants, run_thread_slice)
+    }
+
+    /// [`Engine::try_run`] with the slice body as an argument — the door
+    /// [`crate::oracle`] comes in through.
+    pub(crate) fn run_with(
+        &mut self,
+        tenants: Vec<TenantRun>,
+        body: SliceBody,
+    ) -> Result<ScenarioStats, ScenarioError> {
+        let ctx = SchedCtx {
+            cfg: &self.cfg,
+            hierarchy: &mut self.hierarchy,
+            bw: &mut self.bw,
+            memmap: &mut self.memmap,
+            observer: &mut self.observer,
+        };
+        run_tenants(ctx, tenants, body)
     }
 
     /// [`Engine::try_run`] for callers that build their scenarios in code.
@@ -401,53 +389,23 @@ impl<O: Observer> Engine<O> {
     }
 }
 
-/// Per-run constants of the batched slice body ([`run_thread_slice`]),
-/// hoisted once per scenario.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SliceConsts {
-    lfb_latency: f64,
-    l1_latency: f64,
-    line_bytes: f64,
-    line_step: u64,
-    span_fusion: bool,
-    default_mlp: f64,
-    max_run: u64,
-}
-
-impl SliceConsts {
-    pub(crate) fn new(cfg: &MachineConfig, max_run: u64) -> Self {
-        Self {
-            lfb_latency: cfg.latency.lfb,
-            l1_latency: cfg.latency.l1,
-            line_bytes: cfg.cache.line_size as f64,
-            line_step: cfg.cache.line_size,
-            span_fusion: cfg.engine.span_fusion,
-            default_mlp: cfg.engine.default_mlp,
-            max_run,
-        }
-    }
-}
-
-/// The batched slice body ([`crate::config::ExecMode::Batched`]): advance
-/// thread `t` until its clock reaches `limit` or its stream ends, through
-/// the fused span walk, the interleaved (zip) path, and the per-line
-/// fallback. `limit` is whatever the scheduler must act on next — the
-/// round boundary, the end of a burst window, a migration time — and is
-/// tested before every line, exactly where [`reference_slice`] tests it.
-/// Returns whether the thread finished (its stream ran dry this slice).
-#[allow(clippy::too_many_arguments)] // the machine's split field borrows
-pub(crate) fn run_thread_slice<O: Observer + ?Sized>(
-    cfg: &MachineConfig,
-    sc: &SliceConsts,
-    hierarchy: &mut Hierarchy,
-    bw: &mut BandwidthModel,
-    memmap: &mut MemoryMap,
-    observer: &mut O,
+/// The slice body: advance thread `t` until its clock reaches `limit` or
+/// its stream ends, through the fused span walk, the interleaved (zip)
+/// path, and the per-line fallback. `limit` is whatever the scheduler must
+/// act on next — the round boundary, the end of a burst window, a
+/// migration time — and is tested before every line, exactly where the
+/// per-access oracle tests it. Returns whether the thread finished (its
+/// stream ran dry this slice).
+pub(crate) fn run_thread_slice(
+    ctx: &mut SchedCtx<'_>,
     counts: &mut AccessCounts,
     t: &mut ThreadCtx,
     limit: f64,
 ) -> bool {
-    let &SliceConsts { lfb_latency, l1_latency, line_bytes, line_step, span_fusion, default_mlp, max_run } = sc;
+    let cfg = ctx.cfg;
+    let (hierarchy, bw, memmap, observer) = (&mut *ctx.hierarchy, &mut *ctx.bw, &mut *ctx.memmap, &mut *ctx.observer);
+    let (lfb_latency, l1_latency, default_mlp) = (cfg.latency.lfb, cfg.latency.l1, cfg.engine.default_mlp);
+    let (line_step, line_bytes) = (cfg.cache.line_size, cfg.cache.line_size as f64);
     let mut finished = false;
     // Disjoint field borrows: the cache handle pins the hierarchy for the
     // slice while the bandwidth model, memory map, and observer stay
@@ -464,7 +422,7 @@ pub(crate) fn run_thread_slice<O: Observer + ?Sized>(
                 // whole iterations; whatever remains drains as
                 // the exact single-access runs the stream
                 // would have handed out.
-                if span_fusion && t.zip_lane == 0 && t.zip_cooldown == 0 {
+                if t.zip_lane == 0 && t.zip_cooldown == 0 {
                     zip_fuse(cfg, bw, memmap, &mut caches, counts, t, limit, line_bytes, default_mlp, &mut pending);
                     if t.zip_iter == t.zip_iters {
                         t.zip_iters = 0;
@@ -488,17 +446,15 @@ pub(crate) fn run_thread_slice<O: Observer + ?Sized>(
                 t.run = run;
                 t.run_pos = 0;
             } else {
-                if span_fusion {
-                    let iters = t.stream.next_zip(line_step, ZIP_PULL_MAX, &mut t.zip_lanes);
-                    if iters > 0 {
-                        t.zip_iters = iters;
-                        t.zip_iter = 0;
-                        t.zip_lane = 0;
-                        t.zip_cooldown = t.zip_cooldown.saturating_sub(1);
-                        continue 'slice;
-                    }
+                let iters = t.stream.next_zip(line_step, ZIP_PULL_MAX, &mut t.zip_lanes);
+                if iters > 0 {
+                    t.zip_iters = iters;
+                    t.zip_iter = 0;
+                    t.zip_lane = 0;
+                    t.zip_cooldown = t.zip_cooldown.saturating_sub(1);
+                    continue 'slice;
                 }
-                let Some(run) = t.stream.next_run(max_run) else {
+                let Some(run) = t.stream.next_run(u64::MAX) else {
                     finished = true;
                     break 'slice;
                 };
@@ -519,7 +475,7 @@ pub(crate) fn run_thread_slice<O: Observer + ?Sized>(
             // only once at least one of its lines is certain
             // to commit this round, exactly when the per-line
             // path would have resolved it.
-            if span_fusion && t.fuse_cooldown == 0 && run.stride == line_step {
+            if t.fuse_cooldown == 0 && run.stride == line_step {
                 let reps_total = run.reps as u64;
                 let mut k_cap = (run.len - t.run_pos).min(t.quiet / reps_total);
                 if k_cap >= FUSE_MIN {
@@ -780,110 +736,6 @@ pub(crate) fn run_thread_slice<O: Observer + ?Sized>(
         observer.on_run(t.thread, pending);
     }
     finished
-}
-
-/// Split mutable borrows of the machine state the reference slice body
-/// works over: configuration, cache hierarchy, bandwidth model, and
-/// memory map.
-pub(crate) struct MachineMut<'a> {
-    pub cfg: &'a MachineConfig,
-    pub hierarchy: &'a mut Hierarchy,
-    pub bw: &'a mut BandwidthModel,
-    pub memmap: &'a mut MemoryMap,
-}
-
-/// The reference slice body ([`crate::config::ExecMode::Reference`]):
-/// strictly one access at a time until the thread's clock reaches `limit` or its stream ends.
-/// The oracle [`run_thread_slice`] is held to, bit for bit. Returns whether
-/// the thread finished.
-pub(crate) fn reference_slice<O: Observer + ?Sized>(
-    m: &mut MachineMut<'_>,
-    observer: &mut O,
-    counts: &mut AccessCounts,
-    t: &mut ThreadCtx,
-    limit: f64,
-) -> bool {
-    while t.clock < limit {
-        // Single-access runs, so per-segment `compute`/`mlp` are honoured.
-        let Some(run) = t.stream.next_run(1) else {
-            return true;
-        };
-        step_single_access(m, observer, counts, t.thread, t.core, t.node, &mut t.clock, &run);
-    }
-    false
-}
-
-/// Execute one single-access run (`run.len == 1`) for a thread: cache
-/// lookup, DRAM service with the current congestion factor, clock advance,
-/// observer delivery, and the trailing same-line reps.
-#[allow(clippy::too_many_arguments)] // the machine's split field borrows
-fn step_single_access<O: Observer + ?Sized>(
-    m: &mut MachineMut<'_>,
-    observer: &mut O,
-    counts: &mut AccessCounts,
-    thread: ThreadId,
-    core: CoreId,
-    node: NodeId,
-    clock: &mut f64,
-    run: &AccessRun,
-) {
-    debug_assert_eq!(run.len, 1, "step_single_access requires single-access runs");
-    let cfg = m.cfg;
-    let compute = run.compute;
-    let mlp = run.mlp.unwrap_or(cfg.engine.default_mlp).max(1.0);
-    let addr = run.base;
-    let (source, home, latency) = match m.hierarchy.cache_access(core, addr) {
-        Some(src) => (src, None, cfg.base_latency(src)),
-        None => {
-            let home = m.memmap.home_node(addr, node);
-            let (src, service) = if home == node {
-                (DataSource::LocalDram, cfg.latency.dram_local_service)
-            } else {
-                (DataSource::RemoteDram, cfg.latency.dram_remote_service)
-            };
-            let f = m.bw.factor_for(node, home);
-            m.bw.record_dram(node, home, cfg.cache.line_size as f64);
-            (src, Some(home), cfg.latency.dram_fixed + service * f)
-        }
-    };
-    *clock += compute + latency / mlp;
-    counts.record(source);
-    *clock += observer.on_access(&AccessEvent {
-        time: *clock,
-        thread,
-        core,
-        node,
-        addr,
-        is_write: run.is_write_at(0),
-        source,
-        home,
-        latency,
-    });
-    // Remaining element loads within the same line.
-    for _ in 1..run.reps {
-        let (rep_source, rep_latency, rep_home) = if source.is_dram() {
-            // Satisfied by the in-flight fill: LFB.
-            (DataSource::Lfb, cfg.latency.lfb, home)
-        } else {
-            // Line resident: they hit L1.
-            (DataSource::L1, cfg.latency.l1, None)
-        };
-        // LFB latency is overlapped with the fill; L1 hits are charged
-        // like any hit.
-        *clock += compute + if rep_source == DataSource::Lfb { 0.0 } else { rep_latency / mlp };
-        counts.record(rep_source);
-        *clock += observer.on_access(&AccessEvent {
-            time: *clock,
-            thread,
-            core,
-            node,
-            addr,
-            is_write: run.is_write_at(0),
-            source: rep_source,
-            home: rep_home,
-            latency: rep_latency,
-        });
-    }
 }
 
 /// Assemble a run's [`RunStats`] from the final per-thread clocks, the
@@ -1286,9 +1138,9 @@ mod tests {
         eng.run_phase(vec![ThreadSpec::new(0, CoreId(999), Box::new(stream))]);
     }
 
-    /// Regression (headline bugfix): the engine used to cache each
-    /// stream's `compute_cycles()`/`mlp()` once at phase start, so a chain
-    /// whose second segment is expensive was charged the *first* segment's
+    /// Regression (headline bugfix): the engine used to read each
+    /// stream's compute and MLP once at phase start, so a chain whose
+    /// second segment is expensive was charged the *first* segment's
     /// compute for every access. With per-run costs, the expensive
     /// segment's cycles must show up in the clock.
     #[test]
@@ -1340,85 +1192,46 @@ mod tests {
         assert!(rel < 1e-9, "member order changed total cycles: {ab} vs {ba}");
     }
 
-    /// The batched inner loop is bit-identical to the reference one, for
-    /// any `max_run` cap (here with the NullObserver; the differential
-    /// integration tests add samplers).
+    /// The slice body is bit-identical to the per-access oracle (here with
+    /// the NullObserver; the differential integration tests add samplers
+    /// and run-cap schedules): on a store-mixed two-pass phase, and on a
+    /// line-stride read-only one where nearly everything — streaming, LFB
+    /// reps, first-touch and interleaved placement — commits through the
+    /// fused span walk.
     #[test]
     fn batched_matches_reference_exactly() {
         use crate::access::{BlockCyclicStream, ChainStream};
-        use crate::config::ExecMode;
-        let run = |exec: ExecMode, max_run: Option<u64>| {
-            let mut cfg = scaled();
-            cfg.engine.exec = exec;
-            let mut mm = MemoryMap::new(&cfg);
-            let a = mm.alloc("a", 8 << 20, PlacementPolicy::FirstTouch);
-            let b = mm.alloc("b", 2 << 20, PlacementPolicy::interleave_all(4));
-            let binding = cfg.topology.bind_threads(8, 4);
-            let threads: Vec<ThreadSpec> = binding
-                .iter()
-                .enumerate()
-                .map(|(i, core)| {
-                    let share = a.size / 8;
-                    let seq = SeqStream::new(a.base + i as u64 * share, share, 2, AccessMix::write_every(3))
-                        .with_compute(1.0 + i as f64)
-                        .with_reps(4);
-                    let blk = BlockCyclicStream::new(b.base, b.size, 4096, 8, i as u64, 1, AccessMix::read_only());
-                    let chain = ChainStream::new(vec![Box::new(seq), Box::new(blk)]);
-                    ThreadSpec::new(i as u32, *core, Box::new(chain))
-                })
-                .collect();
-            let mut eng = Engine::new(&cfg, mm, NullObserver);
-            if let Some(m) = max_run {
-                eng.set_max_run(m);
-            }
-            eng.run_phase(threads)
-        };
-        let reference = run(ExecMode::Reference, None);
-        for cap in [None, Some(1), Some(7), Some(64)] {
-            let batched = run(ExecMode::Batched, cap);
-            assert_eq!(batched, reference, "batched (cap {cap:?}) diverged from reference");
+        let inputs = [(AccessMix::write_every(3), 2, 1.0, 1.0), (AccessMix::read_only(), 1, 0.0, 0.5)];
+        for (mix, passes, compute_base, compute_step) in inputs {
+            let run = |oracle: bool| {
+                let cfg = scaled();
+                let mut mm = MemoryMap::new(&cfg);
+                let a = mm.alloc("a", 8 << 20, PlacementPolicy::FirstTouch);
+                let b = mm.alloc("b", 2 << 20, PlacementPolicy::interleave_all(4));
+                let binding = cfg.topology.bind_threads(8, 4);
+                let threads: Vec<ThreadSpec> = binding
+                    .iter()
+                    .enumerate()
+                    .map(|(i, core)| {
+                        let share = a.size / 8;
+                        let seq = SeqStream::new(a.base + i as u64 * share, share, passes, mix)
+                            .with_compute(compute_base + compute_step * i as f64)
+                            .with_reps(4);
+                        let blk = BlockCyclicStream::new(b.base, b.size, 4096, 8, i as u64, 1, AccessMix::read_only());
+                        let chain = ChainStream::new(vec![Box::new(seq), Box::new(blk)]);
+                        ThreadSpec::new(i as u32, *core, Box::new(chain))
+                    })
+                    .collect();
+                let mut eng = Engine::new(&cfg, mm, NullObserver);
+                let tenants = vec![TenantRun::new(0, threads)];
+                if oracle {
+                    crate::oracle::run(&mut eng, tenants)
+                } else {
+                    eng.run(tenants)
+                }
+            };
+            assert_eq!(run(false), run(true), "slice body diverged from the oracle ({mix:?})");
         }
-    }
-
-    /// The fused span walk (streaming, LFB reps, first-touch and
-    /// interleaved placement — everything the fast path commits in closed
-    /// form) is bit-identical to reference mode and to batched mode with
-    /// fusion ablated off.
-    #[test]
-    fn span_fusion_is_bit_identical_and_ablatable() {
-        use crate::access::{BlockCyclicStream, ChainStream};
-        use crate::config::ExecMode;
-        let run = |exec: ExecMode, fusion: bool| {
-            let mut cfg = scaled();
-            cfg.engine.exec = exec;
-            cfg.engine.span_fusion = fusion;
-            let mut mm = MemoryMap::new(&cfg);
-            let a = mm.alloc("a", 8 << 20, PlacementPolicy::FirstTouch);
-            let b = mm.alloc("b", 2 << 20, PlacementPolicy::interleave_all(4));
-            let binding = cfg.topology.bind_threads(8, 4);
-            let threads: Vec<ThreadSpec> = binding
-                .iter()
-                .enumerate()
-                .map(|(i, core)| {
-                    let share = a.size / 8;
-                    // Line-stride read-only streams: maximal fusion, with
-                    // reps exercising the bulk LFB path inside spans.
-                    let seq = SeqStream::new(a.base + i as u64 * share, share, 1, AccessMix::read_only())
-                        .with_compute(0.5 * i as f64)
-                        .with_reps(4);
-                    let blk = BlockCyclicStream::new(b.base, b.size, 4096, 8, i as u64, 1, AccessMix::read_only());
-                    let chain = ChainStream::new(vec![Box::new(seq), Box::new(blk)]);
-                    ThreadSpec::new(i as u32, *core, Box::new(chain))
-                })
-                .collect();
-            let mut eng = Engine::new(&cfg, mm, NullObserver);
-            eng.run_phase(threads)
-        };
-        let reference = run(ExecMode::Reference, true);
-        let fused = run(ExecMode::Batched, true);
-        let unfused = run(ExecMode::Batched, false);
-        assert_eq!(fused, reference, "fused batched mode diverged from reference");
-        assert_eq!(unfused, reference, "fusion-off batched mode diverged from reference");
     }
 
     /// Pointer chasing (mlp 1) is slower per access than streaming (mlp 4)

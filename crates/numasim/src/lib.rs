@@ -19,7 +19,8 @@
 //!   ([`bandwidth`]) — this is what produces *bandwidth contention*;
 //! * an **execution engine** that advances simulated threads, bound to
 //!   cores, through their memory [`access`] streams in deterministic
-//!   round-robin rounds ([`engine`]);
+//!   round-robin rounds ([`engine`]; the per-access reference its tests
+//!   compare against is [`oracle`]);
 //! * a **discrete-event scheduler** over the same machine state that
 //!   co-schedules several independent tenants with staggered arrivals,
 //!   bursty phases, and mid-run core migration ([`sched`]).
@@ -62,6 +63,7 @@ pub mod engine;
 pub mod fp;
 pub mod hierarchy;
 pub mod memmap;
+pub mod oracle;
 pub mod sched;
 // The one crate module allowed to use `unsafe`: the two calls into the
 // AVX2 compilations of the cache scans, each behind runtime detection.
@@ -73,14 +75,12 @@ pub mod topology;
 /// Convenient re-exports of the types most users need.
 pub mod prelude {
     pub use crate::access::{
-        Access, AccessMix, AccessRun, AccessStream, BlockCyclicStream, ChainStream, PointerChaseStream, RandomStream,
-        SeqStream, StridedStream, WithMlp, ZipStream,
+        AccessMix, AccessRun, AccessStream, BlockCyclicStream, ChainStream, PointerChaseStream, RandomStream,
+        SeqStream, WithMlp, ZipStream,
     };
     pub use crate::bandwidth::{BandwidthModel, Resource};
     pub use crate::cache::CacheStats;
-    pub use crate::config::{
-        CacheConfig, EngineConfig, ExecMode, InterconnectConfig, LatencyConfig, MachineConfig, MemConfig,
-    };
+    pub use crate::config::{CacheConfig, EngineConfig, InterconnectConfig, LatencyConfig, MachineConfig, MemConfig};
     pub use crate::engine::{AccessEvent, Engine, NullObserver, Observer, ThreadSpec};
     pub use crate::hierarchy::DataSource;
     pub use crate::memmap::{MemoryMap, ObjectHandle, ObjectId, PlacementPolicy};

@@ -39,17 +39,15 @@
 //! overshot several rounds simply sleeps through the intervening
 //! boundaries, and the bus alone keeps the round accounting advancing.
 //!
-//! ## One loop, two slice bodies
+//! ## One loop
 //!
 //! [`Scheduler::run`] is the only loop that advances rounds, and
 //! [`RoundBus::tick`] the only caller of [`BandwidthModel::end_round`].
-//! What [`crate::config::ExecMode`] selects is the *slice body* an issue
-//! unit runs inside a tick: the batched body (fused span proofs,
-//! closed-form clock collapse, observer `run_hint`/`on_run`) or the
-//! reference body (strictly one access at a time), both in
-//! [`crate::engine`]. Each takes a `limit` and tests `clock < limit`
-//! before every line. A tick alternates its scenario gates — burst idle
-//! windows, due migrations — with a slice bounded by
+//! Inside a tick an issue unit runs its *slice body* — `engine`'s
+//! `run_thread_slice`: fused span proofs, closed-form clock collapse,
+//! observer `run_hint`/`on_run` — which takes a `limit` and tests
+//! `clock < limit` before every line. A tick alternates its scenario gates
+//! — burst idle windows, due migrations — with a slice bounded by
 //!
 //! ```text
 //! limit = min(now, burst_off_at, next migration time)
@@ -57,21 +55,17 @@
 //!
 //! so a slice stops at exactly the access after which a gate would fire
 //! (`clock >= burst_off_at`, `at_cycles <= clock`) or the round ends
-//! (`clock >= now`), in either body. For a plain tenant the last two terms
-//! are infinite and the slice is the whole round. The reference body is
-//! the oracle: the differential suites (`tests/differential.rs`,
-//! `tests/scheduler.rs` at the workspace root, and the unit tests below)
-//! hold the batched body to it bit for bit, on stats *and* sampled events,
-//! including under bursts, migrations and staggered arrivals.
+//! (`clock >= now`). For a plain tenant the last two terms are infinite
+//! and the slice is the whole round. The body is an argument of the loop
+//! (`SliceBody`) only so that [`crate::oracle`] can drive these same
+//! rounds and gates one access at a time; nothing else passes another.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use crate::bandwidth::BandwidthModel;
-use crate::config::{ExecMode, MachineConfig};
-use crate::engine::{
-    collect_run_stats, reference_slice, run_thread_slice, MachineMut, Observer, SliceConsts, ThreadCtx, ThreadSpec,
-};
+use crate::config::MachineConfig;
+use crate::engine::{collect_run_stats, Observer, ThreadCtx, ThreadSpec};
 use crate::hierarchy::Hierarchy;
 use crate::memmap::MemoryMap;
 use crate::stats::{AccessCounts, RunStats};
@@ -165,6 +159,11 @@ pub struct SchedCtx<'a> {
     pub observer: &'a mut dyn Observer,
 }
 
+/// What an [`IssueUnit`] runs between gates: advance the thread until its
+/// clock reaches the `f64` limit or its stream ends, and say whether it
+/// ended.
+pub(crate) type SliceBody = fn(&mut SchedCtx<'_>, &mut AccessCounts, &mut ThreadCtx, f64) -> bool;
+
 /// A discrete-event participant. See the [module docs](self) for the
 /// clock discipline components must follow: every wake time returned from
 /// [`Component::next_tick`] must lie on the round grid, computed by
@@ -245,7 +244,7 @@ impl Scheduler {
 pub struct IssueUnit {
     tenant: TenantId,
     t: ThreadCtx,
-    sc: SliceConsts,
+    body: SliceBody,
     wake: Option<f64>,
     round: f64,
     burst: Option<BurstConfig>,
@@ -266,7 +265,7 @@ impl IssueUnit {
         t: ThreadCtx,
         burst: Option<BurstConfig>,
         migrations: Vec<Migration>,
-        sc: SliceConsts,
+        body: SliceBody,
         round: f64,
         live: Rc<Cell<usize>>,
     ) -> Self {
@@ -281,7 +280,7 @@ impl IssueUnit {
         Self {
             tenant,
             t,
-            sc,
+            body,
             wake: Some(w),
             round,
             burst,
@@ -344,24 +343,7 @@ impl Component for IssueUnit {
             // strictly past the clock and the slice makes progress.
             let next_migration = self.migrations.get(self.mig_next).map_or(f64::INFINITY, |m| m.at_cycles);
             let limit = now.min(self.burst_off_at).min(next_migration);
-            let finished = match ctx.cfg.engine.exec {
-                ExecMode::Batched => run_thread_slice(
-                    ctx.cfg,
-                    &self.sc,
-                    ctx.hierarchy,
-                    ctx.bw,
-                    ctx.memmap,
-                    ctx.observer,
-                    &mut self.counts,
-                    t,
-                    limit,
-                ),
-                ExecMode::Reference => {
-                    let mut m = MachineMut { cfg: ctx.cfg, hierarchy: ctx.hierarchy, bw: ctx.bw, memmap: ctx.memmap };
-                    reference_slice(&mut m, ctx.observer, &mut self.counts, t, limit)
-                }
-            };
-            if finished {
+            if (self.body)(ctx, &mut self.counts, t, limit) {
                 self.wake = None;
                 self.live.set(self.live.get() - 1);
                 return;
@@ -427,8 +409,7 @@ pub struct TenantStats {
     pub thread_cycles: Vec<f64>,
 }
 
-/// A completed scenario: machine-wide [`RunStats`] (bit-identical to the
-/// reference engine for a single plain tenant) plus per-tenant slices.
+/// A completed scenario: machine-wide [`RunStats`] plus per-tenant slices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioStats {
     /// Machine-wide statistics over all tenants.
@@ -527,22 +508,18 @@ fn validate(cfg: &MachineConfig, tenants: &[TenantRun]) -> Result<(), ScenarioEr
     Ok(())
 }
 
-/// Run `tenants` to stream exhaustion over the given machine state: the
-/// body of [`crate::engine::Engine::try_run`]. `max_run` caps the accesses
-/// the batched slice body pulls per stream call.
+/// Run `tenants` to stream exhaustion over the machine state in `ctx`,
+/// every thread through `body`: what [`crate::engine::Engine::try_run`]
+/// does.
 pub(crate) fn run_tenants(
-    cfg: &MachineConfig,
-    hierarchy: &mut Hierarchy,
-    bw: &mut BandwidthModel,
-    memmap: &mut MemoryMap,
-    observer: &mut dyn Observer,
+    mut ctx: SchedCtx<'_>,
     tenants: Vec<TenantRun>,
-    max_run: u64,
+    body: SliceBody,
 ) -> Result<ScenarioStats, ScenarioError> {
+    let cfg = ctx.cfg;
     validate(cfg, &tenants)?;
     let topo = &cfg.topology;
     let round = cfg.engine.round_cycles;
-    let sc = SliceConsts::new(cfg, max_run);
     let n_units: usize = tenants.iter().map(|t| t.threads.len()).sum();
     let live = Rc::new(Cell::new(n_units));
 
@@ -557,17 +534,16 @@ pub(crate) fn run_tenants(
                 run.migrations.iter().copied().filter(|m| m.thread == spec.thread).collect();
             migrations.sort_by(|a, b| a.at_cycles.total_cmp(&b.at_cycles));
             let t = ThreadCtx::new(spec, node, run.arrival_cycles);
-            units.push(IssueUnit::new(run.tenant, t, run.burst, migrations, sc, round, Rc::clone(&live)));
+            units.push(IssueUnit::new(run.tenant, t, run.burst, migrations, body, round, Rc::clone(&live)));
         }
         tenant_ranges.push((run.tenant, start, units.len()));
     }
 
-    bw.reset();
+    ctx.bw.reset();
     let mut bus = RoundBus::new(round, Rc::clone(&live));
     {
         let mut components: Vec<&mut dyn Component> = units.iter_mut().map(|u| u as &mut dyn Component).collect();
         components.push(&mut bus);
-        let mut ctx = SchedCtx { cfg, hierarchy, bw, memmap, observer };
         Scheduler::new().run(&mut components, &mut ctx);
     }
 
@@ -575,7 +551,7 @@ pub(crate) fn run_tenants(
     for u in &units {
         total.merge(&u.counts);
     }
-    let run = collect_run_stats(bw, units.iter().map(|u| u.t.clock).collect(), total);
+    let run = collect_run_stats(ctx.bw, units.iter().map(|u| u.t.clock).collect(), total);
     let tenants = tenant_ranges
         .into_iter()
         .map(|(tenant, start, end)| {
@@ -592,7 +568,7 @@ pub(crate) fn run_tenants(
             }
         })
         .collect();
-    observer.on_phase_end(&run);
+    ctx.observer.on_phase_end(&run);
     Ok(ScenarioStats { run, tenants })
 }
 
@@ -600,7 +576,6 @@ pub(crate) fn run_tenants(
 mod tests {
     use super::*;
     use crate::access::{AccessMix, AccessStream, ChainStream, RandomStream, SeqStream};
-    use crate::config::ExecMode;
     use crate::engine::{Engine, NullObserver};
     use crate::memmap::PlacementPolicy;
     use crate::topology::NodeId;
@@ -635,16 +610,15 @@ mod tests {
     }
 
     /// The tentpole acceptance property, stats half: one plain tenant
-    /// through the scheduler reproduces `ExecMode::Reference` bit-for-bit
+    /// through the scheduler reproduces the per-access oracle bit-for-bit
     /// (the sampled-events half lives in `tests/scheduler.rs`).
     #[test]
     fn single_tenant_matches_reference_bit_for_bit() {
-        let mut cfg = scaled();
-        cfg.engine.exec = ExecMode::Reference;
+        let cfg = scaled();
         let mut mm_ref = MemoryMap::new(&cfg);
         let threads_ref = build_threads(&mut mm_ref, &cfg, 0, 8);
         let mut eng = Engine::new(&cfg, mm_ref, NullObserver);
-        let reference = eng.run_phase(threads_ref);
+        let reference = crate::oracle::run(&mut eng, vec![TenantRun::new(0, threads_ref)]).run;
 
         let mut mm = MemoryMap::new(&cfg);
         let threads = build_threads(&mut mm, &cfg, 0, 8);
@@ -736,21 +710,21 @@ mod tests {
         assert!(migrated.run.cycles > pinned.run.cycles, "remote tail should cost cycles");
     }
 
-    /// Run a scenario under both slice bodies and hold the batched one to
-    /// the reference, returning the (common) stats and the final memory map.
+    /// Run a scenario under the slice body and under the oracle and hold
+    /// the one to the other, returning the (common) stats and the final
+    /// memory map.
     fn both_bodies(build: impl Fn(&MachineConfig, &mut MemoryMap) -> Vec<TenantRun>) -> (ScenarioStats, MemoryMap) {
-        let run = |exec: ExecMode| {
-            let mut cfg = scaled();
-            cfg.engine.exec = exec;
+        let run = |oracle: bool| {
+            let cfg = scaled();
             let mut mm = MemoryMap::new(&cfg);
             let tenants = build(&cfg, &mut mm);
             let mut eng = Engine::new(&cfg, mm, NullObserver);
-            let stats = eng.run(tenants);
+            let stats = if oracle { crate::oracle::run(&mut eng, tenants) } else { eng.run(tenants) };
             (stats, eng.into_parts().0)
         };
-        let (reference, _) = run(ExecMode::Reference);
-        let (batched, mm) = run(ExecMode::Batched);
-        assert_eq!(batched, reference, "batched slice body diverged from the reference body");
+        let (reference, _) = run(true);
+        let (batched, mm) = run(false);
+        assert_eq!(batched, reference, "slice body diverged from the oracle");
         (batched, mm)
     }
 
@@ -774,7 +748,7 @@ mod tests {
     /// object is homed on whichever node reads it and its span is the whole
     /// object, so a span resolved before the move would keep sending the
     /// rest of the scan to the old node's replica — remote traffic the
-    /// reference body never sees. (Fails with `ThreadCtx::rebind`'s span
+    /// oracle never sees. (Fails with `ThreadCtx::rebind`'s span
     /// reset removed: `remote_dram` is the post-move half of the scan.)
     #[test]
     fn migration_re_resolves_a_replicated_span() {
@@ -784,7 +758,7 @@ mod tests {
     }
 
     /// Pages of an untouched first-touch object that the thread reaches
-    /// after it moved are homed on its new node, under either body.
+    /// after it moved are homed on its new node, by the slice body and the oracle alike.
     #[test]
     fn migration_first_touches_on_the_new_node() {
         let (stats, mm) = scan_across_a_move(PlacementPolicy::FirstTouch);
@@ -829,12 +803,11 @@ mod tests {
                 0.0
             }
         }
-        let mut cfg = scaled();
-        cfg.engine.exec = ExecMode::Reference;
+        let cfg = scaled();
         let mut mm = MemoryMap::new(&cfg);
         let (tenant, _) = mover(&mut mm, &cfg);
         let mut eng = Engine::new(&cfg, mm, FillsOnCore0(0));
-        eng.run(vec![tenant]);
+        crate::oracle::run(&mut eng, vec![tenant]);
         let installs_at_move = eng.observer().0;
         assert!((100..4000).contains(&installs_at_move), "the move must land mid-scan, got {installs_at_move}");
 

@@ -8,9 +8,7 @@
 //! A run's result is therefore a pure function of
 //!
 //! * the full [`MachineConfig`] (topology, cache geometry, latencies,
-//!   bandwidths, congestion knobs, engine scheduling — including the
-//!   execution mode and span-fusion switch, both proven bit-identical but
-//!   hashed anyway so a key never has to argue about equivalence classes),
+//!   bandwidths, congestion knobs, engine scheduling),
 //! * the workload's name plus the full [`RunConfig`] — the phase
 //!   `ThreadSpec`s themselves hold `Box<dyn AccessStream>` trait objects
 //!   and cannot be hashed, but by the deterministic-build contract they are
@@ -26,7 +24,7 @@
 //! length-prefixed or via a fixed-width encoding, so field boundaries
 //! cannot alias.
 
-use numasim::config::{ExecMode, MachineConfig};
+use numasim::config::MachineConfig;
 use pebs::sampler::SamplerConfig;
 use workloads::config::{Input, RunConfig, Variant};
 use workloads::plan::PlanAction;
@@ -38,7 +36,10 @@ use workloads::plan::PlanAction;
 ///
 /// v2: `RunStats` gained `mc_avg_rho` (codec change) and `RunConfig`
 /// gained the guided-optimization placement plan (key change).
-pub const SCHEMA_VERSION: u32 = 2;
+///
+/// v3: the key stopped hashing the engine's execution-mode and span-fusion
+/// tags when those options left `EngineConfig` (key change).
+pub const SCHEMA_VERSION: u32 = 3;
 
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 const LANE_A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325; // standard FNV-1a offset basis
@@ -215,11 +216,6 @@ fn hash_machine(h: &mut KeyHasher, m: &MachineConfig) {
 
     h.f64(m.engine.round_cycles);
     h.f64(m.engine.default_mlp);
-    h.tag(match m.engine.exec {
-        ExecMode::Batched => 0,
-        ExecMode::Reference => 1,
-    });
-    h.tag(m.engine.span_fusion as u8);
 }
 
 fn hash_run_config(h: &mut KeyHasher, r: &RunConfig) {
@@ -313,7 +309,7 @@ mod tests {
         assert_ne!(k0, RunKey::for_run(&m2, "Sumv", &rcfg, Some(&scfg)));
 
         let mut m3 = mcfg.clone();
-        m3.engine.span_fusion = false;
+        m3.engine.round_cycles *= 2.0;
         assert_ne!(k0, RunKey::for_run(&m3, "Sumv", &rcfg, Some(&scfg)));
 
         assert_ne!(k0, RunKey::for_run(&mcfg, "Dotv", &rcfg, Some(&scfg)));

@@ -1,74 +1,24 @@
-//! Differential tests for the run-batched engine: [`ExecMode::Batched`]
-//! must reproduce [`ExecMode::Reference`] *bit-for-bit* — `RunStats`
+//! Differential tests for the engine's slice body: it must reproduce the
+//! per-access oracle (`numasim::oracle::run`) *bit-for-bit* — `RunStats`
 //! (including per-channel bytes), the PEBS sample log, and every sampler
-//! counter — for any interleaving of `next_run` sizes. No float
-//! tolerances anywhere in this file.
+//! counter — for any interleaving of `next_run` / `next_zip` sizes. No
+//! float tolerances anywhere in this file.
 
-use numasim::access::{Access, AccessMix, AccessRun, AccessStream, BlockCyclicStream, ChainStream, SeqStream, WithMlp};
+mod common;
+
+use common::{observe_phase, run_on, sampler, sampler_config, Outcome, ScheduledRuns};
+use numasim::access::{AccessMix, AccessStream, BlockCyclicStream, ChainStream, SeqStream, WithMlp, ZipStream};
 use numasim::cache::{Cache, CacheStats};
-use numasim::config::{ExecMode, MachineConfig};
+use numasim::config::MachineConfig;
 use numasim::engine::{Engine, ThreadSpec};
 use numasim::hierarchy::Hierarchy;
 use numasim::memmap::{MemoryMap, PlacementPolicy};
-use numasim::stats::RunStats;
+use numasim::sched::TenantRun;
 use numasim::topology::CoreId;
 use pebs::ring::BlockRing;
-use pebs::sample::MemSample;
 use pebs::sampler::{AddressSampler, SamplerConfig};
 use pebs::stream::StreamingSampler;
 use proptest::prelude::*;
-
-/// Wraps a stream and clips each `next_run` request to a cycling schedule
-/// of caps, so a single phase exercises many run-boundary shapes (and, via
-/// `u64::MAX` entries, the engine's own cap).
-struct ScheduledRuns {
-    inner: Box<dyn AccessStream>,
-    schedule: Vec<u64>,
-    next: usize,
-}
-
-impl ScheduledRuns {
-    fn new(inner: Box<dyn AccessStream>, schedule: Vec<u64>) -> Self {
-        assert!(!schedule.is_empty() && schedule.iter().all(|&c| c >= 1));
-        Self { inner, schedule, next: 0 }
-    }
-
-    fn next_cap(&mut self) -> u64 {
-        let cap = self.schedule[self.next];
-        self.next = (self.next + 1) % self.schedule.len();
-        cap
-    }
-}
-
-impl AccessStream for ScheduledRuns {
-    fn next_access(&mut self) -> Option<Access> {
-        self.inner.next_access()
-    }
-
-    fn compute_cycles(&self) -> f64 {
-        self.inner.compute_cycles()
-    }
-
-    fn mlp(&self) -> Option<f64> {
-        self.inner.mlp()
-    }
-
-    fn is_done(&self) -> bool {
-        self.inner.is_done()
-    }
-
-    fn next_run(&mut self, max: u64) -> Option<AccessRun> {
-        let cap = self.next_cap().min(max);
-        self.inner.next_run(cap)
-    }
-
-    /// Interleaved pulls are clipped like runs are. (`seq_window` is not
-    /// forwarded: a clipped `next_run` could not honour the peek.)
-    fn next_zip(&mut self, line_step: u64, max_iters: u64, lanes: &mut Vec<AccessRun>) -> u64 {
-        let cap = self.next_cap().min(max_iters);
-        self.inner.next_zip(line_step, cap, lanes)
-    }
-}
 
 /// A contended multi-thread phase mixing everything the batcher has to get
 /// right: write mixes, reps (LFB events), per-segment compute (the
@@ -87,69 +37,31 @@ fn make_threads(cfg: &MachineConfig, mm: &mut MemoryMap, schedule: Option<&[u64]
                 .with_compute(0.5 * i as f64)
                 .with_reps(4);
             let blk = BlockCyclicStream::new(b.base, b.size, 4096, 8, i as u64, 1, AccessMix::read_only());
-            let chain: Box<dyn AccessStream> =
-                Box::new(ChainStream::new(vec![Box::new(seq), Box::new(WithMlp::new(blk, 2.0))]));
-            let stream: Box<dyn AccessStream> = match schedule {
-                Some(s) => Box::new(ScheduledRuns::new(chain, s.to_vec())),
-                None => chain,
-            };
-            ThreadSpec::new(i as u32, *core, stream)
+            let chain = ChainStream::new(vec![Box::new(seq), Box::new(WithMlp::new(blk, 2.0))]);
+            ThreadSpec::new(i as u32, *core, ScheduledRuns::wrap(Box::new(chain), schedule))
         })
         .collect()
 }
 
-/// A sampler aggressive enough to take many samples, suppress some below
-/// the (jittered) threshold, and perturb thread clocks per sample.
-fn sampler() -> AddressSampler {
-    AddressSampler::new(SamplerConfig {
-        period: 23,
-        latency_threshold: 150.0,
-        latency_jitter: 0.3,
-        per_sample_cost: 40.0,
-    })
-}
-
-/// Everything observable from one run: engine stats plus sampler state.
-#[derive(Debug, PartialEq)]
-struct Outcome {
-    stats: RunStats,
-    samples: Vec<MemSample>,
-    observed: u64,
-    suppressed: u64,
-}
-
-fn run_sampled(exec: ExecMode, span_fusion: bool, schedule: Option<&[u64]>) -> Outcome {
-    let mut cfg = MachineConfig::scaled();
-    cfg.engine.exec = exec;
-    cfg.engine.span_fusion = span_fusion;
+fn run_sampled(oracle: bool, schedule: Option<&[u64]>) -> Outcome {
+    let cfg = MachineConfig::scaled();
     let mut mm = MemoryMap::new(&cfg);
     let threads = make_threads(&cfg, &mut mm, schedule);
-    let mut eng = Engine::new(&cfg, mm, sampler());
-    let stats = eng.run_phase(threads);
-    let (_, s) = eng.into_parts();
-    Outcome {
-        stats,
-        observed: s.observed_accesses(),
-        suppressed: s.suppressed_samples(),
-        samples: s.samples().to_vec(),
-    }
+    observe_phase(&cfg, mm, sampler(23), threads, oracle)
 }
 
-/// The tentpole guarantee: batched == reference, bit for bit, with a live
+/// The tentpole guarantee: slice body == oracle, bit for bit, with a live
 /// PEBS sampler attached — `RunStats` (hence channel bytes), the full
 /// sample log, the observed-access counter (which salts latency jitter),
-/// and the suppression counter — with the fused span walk on and ablated.
+/// and the suppression counter — under every run-cap schedule.
 #[test]
 fn batched_reproduces_reference_bit_for_bit() {
-    let reference = run_sampled(ExecMode::Reference, true, None);
+    let reference = run_sampled(true, None);
     assert!(!reference.samples.is_empty(), "phase must actually sample");
     assert!(reference.suppressed > 0, "threshold must actually suppress");
     let schedules: [Option<&[u64]>; 5] = [None, Some(&[1]), Some(&[7]), Some(&[64]), Some(&[1, 7, 64, u64::MAX])];
-    for span_fusion in [true, false] {
-        for schedule in schedules {
-            let batched = run_sampled(ExecMode::Batched, span_fusion, schedule);
-            assert_eq!(batched, reference, "batched run (fusion {span_fusion}, schedule {schedule:?}) diverged");
-        }
+    for schedule in schedules {
+        assert_eq!(run_sampled(false, schedule), reference, "batched run (schedule {schedule:?}) diverged");
     }
 }
 
@@ -157,17 +69,13 @@ fn batched_reproduces_reference_bit_for_bit() {
 /// contents and overflow accounting match per-event delivery exactly.
 #[test]
 fn streaming_sampler_ring_is_identical_across_modes() {
-    let run = |exec: ExecMode| {
-        let mut cfg = MachineConfig::scaled();
-        cfg.engine.exec = exec;
+    let run = |oracle: bool| {
+        let cfg = MachineConfig::scaled();
         let mut mm = MemoryMap::new(&cfg);
         let threads = make_threads(&cfg, &mut mm, None);
-        let obs = StreamingSampler::new(
-            SamplerConfig { period: 23, latency_threshold: 150.0, latency_jitter: 0.3, per_sample_cost: 40.0 },
-            BlockRing::new(1 << 16),
-        );
+        let obs = StreamingSampler::new(sampler_config(23), BlockRing::new(1 << 16));
         let mut eng = Engine::new(&cfg, mm, obs);
-        let stats = eng.run_phase(threads);
+        let stats = run_on(&mut eng, vec![TenantRun::new(0, threads)], oracle).run;
         let (_, s) = eng.into_parts();
         let observed = s.observed_accesses();
         let mut ring = s.into_ring();
@@ -177,19 +85,17 @@ fn streaming_sampler_ring_is_identical_across_modes() {
         }
         (stats, observed, ring.dropped(), drained)
     };
-    let reference = run(ExecMode::Reference);
-    let batched = run(ExecMode::Batched);
+    let reference = run(true);
+    let batched = run(false);
     assert!(!reference.3.is_empty(), "ring must carry samples");
     assert_eq!(batched, reference);
 }
 
 /// Property: *any* interleaving of run sizes — including ones that chop
 /// runs mid-line-group or span segment boundaries — reproduces the
-/// reference access-for-access. Smaller machine so 64 cases stay cheap.
-fn run_tiny(exec: ExecMode, span_fusion: bool, schedule: Option<&[u64]>) -> Outcome {
-    let mut cfg = MachineConfig::tiny();
-    cfg.engine.exec = exec;
-    cfg.engine.span_fusion = span_fusion;
+/// oracle access-for-access. Smaller machine so 64 cases stay cheap.
+fn run_tiny(oracle: bool, schedule: Option<&[u64]>) -> Outcome {
+    let cfg = MachineConfig::tiny();
     let mut mm = MemoryMap::new(&cfg);
     let a = mm.alloc("a", 256 << 10, PlacementPolicy::FirstTouch);
     let b = mm.alloc("b", 128 << 10, PlacementPolicy::interleave_all(2));
@@ -200,29 +106,16 @@ fn run_tiny(exec: ExecMode, span_fusion: bool, schedule: Option<&[u64]>) -> Outc
                 .with_compute(0.5 * i as f64)
                 .with_reps(4);
             let blk = BlockCyclicStream::new(b.base, b.size, 4096, 4, i, 1, AccessMix::read_only());
-            let chain: Box<dyn AccessStream> =
-                Box::new(ChainStream::new(vec![Box::new(seq), Box::new(WithMlp::new(blk, 2.0))]));
-            let stream: Box<dyn AccessStream> = match schedule {
-                Some(s) => Box::new(ScheduledRuns::new(chain, s.to_vec())),
-                None => chain,
-            };
-            ThreadSpec::new(i as u32, numasim::topology::CoreId((i % 4) as u32), stream)
+            let chain = ChainStream::new(vec![Box::new(seq), Box::new(WithMlp::new(blk, 2.0))]);
+            ThreadSpec::new(i as u32, CoreId((i % 4) as u32), ScheduledRuns::wrap(Box::new(chain), schedule))
         })
         .collect();
-    let mut eng = Engine::new(&cfg, mm, sampler());
-    let stats = eng.run_phase(threads);
-    let (_, s) = eng.into_parts();
-    Outcome {
-        stats,
-        observed: s.observed_accesses(),
-        suppressed: s.suppressed_samples(),
-        samples: s.samples().to_vec(),
-    }
+    observe_phase(&cfg, mm, sampler(23), threads, oracle)
 }
 
 fn tiny_reference() -> &'static Outcome {
     static REF: std::sync::OnceLock<Outcome> = std::sync::OnceLock::new();
-    REF.get_or_init(|| run_tiny(ExecMode::Reference, true, None))
+    REF.get_or_init(|| run_tiny(true, None))
 }
 
 fn arb_cap() -> impl Strategy<Value = u64> {
@@ -231,26 +124,19 @@ fn arb_cap() -> impl Strategy<Value = u64> {
 
 proptest! {
     #[test]
-    fn arbitrary_run_schedules_match_reference(
-        span_fusion in any::<bool>(),
-        schedule in proptest::collection::vec(arb_cap(), 1..6),
-    ) {
-        let batched = run_tiny(ExecMode::Batched, span_fusion, Some(&schedule));
-        prop_assert_eq!(&batched, tiny_reference(), "fusion {} schedule {:?} diverged", span_fusion, schedule);
+    fn arbitrary_run_schedules_match_reference(schedule in proptest::collection::vec(arb_cap(), 1..6)) {
+        prop_assert_eq!(&run_tiny(false, Some(&schedule)), tiny_reference(), "schedule {:?} diverged", schedule);
     }
 }
 
 /// A fused-walk-heavy phase: line-stride read-only streams (maximal span
 /// fusion, LFB reps inside spans) over first-touch and interleaved
 /// placement, with the live sampler chopping spans at every sample point.
-/// Reference, fused-batched, and fusion-ablated batched must agree on
-/// everything observable.
+/// The slice body and the oracle must agree on everything observable.
 #[test]
 fn fused_streaming_phase_matches_reference_under_sampling() {
-    let run = |exec: ExecMode, fusion: bool| {
-        let mut cfg = MachineConfig::scaled();
-        cfg.engine.exec = exec;
-        cfg.engine.span_fusion = fusion;
+    let run = |oracle: bool| {
+        let cfg = MachineConfig::scaled();
         let mut mm = MemoryMap::new(&cfg);
         let a = mm.alloc("a", 8 << 20, PlacementPolicy::FirstTouch);
         let b = mm.alloc("b", 2 << 20, PlacementPolicy::interleave_all(cfg.topology.num_nodes()));
@@ -264,41 +150,32 @@ fn fused_streaming_phase_matches_reference_under_sampling() {
                     .with_compute(0.5 * i as f64)
                     .with_reps(4);
                 let blk = BlockCyclicStream::new(b.base, b.size, 4096, 8, i as u64, 1, AccessMix::read_only());
-                let chain: Box<dyn AccessStream> =
-                    Box::new(ChainStream::new(vec![Box::new(seq), Box::new(WithMlp::new(blk, 2.0))]));
-                ThreadSpec::new(i as u32, *core, chain)
+                let chain = ChainStream::new(vec![Box::new(seq), Box::new(WithMlp::new(blk, 2.0))]);
+                ThreadSpec::new(i as u32, *core, Box::new(chain))
             })
             .collect();
-        let mut eng = Engine::new(&cfg, mm, sampler());
-        let stats = eng.run_phase(threads);
-        let (_, s) = eng.into_parts();
-        Outcome {
-            stats,
-            observed: s.observed_accesses(),
-            suppressed: s.suppressed_samples(),
-            samples: s.samples().to_vec(),
-        }
+        observe_phase(&cfg, mm, sampler(23), threads, oracle)
     };
-    let reference = run(ExecMode::Reference, true);
+    let reference = run(true);
     assert!(!reference.samples.is_empty(), "phase must actually sample");
-    let fused = run(ExecMode::Batched, true);
-    let unfused = run(ExecMode::Batched, false);
-    assert_eq!(fused, reference, "fused batched run diverged");
-    assert_eq!(unfused, reference, "fusion-ablated batched run diverged");
+    assert_eq!(run(false), reference, "fused batched run diverged");
 }
 
-/// Zip-heavy phase (dotv-shaped): multi-lane `ZipStream`s whose `next_run`
+/// Zip-heavy phases (dotv-shaped): multi-lane `ZipStream`s whose `next_run`
 /// degrades to length-1 runs, so batched throughput rides on `next_zip` +
 /// the interleaved replay. Interleaved placement makes home segments end
 /// mid-span (segment-flush accounting), a shorter write lane drains early
 /// (live-set shrink mid-phase), and the sampler chops spans at every
-/// sample point. Reference, fused, and fusion-ablated must agree exactly.
+/// sample point. The bare zip runs under a period long enough that the
+/// observer's quiet budget lets interleaved spans commit (and cross the
+/// 4 KiB interleave boundary mid-span). The AMG-shaped one — the whole zip
+/// under an MLP override, its third lane block-cyclic — must keep every
+/// lane's override through `next_zip`: under period 23 (short commits),
+/// period 1 (every lane line drained singly) and period 997.
 #[test]
 fn zipped_streams_match_reference_under_sampling() {
-    let run = |exec: ExecMode, fusion: bool| {
-        let mut cfg = MachineConfig::scaled();
-        cfg.engine.exec = exec;
-        cfg.engine.span_fusion = fusion;
+    let run = |oracle: bool, wrapped: bool, period: u64| {
+        let cfg = MachineConfig::scaled();
         let mut mm = MemoryMap::new(&cfg);
         let a = mm.alloc("a", 4 << 20, PlacementPolicy::FirstTouch);
         let b = mm.alloc("b", 4 << 20, PlacementPolicy::interleave_all(cfg.topology.num_nodes()));
@@ -309,51 +186,39 @@ fn zipped_streams_match_reference_under_sampling() {
             .enumerate()
             .map(|(i, core)| {
                 let (sa, sb, sc) = (a.size / 8, b.size / 8, c.size / 8);
-                let lanes: Vec<Box<dyn AccessStream>> = vec![
+                let third: Box<dyn AccessStream> = if wrapped {
+                    Box::new(BlockCyclicStream::new(c.base, c.size, 4096, 8, i as u64, 2, AccessMix::write_every(1)))
+                } else {
+                    Box::new(SeqStream::new(c.base + i as u64 * sc, sc, 2, AccessMix::write_every(1)).with_reps(2))
+                };
+                let zip = ZipStream::new(vec![
                     Box::new(
                         SeqStream::new(a.base + i as u64 * sa, sa, 2, AccessMix::read_only())
                             .with_compute(0.25 * i as f64)
                             .with_reps(4),
                     ),
                     Box::new(SeqStream::new(b.base + i as u64 * sb, sb, 2, AccessMix::read_only()).with_reps(4)),
-                    Box::new(SeqStream::new(c.base + i as u64 * sc, sc, 2, AccessMix::write_every(1)).with_reps(2)),
-                ];
-                ThreadSpec::new(i as u32, *core, Box::new(numasim::access::ZipStream::new(lanes)))
+                    third,
+                ]);
+                let stream: Box<dyn AccessStream> =
+                    if wrapped { Box::new(WithMlp::new(zip, 2.0)) } else { Box::new(zip) };
+                ThreadSpec::new(i as u32, *core, stream)
             })
             .collect();
-        // A longer period than `sampler()` so the observer's quiet budget
-        // lets interleaved spans commit (and cross the 4 KiB interleave
-        // boundary mid-span), while still sampling often enough to chop
-        // spans at many distinct points.
-        let obs = AddressSampler::new(SamplerConfig {
-            period: 997,
-            latency_threshold: 150.0,
-            latency_jitter: 0.3,
-            per_sample_cost: 40.0,
-        });
-        let mut eng = Engine::new(&cfg, mm, obs);
-        let stats = eng.run_phase(threads);
-        let (_, s) = eng.into_parts();
-        Outcome {
-            stats,
-            observed: s.observed_accesses(),
-            suppressed: s.suppressed_samples(),
-            samples: s.samples().to_vec(),
-        }
+        observe_phase(&cfg, mm, sampler(period), threads, oracle)
     };
-    let reference = run(ExecMode::Reference, true);
-    assert!(!reference.samples.is_empty(), "phase must actually sample");
-    let fused = run(ExecMode::Batched, true);
-    let unfused = run(ExecMode::Batched, false);
-    assert_eq!(fused, reference, "fused batched zip run diverged");
-    assert_eq!(unfused, reference, "fusion-ablated batched zip run diverged");
+    for (wrapped, period) in [(false, 997), (true, 23), (true, 1), (true, 997)] {
+        let reference = run(true, wrapped, period);
+        assert!(!reference.samples.is_empty(), "phase must actually sample");
+        assert_eq!(run(false, wrapped, period), reference, "zip run (wrapped {wrapped}, period {period}) diverged");
+    }
 }
 
 /// The store pattern rides the run: runs now span stores, so the engine
 /// evaluates `is_write` per delivered event from the run's period and
 /// phase. Every stream shape that hands out such runs — sequential (with a
 /// wrap), block-cyclic, and two- and 29-lane zips that mix both — must
-/// report the direction the per-access reference reports, for every event
+/// report the direction the per-access oracle reports, for every event
 /// (the period-1 sampler records them all, so nothing fuses and every
 /// position of every long run is evaluated) and at the events that follow
 /// fused commits (period 997), for any `next_run`/`next_zip` cap schedule.
@@ -366,9 +231,8 @@ fn store_pattern_matches_reference_for_every_event() {
         Zip2,
         Zip29,
     }
-    let run = |exec: ExecMode, shape: Shape, we: u32, reps: u16, period: u64, schedule: Option<&[u64]>| {
-        let mut cfg = MachineConfig::tiny();
-        cfg.engine.exec = exec;
+    let run = |oracle: bool, shape: Shape, we: u32, reps: u16, period: u64, schedule: Option<&[u64]>| {
+        let cfg = MachineConfig::tiny();
         let mut mm = MemoryMap::new(&cfg);
         let a = mm.alloc("a", 256 << 10, PlacementPolicy::FirstTouch);
         let b = mm.alloc("b", 128 << 10, PlacementPolicy::interleave_all(2));
@@ -386,7 +250,7 @@ fn store_pattern_matches_reference_for_every_event() {
                 let stream: Box<dyn AccessStream> = match shape {
                     Shape::Seq => seq(),
                     Shape::BlockCyclic => blk(),
-                    Shape::Zip2 => Box::new(numasim::access::ZipStream::new(vec![seq(), blk()])),
+                    Shape::Zip2 => Box::new(ZipStream::new(vec![seq(), blk()])),
                     Shape::Zip29 => {
                         // 29 slices of the share, of staggered lengths so
                         // lanes drain one by one and counters desynchronise.
@@ -395,38 +259,21 @@ fn store_pattern_matches_reference_for_every_event() {
                             let base = a.base + i * share + j * slice;
                             Box::new(SeqStream::new(base, slice - 64 * (j % 5), 2, mix).with_reps(reps))
                         });
-                        Box::new(numasim::access::ZipStream::new(lanes.collect()))
+                        Box::new(ZipStream::new(lanes.collect()))
                     }
                 };
-                let stream: Box<dyn AccessStream> = match schedule {
-                    Some(s) => Box::new(ScheduledRuns::new(stream, s.to_vec())),
-                    None => stream,
-                };
-                ThreadSpec::new(i as u32, CoreId(i as u32), stream)
+                ThreadSpec::new(i as u32, CoreId(i as u32), ScheduledRuns::wrap(stream, schedule))
             })
             .collect();
-        let obs = AddressSampler::new(SamplerConfig {
-            period,
-            latency_threshold: 0.0,
-            latency_jitter: 0.3,
-            per_sample_cost: 40.0,
-        });
-        let mut eng = Engine::new(&cfg, mm, obs);
-        let stats = eng.run_phase(threads);
-        let (_, s) = eng.into_parts();
-        Outcome {
-            stats,
-            observed: s.observed_accesses(),
-            suppressed: s.suppressed_samples(),
-            samples: s.samples().to_vec(),
-        }
+        let obs = AddressSampler::new(SamplerConfig { latency_threshold: 0.0, ..sampler_config(period) });
+        observe_phase(&cfg, mm, obs, threads, oracle)
     };
     let schedules: [Option<&[u64]>; 5] = [None, Some(&[1]), Some(&[7]), Some(&[64]), Some(&[1, 7, 64, u64::MAX])];
     for shape in [Shape::Seq, Shape::BlockCyclic, Shape::Zip2, Shape::Zip29] {
         for we in [0u32, 1, 2, 3, 5, 6, 29] {
             for reps in [1u16, 4] {
                 for period in [1u64, 997] {
-                    let reference = run(ExecMode::Reference, shape, we, reps, period, None);
+                    let reference = run(true, shape, we, reps, period, None);
                     if period == 1 {
                         assert_eq!(reference.samples.len() as u64, reference.observed, "period 1 records every event");
                         let stores = reference.samples.iter().filter(|s| s.is_write).count();
@@ -434,7 +281,7 @@ fn store_pattern_matches_reference_for_every_event() {
                         assert!(stores.abs_diff(want) <= 4 * 29 * reps as usize, "{shape:?} we {we}: {stores} stores");
                     }
                     for schedule in schedules {
-                        let batched = run(ExecMode::Batched, shape, we, reps, period, schedule);
+                        let batched = run(false, shape, we, reps, period, schedule);
                         assert_eq!(
                             batched, reference,
                             "{shape:?} write_every {we} reps {reps} period {period} schedule {schedule:?} diverged"

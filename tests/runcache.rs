@@ -1,11 +1,10 @@
 //! The run cache's bit-identity contract, tested from the outside:
-//! cache-served results must be indistinguishable from fresh
-//! `ExecMode::Batched` simulation under both sampling paths, arbitrary
-//! sample logs must survive the columnar codec, and damaged or
-//! stale-schema entries must fall back to recomputation with the right
-//! miss accounting.
+//! cache-served results must be indistinguishable from fresh simulation
+//! under both sampling paths, arbitrary sample logs must survive the
+//! columnar codec, and damaged or stale-schema entries must fall back to
+//! recomputation with the right miss accounting.
 
-use numasim::config::{ExecMode, MachineConfig};
+use numasim::config::MachineConfig;
 use numasim::hierarchy::DataSource;
 use numasim::topology::{CoreId, NodeId, ThreadId};
 use pebs::ring::BlockRing;
@@ -26,18 +25,12 @@ fn tmp_cache(tag: &str) -> (std::path::PathBuf, RunCache) {
     (dir, cache)
 }
 
-fn batched() -> MachineConfig {
-    let mut m = MachineConfig::scaled();
-    m.engine.exec = ExecMode::Batched;
-    m
-}
-
 /// Cache-served profiled runs are bit-identical to a fresh batched
 /// simulation under the batch-pipeline `AddressSampler`.
 #[test]
 fn warm_entries_match_fresh_batched_simulation_address_sampler() {
     let (dir, cache) = tmp_cache("addr");
-    let mcfg = batched();
+    let mcfg = MachineConfig::scaled();
     let rcfg = RunConfig::new(16, 4, Input::Medium);
     let scfg = SamplerConfig::default();
 
@@ -66,7 +59,7 @@ fn warm_entries_match_fresh_batched_simulation_address_sampler() {
 #[test]
 fn warm_entries_match_streaming_sampler_log() {
     let (dir, cache) = tmp_cache("stream");
-    let mcfg = batched();
+    let mcfg = MachineConfig::scaled();
     let rcfg = RunConfig::new(16, 4, Input::Medium);
     let scfg = SamplerConfig::default();
 
@@ -102,7 +95,7 @@ fn warm_entries_match_streaming_sampler_log() {
 #[test]
 fn unprofiled_probe_runs_memoize_bit_identically() {
     let (dir, cache) = tmp_cache("probe");
-    let mcfg = batched();
+    let mcfg = MachineConfig::scaled();
     let rcfg = RunConfig::new(16, 4, Input::Medium).with_variant(Variant::InterleaveAll);
 
     let fresh = run(&Sumv, &mcfg, &rcfg, None);
@@ -123,7 +116,7 @@ fn unprofiled_probe_runs_memoize_bit_identically() {
 #[test]
 fn corrupted_entries_recompute_with_miss_accounting() {
     let (dir, cache) = tmp_cache("corrupt");
-    let mcfg = batched();
+    let mcfg = MachineConfig::scaled();
     let rcfg = RunConfig::new(8, 2, Input::Small);
     let scfg = SamplerConfig::default();
 
@@ -162,7 +155,7 @@ fn corrupted_entries_recompute_with_miss_accounting() {
 #[test]
 fn truncated_entries_recompute() {
     let (dir, cache) = tmp_cache("trunc");
-    let mcfg = batched();
+    let mcfg = MachineConfig::scaled();
     let rcfg = RunConfig::new(8, 2, Input::Small);
     let scfg = SamplerConfig::default();
 

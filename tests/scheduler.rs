@@ -1,9 +1,10 @@
 //! Differential tests for the discrete-event scheduler: a scenario whose
 //! tenants jointly hold the threads of a single-workload phase — in the
 //! same global order, all arriving at time 0, with no bursts or
-//! migrations — must reproduce [`ExecMode::Reference`] *bit-for-bit*:
-//! `RunStats` (including per-channel bytes), the PEBS sample log, and
-//! every sampler counter. No float tolerances anywhere in this file.
+//! migrations — must reproduce the per-access oracle
+//! (`numasim::oracle::run`) *bit-for-bit*: `RunStats` (including
+//! per-channel bytes), the PEBS sample log, and every sampler counter. No
+//! float tolerances anywhere in this file.
 //!
 //! Only *contiguous, order-preserving* tenant splits are bit-identical:
 //! the sampler's latency jitter is salted on the global observed-access
@@ -11,15 +12,15 @@
 //! which samples are suppressed. The proptest therefore ranges over
 //! arbitrary split masks, not arbitrary permutations.
 
-use numasim::access::{AccessMix, AccessStream, BlockCyclicStream, ChainStream, SeqStream, WithMlp};
-use numasim::config::{ExecMode, MachineConfig};
+mod common;
+
+use common::{observe, observe_phase, sampler, Outcome, ScheduledRuns};
+use numasim::access::{AccessMix, AccessStream, BlockCyclicStream, ChainStream, SeqStream, WithMlp, ZipStream};
+use numasim::config::MachineConfig;
 use numasim::engine::{Engine, ThreadSpec};
 use numasim::memmap::{MemoryMap, PlacementPolicy};
-use numasim::sched::TenantRun;
-use numasim::stats::RunStats;
+use numasim::sched::{TenantRun, TenantStats};
 use numasim::topology::CoreId;
-use pebs::sample::MemSample;
-use pebs::sampler::{AddressSampler, SamplerConfig};
 use proptest::prelude::*;
 
 /// The differential phase of `tests/differential.rs`: write mixes, reps
@@ -46,38 +47,11 @@ fn make_threads(cfg: &MachineConfig, mm: &mut MemoryMap) -> Vec<ThreadSpec> {
         .collect()
 }
 
-fn sampler() -> AddressSampler {
-    AddressSampler::new(SamplerConfig {
-        period: 23,
-        latency_threshold: 150.0,
-        latency_jitter: 0.3,
-        per_sample_cost: 40.0,
-    })
-}
-
-/// Everything observable from one run: engine stats plus sampler state.
-#[derive(Debug, PartialEq)]
-struct Outcome {
-    stats: RunStats,
-    samples: Vec<MemSample>,
-    observed: u64,
-    suppressed: u64,
-}
-
 fn run_reference() -> Outcome {
-    let mut cfg = MachineConfig::scaled();
-    cfg.engine.exec = ExecMode::Reference;
+    let cfg = MachineConfig::scaled();
     let mut mm = MemoryMap::new(&cfg);
     let threads = make_threads(&cfg, &mut mm);
-    let mut eng = Engine::new(&cfg, mm, sampler());
-    let stats = eng.run_phase(threads);
-    let (_, s) = eng.into_parts();
-    Outcome {
-        stats,
-        observed: s.observed_accesses(),
-        suppressed: s.suppressed_samples(),
-        samples: s.samples().to_vec(),
-    }
+    observe_phase(&cfg, mm, sampler(23), threads, true)
 }
 
 /// Partition `threads` into contiguous tenant groups of the given sizes
@@ -89,20 +63,12 @@ fn run_scheduled(cfg: &MachineConfig, mm: MemoryMap, threads: Vec<ThreadSpec>, s
     for (tid, &n) in split.iter().enumerate() {
         tenants.push(TenantRun::new(tid as u32, iter.by_ref().take(n).collect()));
     }
-    let mut eng = Engine::new(cfg, mm, sampler());
-    let stats = eng.run(tenants);
-    let (_, s) = eng.into_parts();
-    Outcome {
-        stats: stats.run,
-        observed: s.observed_accesses(),
-        suppressed: s.suppressed_samples(),
-        samples: s.samples().to_vec(),
-    }
+    observe(cfg, mm, sampler(23), tenants, false).0
 }
 
 /// The tentpole guarantee at the facade level: a single-tenant scenario —
-/// and any fixed contiguous multi-tenant split — reproduces the reference
-/// engine exactly, with a live PEBS sampler attached.
+/// and any fixed contiguous multi-tenant split — reproduces the oracle's
+/// one-tenant run exactly, with a live PEBS sampler attached.
 #[test]
 fn scheduler_reproduces_reference_bit_for_bit() {
     let reference = run_reference();
@@ -162,19 +128,10 @@ fn make_tiny_threads(mm: &mut MemoryMap) -> Vec<ThreadSpec> {
 fn tiny_reference() -> &'static Outcome {
     static REF: std::sync::OnceLock<Outcome> = std::sync::OnceLock::new();
     REF.get_or_init(|| {
-        let mut cfg = MachineConfig::tiny();
-        cfg.engine.exec = ExecMode::Reference;
+        let cfg = MachineConfig::tiny();
         let mut mm = MemoryMap::new(&cfg);
         let threads = make_tiny_threads(&mut mm);
-        let mut eng = Engine::new(&cfg, mm, sampler());
-        let stats = eng.run_phase(threads);
-        let (_, s) = eng.into_parts();
-        Outcome {
-            stats,
-            observed: s.observed_accesses(),
-            suppressed: s.suppressed_samples(),
-            samples: s.samples().to_vec(),
-        }
+        observe_phase(&cfg, mm, sampler(23), threads, true)
     })
 }
 
@@ -205,20 +162,19 @@ proptest! {
     }
 }
 
-// ---- what the reference *engine* cannot express -------------------------
+// ---- scenarios proper ---------------------------------------------------
 //
-// Staggered arrivals, burst gating and migrations exist only in the
-// scheduler, so the oracle for them is the scheduler itself running the
-// reference slice body: `ExecMode::Batched` must equal
-// `ExecMode::Reference` through `Engine::run`, on the full
-// `ScenarioStats` and on everything the sampler recorded.
+// Staggered arrivals, burst gating and migrations are the scheduler's, so
+// the oracle for them is the scheduler itself driving the per-access slice
+// body: `Engine::run` must equal `oracle::run` on the full `ScenarioStats`
+// and on everything the sampler recorded.
 
 /// Two tenants' worth of threads on the tiny machine: the chained
 /// sequential/block-cyclic mix above, a scan of a `Replicated` object (its
 /// home is the reader's node, so a migration must re-home it mid-span),
 /// and an interleaved (zip) segment — a migration can land in every fast
-/// path.
-fn make_dynamic_threads(mm: &mut MemoryMap) -> Vec<ThreadSpec> {
+/// path. Every stream's pulls are clipped to `schedule`.
+fn make_dynamic_threads(mm: &mut MemoryMap, schedule: &[u64]) -> Vec<ThreadSpec> {
     let a = mm.alloc("a", 256 << 10, PlacementPolicy::FirstTouch);
     let b = mm.alloc("b", 128 << 10, PlacementPolicy::interleave_all(2));
     let r = mm.alloc("r", 64 << 10, PlacementPolicy::Replicated);
@@ -234,13 +190,13 @@ fn make_dynamic_threads(mm: &mut MemoryMap) -> Vec<ThreadSpec> {
                 Box::new(SeqStream::new(b.base + i * sb, sb, 4, AccessMix::read_only())),
             ];
             let rep = SeqStream::new(r.base, r.size, 1, AccessMix::read_only()).with_reps(2);
-            let chain: Box<dyn AccessStream> = Box::new(ChainStream::new(vec![
+            let chain = ChainStream::new(vec![
                 Box::new(seq),
                 Box::new(rep),
                 Box::new(WithMlp::new(blk, 2.0)),
-                Box::new(numasim::access::ZipStream::new(lanes)),
-            ]));
-            ThreadSpec::new(i as u32, CoreId(i as u32), chain)
+                Box::new(ZipStream::new(lanes)),
+            ]);
+            ThreadSpec::new(i as u32, CoreId(i as u32), ScheduledRuns::wrap(Box::new(chain), Some(schedule)))
         })
         .collect()
 }
@@ -263,18 +219,11 @@ fn arb_dynamics() -> impl Strategy<Value = Dynamics> {
         .prop_map(|(arrival, burst, migrations)| Dynamics { arrival, burst, migrations })
 }
 
-/// Machine-wide outcome plus per-tenant stats of one dynamic scenario
-/// under `exec`.
-fn run_dynamic(
-    exec: ExecMode,
-    dynamics: &[Dynamics; 2],
-    period: u64,
-    max_run: u64,
-) -> (Outcome, Vec<numasim::sched::TenantStats>) {
-    let mut cfg = MachineConfig::tiny();
-    cfg.engine.exec = exec;
+/// Machine-wide outcome plus per-tenant stats of one dynamic scenario.
+fn run_dynamic(oracle: bool, dynamics: &[Dynamics; 2], period: u64, schedule: &[u64]) -> (Outcome, Vec<TenantStats>) {
+    let cfg = MachineConfig::tiny();
     let mut mm = MemoryMap::new(&cfg);
-    let mut threads = make_dynamic_threads(&mut mm).into_iter();
+    let mut threads = make_dynamic_threads(&mut mm, schedule).into_iter();
     let tenants = dynamics
         .iter()
         .enumerate()
@@ -290,25 +239,7 @@ fn run_dynamic(
             tenant
         })
         .collect();
-    // `sampler()`'s settings at a chosen period: 23 chops every fused span
-    // short, 997 leaves the quiet budget room for whole-span commits.
-    let observer = AddressSampler::new(SamplerConfig {
-        period,
-        latency_threshold: 150.0,
-        latency_jitter: 0.3,
-        per_sample_cost: 40.0,
-    });
-    let mut eng = Engine::new(&cfg, mm, observer);
-    eng.set_max_run(max_run);
-    let stats = eng.run(tenants);
-    let (_, s) = eng.into_parts();
-    let outcome = Outcome {
-        stats: stats.run,
-        observed: s.observed_accesses(),
-        suppressed: s.suppressed_samples(),
-        samples: s.samples().to_vec(),
-    };
-    (outcome, stats.tenants)
+    observe(&cfg, mm, sampler(period), tenants, oracle)
 }
 
 proptest! {
@@ -317,12 +248,12 @@ proptest! {
         d0 in arb_dynamics(),
         d1 in arb_dynamics(),
         period in prop_oneof![Just(23u64), Just(997)],
-        max_run in prop_oneof![Just(1u64), Just(7), Just(u64::MAX), 1u64..97],
+        schedule in proptest::collection::vec(prop_oneof![Just(1u64), Just(7), Just(u64::MAX), 1u64..97], 1..4),
     ) {
         let dynamics = [d0, d1];
-        let reference = run_dynamic(ExecMode::Reference, &dynamics, period, max_run);
+        let reference = run_dynamic(true, &dynamics, period, &schedule);
         prop_assert!(!reference.0.samples.is_empty(), "scenario must actually sample");
-        let batched = run_dynamic(ExecMode::Batched, &dynamics, period, max_run);
-        prop_assert_eq!(&batched, &reference, "{:?} period {} max_run {} diverged", dynamics, period, max_run);
+        let batched = run_dynamic(false, &dynamics, period, &schedule);
+        prop_assert_eq!(&batched, &reference, "{:?} period {} schedule {:?} diverged", dynamics, period, schedule);
     }
 }
