@@ -108,11 +108,19 @@ for arm in "block:" "per_sample:--per-sample"; do
         echo "serve smoke ($name): snapshot missing the block bit-identity attestation" >&2
         exit 1
     }
+    # Whether the handoff slept is answered by the service's own snapshot.
+    for counter in worker_parks producer_parks finish_parks; do
+        grep -qE "\"$counter\": [0-9]+" "$serve_cache/BENCH_serve_$name.json" || {
+            echo "serve smoke ($name): snapshot missing the $counter counter" >&2
+            exit 1
+        }
+    done
     if [ "$serve_secs" -ge 15 ]; then
         echo "serve smoke ($name): took ${serve_secs}s (budget < 15s)" >&2
         exit 1
     fi
-    echo "    ${name}: ${serve_secs}s, $(grep -o '"verdicts": [0-9]*' "$serve_cache/BENCH_serve_$name.json") across 50 sessions, zero drops"
+    echo "    ${name}: ${serve_secs}s, $(grep -o '"verdicts": [0-9]*' "$serve_cache/BENCH_serve_$name.json") across 50 sessions, zero drops," \
+        "$(grep -oE '"(worker|producer|finish)_parks": [0-9]+' "$serve_cache/BENCH_serve_$name.json" | tail -3 | tr '\n' ' ')"
 done
 rm -rf "$serve_cache"
 
@@ -135,15 +143,19 @@ traced_smoke() {
         exit 1
     fi
 }
-layer() { awk -F'\t' -v m="$1" '$2 == m { printf "%.1f", $3 }' "$trace_out"; }
+layer() { awk -F'\t' -v m="$1" -v f="${2:-%.1f}" '$2 == m { printf f, $3 }' "$trace_out"; }
 # Built first so the budgets time the runs.
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 
 echo "==> online-pipeline traced smoke (repo benchmark: serve-saturate --smoke --trace 1)"
-# The shard worker's per-sample cost and the verdict latency behind it.
+# The shard worker's per-sample cost and the verdict latency behind it,
+# plus the generator's block building and the report round trip — the
+# two layers the producer→worker handoff owns.
 traced_smoke serve-saturate
 echo "    ${trace_secs}s, stream.ingest_block.ns_per_sample $(layer stream.ingest_block.ns_per_sample) ns," \
-    "serve.verdict_latency_p50_us $(layer serve.verdict_latency_p50_us) us, 0 failed ops"
+    "serve.verdict_latency_p50_us $(layer serve.verdict_latency_p50_us) us," \
+    "pebs.block.build.busy_s $(layer pebs.block.build.busy_s %.3f) s," \
+    "serve.finish.p50_us $(layer serve.finish.p50_us) us, 0 failed ops"
 rm -f "$trace_out"
 
 echo "==> batch-pipeline traced smoke (repo benchmark: batch-cold --smoke --trace 1)"

@@ -11,7 +11,8 @@
 //! verdict on every contended session, no verdict on any quiet session,
 //! every window version ∈ {1, 2}, and block-vs-per-sample **bit
 //! identity** (same events, metrics, and window features from both
-//! ingestion styles). Writes `BENCH_serve.json` (sessions, throughput,
+//! ingestion styles), and in full mode a single-core block arm at ≥ 2.5×
+//! [`RECORDED_BASELINE`]. Writes `BENCH_serve.json` (sessions, throughput,
 //! verdict p50/p99, the embedded [`drbw_serve::ServeMetrics::to_json`]
 //! snapshot, and an `ingest` section: warmup + median-of-7 single-core
 //! block vs per-sample arms, compared by within-run ratio per the
@@ -50,7 +51,8 @@ const CHUNK: usize = 100;
 
 /// The single-core ingest throughput the per-sample pipeline recorded
 /// before the columnar rework (BENCH_serve.json @ PR 7) — the absolute
-/// reference the `ingest` section's ratios are reported against.
+/// reference the `ingest` section's ratios are reported against, and the
+/// one the full-mode gate holds the block arm to.
 const RECORDED_BASELINE: f64 = 2_313_075.0;
 
 struct Args {
@@ -253,6 +255,18 @@ fn main() -> Result<(), BenchError> {
                 let mut shell = SampleBlock::with_capacity(CHUNK);
                 while cursor < longest {
                     if !swapped && cursor >= swap_at {
+                        // Publish only once the workers have taken every
+                        // sample fed so far: the sessions are then adopted
+                        // and classifying on v1. Producers that fill the
+                        // rings faster than a worker wakes could otherwise
+                        // publish before any session was adopted, and every
+                        // session would start, and stay, on v2. (Bounded,
+                        // so a dead worker fails the run instead of
+                        // hanging it.)
+                        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+                        while sessions.iter().any(|(_, h)| h.queued() > 0) && Instant::now() < deadline {
+                            std::thread::yield_now();
+                        }
                         server.publish_model(server.registry().current().model().as_ref().clone());
                         swapped = true;
                     }
@@ -335,11 +349,20 @@ fn main() -> Result<(), BenchError> {
     let per_sample_tp = ingest_median(&tool, stream_cfg, &ing_stream, false, ingest_measured);
     let block_tp = ingest_median(&tool, stream_cfg, &ing_stream, true, ingest_measured);
     let block_vs_per_sample = block_tp / per_sample_tp;
+    let block_vs_baseline = block_tp / RECORDED_BASELINE;
+    // The gate compares the block arm with the recorded per-sample
+    // baseline, not with this run's per-sample arm: per-sample offers pay
+    // no wake-up syscall while the worker is awake, so that arm depends on
+    // scheduling — slow when the worker keeps pace and pops one-sample
+    // blocks, as fast as the block path when the producer gets ahead and
+    // the ring seals whole blocks (0.87x-17.1x within-run on the 2-core
+    // reference host). The block arm has no such second mode, only host
+    // noise: 3.6x-10.3x the baseline there, so the bound leaves a margin.
     if !args.smoke {
         assert!(
-            block_vs_per_sample >= 3.0,
-            "block ingest must be >= 3x the per-sample path within-run: {block_tp:.0} vs {per_sample_tp:.0} \
-             ({block_vs_per_sample:.2}x)"
+            block_vs_baseline >= 2.5,
+            "block ingest must be >= 2.5x the recorded per-sample baseline: {block_tp:.0} vs \
+             {RECORDED_BASELINE:.0} ({block_vs_baseline:.2}x)"
         );
     }
 
@@ -395,7 +418,7 @@ fn main() -> Result<(), BenchError> {
         block_tp,
         block_vs_per_sample,
         RECORDED_BASELINE,
-        block_tp / RECORDED_BASELINE,
+        block_vs_baseline,
         metrics.to_json(),
     );
     write_text(&args.out, &json)?;

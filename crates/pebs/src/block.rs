@@ -4,16 +4,23 @@
 //! through ring → queue → accumulator; at millions of samples per second
 //! the per-element call, branch, and lock overhead dominates the actual
 //! feature arithmetic. A [`SampleBlock`] instead stores up to a fixed
-//! capacity of samples as parallel lanes — one `Vec` per field — so a
-//! whole batch moves through the pipeline by pointer swap (moving the
-//! `Vec`s, never re-copying elements) and the consumers can run lane
-//! kernels: SIMD latency-bucket counts, lane-split exact sums, and
+//! capacity of samples as parallel lanes — one boxed slice per field — so
+//! a whole batch moves through the pipeline by pointer swap (moving the
+//! lanes, never re-copying elements) and the consumers can run lane
+//! kernels: latency-bucket counts, lane-split exact sums, and
 //! binary-search pane splitting over the time lane.
 //!
 //! A sample is copied **once**, at [`SampleBlock::push`], and never
 //! again: `pebs::ring::BlockRing` hands sealed blocks to the consumer by
 //! value, the consumer reads the lanes in place, and the emptied block is
 //! recycled back to the producer side.
+//!
+//! The lanes are allocated once, at full capacity, and share one length:
+//! `push` is one capacity test and ten stores at the same index, `clear`
+//! resets the length, and a lane accessor returns the live prefix. A
+//! recycled block therefore never re-grows a lane, and nothing past the
+//! live prefix is ever visible (`==`, `iter`, `get` and every lane slice
+//! stop at `len`).
 //!
 //! Blocks track whether their time lane is monotone non-decreasing
 //! ([`SampleBlock::is_sorted`], maintained on push). Sorted blocks let
@@ -30,22 +37,29 @@ use numasim::topology::{CoreId, NodeId, ThreadId};
 /// A fixed-capacity columnar batch of [`MemSample`]s plus an optional
 /// per-sample allocation-site attribution lane.
 ///
-/// Lane `i` of every array describes the same sample; lanes always have
-/// equal length. See the [module docs](self) for why this layout exists.
-#[derive(Debug, Clone, PartialEq)]
+/// Lane `i` of every array describes the same sample; every lane is
+/// `capacity` long and the first `len` entries are live. See the
+/// [module docs](self) for why this layout exists.
+#[derive(Debug, Clone)]
 pub struct SampleBlock {
-    capacity: usize,
+    len: usize,
     sorted: bool,
-    time: Vec<f64>,
-    addr: Vec<u64>,
-    cpu: Vec<CoreId>,
-    thread: Vec<ThreadId>,
-    node: Vec<NodeId>,
-    source: Vec<DataSource>,
-    home: Vec<Option<NodeId>>,
-    latency: Vec<f64>,
-    is_write: Vec<bool>,
-    site: Vec<Option<SiteId>>,
+    time: Box<[f64]>,
+    addr: Box<[u64]>,
+    cpu: Box<[CoreId]>,
+    thread: Box<[ThreadId]>,
+    node: Box<[NodeId]>,
+    source: Box<[DataSource]>,
+    home: Box<[Option<NodeId>]>,
+    latency: Box<[f64]>,
+    is_write: Box<[bool]>,
+    site: Box<[Option<SiteId>]>,
+}
+
+/// A lane of `capacity` slots holding `blank` until their first push
+/// (never observable: every read stops at `len`).
+fn lane<T: Copy>(capacity: usize, blank: T) -> Box<[T]> {
+    vec![blank; capacity].into_boxed_slice()
 }
 
 impl SampleBlock {
@@ -56,18 +70,18 @@ impl SampleBlock {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "block capacity must be positive");
         Self {
-            capacity,
+            len: 0,
             sorted: true,
-            time: Vec::with_capacity(capacity),
-            addr: Vec::with_capacity(capacity),
-            cpu: Vec::with_capacity(capacity),
-            thread: Vec::with_capacity(capacity),
-            node: Vec::with_capacity(capacity),
-            source: Vec::with_capacity(capacity),
-            home: Vec::with_capacity(capacity),
-            latency: Vec::with_capacity(capacity),
-            is_write: Vec::with_capacity(capacity),
-            site: Vec::with_capacity(capacity),
+            time: lane(capacity, 0.0),
+            addr: lane(capacity, 0),
+            cpu: lane(capacity, CoreId(0)),
+            thread: lane(capacity, ThreadId(0)),
+            node: lane(capacity, NodeId(0)),
+            source: lane(capacity, DataSource::L1),
+            home: lane(capacity, None),
+            latency: lane(capacity, 0.0),
+            is_write: lane(capacity, false),
+            site: lane(capacity, None),
         }
     }
 
@@ -84,46 +98,49 @@ impl SampleBlock {
 
     /// Append one sample (the single copy of its life). Returns `false`
     /// — and stores nothing — if the block is full.
+    #[inline]
     pub fn push(&mut self, s: &MemSample, site: Option<SiteId>) -> bool {
-        if self.time.len() == self.capacity {
+        let i = self.len;
+        if i == self.time.len() {
             return false;
         }
-        if let Some(&last) = self.time.last() {
+        if i > 0 {
             // One compare maintains the sorted hint the pane-splitting
             // binary search relies on.
-            self.sorted &= s.time >= last;
+            self.sorted &= s.time >= self.time[i - 1];
         }
-        self.time.push(s.time);
-        self.addr.push(s.addr);
-        self.cpu.push(s.cpu);
-        self.thread.push(s.thread);
-        self.node.push(s.node);
-        self.source.push(s.source);
-        self.home.push(s.home);
-        self.latency.push(s.latency);
-        self.is_write.push(s.is_write);
-        self.site.push(site);
+        self.time[i] = s.time;
+        self.addr[i] = s.addr;
+        self.cpu[i] = s.cpu;
+        self.thread[i] = s.thread;
+        self.node[i] = s.node;
+        self.source[i] = s.source;
+        self.home[i] = s.home;
+        self.latency[i] = s.latency;
+        self.is_write[i] = s.is_write;
+        self.site[i] = site;
+        self.len = i + 1;
         true
     }
 
     /// Samples currently stored.
     pub fn len(&self) -> usize {
-        self.time.len()
+        self.len
     }
 
     /// Whether the block holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.time.is_empty()
+        self.len == 0
     }
 
     /// Whether the next [`SampleBlock::push`] would be refused.
     pub fn is_full(&self) -> bool {
-        self.time.len() == self.capacity
+        self.len == self.capacity()
     }
 
     /// Maximum number of samples the block holds.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.time.len()
     }
 
     /// Whether the time lane is monotone non-decreasing (maintained on
@@ -134,16 +151,7 @@ impl SampleBlock {
 
     /// Drop all samples, keeping the lane allocations for reuse.
     pub fn clear(&mut self) {
-        self.time.clear();
-        self.addr.clear();
-        self.cpu.clear();
-        self.thread.clear();
-        self.node.clear();
-        self.source.clear();
-        self.home.clear();
-        self.latency.clear();
-        self.is_write.clear();
-        self.site.clear();
+        self.len = 0;
         self.sorted = true;
     }
 
@@ -152,6 +160,7 @@ impl SampleBlock {
     /// # Panics
     /// Panics if `i >= len()`.
     pub fn get(&self, i: usize) -> MemSample {
+        assert!(i < self.len, "sample {i} of a block holding {}", self.len);
         MemSample {
             time: self.time[i],
             addr: self.addr[i],
@@ -170,57 +179,57 @@ impl SampleBlock {
     /// # Panics
     /// Panics if `i >= len()`.
     pub fn site(&self, i: usize) -> Option<SiteId> {
-        self.site[i]
+        self.sites()[i]
     }
 
     /// The time lane (simulated cycles, one entry per sample).
     pub fn times(&self) -> &[f64] {
-        &self.time
+        &self.time[..self.len]
     }
 
     /// The address lane.
     pub fn addrs(&self) -> &[u64] {
-        &self.addr
+        &self.addr[..self.len]
     }
 
     /// The issuing-core lane.
     pub fn cpus(&self) -> &[CoreId] {
-        &self.cpu
+        &self.cpu[..self.len]
     }
 
     /// The issuing-thread lane.
     pub fn threads(&self) -> &[ThreadId] {
-        &self.thread
+        &self.thread[..self.len]
     }
 
     /// The issuing-node lane.
     pub fn nodes(&self) -> &[NodeId] {
-        &self.node
+        &self.node[..self.len]
     }
 
     /// The data-source lane.
     pub fn sources(&self) -> &[DataSource] {
-        &self.source
+        &self.source[..self.len]
     }
 
     /// The home-node lane (`None` when the page's home is unknown).
     pub fn homes(&self) -> &[Option<NodeId>] {
-        &self.home
+        &self.home[..self.len]
     }
 
     /// The latency lane (cycles).
     pub fn latencies(&self) -> &[f64] {
-        &self.latency
+        &self.latency[..self.len]
     }
 
     /// The write-flag lane.
     pub fn writes(&self) -> &[bool] {
-        &self.is_write
+        &self.is_write[..self.len]
     }
 
     /// The allocation-site lane.
     pub fn sites(&self) -> &[Option<SiteId>] {
-        &self.site
+        &self.site[..self.len]
     }
 
     /// Iterate the block's samples as reassembled structs (tests and
@@ -231,16 +240,36 @@ impl SampleBlock {
 
     /// Heap bytes retained by the lane allocations (capacity, not len).
     pub fn retained_bytes(&self) -> usize {
-        self.time.capacity() * std::mem::size_of::<f64>()
-            + self.addr.capacity() * std::mem::size_of::<u64>()
-            + self.cpu.capacity() * std::mem::size_of::<CoreId>()
-            + self.thread.capacity() * std::mem::size_of::<ThreadId>()
-            + self.node.capacity() * std::mem::size_of::<NodeId>()
-            + self.source.capacity() * std::mem::size_of::<DataSource>()
-            + self.home.capacity() * std::mem::size_of::<Option<NodeId>>()
-            + self.latency.capacity() * std::mem::size_of::<f64>()
-            + self.is_write.capacity() * std::mem::size_of::<bool>()
-            + self.site.capacity() * std::mem::size_of::<Option<SiteId>>()
+        self.capacity()
+            * (2 * std::mem::size_of::<f64>()
+                + std::mem::size_of::<u64>()
+                + std::mem::size_of::<CoreId>()
+                + std::mem::size_of::<ThreadId>()
+                + std::mem::size_of::<NodeId>()
+                + std::mem::size_of::<DataSource>()
+                + std::mem::size_of::<Option<NodeId>>()
+                + std::mem::size_of::<bool>()
+                + std::mem::size_of::<Option<SiteId>>())
+    }
+}
+
+/// Two blocks are equal when they have the same capacity, the same sorted
+/// hint and the same live samples; whatever a cleared block's lanes still
+/// hold past `len` is not part of its value.
+impl PartialEq for SampleBlock {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity() == other.capacity()
+            && self.sorted == other.sorted
+            && self.times() == other.times()
+            && self.addrs() == other.addrs()
+            && self.cpus() == other.cpus()
+            && self.threads() == other.threads()
+            && self.nodes() == other.nodes()
+            && self.sources() == other.sources()
+            && self.homes() == other.homes()
+            && self.latencies() == other.latencies()
+            && self.writes() == other.writes()
+            && self.sites() == other.sites()
     }
 }
 
@@ -309,9 +338,46 @@ mod tests {
             b.push(&sample(i as f64, i), None);
         }
         let retained = b.retained_bytes();
+        assert_eq!(retained, SampleBlock::with_capacity(16).retained_bytes(), "lanes are allocated up front");
         b.clear();
         assert_eq!(b.retained_bytes(), retained, "recycling must not shed capacity");
         assert_eq!(b.capacity(), 16);
+    }
+
+    /// A recycled block is its live samples and nothing else: refilled
+    /// with fewer samples than it held, it equals a fresh block of the
+    /// same capacity, and no lane or iterator shows the old tail.
+    #[test]
+    fn refilled_block_shows_no_stale_tail() {
+        let mut recycled = SampleBlock::with_capacity(8);
+        for i in 0..8 {
+            recycled.push(&sample(100.0 - i as f64, 1000 + i), Some(SiteId(9)));
+        }
+        assert!(!recycled.is_sorted());
+        recycled.clear();
+        let mut fresh = SampleBlock::with_capacity(8);
+        for i in 0..3 {
+            recycled.push(&sample(i as f64, i), None);
+            fresh.push(&sample(i as f64, i), None);
+        }
+        assert_eq!(recycled, fresh);
+        assert_eq!(recycled.addrs(), &[0, 1, 2]);
+        assert_eq!(recycled.sites(), &[None; 3]);
+        assert_eq!(recycled.times().len(), 3);
+        assert_eq!(recycled.writes().len(), 3);
+        assert_eq!(recycled.iter().map(|s| s.addr).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert!(recycled.is_sorted());
+        // Capacity is part of the value; a stale tail is not.
+        assert_ne!(recycled, SampleBlock::from_samples(&fresh.iter().collect::<Vec<_>>()));
+    }
+
+    #[test]
+    #[should_panic(expected = "sample 2 of a block holding 2")]
+    fn get_past_len_panics_even_within_capacity() {
+        let mut b = SampleBlock::with_capacity(4);
+        b.push(&sample(1.0, 0), None);
+        b.push(&sample(2.0, 1), None);
+        b.get(b.len());
     }
 
     #[test]

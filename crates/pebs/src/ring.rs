@@ -101,15 +101,18 @@ pub enum BlockOffer {
 /// accounting.
 ///
 /// The queue is `sealed` (full or handed-over blocks, oldest first)
-/// followed by one `open` tail block that per-sample offers append to.
-/// `capacity` bounds the **total queued samples** across all blocks.
+/// followed by at most one `open` tail block that per-sample offers append
+/// to. The open block is taken from the pool on the first per-sample
+/// offer after it was last sealed or popped, so a ring fed only whole
+/// blocks never holds one. `capacity` bounds the **total queued samples**
+/// across all blocks.
 /// Consumed block shells return
 /// through [`BlockRing::recycle`] into a bounded free pool, making the
 /// steady state allocation-free. See the module docs for the handoff
 /// protocol and the `DropOldest` whole-block eviction semantics.
 #[derive(Debug, Clone)]
 pub struct BlockRing {
-    open: SampleBlock,
+    open: Option<SampleBlock>,
     open_stamp: Option<Instant>,
     sealed: VecDeque<(SampleBlock, Instant)>,
     free: Vec<SampleBlock>,
@@ -151,7 +154,7 @@ impl BlockRing {
         assert!(capacity > 0, "ring capacity must be positive");
         assert!(block_capacity > 0 && block_capacity <= capacity, "block capacity must be in 1..=capacity");
         Self {
-            open: SampleBlock::with_capacity(block_capacity),
+            open: None,
             open_stamp: None,
             sealed: VecDeque::new(),
             free: Vec::new(),
@@ -232,7 +235,7 @@ impl BlockRing {
         // Seal the open tail first so FIFO order across offer styles is
         // preserved: previously offered samples stay ahead of this block.
         self.seal_open();
-        let shell = self.take_shell(block.capacity());
+        let shell = take_shell(&mut self.free, block.capacity());
         self.sealed.push_back((block, Instant::now()));
         self.queued += n;
         self.peak = self.peak.max(self.queued);
@@ -253,12 +256,8 @@ impl BlockRing {
             self.queued -= b.len();
             return Some((b, at));
         }
-        if self.open.is_empty() {
-            return None;
-        }
-        let shell = self.take_shell(self.block_capacity);
+        let b = self.open.take_if(|b| !b.is_empty())?;
         let stamp = self.open_stamp.take().unwrap_or_else(Instant::now);
-        let b = std::mem::replace(&mut self.open, shell);
         self.popped += b.len() as u64;
         self.queued -= b.len();
         Some((b, stamp))
@@ -345,24 +344,21 @@ impl BlockRing {
     /// Append into the open block, stamping it on first use and sealing
     /// it when full.
     fn push_open(&mut self, s: MemSample, site: Option<SiteId>) {
-        if self.open.is_empty() {
+        let open = self.open.get_or_insert_with(|| take_shell(&mut self.free, self.block_capacity));
+        if open.is_empty() {
             self.open_stamp = Some(Instant::now());
         }
-        let pushed = self.open.push(&s, site);
+        let pushed = open.push(&s, site);
         debug_assert!(pushed, "open block is sealed before it fills");
-        if self.open.is_full() {
+        if open.is_full() {
             self.seal_open();
         }
     }
 
     /// Move a non-empty open block onto the sealed queue.
     fn seal_open(&mut self) {
-        if self.open.is_empty() {
-            return;
-        }
-        let shell = self.take_shell(self.block_capacity);
+        let Some(full) = self.open.take_if(|b| !b.is_empty()) else { return };
         let stamp = self.open_stamp.take().unwrap_or_else(Instant::now);
-        let full = std::mem::replace(&mut self.open, shell);
         self.sealed.push_back((full, stamp));
     }
 
@@ -374,24 +370,14 @@ impl BlockRing {
             self.recycle(b);
             n
         } else {
-            let n = self.open.len();
-            self.open.clear();
+            let n = self.open.as_mut().map_or(0, |open| {
+                let n = open.len();
+                open.clear();
+                n
+            });
             self.open_stamp = None;
             self.queued -= n;
             n
-        }
-    }
-
-    /// An empty shell of at least `capacity` samples, recycled when the
-    /// pool has one big enough.
-    fn take_shell(&mut self, capacity: usize) -> SampleBlock {
-        match self.free.pop() {
-            Some(b) if b.capacity() >= capacity => b,
-            Some(small) => {
-                self.put_free(small);
-                SampleBlock::with_capacity(capacity)
-            }
-            None => SampleBlock::with_capacity(capacity),
         }
     }
 
@@ -402,6 +388,19 @@ impl BlockRing {
         if self.free.len() < bound {
             self.free.push(block);
         }
+    }
+}
+
+/// An empty shell of at least `capacity` samples, recycled when the pool
+/// has one big enough (a smaller one goes straight back).
+fn take_shell(free: &mut Vec<SampleBlock>, capacity: usize) -> SampleBlock {
+    match free.pop() {
+        Some(b) if b.capacity() >= capacity => b,
+        Some(small) => {
+            free.push(small);
+            SampleBlock::with_capacity(capacity)
+        }
+        None => SampleBlock::with_capacity(capacity),
     }
 }
 
@@ -535,6 +534,33 @@ mod tests {
         }
         assert_eq!(r.popped(), 200);
         assert_eq!(r.dropped(), 0);
+    }
+
+    /// A ring fed only whole blocks holds no open tail block at any point
+    /// (no idle lanes per session); the first per-sample offer creates one.
+    #[test]
+    fn block_fed_ring_never_allocates_an_open_block() {
+        let mut r = BlockRing::with_block_capacity(16, 4, OverflowPolicy::DropOldest);
+        assert!(r.open.is_none(), "a fresh ring has no open block");
+        let mut shell = SampleBlock::with_capacity(4);
+        for round in 0..20u64 {
+            for a in 0..4 {
+                shell.push(&sample(round * 4 + a), None);
+            }
+            shell = r.offer_block(shell).1;
+            assert!(r.open.is_none(), "round {round}: offer_block created an open block");
+            if round % 3 == 0 {
+                while let Some((b, _)) = r.pop_block() {
+                    r.recycle(b);
+                }
+                assert!(r.open.is_none(), "round {round}: pop_block created an open block");
+            }
+        }
+        assert_eq!(r.offered(), r.dropped() + r.popped() + r.len() as u64);
+        r.offer(sample(99), None);
+        assert_eq!(r.open.as_ref().map(SampleBlock::len), Some(1));
+        let (b, _) = r.pop_block().unwrap();
+        assert_eq!(b.len(), 4, "the sealed blocks drain first");
     }
 
     #[test]

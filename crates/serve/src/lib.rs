@@ -21,7 +21,8 @@
 //!   it (in-flight windows finish on the model they started with);
 //! * [`ServeMetrics`] — a one-line-JSON snapshot of the whole service
 //!   (sessions, ingest/drop accounting, per-shard queue depth, verdict
-//!   p50/p99 latency, model epoch, run-cache warm-hit rate).
+//!   p50/p99 latency, model epoch, how often the worker, producers and
+//!   `finish` parked, run-cache warm-hit rate).
 //!
 //! The load harness (`crates/bench/src/bin/serve_load.rs`) drives
 //! thousands of simultaneous replayed sessions through one server and
@@ -450,12 +451,6 @@ mod tests {
         panic!("{why}: {} threads, {before} before", thread_count());
     }
 
-    /// A sample whose node is far outside the configured topology: the
-    /// detector indexes per-channel state with it and panics.
-    fn malformed_sample() -> MemSample {
-        sample(10.0, 200, Some(0), DataSource::RemoteDram, 950.0)
-    }
-
     /// Regression (worker panic): pre-fix, a panicking shard worker left
     /// its sessions' reports undelivered, so `finish()` hung forever (and
     /// shutdown saw the panic at `join`). Now every session owned by the
@@ -465,7 +460,8 @@ mod tests {
     fn worker_panic_fails_sessions_with_typed_error() {
         let server = AnalysisServer::start(classifier(), test_config(1)).expect("start server");
         let session = server.open_session();
-        session.offer_blocking(&malformed_sample(), None);
+        let poisoned = MemSample { addr: crate::server::test_fail::POISON_ADDR, ..quiet_stream(1, 1)[0] };
+        session.offer_blocking(&poisoned, None);
         let err = session.finish().expect_err("worker died; no report is possible");
         assert!(matches!(err, ServeError::WorkerPanicked { shard: 0 }), "wrong error: {err}");
         // A session opened after the panic fails fast instead of hanging.
@@ -476,5 +472,143 @@ mod tests {
         let m = server.shutdown();
         assert_eq!(m.sessions_opened, 2);
         assert_eq!(m.sessions_closed, 2, "panicked-shard sessions still count as closed");
+    }
+
+    /// Failing-first (ROADMAP 7(b)): one sample naming a node outside the
+    /// machine used to panic the shard worker, failing every session on
+    /// the shard with `WorkerPanicked` and leaving the shard a bare
+    /// drain. Now the detector rejects and counts it: its session reports
+    /// normally, and a neighbour on the same shard gets exactly the
+    /// report it gets alone.
+    #[test]
+    fn out_of_machine_sample_is_rejected_not_fatal_to_its_shard() {
+        let clean = contended_stream(4, 64);
+        let solo = |stream: &[MemSample]| {
+            let server = AnalysisServer::start(classifier(), test_config(1)).expect("start server");
+            let session = server.open_session();
+            stream.iter().for_each(|s| session.offer_blocking(s, None));
+            session.finish().expect("solo report")
+        };
+        let alone = solo(&clean);
+
+        let server = AnalysisServer::start(classifier(), test_config(1)).expect("start server");
+        let (a, b) = (server.open_session(), server.open_session());
+        let mut hostile = clean[..64].to_vec();
+        hostile.insert(10, sample(150.0, 9, Some(0), DataSource::RemoteDram, 950.0));
+        let shell = a.offer_block_blocking(pebs::SampleBlock::from_samples(&hostile));
+        assert!(shell.is_empty());
+        clean.iter().for_each(|s| b.offer_blocking(s, None));
+        let report_a = a.finish().expect("the hostile sample must not kill the shard");
+        let report_b = b.finish().expect("the neighbour must not pay for it");
+        assert_eq!(report_a.stream.samples_rejected, 1);
+        assert_eq!(report_a.stream.samples_ingested, 64);
+        assert_eq!(report_a.ring.offered, report_a.stream.samples_ingested + report_a.stream.samples_rejected);
+        assert_eq!(report_b.events, alone.events);
+        assert_eq!(report_b.stream, alone.stream);
+        // Everything but the ring's high-water mark, which is timing.
+        let ring = |r: &SessionReport| (r.ring.offered, r.ring.dropped, r.ring.popped, r.ring.len);
+        assert_eq!(ring(&report_b), ring(&alone));
+        assert_eq!(report_b.model_versions, alone.model_versions);
+        let m = server.shutdown();
+        assert_eq!(m.samples_offered, 65 + clean.len() as u64);
+        assert_eq!(m.samples_ingested, m.samples_offered, "the service counts consumed samples, rejects included");
+    }
+
+    /// Offer `samples` in `block`-sized blocks through `shell`, returning
+    /// the shell the last offer handed back.
+    fn feed(h: &SessionHandle, samples: &[MemSample], mut shell: pebs::SampleBlock) -> pebs::SampleBlock {
+        for chunk in samples.chunks(shell.capacity()) {
+            chunk.iter().for_each(|s| assert!(shell.push(s, None)));
+            shell = h.offer_block_blocking(shell);
+        }
+        shell
+    }
+
+    /// One producer's round of the lost-wakeup stress test: 16 sessions,
+    /// each fed three ring-sized blocks at a time (the second and third
+    /// find the ring full), with pauses so the worker runs dry and parks.
+    fn stress_round(server: &AnalysisServer, p: usize, block: usize) -> Vec<SessionReport> {
+        let sessions: Vec<_> = (0..16).map(|_| server.open_session()).collect();
+        let streams: Vec<Vec<MemSample>> = (0..16)
+            .map(|i| if (p + i).is_multiple_of(2) { contended_stream(6, 64) } else { quiet_stream(6, 64) })
+            .collect();
+        let mut shell = pebs::SampleBlock::with_capacity(block);
+        for (i, (h, stream)) in sessions.iter().zip(&streams).enumerate() {
+            shell = feed(h, &stream[..3 * block], shell);
+            if i % 4 == 3 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // Each session finishes after a pause in which the worker may have
+        // parked: its wake-up then takes about as long as `finish` polls,
+        // so the report often lands just as `finish` is about to park.
+        let mut reports = Vec::new();
+        for (h, stream) in sessions.into_iter().zip(&streams) {
+            shell = feed(&h, &stream[3 * block..], shell);
+            std::thread::sleep(Duration::from_millis(1));
+            reports.push(h.finish().expect("report"));
+        }
+        reports
+    }
+
+    /// Lost-wakeup stress: 4 producers × 16 sessions (four rounds of it)
+    /// into one shard whose rings hold exactly one block, so producers
+    /// park on `space` all the time, and an `idle_wait` of 30 s, so only a
+    /// missed wake-up — of the worker, a parked producer, or a parked
+    /// `finish` — can stall. Everything must finish inside 10 s with
+    /// nothing lost.
+    #[test]
+    fn no_lost_wakeups_under_block_sized_rings() {
+        const BLOCK: usize = 64;
+        const ROUNDS: usize = 4;
+        let cfg = ServerConfig { ring_capacity: BLOCK, idle_wait: Duration::from_secs(30), ..test_config(1) };
+        let server = Arc::new(AnalysisServer::start(classifier(), cfg).expect("start server"));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let load = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                let producers: Vec<_> = (0..4)
+                    .map(|p| {
+                        let server = Arc::clone(&server);
+                        std::thread::spawn(move || {
+                            (0..ROUNDS).flat_map(|_| stress_round(&server, p, BLOCK)).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                let reports: Vec<SessionReport> =
+                    producers.into_iter().flat_map(|p| p.join().expect("producer panicked")).collect();
+                let _ = done_tx.send(reports);
+            })
+        };
+        let reports = done_rx.recv_timeout(Duration::from_secs(10)).expect("stalled: a wake-up was lost");
+        load.join().expect("load thread panicked");
+        let sessions = 4 * 16 * ROUNDS as u64;
+        assert_eq!(reports.len() as u64, sessions);
+        for r in &reports {
+            assert_eq!((r.ring.offered, r.ring.dropped, r.ring.popped, r.ring.len), (384, 0, 384, 0), "{:?}", r.id);
+            assert_eq!(r.stream.samples_ingested, 384);
+        }
+        let server = Arc::into_inner(server).expect("every producer joined");
+        let m = server.shutdown();
+        assert_eq!((m.sessions_opened, m.sessions_closed), (sessions, sessions));
+        assert_eq!((m.samples_offered, m.samples_ingested, m.samples_dropped), (sessions * 384, sessions * 384, 0));
+        assert!(m.producer_parks > 0, "the rings never filled, so nothing was tested: {m:?}");
+    }
+
+    /// An idle worker parks instead of polling forever: with sessions open
+    /// and nothing offered, it parks about once per `idle_wait`.
+    #[test]
+    fn idle_worker_parks() {
+        let cfg = ServerConfig { idle_wait: Duration::from_millis(5), ..test_config(1) };
+        let server = AnalysisServer::start(classifier(), cfg).expect("start server");
+        let sessions: Vec<_> = (0..3).map(|_| server.open_session()).collect();
+        std::thread::sleep(Duration::from_millis(10));
+        let before = server.metrics().worker_parks;
+        std::thread::sleep(Duration::from_millis(100));
+        let after = server.metrics().worker_parks;
+        assert!(after > before, "an idle worker must park: {before} → {after}");
+        for s in sessions {
+            s.finish().expect("report");
+        }
     }
 }

@@ -131,6 +131,12 @@ pub(crate) struct ServerStats {
     pub enqueued: AtomicU64,
     /// Samples lost to ring overflow (refused or evicted).
     pub dropped: AtomicU64,
+    /// Times a shard worker parked for want of work.
+    pub worker_parks: AtomicU64,
+    /// Times a blocking offer parked for want of ring space.
+    pub producer_parks: AtomicU64,
+    /// Times `finish` parked for want of its report.
+    pub finish_parks: AtomicU64,
 }
 
 /// Point-in-time snapshot of the whole service, renderable as one line of
@@ -170,6 +176,14 @@ pub struct ServeMetrics {
     pub verdict_p99_us: f64,
     /// Mean verdict latency, microseconds (exact).
     pub verdict_mean_us: f64,
+    /// Times a shard worker parked because every queue was empty (a
+    /// worker that found work while polling does not count).
+    pub worker_parks: u64,
+    /// Times a blocking offer parked because its session ring was full.
+    pub producer_parks: u64,
+    /// Times `SessionHandle::finish` parked because its report was not
+    /// ready within the poll window.
+    pub finish_parks: u64,
     /// Warm-hit rate of the attached run cache, when one is attached.
     pub cache_hit_rate: Option<f64>,
 }
@@ -190,7 +204,8 @@ impl ServeMetrics {
                 "\"samples_ingested\": {}, \"verdicts\": {}, \"windows_classified\": {}, ",
                 "\"model_epoch\": {}, \"model_swaps\": {}, \"shard_depths\": [{}], ",
                 "\"verdict_latency_count\": {}, \"verdict_p50_us\": {:.1}, \"verdict_p99_us\": {:.1}, ",
-                "\"verdict_mean_us\": {:.1}, \"cache_hit_rate\": {}}}"
+                "\"verdict_mean_us\": {:.1}, \"worker_parks\": {}, \"producer_parks\": {}, ",
+                "\"finish_parks\": {}, \"cache_hit_rate\": {}}}"
             ),
             self.sessions_opened,
             self.sessions_closed,
@@ -208,6 +223,9 @@ impl ServeMetrics {
             self.verdict_p50_us,
             self.verdict_p99_us,
             self.verdict_mean_us,
+            self.worker_parks,
+            self.producer_parks,
+            self.finish_parks,
             cache,
         )
     }
@@ -283,6 +301,9 @@ mod tests {
             verdict_p50_us: 128.0,
             verdict_p99_us: 512.0,
             verdict_mean_us: 97.3,
+            worker_parks: 12,
+            producer_parks: 3,
+            finish_parks: 4,
             cache_hit_rate: Some(0.75),
         };
         let json = m.to_json();
@@ -293,6 +314,9 @@ mod tests {
             "\"shard_depths\": [0,3]",
             "\"verdict_p99_us\": 512.0",
             "\"model_swaps\": 1",
+            "\"worker_parks\": 12",
+            "\"producer_parks\": 3",
+            "\"finish_parks\": 4",
             "\"cache_hit_rate\": 0.7500",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");

@@ -22,7 +22,8 @@ use pebs::SampleBlock;
 use runcache::RunCache;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Server tuning knobs.
@@ -63,27 +64,68 @@ impl ServerConfig {
     }
 }
 
+/// How long a thread about to sleep — an idle shard worker, a blocking
+/// producer facing a full ring, or `finish` waiting for its report —
+/// keeps polling its condition, yielding the core between polls, before
+/// it parks. Chosen by a sweep over
+/// {0, 10, 25, 50, 100} µs on the repo benchmark's `serve-saturate` and
+/// `serve-paced` (recorded in CHANGES.md): every window from 10 µs up bought
+/// the same saturation throughput (≈ 1.4× parking at once), while each
+/// longer one cost more idle CPU on the paced load — 50 µs added about
+/// 45 % of a core — for a few microseconds of median latency.
+const POLL_WINDOW: Duration = Duration::from_micros(10);
+
+/// Poll `ready` for up to [`POLL_WINDOW`], yielding after each poll;
+/// whether it became true. Yielding rather than spinning matters on a
+/// host with fewer cores than busy threads: the poller hands its core to
+/// the very thread it is waiting for. A `false` is not the last word — the
+/// condition may have turned during the final yield — so every caller
+/// checks once more, in the state it parks from, before parking.
+pub(crate) fn poll(mut ready: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + POLL_WINDOW;
+    while Instant::now() < deadline {
+        if ready() {
+            return true;
+        }
+        std::thread::yield_now();
+    }
+    false
+}
+
 /// Wakeup signal for one shard worker: producers raise it on any offer,
 /// open, close, or model publish; the worker consumes it (or times out)
 /// when it has drained everything.
+///
+/// Raising is a flag store and an `unpark`, which costs a syscall only
+/// when the worker is actually parked; a worker still polling sees the
+/// flag, and one that parks after the store finds the unpark token. The
+/// raiser's `Release` store pairs with the worker's `AcqRel` swap, so a
+/// worker that consumes a raise sees everything the raiser did before it.
 #[derive(Debug, Default)]
 pub(crate) struct ShardNotify {
-    flag: Mutex<bool>,
-    cv: Condvar,
+    raised: AtomicBool,
+    /// The worker thread, registered when it starts (a raise before that
+    /// is still seen through the flag).
+    worker: OnceLock<Thread>,
 }
 
 impl ShardNotify {
     pub(crate) fn raise(&self) {
-        let mut flag = self.flag.lock().unwrap_or_else(|e| e.into_inner());
-        *flag = true;
-        self.cv.notify_all();
+        self.raised.store(true, Ordering::Release);
+        if let Some(worker) = self.worker.get() {
+            worker.unpark();
+        }
     }
 
-    fn wait(&self, timeout: Duration) {
-        let flag = self.flag.lock().unwrap_or_else(|e| e.into_inner());
-        let (mut flag, _) =
-            self.cv.wait_timeout_while(flag, timeout, |raised| !*raised).unwrap_or_else(|e| e.into_inner());
-        *flag = false;
+    /// Consume a raise, polling for one before parking up to `timeout`.
+    /// Returns whether the worker parked.
+    fn wait(&self, timeout: Duration) -> bool {
+        let consume = || self.raised.swap(false, Ordering::AcqRel);
+        if poll(consume) || consume() {
+            return false;
+        }
+        std::thread::park_timeout(timeout);
+        true
     }
 }
 
@@ -221,8 +263,9 @@ impl AnalysisServer {
             queue: Mutex::new(SessionQueue {
                 ring: BlockRing::with_policy(self.inner.cfg.ring_capacity, self.inner.cfg.overflow),
                 closed: false,
+                parked_producers: 0,
             }),
-            report: Mutex::new(None),
+            report: Mutex::default(),
             done: Condvar::new(),
             space: Condvar::new(),
         });
@@ -263,6 +306,9 @@ impl AnalysisServer {
             verdict_p50_us: inner.latency.quantile_nanos(0.5) / 1_000.0,
             verdict_p99_us: inner.latency.quantile_nanos(0.99) / 1_000.0,
             verdict_mean_us: inner.latency.mean_nanos() / 1_000.0,
+            worker_parks: inner.stats.worker_parks.load(rel),
+            producer_parks: inner.stats.producer_parks.load(rel),
+            finish_parks: inner.stats.finish_parks.load(rel),
             cache_hit_rate,
         }
     }
@@ -366,6 +412,7 @@ struct ActiveSession {
 /// drain so sessions opened on this shard later fail fast instead of
 /// hanging in `finish()`.
 fn run_shard(inner: Arc<ServerInner>, idx: usize) {
+    let _ = inner.shards[idx].notify.worker.set(std::thread::current());
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_shard_inner(&inner, idx)));
     if result.is_err() {
         let rel = Ordering::Relaxed;
@@ -381,7 +428,7 @@ fn run_shard(inner: Arc<ServerInner>, idx: usize) {
         };
         fail_all();
         while !inner.shutdown.load(Ordering::Acquire) {
-            shard.notify.wait(inner.cfg.idle_wait);
+            idle(&inner, shard);
             fail_all();
         }
         fail_all();
@@ -441,7 +488,7 @@ fn run_shard_inner(inner: &ServerInner, idx: usize) {
         while i < active.len() {
             blocks.clear();
             let a = &mut active[i];
-            let closed_and_drained = {
+            let (closed_and_drained, producers_parked) = {
                 let mut q = a.session.lock_queue();
                 let mut taken = 0;
                 // Whole blocks, up to the drain batch: one lock covers
@@ -451,16 +498,21 @@ fn run_shard_inner(inner: &ServerInner, idx: usize) {
                     taken += block.len();
                     blocks.push((block, at));
                 }
-                q.closed && q.ring.is_empty()
+                (q.closed && q.ring.is_empty(), q.parked_producers > 0)
             };
             if !blocks.is_empty() {
                 // The lock is released: wake producers parked on the
-                // freed space before the (long) ingest.
-                a.session.space.notify_all();
+                // freed space before the (long) ingest — if there are any;
+                // a notify with no waiter is still a syscall.
+                if producers_parked {
+                    a.session.space.notify_all();
+                }
                 did_work = true;
                 let total: u64 = blocks.iter().map(|(b, _)| b.len() as u64).sum();
                 shard.stats.depth.fetch_sub(total, rel);
                 for (block, at) in &blocks {
+                    #[cfg(test)]
+                    test_fail::panic_on_poison(block);
                     a.detector.ingest_block(block);
                     let used = a.detector.model_version();
                     if *a.versions.last().expect("seeded at adoption") != used {
@@ -511,9 +563,16 @@ fn run_shard_inner(inner: &ServerInner, idx: usize) {
                     break;
                 }
             } else {
-                shard.notify.wait(inner.cfg.idle_wait);
+                idle(inner, shard);
             }
         }
+    }
+}
+
+/// Wait for the shard's next raise (or `idle_wait`), counting a park.
+fn idle(inner: &ServerInner, shard: &ShardState) {
+    if shard.notify.wait(inner.cfg.idle_wait) {
+        inner.stats.worker_parks.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -550,7 +609,17 @@ fn finalize(inner: &ServerInner, stats: &ShardStats, a: &mut ActiveSession) {
 
 #[cfg(test)]
 pub(crate) mod test_fail {
+    use pebs::SampleBlock;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A sample address that makes the shard worker panic mid-ingest —
+    /// the only way left to kill one from a test, now that the detector
+    /// rejects every malformed sample instead of panicking on it.
+    pub(crate) const POISON_ADDR: u64 = 0xdead_0000_0000_0000;
+
+    pub(crate) fn panic_on_poison(block: &SampleBlock) {
+        assert!(!block.addrs().contains(&POISON_ADDR), "poisoned block");
+    }
 
     /// Worker index at which `spawn_worker` simulates an OS failure
     /// (`usize::MAX` = never).

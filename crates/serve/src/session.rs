@@ -14,12 +14,13 @@
 
 use crate::error::ServeError;
 use crate::metrics::{ServerStats, ShardStats};
-use crate::server::ShardNotify;
+use crate::server::{poll, ShardNotify};
 use drbw_stream::{StreamMetrics, VerdictEvent, WindowSummary};
 use pebs::alloc::SiteId;
 use pebs::ring::{BlockOffer, BlockRing, Offer, RingCounters};
 use pebs::sample::MemSample;
 use pebs::SampleBlock;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Identifier of one profiling session (unique per server).
@@ -40,6 +41,18 @@ pub(crate) struct SessionQueue {
     /// Set by `finish()`: no more offers; the worker finalizes once the
     /// ring drains.
     pub closed: bool,
+    /// Blocking producers parked on `space` right now: the worker
+    /// notifies `space` only when this is non-zero.
+    pub parked_producers: usize,
+}
+
+/// Where the worker leaves the session's report for `finish()`.
+#[derive(Debug, Default)]
+pub(crate) struct ReportSlot {
+    report: Option<Result<SessionReport, ServeError>>,
+    /// Whether `finish()` is parked on `done`: delivery notifies only
+    /// then.
+    finisher_parked: bool,
 }
 
 /// Shared per-session state (handle on the client side, worker on the
@@ -48,10 +61,12 @@ pub(crate) struct SessionQueue {
 pub(crate) struct SessionInner {
     pub id: SessionId,
     pub queue: Mutex<SessionQueue>,
-    pub report: Mutex<Option<Result<SessionReport, ServeError>>>,
+    pub report: Mutex<ReportSlot>,
+    /// Notified on delivery when `finish()` is parked.
     pub done: Condvar,
-    /// Raised by the worker after every drain: blocking producers wait
-    /// here for ring space instead of spinning.
+    /// Notified by the worker after a drain when a producer is parked:
+    /// blocking producers park here for ring space once a short poll for
+    /// it has failed.
     pub space: Condvar,
 }
 
@@ -66,12 +81,44 @@ impl SessionInner {
     /// wake the waiting client. First delivery wins: a shutdown sweep
     /// never overwrites a real report a worker already produced.
     pub(crate) fn deliver(&self, report: Result<SessionReport, ServeError>) {
-        let mut slot = self.report.lock().unwrap_or_else(|e| e.into_inner());
-        if slot.is_none() {
-            *slot = Some(report);
+        let mut slot = self.lock_report();
+        if slot.report.is_none() {
+            slot.report = Some(report);
         }
+        let parked = slot.finisher_parked;
         drop(slot);
-        self.done.notify_all();
+        if parked {
+            self.done.notify_all();
+        }
+    }
+
+    fn lock_report(&self) -> MutexGuard<'_, ReportSlot> {
+        self.report.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Wait until `fits` holds for the queue: poll for it with the lock
+    /// released, then park on `space`, counting the producer as parked
+    /// meanwhile (and each park in `parks`). A producer that parks the
+    /// moment the ring is full costs the worker a wake-up syscall on every
+    /// drain that follows.
+    fn wait_for_space<'a>(
+        &'a self,
+        mut q: MutexGuard<'a, SessionQueue>,
+        parks: &AtomicU64,
+        fits: impl Fn(&SessionQueue) -> bool,
+    ) -> MutexGuard<'a, SessionQueue> {
+        if !fits(&q) {
+            drop(q);
+            poll(|| fits(&self.lock_queue()));
+            q = self.lock_queue();
+        }
+        while !fits(&q) {
+            q.parked_producers += 1;
+            parks.fetch_add(1, Relaxed);
+            q = self.space.wait(q).unwrap_or_else(|e| e.into_inner());
+            q.parked_producers -= 1;
+        }
+        q
     }
 }
 
@@ -129,7 +176,6 @@ impl SessionHandle {
     /// Panics if called after [`SessionHandle::finish`] began (impossible
     /// through this API: `finish` consumes the handle).
     pub fn offer(&self, s: &MemSample, site: Option<SiteId>) -> Offer {
-        use std::sync::atomic::Ordering::Relaxed;
         self.server_stats.offered.fetch_add(1, Relaxed);
         let (outcome, newly_dropped) = {
             let mut q = self.inner.lock_queue();
@@ -162,19 +208,16 @@ impl SessionHandle {
     }
 
     /// Offer with backpressure honoured: when the ring is full the call
-    /// parks on the session's space condvar (woken by the worker's next
-    /// drain) until the sample fits, so a producer that can afford to
-    /// wait never loses a sample — its own or, under a drop-oldest ring,
-    /// anyone else's.
+    /// polls briefly, then parks on the session's space condvar (woken by
+    /// the worker's next drain) until the sample fits, so a producer that
+    /// can afford to wait never loses a sample — its own or, under a
+    /// drop-oldest ring, anyone else's.
     pub fn offer_blocking(&self, s: &MemSample, site: Option<SiteId>) {
-        use std::sync::atomic::Ordering::Relaxed;
         self.server_stats.offered.fetch_add(1, Relaxed);
         {
-            let mut q = self.inner.lock_queue();
+            let q = self.inner.lock_queue();
             assert!(!q.closed, "offer on a finished session");
-            while q.ring.is_full() {
-                q = self.inner.space.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
+            let mut q = self.inner.wait_for_space(q, &self.server_stats.producer_parks, |q| !q.ring.is_full());
             let outcome = q.ring.offer(*s, site);
             debug_assert_eq!(outcome, Offer::Accepted, "space was just confirmed under the lock");
         }
@@ -193,19 +236,16 @@ impl SessionHandle {
     /// Panics if the block is larger than the session ring (it could
     /// never fit) or if called after [`SessionHandle::finish`] began.
     pub fn offer_block_blocking(&self, block: SampleBlock) -> SampleBlock {
-        use std::sync::atomic::Ordering::Relaxed;
         let n = block.len();
         if n == 0 {
             return block;
         }
         self.server_stats.offered.fetch_add(n as u64, Relaxed);
         let shell = {
-            let mut q = self.inner.lock_queue();
+            let q = self.inner.lock_queue();
             assert!(!q.closed, "offer on a finished session");
             assert!(n <= q.ring.capacity(), "block of {n} samples cannot fit the session ring");
-            while q.ring.space() < n {
-                q = self.inner.space.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
+            let mut q = self.inner.wait_for_space(q, &self.server_stats.producer_parks, |q| q.ring.space() >= n);
             let (outcome, shell) = q.ring.offer_block(block);
             debug_assert_eq!(outcome, BlockOffer::Accepted, "space was just confirmed under the lock");
             shell
@@ -224,7 +264,8 @@ impl SessionHandle {
 
     /// Close the session and block until the shard worker has classified
     /// the stream's tail (flushing the final partial window), returning
-    /// the session's report.
+    /// the session's report. The wait polls for the report for a short
+    /// window, yielding the core to the worker, before it parks.
     ///
     /// # Errors
     /// [`ServeError::WorkerPanicked`] when the shard worker owning this
@@ -235,12 +276,25 @@ impl SessionHandle {
             q.closed = true;
         }
         self.notify.raise();
-        let mut report = self.inner.report.lock().unwrap_or_else(|e| e.into_inner());
+        let mut polled = None;
+        poll(|| {
+            polled = self.inner.lock_report().report.take();
+            polled.is_some()
+        });
+        if let Some(r) = polled {
+            return r;
+        }
+        let mut slot = self.inner.lock_report();
         loop {
-            if let Some(r) = report.take() {
+            // Re-checked under the lock before every park: a delivery
+            // that landed after the last poll notified nobody.
+            if let Some(r) = slot.report.take() {
                 return r;
             }
-            report = self.inner.done.wait(report).unwrap_or_else(|e| e.into_inner());
+            slot.finisher_parked = true;
+            self.server_stats.finish_parks.fetch_add(1, Relaxed);
+            slot = self.inner.done.wait(slot).unwrap_or_else(|e| e.into_inner());
+            slot.finisher_parked = false;
         }
     }
 }

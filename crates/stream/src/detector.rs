@@ -28,7 +28,7 @@ use drbw_core::classifier::{ContentionClassifier, MIN_REMOTE_SAMPLES, MIN_REMOTE
 use drbw_core::features::{FeatureAccumulator, FeatureCtx, NUM_SELECTED, REMOTE_COUNT};
 use drbw_core::{DrBw, Mode};
 use numasim::hierarchy::DataSource;
-use numasim::topology::ChannelId;
+use numasim::topology::{ChannelId, NodeId};
 use pebs::alloc::SiteId;
 use pebs::block::SampleBlock;
 use pebs::sample::MemSample;
@@ -351,12 +351,17 @@ impl StreamingDetector {
     /// data (drive attribution through
     /// `AllocationTracker::attribute_site`; pass `None` when unknown).
     /// Window closures triggered by this sample's timestamp run before it
-    /// is accumulated.
+    /// is accumulated. A sample the machine could not have produced (see
+    /// [`StreamMetrics::samples_rejected`]) is counted and skipped: it
+    /// moves no clock and touches no window.
     pub fn ingest(&mut self, s: &MemSample, site: SketchKey) {
+        if !self.admits(s.node, s.home, s.latency) {
+            self.metrics.samples_rejected += 1;
+            return;
+        }
         let pane = self.cfg.window.pane_index(self.cfg.origin_cycles, s.time);
         self.advance_to(pane, 1);
         let a = s.node.0 as usize;
-        assert!(a < self.cfg.nodes, "sample from out-of-range node {a}");
         match s.home {
             Some(h) if h != s.node => {
                 let idx = dense_index(self.cfg.nodes, a, h.0 as usize);
@@ -390,8 +395,10 @@ impl StreamingDetector {
     /// is identical to per-sample ingestion: integer/fixed-point
     /// accumulator state is associative (context samples folded through
     /// one per-node accumulator and merged land on the same state),
-    /// threshold counts are exact per-element predicates, and sketch
-    /// offers happen in stream order during the gather pass.
+    /// threshold counts are exact per-element predicates, sketch offers
+    /// happen in stream order during the gather pass, and a rejected
+    /// sample is skipped there — a run of nothing else moves no clock,
+    /// just as a rejected sample moves none on the per-sample path.
     pub fn ingest_block(&mut self, block: &SampleBlock) {
         if block.is_empty() {
             return;
@@ -410,29 +417,41 @@ impl StreamingDetector {
             // the samples of one pane form a contiguous run.
             let hi =
                 lo + times[lo..].partition_point(|&t| self.cfg.window.pane_index(self.cfg.origin_cycles, t) == pane);
-            self.advance_to(pane, (hi - lo) as u64);
-            self.accumulate_run(block, lo, hi);
+            let admitted = self.gather_run(block, lo, hi);
+            if admitted > 0 {
+                self.advance_to(pane, admitted);
+                self.merge_run();
+            }
             lo = hi;
         }
     }
 
-    /// Accumulate one same-pane run of a block into the open pane.
-    ///
-    /// Pass 1 routes each sample once into per-channel (remote) or
-    /// per-node (context) gather lanes — sketch offers happen here, in
-    /// stream order. Pass 2 drains each non-empty lane through the batch
-    /// kernels: context samples fold through one per-node accumulator
-    /// whose state is merged into each of the node's outgoing channels
-    /// (the same state by associativity of the integer sums).
-    fn accumulate_run(&mut self, block: &SampleBlock, lo: usize, hi: usize) {
+    /// Whether a sample names nodes of this machine and carries a finite,
+    /// non-negative latency — what channel routing and the exact latency
+    /// sums need to hold. (`&`, not `&&`: one branch per sample on the
+    /// block path instead of three.)
+    fn admits(&self, node: NodeId, home: Option<NodeId>, latency: f64) -> bool {
+        let on_machine = |n: NodeId| (n.0 as usize) < self.cfg.nodes;
+        on_machine(node) & home.is_none_or(on_machine) & (0.0..f64::INFINITY).contains(&latency)
+    }
+
+    /// Pass 1 of accumulating one same-pane run of a block: route each
+    /// admitted sample once into per-channel (remote) or per-node
+    /// (context) gather lanes — sketch offers happen here, in stream order
+    /// — and count the rest as rejected. Returns the samples admitted.
+    fn gather_run(&mut self, block: &SampleBlock, lo: usize, hi: usize) -> u64 {
         let nodes = block.nodes();
         let homes = block.homes();
         let lats = block.latencies();
         let srcs = block.sources();
         let sites = block.sites();
+        let mut rejected = 0;
         for i in lo..hi {
+            if !self.admits(nodes[i], homes[i], lats[i]) {
+                rejected += 1;
+                continue;
+            }
             let a = nodes[i].0 as usize;
-            assert!(a < self.cfg.nodes, "sample from out-of-range node {a}");
             match homes[i] {
                 Some(h) if h != nodes[i] => {
                     let idx = dense_index(self.cfg.nodes, a, h.0 as usize);
@@ -442,6 +461,15 @@ impl StreamingDetector {
                 _ => self.ctx_scratch[a].push(lats[i], srcs[i]),
             }
         }
+        self.metrics.samples_rejected += rejected;
+        (hi - lo) as u64 - rejected
+    }
+
+    /// Pass 2: drain each non-empty gather lane into the open pane through
+    /// the batch kernels. Context samples fold through one per-node
+    /// accumulator whose state is merged into each of the node's outgoing
+    /// channels (the same state by associativity of the integer sums).
+    fn merge_run(&mut self) {
         for idx in 0..self.nch {
             if self.route_scratch[idx].lat.is_empty() {
                 continue;
@@ -1102,6 +1130,60 @@ mod tests {
             out.push((sample(time, node, home, source, lat), site));
         }
         out
+    }
+
+    /// Failing-first (each of these panicked at the parent commit, or hit
+    /// only a `debug_assert!`): a sample naming a node outside the machine
+    /// — as issuer or as home — or carrying a negative, infinite or NaN
+    /// latency is counted as rejected and skipped, on both entry points
+    /// alike, and the rest of the stream classifies exactly as it would
+    /// have without it.
+    #[test]
+    fn hostile_samples_are_rejected_and_counted_not_fatal() {
+        let cfg = StreamConfig { record_windows: true, ..StreamConfig::new(4, WindowConfig::sliding(1000.0, 2)) };
+        let clean: Vec<(MemSample, SketchKey)> = mixed_stream(400);
+        let hostile = [
+            sample(500.0, 9, Some(0), DataSource::RemoteDram, 950.0),
+            sample(600.0, 4, None, DataSource::L1, 5.0),
+            sample(700.0, 1, Some(7), DataSource::RemoteDram, 950.0),
+            sample(800.0, 1, Some(0), DataSource::RemoteDram, f64::NAN),
+            sample(900.0, 1, Some(0), DataSource::RemoteDram, -1.0),
+            // Past the stream's end: a clock it moved would owe windows.
+            sample(50_000.0, 1, Some(0), DataSource::RemoteDram, f64::INFINITY),
+        ];
+        let mut dirty = clean.clone();
+        for (k, s) in hostile.iter().enumerate() {
+            dirty.insert(37 + 53 * k, (*s, Some(SiteId(99))));
+        }
+        let mut reference = StreamingDetector::new(classifier(), cfg);
+        for (s, site) in &clean {
+            reference.ingest(s, *site);
+        }
+        reference.flush();
+        let want = StreamMetrics { samples_rejected: hostile.len() as u64, ..reference.metrics() };
+        let (want_events, want_windows) = (reference.drain_events(), reference.drain_windows());
+        for chunk in [0usize, 1, 7, 64, dirty.len()] {
+            let mut det = StreamingDetector::new(classifier(), cfg);
+            if chunk == 0 {
+                dirty.iter().for_each(|(s, site)| det.ingest(s, *site));
+            } else {
+                for group in dirty.chunks(chunk) {
+                    let mut block = SampleBlock::with_capacity(chunk);
+                    group.iter().for_each(|(s, site)| assert!(block.push(s, *site)));
+                    det.ingest_block(&block);
+                }
+            }
+            det.flush();
+            let m = det.metrics();
+            assert_eq!(m, want, "chunk {chunk}");
+            assert_eq!(m.samples_ingested + m.samples_rejected, dirty.len() as u64, "chunk {chunk}");
+            assert_eq!(det.drain_events(), want_events, "chunk {chunk}");
+            assert_eq!(det.drain_windows(), want_windows, "chunk {chunk}");
+            for i in 0..12 {
+                let c = channel_at(4, i);
+                assert_eq!(det.live_top(c, 8), reference.live_top(c, 8), "chunk {chunk} ch {c:?}");
+            }
+        }
     }
 
     /// The tentpole's bit-identity contract: block ingestion — for every

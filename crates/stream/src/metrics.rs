@@ -10,6 +10,11 @@
 pub struct StreamMetrics {
     /// Samples ingested into window accumulators.
     pub samples_ingested: u64,
+    /// Samples refused before they reached any window: a `node` or `home`
+    /// outside the machine, or a latency that is negative, infinite or
+    /// NaN. Every sample offered to the detector is either ingested or
+    /// rejected.
+    pub samples_rejected: u64,
     /// Samples that arrived for an already-sealed pane and were folded
     /// into the open one (out-of-order arrival; best-effort accounting).
     pub late_samples: u64,
@@ -37,8 +42,9 @@ impl std::fmt::Display for StreamMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ingested={} late={} windows={} transitions={} first_rmc={}",
+            "ingested={} rejected={} late={} windows={} transitions={} first_rmc={}",
             self.samples_ingested,
+            self.samples_rejected,
             self.late_samples,
             self.windows_classified,
             self.verdict_transitions,
