@@ -119,7 +119,15 @@ for arm in "block:" "per_sample:--per-sample"; do
         echo "serve smoke ($name): took ${serve_secs}s (budget < 15s)" >&2
         exit 1
     fi
-    echo "    ${name}: ${serve_secs}s, $(grep -o '"verdicts": [0-9]*' "$serve_cache/BENCH_serve_$name.json") across 50 sessions, zero drops," \
+    # Queue wait — a block's enqueue stamp to the worker's pop, from the
+    # service's own snapshot — is the worker-is-the-bottleneck signal. Only
+    # the block arm prints it: a per-sample offer's block is stamped at its
+    # first sample, so there the figure also holds the time to fill it.
+    queue_wait=""
+    if [ "$name" = block ]; then
+        queue_wait=" $(grep -oE '"queue_wait_p50_us": [0-9.]+' "$serve_cache/BENCH_serve_$name.json" | tail -1),"
+    fi
+    echo "    ${name}: ${serve_secs}s, $(grep -o '"verdicts": [0-9]*' "$serve_cache/BENCH_serve_$name.json") across 50 sessions, zero drops,${queue_wait}" \
         "$(grep -oE '"(worker|producer|finish)_parks": [0-9]+' "$serve_cache/BENCH_serve_$name.json" | tail -3 | tr '\n' ' ')"
 done
 rm -rf "$serve_cache"
@@ -148,11 +156,14 @@ layer() { awk -F'\t' -v m="$1" -v f="${2:-%.1f}" '$2 == m { printf f, $3 }' "$tr
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 
 echo "==> online-pipeline traced smoke (repo benchmark: serve-saturate --smoke --trace 1)"
-# The shard worker's per-sample cost and the verdict latency behind it,
-# plus the generator's block building and the report round trip — the
-# two layers the producer→worker handoff owns.
+# The shard worker's per-sample cost, the queue in front of it (a p90
+# depth above zero means the worker, not the generator, bounds the run)
+# and the verdict latency behind it, plus the generator's block building
+# and the report round trip — the two layers the producer→worker
+# handoff owns.
 traced_smoke serve-saturate
 echo "    ${trace_secs}s, stream.ingest_block.ns_per_sample $(layer stream.ingest_block.ns_per_sample) ns," \
+    "serve.queue_depth_p90 $(layer serve.queue_depth_p90 %.0f) samples," \
     "serve.verdict_latency_p50_us $(layer serve.verdict_latency_p50_us) us," \
     "pebs.block.build.busy_s $(layer pebs.block.build.busy_s %.3f) s," \
     "serve.finish.p50_us $(layer serve.finish.p50_us) us, 0 failed ops"

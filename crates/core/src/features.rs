@@ -213,17 +213,12 @@ impl SourceAccum {
     }
 }
 
-/// Per-threshold counts of elements strictly above each threshold:
-/// `out[k] = |{ x in xs : x > thresholds[k] }|` (NaN counts in no bucket).
-fn count_above<const K: usize>(xs: &[f64], thresholds: &[f64; K]) -> [usize; K] {
-    let mut counts = [0usize; K];
-    for &x in xs {
-        for (count, &t) in counts.iter_mut().zip(thresholds) {
-            *count += (x > t) as usize;
-        }
-    }
-    counts
-}
+/// Slots of [`FeatureAccumulator`]'s per-source partials.
+const REMOTE: usize = 0;
+const LOCAL: usize = 1;
+const LFB: usize = 2;
+/// Every other source (cache hits): counted in the totals only.
+const OTHER: usize = 3;
 
 /// Incremental, mergeable state from which the 13 Table I features are
 /// produced.
@@ -235,14 +230,15 @@ fn count_above<const K: usize>(xs: &[f64], thresholds: &[f64; K]) -> [usize; K] 
 /// push/merge schedule that covers each sample exactly once reaches the
 /// same state (`==`) and finalizes to the bit-identical vector
 /// [`selected_features`] computes over the whole batch.
+///
+/// A sample lands in the partial of its source only — one count and one
+/// 128-bit addition — and the total count and latency sum are the four
+/// partials added up when read: integer addition, and for the non-negative
+/// latencies a machine produces the saturating sums are exact too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FeatureAccumulator {
-    total: usize,
     above: [usize; 5],
-    remote: SourceAccum,
-    local: SourceAccum,
-    lfb: SourceAccum,
-    lat_all: ExactSum,
+    sources: [SourceAccum; 4],
 }
 
 impl FeatureAccumulator {
@@ -262,85 +258,66 @@ impl FeatureAccumulator {
 
     /// Ingest one sample.
     pub fn push(&mut self, s: &MemSample) {
-        debug_assert!(s.latency.is_finite(), "latency sums are over finite values");
-        self.total += 1;
-        for (i, &t) in LATENCY_THRESHOLDS.iter().enumerate() {
-            if s.latency > t {
-                self.above[i] += 1;
-            }
+        self.push_latency(s.latency, s.source);
+    }
+
+    /// Ingest one sample given as its latency and data source (the
+    /// columnar block path, which has no [`MemSample`] to hand).
+    #[inline]
+    pub fn push_latency(&mut self, latency: f64, source: DataSource) {
+        debug_assert!(latency.is_finite(), "latency sums are over finite values");
+        for (count, &t) in self.above.iter_mut().zip(&LATENCY_THRESHOLDS) {
+            *count += (latency > t) as usize;
         }
-        let units = to_units(s.latency);
-        self.lat_all.add_units(units);
-        match s.source {
-            DataSource::RemoteDram => self.remote.add(units),
-            DataSource::LocalDram => self.local.add(units),
-            DataSource::Lfb => self.lfb.add(units),
-            _ => {}
-        }
+        let slot = match source {
+            DataSource::RemoteDram => REMOTE,
+            DataSource::LocalDram => LOCAL,
+            DataSource::Lfb => LFB,
+            _ => OTHER,
+        };
+        self.sources[slot].add(to_units(latency));
     }
 
     /// Ingest a batch of samples given as parallel lanes: `lats[i]` and
     /// `srcs[i]` describe sample `i` of a columnar
-    /// [`pebs::block::SampleBlock`] segment.
-    ///
-    /// Reaches the same state (`==`) as pushing the same samples with
-    /// [`FeatureAccumulator::push`]: the latency-bucket counts are the
-    /// same exact IEEE `>` predicates summed as integers, and each
-    /// latency is converted to [`ExactSum`] units once, into the partial
-    /// of its source (remote / local / LFB / everything else); the
-    /// total-latency sum is the four partials added up — integer
-    /// addition, so the split is invisible.
+    /// [`pebs::block::SampleBlock`] segment — the same state (`==`) as
+    /// pushing them one by one, which is what it does.
     ///
     /// # Panics
     /// Panics if the lanes disagree in length.
     pub fn push_lanes(&mut self, lats: &[f64], srcs: &[DataSource]) {
         assert_eq!(lats.len(), srcs.len(), "lane lengths must agree");
-        self.total += lats.len();
-        let above = count_above(lats, &LATENCY_THRESHOLDS);
-        for (a, b) in self.above.iter_mut().zip(above) {
-            *a += b;
-        }
-        let mut parts = [SourceAccum::default(); 4];
         for (&l, &src) in lats.iter().zip(srcs) {
-            debug_assert!(l.is_finite(), "latency sums are over finite values");
-            let slot = match src {
-                DataSource::RemoteDram => 0,
-                DataSource::LocalDram => 1,
-                DataSource::Lfb => 2,
-                _ => 3,
-            };
-            parts[slot].add(to_units(l));
+            self.push_latency(l, src);
         }
-        for part in &parts {
-            debug_assert!(part.lat.units > i128::MIN && part.lat.units < i128::MAX, "partial sum saturated");
-            self.lat_all.merge(&part.lat);
-        }
-        self.remote.merge(&parts[0]);
-        self.local.merge(&parts[1]);
-        self.lfb.merge(&parts[2]);
     }
 
     /// Fold an accumulator built over a disjoint sub-stream into this one.
     pub fn merge(&mut self, other: &FeatureAccumulator) {
-        self.total += other.total;
         for (a, b) in self.above.iter_mut().zip(other.above) {
             *a += b;
         }
-        self.remote.merge(&other.remote);
-        self.local.merge(&other.local);
-        self.lfb.merge(&other.lfb);
-        self.lat_all.merge(&other.lat_all);
+        for (a, b) in self.sources.iter_mut().zip(&other.sources) {
+            a.merge(b);
+        }
     }
 
     /// Samples accumulated so far.
     pub fn count(&self) -> usize {
-        self.total
+        self.sources.iter().map(|s| s.n).sum()
     }
 
     /// Remote-DRAM samples accumulated so far (the count behind Table I
     /// feature #6 before per-mille normalisation).
     pub fn remote_dram_count(&self) -> usize {
-        self.remote.n
+        self.sources[REMOTE].n
+    }
+
+    /// The latency sum over every source.
+    fn latency_sum(&self) -> ExactSum {
+        let mut sum = ExactSum::new();
+        self.sources.iter().for_each(|s| sum.merge(&s.lat));
+        sum
     }
 
     /// Produce the 13 selected features (Table I order).
@@ -349,22 +326,23 @@ impl FeatureAccumulator {
     /// Panics if `ctx.duration_cycles <= 0`.
     pub fn finalize(&self, ctx: &FeatureCtx) -> [f64; NUM_SELECTED] {
         assert!(ctx.duration_cycles > 0.0, "profile duration must be positive");
-        let total = self.total;
+        let total = self.count();
         let ratio = |c: usize| if total == 0 { 0.0 } else { c as f64 / total as f64 };
+        let [remote, local, lfb, _] = &self.sources;
         [
             ratio(self.above[0]),
             ratio(self.above[1]),
             ratio(self.above[2]),
             ratio(self.above[3]),
             ratio(self.above[4]),
-            per_mille(self.remote.n, total),
-            avg(self.remote.lat.value(), self.remote.n),
-            per_mille(self.local.n, total),
-            avg(self.local.lat.value(), self.local.n),
+            per_mille(remote.n, total),
+            avg(remote.lat.value(), remote.n),
+            per_mille(local.n, total),
+            avg(local.lat.value(), local.n),
             ctx.rate(total),
-            avg(self.lat_all.value(), total),
-            per_mille(self.lfb.n, total),
-            avg(self.lfb.lat.value(), self.lfb.n),
+            avg(self.latency_sum().value(), total),
+            per_mille(lfb.n, total),
+            avg(lfb.lat.value(), lfb.n),
         ]
     }
 }
@@ -605,15 +583,6 @@ mod tests {
         }
     }
 
-    /// Plain-definition oracle for [`count_above`].
-    fn oracle_count<const K: usize>(xs: &[f64], thresholds: &[f64; K]) -> [usize; K] {
-        let mut counts = [0usize; K];
-        for (k, &t) in thresholds.iter().enumerate() {
-            counts[k] = xs.iter().filter(|&&x| x > t).count();
-        }
-        counts
-    }
-
     /// Deterministic pseudo-random integral latencies in `0..2048`.
     fn rand_lats(seed: u64, len: usize) -> Vec<f64> {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -621,53 +590,27 @@ mod tests {
         (0..len).map(|_| rng.gen_range(0..2048u64) as f64).collect()
     }
 
-    /// [`count_above`] against the oracle: random latencies straddling
-    /// the thresholds, exact-threshold values (strictly-greater must
-    /// exclude them), NaN and ±∞ — mixed in and as whole lanes; NaN
-    /// counts in no bucket — over a length sweep. And `push_lanes`
-    /// against per-sample `push` on the finite part of the same lanes
-    /// (both debug-assert finiteness: the latency sums are over finite
-    /// values).
+    /// The threshold counts against the plain definition `above[k] = |{ x : x > thresholds[k] }|`, and `push_lanes`
+    /// against per-sample `push`: random latencies straddling the
+    /// thresholds, and exact-threshold values (strictly-greater must
+    /// exclude them) with their one-ulp neighbours, over a length sweep.
     #[test]
-    fn count_above_matches_oracle_and_push_lanes_matches_push() {
+    fn threshold_counts_match_the_definition_and_push_lanes_matches_push() {
         let mut cases: Vec<Vec<f64>> = Vec::new();
         for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 127, 128, 129, 255, 256, 1000] {
             for seed in [1u64, 42, 9999] {
                 cases.push(rand_lats(seed, len));
             }
-            // Exact threshold hits, epsilon neighbours, and non-finite values.
-            cases.push(
-                (0..len)
-                    .map(|i| match i % 9 {
-                        0 => 1000.0,
-                        1 => 500.0,
-                        2 => 50.0,
-                        3 => f64::NAN,
-                        4 => f64::INFINITY,
-                        5 => f64::NEG_INFINITY,
-                        6 => 1000.0_f64.next_up(),
-                        7 => 50.0_f64.next_down(),
-                        _ => 0.0,
-                    })
-                    .collect(),
-            );
-            for (lane, in_every_bucket) in [(f64::NAN, false), (f64::INFINITY, true), (f64::NEG_INFINITY, false)] {
-                let xs = vec![lane; len];
-                assert_eq!(count_above(&xs, &LATENCY_THRESHOLDS), [if in_every_bucket { len } else { 0 }; 5]);
-                cases.push(xs);
-            }
+            let edges: Vec<f64> = LATENCY_THRESHOLDS.iter().flat_map(|&t| [t.next_down(), t, t.next_up()]).collect();
+            cases.push((0..len).map(|i| if i % 17 == 16 { 0.0 } else { edges[i % edges.len()] }).collect());
         }
         let sources = [DataSource::RemoteDram, DataSource::LocalDram, DataSource::Lfb, DataSource::L3];
-        for xs in &cases {
-            assert_eq!(count_above(xs, &LATENCY_THRESHOLDS), oracle_count(xs, &LATENCY_THRESHOLDS));
-            // Also a different K, to cover the const-generic machinery.
-            let one = [250.0f64];
-            assert_eq!(count_above(xs, &one), oracle_count(xs, &one), "K=1");
-
-            let lats: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
+        for lats in &cases {
             let srcs: Vec<DataSource> = (0..lats.len()).map(|i| sources[i % sources.len()]).collect();
             let mut lanes = FeatureAccumulator::new();
-            lanes.push_lanes(&lats, &srcs);
+            lanes.push_lanes(lats, &srcs);
+            let definition = LATENCY_THRESHOLDS.map(|t| lats.iter().filter(|&&x| x > t).count());
+            assert_eq!(lanes.above, definition);
             let mut per_sample = FeatureAccumulator::new();
             for (&l, &src) in lats.iter().zip(&srcs) {
                 per_sample.push(&sample(src, l, 0, false));
@@ -800,15 +743,15 @@ mod tests {
             lanes.push_lanes(&lats, &srcs);
             proptest::prop_assert_eq!(pushed.units, want);
             proptest::prop_assert_eq!(sliced, pushed);
-            proptest::prop_assert_eq!(lanes.lat_all, pushed);
+            proptest::prop_assert_eq!(lanes.latency_sum(), pushed);
             let of = |src: DataSource| {
                 let mut sum = ExactSum::new();
                 lats.iter().zip(&srcs).filter(|(_, &s)| s == src).for_each(|(&x, _)| sum.push(x));
                 sum
             };
-            proptest::prop_assert_eq!(lanes.remote.lat, of(DataSource::RemoteDram));
-            proptest::prop_assert_eq!(lanes.local.lat, of(DataSource::LocalDram));
-            proptest::prop_assert_eq!(lanes.lfb.lat, of(DataSource::Lfb));
+            proptest::prop_assert_eq!(lanes.sources[REMOTE].lat, of(DataSource::RemoteDram));
+            proptest::prop_assert_eq!(lanes.sources[LOCAL].lat, of(DataSource::LocalDram));
+            proptest::prop_assert_eq!(lanes.sources[LFB].lat, of(DataSource::Lfb));
         }
     }
 }

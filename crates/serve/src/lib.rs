@@ -21,8 +21,8 @@
 //!   it (in-flight windows finish on the model they started with);
 //! * [`ServeMetrics`] — a one-line-JSON snapshot of the whole service
 //!   (sessions, ingest/drop accounting, per-shard queue depth, verdict
-//!   p50/p99 latency, model epoch, how often the worker, producers and
-//!   `finish` parked, run-cache warm-hit rate).
+//!   p50/p99 latency and the queue wait inside it, model epoch, how often
+//!   the worker, producers and `finish` parked, run-cache warm-hit rate).
 //!
 //! The load harness (`crates/bench/src/bin/serve_load.rs`) drives
 //! thousands of simultaneous replayed sessions through one server and
@@ -169,6 +169,8 @@ mod tests {
         assert!(m.shard_depths.iter().all(|&d| d == 0), "shutdown drains every queue: {m:?}");
         assert!(m.windows_classified >= 6);
         assert!(m.cache_hit_rate.is_none());
+        assert!(m.queue_wait_p50_us > 0.0, "every popped block records its queue wait: {m:?}");
+        assert!(m.queue_wait_p99_us >= m.queue_wait_p50_us);
     }
 
     /// Hot swap: versions stamped on windows/events are monotone per

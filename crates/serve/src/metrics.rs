@@ -176,6 +176,13 @@ pub struct ServeMetrics {
     pub verdict_p99_us: f64,
     /// Mean verdict latency, microseconds (exact).
     pub verdict_mean_us: f64,
+    /// p50 queue wait, microseconds: a block's enqueue stamp to its pop
+    /// by the shard worker (the part of verdict latency spent queued). A
+    /// block filled by per-sample offers is stamped at its first sample,
+    /// so for that traffic the figure also holds the block's fill time.
+    pub queue_wait_p50_us: f64,
+    /// p99 queue wait, microseconds.
+    pub queue_wait_p99_us: f64,
     /// Times a shard worker parked because every queue was empty (a
     /// worker that found work while polling does not count).
     pub worker_parks: u64,
@@ -204,8 +211,8 @@ impl ServeMetrics {
                 "\"samples_ingested\": {}, \"verdicts\": {}, \"windows_classified\": {}, ",
                 "\"model_epoch\": {}, \"model_swaps\": {}, \"shard_depths\": [{}], ",
                 "\"verdict_latency_count\": {}, \"verdict_p50_us\": {:.1}, \"verdict_p99_us\": {:.1}, ",
-                "\"verdict_mean_us\": {:.1}, \"worker_parks\": {}, \"producer_parks\": {}, ",
-                "\"finish_parks\": {}, \"cache_hit_rate\": {}}}"
+                "\"verdict_mean_us\": {:.1}, \"queue_wait_p50_us\": {:.1}, \"queue_wait_p99_us\": {:.1}, ",
+                "\"worker_parks\": {}, \"producer_parks\": {}, \"finish_parks\": {}, \"cache_hit_rate\": {}}}"
             ),
             self.sessions_opened,
             self.sessions_closed,
@@ -223,6 +230,8 @@ impl ServeMetrics {
             self.verdict_p50_us,
             self.verdict_p99_us,
             self.verdict_mean_us,
+            self.queue_wait_p50_us,
+            self.queue_wait_p99_us,
             self.worker_parks,
             self.producer_parks,
             self.finish_parks,
@@ -301,6 +310,8 @@ mod tests {
             verdict_p50_us: 128.0,
             verdict_p99_us: 512.0,
             verdict_mean_us: 97.3,
+            queue_wait_p50_us: 3.5,
+            queue_wait_p99_us: 41.0,
             worker_parks: 12,
             producer_parks: 3,
             finish_parks: 4,
@@ -313,6 +324,8 @@ mod tests {
             "\"samples_dropped\": 10",
             "\"shard_depths\": [0,3]",
             "\"verdict_p99_us\": 512.0",
+            "\"queue_wait_p50_us\": 3.5",
+            "\"queue_wait_p99_us\": 41.0",
             "\"model_swaps\": 1",
             "\"worker_parks\": 12",
             "\"producer_parks\": 3",

@@ -149,6 +149,8 @@ struct ServerInner {
     registry: Arc<ModelRegistry>,
     stats: Arc<ServerStats>,
     latency: LatencyHistogram,
+    /// Enqueue stamp → pop by the shard worker, one observation per block.
+    queue_wait: LatencyHistogram,
     shards: Vec<ShardState>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
@@ -202,6 +204,7 @@ impl AnalysisServer {
             registry,
             stats: Arc::new(ServerStats::default()),
             latency: LatencyHistogram::new(),
+            queue_wait: LatencyHistogram::new(),
             shards,
             next_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -306,6 +309,8 @@ impl AnalysisServer {
             verdict_p50_us: inner.latency.quantile_nanos(0.5) / 1_000.0,
             verdict_p99_us: inner.latency.quantile_nanos(0.99) / 1_000.0,
             verdict_mean_us: inner.latency.mean_nanos() / 1_000.0,
+            queue_wait_p50_us: inner.queue_wait.quantile_nanos(0.5) / 1_000.0,
+            queue_wait_p99_us: inner.queue_wait.quantile_nanos(0.99) / 1_000.0,
             worker_parks: inner.stats.worker_parks.load(rel),
             producer_parks: inner.stats.producer_parks.load(rel),
             finish_parks: inner.stats.finish_parks.load(rel),
@@ -507,10 +512,12 @@ fn run_shard_inner(inner: &ServerInner, idx: usize) {
                 if producers_parked {
                     a.session.space.notify_all();
                 }
+                let popped = Instant::now();
                 did_work = true;
                 let total: u64 = blocks.iter().map(|(b, _)| b.len() as u64).sum();
                 shard.stats.depth.fetch_sub(total, rel);
                 for (block, at) in &blocks {
+                    inner.queue_wait.record(nanos(popped.saturating_duration_since(*at)));
                     #[cfg(test)]
                     test_fail::panic_on_poison(block);
                     a.detector.ingest_block(block);
@@ -526,9 +533,9 @@ fn run_shard_inner(inner: &ServerInner, idx: usize) {
                         // stamp (its first sample's arrival) — the
                         // conservative end of the per-sample stamps it
                         // replaces.
-                        let nanos = at.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                        let ns = nanos(at.elapsed());
                         for _ in 0..newly {
-                            inner.latency.record(nanos);
+                            inner.latency.record(ns);
                         }
                         shard.stats.verdicts.fetch_add(newly, rel);
                     }
@@ -567,6 +574,11 @@ fn run_shard_inner(inner: &ServerInner, idx: usize) {
             }
         }
     }
+}
+
+/// A duration as histogram nanoseconds (saturating).
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Wait for the shard's next raise (or `idle_wait`), counting a park.

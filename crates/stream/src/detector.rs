@@ -16,6 +16,11 @@
 //! space-saving sketches, so culprit data objects can be named live
 //! without retaining any sample log.
 //!
+//! [`StreamingDetector::ingest_block`] does the same in one pass over a
+//! columnar block: per sample a table lookup, one accumulator update and a
+//! sketch-key comparison; per run of one pane a split and a merge per
+//! route; per run of one sketch key a single offer.
+//!
 //! Memory is `O(panes × channels + channels × sketch_k)` — independent of
 //! run length.
 
@@ -27,12 +32,12 @@ use drbw_core::channels::{channel_at, dense_index};
 use drbw_core::classifier::{ContentionClassifier, MIN_REMOTE_SAMPLES, MIN_REMOTE_SHARE};
 use drbw_core::features::{FeatureAccumulator, FeatureCtx, NUM_SELECTED, REMOTE_COUNT};
 use drbw_core::{DrBw, Mode};
-use numasim::hierarchy::DataSource;
 use numasim::topology::{ChannelId, NodeId};
 use pebs::alloc::SiteId;
 use pebs::block::SampleBlock;
 use pebs::sample::MemSample;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Attribution key for the live diagnosis sketches: the allocation site a
@@ -134,31 +139,6 @@ struct ChannelPane {
     traversed: usize,
 }
 
-/// Per-route gather lanes for the block path: transient working memory,
-/// filled and drained within one [`StreamingDetector::ingest_block`]
-/// call, bounded by the largest block ever ingested.
-#[derive(Debug, Clone, Default)]
-struct RouteScratch {
-    lat: Vec<f64>,
-    src: Vec<DataSource>,
-}
-
-impl RouteScratch {
-    fn push(&mut self, lat: f64, src: DataSource) {
-        self.lat.push(lat);
-        self.src.push(src);
-    }
-
-    fn clear(&mut self) {
-        self.lat.clear();
-        self.src.clear();
-    }
-
-    fn retained_bytes(&self) -> usize {
-        self.lat.capacity() * std::mem::size_of::<f64>() + self.src.capacity() * std::mem::size_of::<DataSource>()
-    }
-}
-
 /// The online contention detector.
 #[derive(Debug, Clone)]
 pub struct StreamingDetector {
@@ -189,12 +169,16 @@ pub struct StreamingDetector {
     windows_closed: u64,
     events: Vec<VerdictEvent>,
     windows: Vec<WindowSummary>,
-    /// Per-channel gather lanes for remote-routed samples of one block
-    /// run (empty between `ingest_block` calls).
-    route_scratch: Vec<RouteScratch>,
-    /// Per-node gather lanes for context (non-remote) samples of one
-    /// block run (empty between `ingest_block` calls).
-    ctx_scratch: Vec<RouteScratch>,
+    /// The block path's route of an admitted sample, at `node * (nodes +
+    /// 1) + home` (a missing home counts as `nodes`): a remote channel's
+    /// dense index, or `nch + node` for the node's context slot.
+    route_of: Vec<usize>,
+    /// One run accumulator per route (empty between `ingest_block` calls).
+    runs: Vec<FeatureAccumulator>,
+    /// Per channel, the block path's last sketch key and how many times
+    /// in a row it came: offered when the key changes and when a block
+    /// ends, so the count is 0 between `ingest_block` calls.
+    pending_offers: Vec<(SketchKey, u64)>,
 }
 
 impl StreamingDetector {
@@ -216,7 +200,11 @@ impl StreamingDetector {
     /// sketch capacity is zero.
     pub fn with_model(model: Arc<ContentionClassifier>, version: u64, cfg: StreamConfig) -> Self {
         assert!(cfg.nodes >= 2, "channel association needs at least two nodes");
-        let nch = cfg.nodes * (cfg.nodes - 1);
+        let n = cfg.nodes;
+        let nch = n * (n - 1);
+        let route_of = (0..n)
+            .flat_map(|a| (0..=n).map(move |h| if h < n && h != a { dense_index(n, a, h) } else { nch + a }))
+            .collect();
         Self {
             classifier: model,
             model_version: version,
@@ -233,8 +221,9 @@ impl StreamingDetector {
             windows_closed: 0,
             events: Vec::new(),
             windows: Vec::new(),
-            route_scratch: vec![RouteScratch::default(); nch],
-            ctx_scratch: vec![RouteScratch::default(); cfg.nodes],
+            route_of,
+            runs: vec![FeatureAccumulator::new(); nch + n],
+            pending_offers: vec![(None, 0); nch],
         }
     }
 
@@ -333,18 +322,17 @@ impl StreamingDetector {
         std::mem::take(&mut self.windows)
     }
 
-    /// Bytes of state currently retained (pane accumulators, sketches,
-    /// hysteresis, queued events) — the streaming pipeline's whole memory
-    /// footprint, constant in run length.
+    /// Bytes of state currently retained (pane and route accumulators,
+    /// sketches and their pending offers, hysteresis, queued events) — the
+    /// streaming pipeline's whole memory footprint, constant in run length.
     pub fn retained_bytes(&self) -> usize {
         let pane = self.nch * std::mem::size_of::<ChannelPane>();
         let panes = (1 + self.sealed.len() + self.spare.len()) * pane;
         let sketches = self.nch * self.cfg.sketch_capacity * std::mem::size_of::<TopEntry<SketchKey>>();
-        let fixed = self.nch * std::mem::size_of::<Hysteresis>();
+        let fixed = self.nch * (std::mem::size_of::<Hysteresis>() + std::mem::size_of::<(SketchKey, u64)>())
+            + self.runs.len() * std::mem::size_of::<FeatureAccumulator>();
         let queued = self.events.capacity() * std::mem::size_of::<VerdictEvent>();
-        let scratch =
-            self.route_scratch.iter().chain(&self.ctx_scratch).map(RouteScratch::retained_bytes).sum::<usize>();
-        panes + sketches + fixed + queued + scratch
+        panes + sketches + fixed + queued
     }
 
     /// Ingest one sample, attributed to `site` when it hit tracked heap
@@ -379,26 +367,26 @@ impl StreamingDetector {
 
     /// Ingest a columnar block, equivalent to calling
     /// [`StreamingDetector::ingest`] on each sample in order but paying
-    /// the pane lookup, node routing, and accumulator dispatch per *run*
-    /// instead of per sample.
+    /// the pane lookup, clock advance and pane update per *run* of
+    /// same-pane samples instead of per sample.
     ///
     /// Sorted blocks (the common case — `SampleBlock` tracks the hint on
-    /// push) are split into pane runs by binary search over the time
-    /// lane, and each run's samples are gathered per channel and pushed
-    /// through the lane kernels ([`FeatureAccumulator::push_lanes`]).
-    /// Unsorted blocks fall back to the per-sample loop; sortedness is a
-    /// fast path, never a semantic fork.
+    /// push) are split into pane runs over the time lane, and each
+    /// admitted sample of a run is touched once: routed by table to its
+    /// remote channel or its node's context slot, and added to that
+    /// route's [`FeatureAccumulator`]. Unsorted blocks fall back to the
+    /// per-sample loop; sortedness is a fast path, never a semantic fork.
     ///
     /// # Equivalence to the per-sample path
     ///
     /// Every pane accumulator, verdict, metric counter, and sketch state
-    /// is identical to per-sample ingestion: integer/fixed-point
-    /// accumulator state is associative (context samples folded through
-    /// one per-node accumulator and merged land on the same state),
-    /// threshold counts are exact per-element predicates, sketch offers
-    /// happen in stream order during the gather pass, and a rejected
-    /// sample is skipped there — a run of nothing else moves no clock,
-    /// just as a rejected sample moves none on the per-sample path.
+    /// is identical to per-sample ingestion: a route's accumulator merges
+    /// into the pane's by integer additions (a context slot folded once and
+    /// merged into each outgoing channel lands on the same state), each
+    /// channel's sketch sees its offers in stream order (a run of one key
+    /// as one `offer_n`, that many unit offers), and a rejected
+    /// sample is skipped — a run of nothing else moves no clock, just as a
+    /// rejected sample moves none on the per-sample path.
     pub fn ingest_block(&mut self, block: &SampleBlock) {
         if block.is_empty() {
             return;
@@ -417,12 +405,15 @@ impl StreamingDetector {
             // the samples of one pane form a contiguous run.
             let hi =
                 lo + times[lo..].partition_point(|&t| self.cfg.window.pane_index(self.cfg.origin_cycles, t) == pane);
-            let admitted = self.gather_run(block, lo, hi);
+            let admitted = self.accumulate_run(block, lo..hi);
             if admitted > 0 {
                 self.advance_to(pane, admitted);
-                self.merge_run();
+                self.drain_runs();
             }
             lo = hi;
+        }
+        for (sketch, (key, n)) in self.sketches.iter_mut().zip(&mut self.pending_offers) {
+            sketch.offer_n(*key, std::mem::take(n));
         }
     }
 
@@ -435,60 +426,52 @@ impl StreamingDetector {
         on_machine(node) & home.is_none_or(on_machine) & (0.0..f64::INFINITY).contains(&latency)
     }
 
-    /// Pass 1 of accumulating one same-pane run of a block: route each
-    /// admitted sample once into per-channel (remote) or per-node
-    /// (context) gather lanes — sketch offers happen here, in stream order
-    /// — and count the rest as rejected. Returns the samples admitted.
-    fn gather_run(&mut self, block: &SampleBlock, lo: usize, hi: usize) -> u64 {
-        let nodes = block.nodes();
-        let homes = block.homes();
-        let lats = block.latencies();
-        let srcs = block.sources();
-        let sites = block.sites();
+    /// Accumulate the same-pane samples `run` of a block into their routes
+    /// and pending sketch offers; count the rejected. Returns the admitted.
+    fn accumulate_run(&mut self, block: &SampleBlock, run: Range<usize>) -> u64 {
+        let lanes = block.nodes()[run.clone()]
+            .iter()
+            .zip(&block.homes()[run.clone()])
+            .zip(&block.latencies()[run.clone()])
+            .zip(&block.sources()[run.clone()])
+            .zip(&block.sites()[run.clone()]);
         let mut rejected = 0;
-        for i in lo..hi {
-            if !self.admits(nodes[i], homes[i], lats[i]) {
+        for ((((&node, &home), &lat), &src), &site) in lanes {
+            if !self.admits(node, home, lat) {
                 rejected += 1;
                 continue;
             }
-            let a = nodes[i].0 as usize;
-            match homes[i] {
-                Some(h) if h != nodes[i] => {
-                    let idx = dense_index(self.cfg.nodes, a, h.0 as usize);
-                    self.route_scratch[idx].push(lats[i], srcs[i]);
-                    self.sketches[idx].offer(sites[i]);
+            let home = home.map_or(self.cfg.nodes, |h| h.0 as usize);
+            let route = self.route_of[node.0 as usize * (self.cfg.nodes + 1) + home];
+            self.runs[route].push_latency(lat, src);
+            if let Some((key, n)) = self.pending_offers.get_mut(route) {
+                if *key != site {
+                    self.sketches[route].offer_n(*key, *n);
+                    (*key, *n) = (site, 0);
                 }
-                _ => self.ctx_scratch[a].push(lats[i], srcs[i]),
+                *n += 1;
             }
         }
         self.metrics.samples_rejected += rejected;
-        (hi - lo) as u64 - rejected
+        run.len() as u64 - rejected
     }
 
-    /// Pass 2: drain each non-empty gather lane into the open pane through
-    /// the batch kernels. Context samples fold through one per-node
-    /// accumulator whose state is merged into each of the node's outgoing
+    /// Move every non-empty run accumulator into the open pane. A context
+    /// slot folds once and merges into each of its node's outgoing
     /// channels (the same state by associativity of the integer sums).
-    fn merge_run(&mut self) {
-        for idx in 0..self.nch {
-            if self.route_scratch[idx].lat.is_empty() {
-                continue;
+    fn drain_runs(&mut self) {
+        let n = self.cfg.nodes;
+        for (route, run) in self.runs.iter_mut().enumerate().filter(|(_, run)| run.count() > 0) {
+            let folded = std::mem::take(run);
+            if route < self.nch {
+                self.open[route].acc.merge(&folded);
+                self.open[route].traversed += folded.count();
+            } else {
+                let a = route - self.nch;
+                for d in (0..n).filter(|&d| d != a) {
+                    self.open[dense_index(n, a, d)].acc.merge(&folded);
+                }
             }
-            let scratch = &self.route_scratch[idx];
-            self.open[idx].acc.push_lanes(&scratch.lat, &scratch.src);
-            self.open[idx].traversed += scratch.lat.len();
-            self.route_scratch[idx].clear();
-        }
-        for a in 0..self.cfg.nodes {
-            if self.ctx_scratch[a].lat.is_empty() {
-                continue;
-            }
-            let mut folded = FeatureAccumulator::new();
-            folded.push_lanes(&self.ctx_scratch[a].lat, &self.ctx_scratch[a].src);
-            for d in (0..self.cfg.nodes).filter(|&d| d != a) {
-                self.open[dense_index(self.cfg.nodes, a, d)].acc.merge(&folded);
-            }
-            self.ctx_scratch[a].clear();
         }
     }
 
@@ -591,16 +574,22 @@ impl StreamingDetector {
         self.metrics.windows_classified += 1;
         let mut channels = Vec::with_capacity(if self.cfg.record_windows { self.nch } else { 0 });
         for i in 0..self.nch {
-            let mut merged = ChannelPane::default();
-            for pane in &self.sealed {
-                merged.acc.merge(&pane[i].acc);
-                merged.traversed += pane[i].traversed;
-            }
-            let feats = merged.acc.finalize(&ctx);
-            let raw = if merged.traversed < MIN_REMOTE_SAMPLES || feats[REMOTE_COUNT] < MIN_REMOTE_SHARE {
-                Mode::Good
+            let traversed: usize = self.sealed.iter().map(|pane| pane[i].traversed).sum();
+            // Guard first: below the traffic minimum the verdict is `good`
+            // whatever the features say, so unless a summary needs them
+            // they are never merged or finalized.
+            let (raw, feats) = if traversed < MIN_REMOTE_SAMPLES && !self.cfg.record_windows {
+                (Mode::Good, None)
             } else {
-                self.classifier.predict(&feats)
+                let mut acc = FeatureAccumulator::new();
+                self.sealed.iter().for_each(|pane| acc.merge(&pane[i].acc));
+                let feats = acc.finalize(&ctx);
+                let raw = if traversed < MIN_REMOTE_SAMPLES || feats[REMOTE_COUNT] < MIN_REMOTE_SHARE {
+                    Mode::Good
+                } else {
+                    self.classifier.predict(&feats)
+                };
+                (raw, Some(feats))
             };
             if let Some(stable) = self.hysteresis[i].observe(raw) {
                 self.metrics.verdict_transitions += 1;
@@ -615,11 +604,11 @@ impl StreamingDetector {
                     model_version: self.model_version,
                 });
             }
-            if self.cfg.record_windows {
+            if let (true, Some(features)) = (self.cfg.record_windows, feats) {
                 channels.push(ChannelWindow {
                     channel: channel_at(self.cfg.nodes, i),
-                    features: feats,
-                    traversed: merged.traversed,
+                    features,
+                    traversed,
                     raw_mode: raw,
                 });
             }
@@ -1182,6 +1171,66 @@ mod tests {
             for i in 0..12 {
                 let c = channel_at(4, i);
                 assert_eq!(det.live_top(c, 8), reference.live_top(c, 8), "chunk {chunk} ch {c:?}");
+            }
+        }
+    }
+
+    /// Everything a detector shows after a flushed stream except the
+    /// recorded windows.
+    type Observed = (StreamMetrics, Vec<VerdictEvent>, Vec<ChannelId>, Vec<Vec<TopEntry<SketchKey>>>);
+
+    fn observe(mut det: StreamingDetector) -> Observed {
+        det.flush();
+        let tops = (0..det.nch).map(|i| det.live_top(channel_at(det.cfg.nodes, i), 8)).collect();
+        (det.metrics(), det.drain_events(), det.contended_channels(), tops)
+    }
+
+    /// Classification skips merging and finalizing a window whose traffic
+    /// is under the minimum, but only with `record_windows` off — and
+    /// every other block-vs-per-sample test records windows. So: off must
+    /// equal on, through both entry points, over `mixed_stream` and over a
+    /// stream whose windows carry one sample fewer than the minimum,
+    /// exactly the minimum (which classifies rmc) and one more.
+    #[test]
+    fn guard_shortcut_equals_the_recorded_path() {
+        let mut at_minimum: Vec<(MemSample, SketchKey)> = Vec::new();
+        for (w, extra) in [0, 0, 0, -1, -1, -1, 1, 0, 0, -1, -1, -1, 0, 0].into_iter().enumerate() {
+            let n = (MIN_REMOTE_SAMPLES as i64 + extra) as usize;
+            for i in 0..n {
+                let t = w as f64 * 1000.0 + (i as f64 + 0.5) * 1000.0 / n as f64;
+                at_minimum.push((sample(t, 1, Some(0), DataSource::RemoteDram, 950.0), Some(SiteId((i % 3) as u32))));
+            }
+        }
+        for (stream, window, on_the_boundary) in [
+            (&mixed_stream(700), WindowConfig::sliding(1000.0, 2), false),
+            (&at_minimum, WindowConfig::tumbling(1000.0), true),
+            (&at_minimum, WindowConfig::sliding(1000.0, 2), true),
+        ] {
+            for by_block in [false, true] {
+                let run = |record_windows: bool| {
+                    let cfg = StreamConfig { record_windows, sketch_capacity: 4, ..StreamConfig::new(4, window) };
+                    let mut det = StreamingDetector::new(classifier(), cfg);
+                    match by_block {
+                        true => stream.chunks(37).for_each(|c| {
+                            let mut block = SampleBlock::with_capacity(c.len());
+                            c.iter().for_each(|(s, site)| assert!(block.push(s, *site)));
+                            det.ingest_block(&block);
+                        }),
+                        false => stream.iter().for_each(|(s, site)| det.ingest(s, *site)),
+                    }
+                    det
+                };
+                let mut recorded = run(true);
+                let boundary_rmc = recorded
+                    .drain_windows()
+                    .iter()
+                    .flat_map(|w| &w.channels)
+                    .any(|c| c.traversed == MIN_REMOTE_SAMPLES && c.raw_mode == Mode::Rmc);
+                assert!(
+                    boundary_rmc || !on_the_boundary,
+                    "{window:?}: no window at exactly the minimum classified rmc"
+                );
+                assert_eq!(observe(run(false)), observe(recorded), "{window:?}, block {by_block}");
             }
         }
     }

@@ -55,19 +55,31 @@ impl<K: Copy + Ord> SpaceSaving<K> {
 
     /// Observe one occurrence of `key`.
     pub fn offer(&mut self, key: K) {
-        self.total += 1;
+        self.offer_n(key, 1);
+    }
+
+    /// Observe `n` consecutive occurrences of `key`: the state `n` calls
+    /// of [`SpaceSaving::offer`] reach (none for `n = 0`). After the first
+    /// the key is present, so the rest only add to its count — a miss on a
+    /// full sketch evicts once, and the newcomer takes the victim's count
+    /// `c` as `c + n` with overestimate `c`.
+    pub fn offer_n(&mut self, key: K, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.total += n;
         if let Some(entry) = self.counters.iter_mut().find(|e| e.key == key) {
-            entry.count += 1;
+            entry.count += n;
             return;
         }
         if self.counters.len() < self.capacity {
-            self.counters.push(TopEntry { key, count: 1, overestimate: 0 });
+            self.counters.push(TopEntry { key, count: n, overestimate: 0 });
             return;
         }
         // Evict the minimum counter (deterministic tie-break on the key)
         // and inherit its count as the newcomer's overestimate.
         let victim = self.counters.iter_mut().min_by_key(|e| (e.count, e.key)).expect("capacity is positive");
-        *victim = TopEntry { key, count: victim.count + 1, overestimate: victim.count };
+        *victim = TopEntry { key, count: victim.count + n, overestimate: victim.count };
     }
 
     /// Total observations offered.
@@ -239,6 +251,31 @@ mod tests {
             proptest::prop_assert_eq!(flat.top(n), model.top(n));
             for key in 0..universe + 1 {
                 proptest::prop_assert_eq!(flat.cf_estimate(&key), model.cf_estimate(&key));
+            }
+        }
+
+        /// `offer_n(k, n)` is `n` unit offers of `k`, against the same
+        /// model and over the same eviction-heavy key universes, with runs
+        /// long enough to overtake a victim's count in one step.
+        #[test]
+        fn offer_n_is_n_unit_offers(
+            capacity in 1usize..17,
+            spread in 1u32..8,
+            runs in proptest::collection::vec((proptest::prelude::any::<u32>(), 1u64..41), 0..200),
+        ) {
+            let universe = capacity as u32 + spread;
+            let mut flat = SpaceSaving::new(capacity);
+            let mut model = HashSketch { capacity, counters: HashMap::new(), total: 0 };
+            for (i, &(pick, n)) in runs.iter().enumerate() {
+                let key = pick % universe;
+                flat.offer_n(key, n);
+                (0..n).for_each(|_| model.offer(key));
+                proptest::prop_assert_eq!(flat.len(), model.counters.len(), "after run {}", i);
+                proptest::prop_assert_eq!(flat.top(capacity), model.top(capacity), "after run {}", i);
+                proptest::prop_assert_eq!(flat.total(), model.total, "after run {}", i);
+                for key in 0..universe + 1 {
+                    proptest::prop_assert_eq!(flat.cf_estimate(&key), model.cf_estimate(&key), "after run {}", i);
+                }
             }
         }
     }
