@@ -45,20 +45,50 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "==> run-cache cold->warm smoke (table1_features twice, byte-identical)"
-smoke_cache=$(mktemp -d)
-DRBW_RUNCACHE_DIR="$smoke_cache" ./target/release/table1_features \
-    > "$smoke_cache/cold.out" 2> "$smoke_cache/cold.err"
-DRBW_RUNCACHE_DIR="$smoke_cache" ./target/release/table1_features \
-    > "$smoke_cache/warm.out" 2> "$smoke_cache/warm.err"
-diff "$smoke_cache/cold.out" "$smoke_cache/warm.out"
-warm_hits=$(sed -n 's/.*runcache: hits=\([0-9]*\).*/\1/p' "$smoke_cache/warm.err")
+echo "==> results are fresh (every bench bin, cold run cache, empty directory)"
+# results/<bin>.txt is <bin>'s stdout; table3_confusion also writes
+# results/drbw.model, table5_benchmarks results/sweep.tsv, and table_tune
+# BENCH_tune.json. Nothing reads them back, so regenerating in an empty
+# directory (where the default run cache, results/runcache, starts cold)
+# must reproduce the committed files exactly, and nothing else may be
+# committed under results/.
+cargo build --release --quiet -p drbw-bench --bins
+unset DRBW_RUNCACHE DRBW_RUNCACHE_DIR
+bins=$PWD/target/release
+fresh=$(mktemp -d)
+mkdir "$fresh/results"
+fresh_start=$SECONDS
+for b in table1_features table3_confusion table5_benchmarks table7_overhead \
+         fig4_cf fig5_amg fig6_irsmk fig7_streamcluster fig8_lulesh \
+         case_studies ablation_heuristics ablation_sampling ablation_backends \
+         asymmetry_study ext_cache_contention stream_replay scenario_tenants table_tune; do
+    (cd "$fresh" && "$bins/$b" > "results/$b.txt" 2> "$b.err") || {
+        echo "results freshness: $b failed; its stderr:" >&2
+        cat "$fresh/$b.err" >&2
+        exit 1
+    }
+done
+fresh_secs=$((SECONDS - fresh_start))
+diff -r -x runcache results "$fresh/results" || {
+    echo "results freshness: results/ differs from a cold regeneration (above); commit the regenerated files" >&2
+    exit 1
+}
+diff BENCH_tune.json "$fresh/BENCH_tune.json" || {
+    echo "results freshness: BENCH_tune.json differs from a cold regeneration (above)" >&2
+    exit 1
+}
+# The run cache's cold->warm check rides along: a warm rerun must hit the
+# cache and print the committed table byte for byte.
+(cd "$fresh" && "$bins/table1_features" > warm.out 2> warm.err)
+diff results/table1_features.txt "$fresh/warm.out"
+warm_hits=$(sed -n 's/.*runcache: hits=\([0-9]*\).*/\1/p' "$fresh/warm.err")
 if [ -z "${warm_hits}" ] || [ "${warm_hits}" -eq 0 ]; then
-    echo "run-cache smoke: warm pass reported no cache hits" >&2
+    echo "run-cache smoke: warm table1_features reported no cache hits" >&2
     exit 1
 fi
-echo "    warm hits: ${warm_hits}, stdout byte-identical"
-rm -rf "$smoke_cache"
+echo "    $(ls results | wc -l) files + BENCH_tune.json byte-identical, cold ${fresh_secs}s;" \
+    "warm table1_features: ${warm_hits} hits, stdout byte-identical"
+rm -rf "$fresh"
 
 echo "==> autotune smoke (closed-loop example, cold->warm on one cache)"
 cargo build --release --example autotune

@@ -15,16 +15,15 @@
 //! Expected: accuracies within a few points of each other — the learned
 //! model transfers across sampling mechanisms.
 
-use drbw_bench::sweep::train_classifier;
-use drbw_bench::util::{memo_run, open_run_cache, report_run_cache, workload, BenchError};
+use drbw_bench::sweep::{ground_truth, train_classifier};
+use drbw_bench::util::{open_run_cache, report_run_cache, workload, BenchError};
 use drbw_core::profiler::Profile;
 use drbw_core::Mode;
 use numasim::config::MachineConfig;
 use pebs::ibs::{IbsConfig, IbsSampler};
 use pebs::mrk::{MrkConfig, MrkSampler};
 use pebs::sampler::{AddressSampler, SamplerConfig};
-use workloads::config::{cases_for, RunConfig, Variant};
-use workloads::ground_truth::GT_SPEEDUP_THRESHOLD;
+use workloads::config::{cases_for, RunConfig};
 use workloads::runner::run_observed;
 use workloads::spec::Workload;
 
@@ -61,7 +60,7 @@ fn collect(backend: &str, w: &dyn Workload, mcfg: &MachineConfig, rcfg: &RunConf
 fn main() -> Result<(), BenchError> {
     let mcfg = MachineConfig::scaled();
     eprintln!("training the classifier on PEBS samples (as the paper does)...");
-    let clf = train_classifier(&mcfg);
+    let clf = train_classifier(&mcfg)?;
     // The ground-truth probes memoize; the IBS/MRK collections cannot
     // (only PEBS-shaped runs have cache keys) and run live below.
     let cache = open_run_cache();
@@ -72,9 +71,8 @@ fn main() -> Result<(), BenchError> {
     for name in names {
         let w = workload(name)?;
         for rcfg in cases_for(&w.inputs()) {
-            let base = memo_run(cache.as_deref(), w, &mcfg, &rcfg, None);
-            let inter = memo_run(cache.as_deref(), w, &mcfg, &rcfg.with_variant(Variant::InterleaveAll), None);
-            cases.push((name, rcfg, inter.speedup_over(&base) > GT_SPEEDUP_THRESHOLD));
+            let actual = ground_truth(cache.as_deref(), w, &mcfg, &rcfg).is_rmc;
+            cases.push((name, rcfg, actual));
         }
     }
     eprintln!("{} cases prepared", cases.len());

@@ -3,21 +3,22 @@
 //! the same 512 cases.
 //!
 //! The sweep records each detector's verdict alongside DR-BW's, so this
-//! binary only aggregates (reusing `results/sweep.tsv` when present).
-//! Expected: the count heuristic is wrecked by traffic volume without
-//! contention (the bandit effect), the latency threshold by cached codes
-//! with noisy straggler latencies, and all-sockets-touch by spread shared
-//! readers; DR-BW dominates on overall correctness.
+//! binary runs it (all run-cache hits after `table5_benchmarks`) and
+//! aggregates. Expected: the count heuristic is wrecked by traffic volume
+//! without contention (the bandit effect), the latency threshold by cached
+//! codes with noisy straggler latencies, and all-sockets-touch by spread
+//! shared readers; DR-BW dominates on overall correctness.
 
 use drbw_bench::sweep::{self, CaseRecord};
 use drbw_bench::tables;
+use drbw_bench::util::BenchError;
 use numasim::config::MachineConfig;
 
 type RecordPredicate = fn(&CaseRecord) -> bool;
 
-fn main() {
+fn main() -> Result<(), BenchError> {
     let mcfg = MachineConfig::scaled();
-    let records = sweep::cached_sweep(&mcfg);
+    let records = sweep::run_sweep(&mcfg)?;
 
     let detectors: [(&str, RecordPredicate); 4] = [
         ("DR-BW (decision tree)", |r| r.drbw_rmc),
@@ -57,4 +58,5 @@ fn main() {
             wrong(|r| r.ast_rmc),
         );
     }
+    Ok(())
 }

@@ -5,19 +5,18 @@
 //! benchmark set and (b) profiling overhead, showing the accuracy/overhead
 //! trade-off that motivates the paper's choice.
 
-use drbw_bench::sweep::train_classifier;
-use drbw_bench::util::{memo_run, open_run_cache, report_run_cache, workload, BenchError};
+use drbw_bench::sweep::{ground_truth, train_classifier};
+use drbw_bench::util::{open_run_cache, report_run_cache, workload, BenchError};
 use drbw_core::profiler::profile_memo;
 use drbw_core::Mode;
 use numasim::config::MachineConfig;
 use pebs::sampler::SamplerConfig;
-use workloads::config::{cases_for, RunConfig, Variant};
-use workloads::ground_truth::GT_SPEEDUP_THRESHOLD;
+use workloads::config::{cases_for, RunConfig};
 
 fn main() -> Result<(), BenchError> {
     let mcfg = MachineConfig::scaled();
     eprintln!("training classifier (default period)...");
-    let clf = train_classifier(&mcfg);
+    let clf = train_classifier(&mcfg)?;
     // Each period gets its own cache keys (the sampler config is hashed
     // into the key), so a warm rerun of the whole sweep is all hits.
     let cache = open_run_cache();
@@ -30,9 +29,8 @@ fn main() -> Result<(), BenchError> {
     for name in names {
         let w = workload(name)?;
         for rcfg in cases_for(&w.inputs()) {
-            let base = memo_run(cache.as_deref(), w, &mcfg, &rcfg, None);
-            let inter = memo_run(cache.as_deref(), w, &mcfg, &rcfg.with_variant(Variant::InterleaveAll), None);
-            cases.push((name, rcfg, inter.speedup_over(&base) > GT_SPEEDUP_THRESHOLD));
+            let actual = ground_truth(cache.as_deref(), w, &mcfg, &rcfg).is_rmc;
+            cases.push((name, rcfg, actual));
         }
     }
     eprintln!("{} cases prepared", cases.len());

@@ -36,7 +36,7 @@ fn verdicts(clf: &ContentionClassifier, p: &Profile) -> Vec<ChannelId> {
 fn main() -> Result<(), BenchError> {
     let mut mcfg = MachineConfig::scaled();
     eprintln!("training classifier on the symmetric machine...");
-    let clf = train_classifier(&mcfg);
+    let clf = train_classifier(&mcfg)?;
     let cache = open_run_cache();
 
     // A light configuration: symmetric links handle it without contention.

@@ -10,6 +10,7 @@
 //!   average latency by ~83% (paper's §VIII.A numbers), IRSmk by ~72.5% /
 //!   ~88.9%, LULESH by ~50% / ~67%.
 
+use drbw_bench::sweep::ground_truth;
 use drbw_bench::util::{memo_run, open_run_cache, report_run_cache, workload, BenchError};
 use numasim::config::MachineConfig;
 use pebs::sampler::SamplerConfig;
@@ -70,9 +71,8 @@ fn main() -> Result<(), BenchError> {
     for (t, n) in [(64usize, 4usize), (32, 2), (16, 4)] {
         let rcfg = RunConfig::new(t, n, Input::Large);
         let w = workload("SP")?;
-        let base = memo_run(cache, w, &mcfg, &rcfg, None);
-        let inter = memo_run(cache, w, &mcfg, &rcfg.with_variant(Variant::InterleaveAll), None);
-        println!("SP {:<8} interleave speedup {:.2}x", rcfg.shape_label(), inter.speedup_over(&base));
+        let gt = ground_truth(cache, w, &mcfg, &rcfg);
+        println!("SP {:<8} interleave speedup {:.2}x", rcfg.shape_label(), gt.interleave_speedup);
     }
 
     println!("\n--- Blackscholes (§VIII.G): a good-class control, paper <1% ---");

@@ -7,7 +7,7 @@
 //! case).
 
 use drbw_bench::sweep::train_classifier;
-use drbw_bench::util::{open_run_cache, report_run_cache};
+use drbw_bench::util::{open_run_cache, report_run_cache, BenchError};
 use drbw_core::cache_contention::{isolation_speedup, CacheContentionDetector};
 use drbw_core::profiler::profile_memo;
 use drbw_core::Mode;
@@ -17,13 +17,13 @@ use pebs::sampler::SamplerConfig;
 use workloads::config::{Input, RunConfig};
 use workloads::micro::CacheMix;
 
-fn main() {
+fn main() -> Result<(), BenchError> {
     let mcfg = MachineConfig::scaled();
     let cache = open_run_cache();
     eprintln!("training the cache-contention detector on the cachemix grid...");
     let cache_det = CacheContentionDetector::train(&mcfg);
     eprintln!("training the bandwidth classifier (for the cross-check)...");
-    let bw = train_classifier(&mcfg);
+    let bw = train_classifier(&mcfg)?;
 
     println!("=== Extension: shared-L3 contention detection (per node) ===");
     println!(
@@ -55,4 +55,5 @@ fn main() {
     println!("the bandwidth classifier never fires on these node-local cases — the two");
     println!("contention types are detected by orthogonal models, as §IX envisions.");
     report_run_cache(cache.as_deref());
+    Ok(())
 }

@@ -48,7 +48,7 @@ fn show(
 fn main() -> Result<(), BenchError> {
     let mcfg = MachineConfig::scaled();
     eprintln!("training classifier...");
-    let clf = train_classifier(&mcfg);
+    let clf = train_classifier(&mcfg)?;
     let cache = open_run_cache();
     let cache = cache.as_deref();
 

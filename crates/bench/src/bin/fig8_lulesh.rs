@@ -6,17 +6,17 @@
 //! saturate the links — DR-BW classifies that configuration good).
 
 use drbw_bench::sweep::train_classifier;
-use drbw_bench::util::{memo_run, open_run_cache, report_run_cache};
+use drbw_bench::util::{memo_run, open_run_cache, report_run_cache, BenchError};
 use drbw_core::profiler::profile_memo;
 use numasim::config::MachineConfig;
 use pebs::sampler::SamplerConfig;
 use workloads::config::{paper_shapes, Input, RunConfig, Variant};
 use workloads::suite::Lulesh;
 
-fn main() {
+fn main() -> Result<(), BenchError> {
     let mcfg = MachineConfig::scaled();
     eprintln!("training classifier...");
-    let clf = train_classifier(&mcfg);
+    let clf = train_classifier(&mcfg)?;
     let cache = open_run_cache();
     let run = |rcfg: &RunConfig| memo_run(cache.as_deref(), &Lulesh, &mcfg, rcfg, None);
     println!("=== Figure 8: LULESH speedups (large input) ===");
@@ -39,4 +39,5 @@ fn main() {
     println!("\n(paper: co-locate >> interleave; no significant speedup at T16-N4, which the");
     println!(" classifier puts in the good category)");
     report_run_cache(cache.as_deref());
+    Ok(())
 }

@@ -11,10 +11,11 @@
 //! verdict has to come from the contention signature alone: modest remote
 //! traffic whose latency is inflated by someone else's bandwidth.
 //!
-//! Output goes to stdout and `results/scenario_tenants.txt`.
+//! Output goes to stdout (`results/scenario_tenants.txt` is a copy of it).
 
 use drbw_bench::sweep::train_tool;
-use drbw_bench::util::{write_text, BenchError};
+use drbw_bench::util::BenchError;
+use drbw_core::DrBw;
 use drbw_stream::{replay_log, ReplayConfig, StreamConfig, StreamingDetector, WindowConfig};
 use numasim::config::MachineConfig;
 use numasim::sched::TenantId;
@@ -42,8 +43,7 @@ struct CaseResult {
     verdict_lines: String,
 }
 
-fn run_case(out: &mut String, label: &str, cfg: &VictimAggressorConfig, mcfg: &MachineConfig) -> CaseResult {
-    let tool = train_tool(mcfg);
+fn run_case(label: &str, cfg: &VictimAggressorConfig, mcfg: &MachineConfig, tool: &DrBw) -> CaseResult {
     let scenario = victim_aggressor(mcfg, cfg);
     let outcome: ScenarioOutcome = scenario.run(Some(sampler()));
 
@@ -106,9 +106,7 @@ fn run_case(out: &mut String, label: &str, cfg: &VictimAggressorConfig, mcfg: &M
         }
     }
     lines.push_str(&verdicts);
-    print!("{lines}");
-    out.push_str(&lines);
-    out.push('\n');
+    println!("{lines}");
     CaseResult {
         victim_finish_cycles: outcome.stats.tenants[0].finish_cycles,
         victim_avg_remote_latency: avg_remote,
@@ -119,13 +117,12 @@ fn run_case(out: &mut String, label: &str, cfg: &VictimAggressorConfig, mcfg: &M
 
 fn main() -> Result<(), BenchError> {
     let mcfg = MachineConfig::scaled();
-    eprintln!("training (or loading) the DR-BW model...");
-    let mut out = String::new();
-    out.push_str("=== Cross-tenant detection: victim + aggressor through the scheduler ===\n\n");
+    eprintln!("training the DR-BW model...");
+    let tool = train_tool(&mcfg)?;
     println!("=== Cross-tenant detection: victim + aggressor through the scheduler ===\n");
 
-    let quiet = run_case(&mut out, "victim + idle neighbour (control)", &quiet_config(), &mcfg);
-    let loud = run_case(&mut out, "victim + bandwidth-hog aggressor", &VictimAggressorConfig::default(), &mcfg);
+    let quiet = run_case("victim + idle neighbour (control)", &quiet_config(), &mcfg, &tool);
+    let loud = run_case("victim + bandwidth-hog aggressor", &VictimAggressorConfig::default(), &mcfg, &tool);
 
     let slowdown = loud.victim_finish_cycles / quiet.victim_finish_cycles;
     let inflation = loud.victim_avg_remote_latency / quiet.victim_avg_remote_latency;
@@ -142,7 +139,6 @@ fn main() -> Result<(), BenchError> {
         if loud.detected_rmc { "rmc (detected)" } else { "good (missed)" }
     );
     print!("{summary}");
-    out.push_str(&summary);
 
     // The experiment's claims, enforced: the tree trained on single-tenant
     // runs flags the cross-tenant victim, and not the control.
@@ -153,8 +149,5 @@ fn main() -> Result<(), BenchError> {
         "the rmc verdict must land on the victim's 0->1 channel:\n{}",
         loud.verdict_lines
     );
-
-    write_text("results/scenario_tenants.txt", &out)?;
-    eprintln!("wrote results/scenario_tenants.txt");
     Ok(())
 }

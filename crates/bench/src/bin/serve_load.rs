@@ -187,8 +187,8 @@ fn assert_bit_identity(tool: &DrBw, stream_cfg: StreamConfig, stream: &[MemSampl
 fn main() -> Result<(), BenchError> {
     let args = parse_args()?;
     let mcfg = MachineConfig::scaled();
-    eprintln!("training (or loading) the DR-BW model...");
-    let tool = train_tool(&mcfg);
+    eprintln!("training the DR-BW model...");
+    let tool = train_tool(&mcfg)?;
     let cache = open_run_cache();
 
     // Recorded source runs, the same pair stream_replay studies: the

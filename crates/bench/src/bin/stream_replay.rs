@@ -6,10 +6,10 @@
 //! guarantee: every closed window's features must be bit-identical to
 //! batch extraction over the same time span.
 //!
-//! Output goes to stdout and `results/stream_replay.txt`.
+//! Output goes to stdout (`results/stream_replay.txt` is a copy of it).
 
 use drbw_bench::sweep::train_tool;
-use drbw_bench::util::{memo_run, open_run_cache, report_run_cache, write_text, BenchError};
+use drbw_bench::util::{memo_run, open_run_cache, report_run_cache, BenchError};
 use drbw_core::channels::ChannelBatches;
 use drbw_core::features::{selected_features, FeatureCtx};
 use drbw_stream::{replay, ReplayConfig, StreamConfig, StreamingDetector, WindowConfig};
@@ -66,7 +66,6 @@ fn audit_windows(outcome: &RunOutcome, windows: &[drbw_stream::WindowSummary], n
 }
 
 fn report(
-    out: &mut String,
     label: &str,
     w: &dyn Workload,
     rcfg: &RunConfig,
@@ -145,18 +144,14 @@ fn report(
         rep.batch_log_samples,
         batch_bytes as f64 / stream_bytes as f64
     );
-    print!("{lines}");
-    out.push_str(&lines);
-    out.push('\n');
+    println!("{lines}");
 }
 
 fn main() -> Result<(), BenchError> {
     let mcfg = MachineConfig::scaled();
-    eprintln!("training (or loading) the DR-BW model...");
-    let tool = train_tool(&mcfg);
+    eprintln!("training the DR-BW model...");
+    let tool = train_tool(&mcfg)?;
     let cache = open_run_cache();
-    let mut out = String::new();
-    out.push_str("=== Streaming replay: online detection vs the batch pipeline ===\n\n");
     println!("=== Streaming replay: online detection vs the batch pipeline ===\n");
 
     // A contended case (an rmc training shape: every node streams into the
@@ -174,14 +169,12 @@ fn main() -> Result<(), BenchError> {
         let window = WindowConfig::tumbling((probe.cycles() / 10.0).max(1.0));
         let cfg = StreamConfig { record_windows: true, ..StreamConfig::new(mcfg.topology.num_nodes(), window) };
         let mut detector = StreamingDetector::new(tool.classifier().clone(), cfg);
-        report(&mut out, label, &sumv, &rcfg, &mcfg, &mut detector, cache.as_deref());
+        report(label, &sumv, &rcfg, &mcfg, &mut detector, cache.as_deref());
         let expect_rmc = label.contains("contended");
         let detected = detector.metrics().first_rmc_verdict_cycles.is_some();
         assert_eq!(detected, expect_rmc, "unexpected verdict for {label}");
     }
 
-    write_text("results/stream_replay.txt", &out)?;
-    eprintln!("wrote results/stream_replay.txt");
     report_run_cache(cache.as_deref());
     Ok(())
 }

@@ -1,17 +1,16 @@
 //! Tuned-speedup table: the closed guided-optimization loop over the 21
 //! Table V programs, plus the asymmetric-machine scenario where weighted
-//! interleave beats uniform. Writes `BENCH_tune.json` (or `argv[1]`) and a
-//! text table to `results/table_tune.txt`.
+//! interleave beats uniform. Prints the table and writes
+//! `BENCH_tune.json` (or `argv[1]`).
 //!
 //! ```text
 //! cargo run --release -p drbw-bench --bin table_tune [out.json]
 //! ```
 //!
-//! Every program is tuned at its *contended configuration*: the shape and
-//! input with the largest ground-truth interleave-probe speedup in
-//! `results/sweep.tsv` (T32-N4, largest input, when no sweep is on disk),
-//! under OS-default master-first-touch placement — the `numactl
-//! --membind=0` pathology of §II, with every allocation landing on node 0.
+//! Every program is tuned at its *contended configuration*: the Table V
+//! case with the largest §VII.B interleave speedup, under OS-default
+//! master-first-touch placement — the `numactl --membind=0` pathology of
+//! §II, with every allocation landing on node 0.
 //! DR-BW diagnoses that baseline, the tuner proposes co-locate /
 //! interleave / weighted-interleave / replicate candidates per ranked
 //! object (plus the coarse all-objects interleave), re-simulates each, and
@@ -19,14 +18,15 @@
 //! made slower. The run cache selected by the environment (see
 //! `util::run_cache_dir`) memoizes all of it.
 
-use drbw_bench::sweep::train_tool;
+use drbw_bench::sweep::{ground_truth, train_tool};
 use drbw_bench::util::{write_text, BenchError};
 use drbw_core::{DrBw, TrainingSet};
 use drbw_tune::{CandidateKind, Tune, TuneConfig, TuneReport};
 use numasim::config::MachineConfig;
 use numasim::memmap::PlacementPolicy;
 use numasim::topology::NodeId;
-use workloads::config::{Input, RunConfig, Variant};
+use rayon::prelude::*;
+use workloads::config::{cases_for, Input, RunConfig, Variant};
 use workloads::plan::{PlacementPlan, PlanAction};
 use workloads::spec::{BuiltWorkload, Suite, Workload};
 use workloads::suite::common::{partitioned_scan, Builder, ScanParams};
@@ -106,28 +106,15 @@ impl Workload for AsymMicro {
     }
 }
 
-/// Per-program most contended configuration `(threads, nodes, input name)`:
-/// the row of `results/sweep.tsv` with the largest ground-truth
-/// interleave-probe speedup. Empty when no sweep has been recorded.
-fn contended_shapes() -> std::collections::HashMap<String, (usize, usize, String)> {
-    let Ok(text) = std::fs::read_to_string("results/sweep.tsv") else {
-        return Default::default();
-    };
-    let mut best: std::collections::HashMap<String, (f64, (usize, usize, String))> = Default::default();
-    for line in text.lines() {
-        let f: Vec<&str> = line.split('\t').collect();
-        if f.len() < 5 {
-            continue;
-        }
-        let (Ok(t), Ok(n), Ok(s)) = (f[2].parse::<usize>(), f[3].parse::<usize>(), f[4].parse::<f64>()) else {
-            continue;
-        };
-        let e = best.entry(f[0].to_string()).or_insert((f64::NEG_INFINITY, (32, 4, String::new())));
-        if s > e.0 {
-            *e = (s, (t, n, f[1].to_string()));
-        }
-    }
-    best.into_iter().map(|(k, (_, v))| (k, v)).collect()
+/// A program's most contended configuration: its Table V case with the
+/// largest ground-truth interleave speedup (the first, on a tie).
+fn most_contended(tool: &DrBw, w: &dyn Workload) -> RunConfig {
+    let cache = tool.run_cache().map(|c| c.as_ref());
+    let cases = cases_for(&w.inputs());
+    let speedups: Vec<f64> =
+        cases.par_iter().map(|rcfg| ground_truth(cache, w, tool.machine(), rcfg).interleave_speedup).collect();
+    let best = (0..cases.len()).fold(0, |best, i| if speedups[i] > speedups[best] { i } else { best });
+    cases[best].clone()
 }
 
 fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
@@ -164,25 +151,17 @@ fn program_json(r: &TuneReport, input: Input) -> String {
 fn main() -> Result<(), BenchError> {
     let out = std::env::args().nth(1).unwrap_or_else(|| "BENCH_tune.json".into());
     let mcfg = MachineConfig::scaled();
-    eprintln!("training (or loading) the DR-BW model...");
-    let tool = train_tool(&mcfg);
+    eprintln!("training the DR-BW model...");
+    let tool = train_tool(&mcfg)?;
     let cfg = TuneConfig::default();
 
     // --- The 21-program tuned-speedup table: every program's contended
     // configuration is its most contended shape under OS-default
     // master-first-touch placement (`numactl --membind=0` analogue). ---
-    let shapes = contended_shapes();
     let mut rows: Vec<(TuneReport, Input)> = Vec::new();
     for w in workloads::suite::table_v_benchmarks() {
-        let fallback = *w.inputs().last().expect("every benchmark declares inputs");
-        let (threads, nodes, input) = match shapes.get(w.name()) {
-            Some((t, n, iname)) => {
-                let input = w.inputs().into_iter().find(|i| i.name() == iname).unwrap_or(fallback);
-                (*t, *n, input)
-            }
-            None => (32, 4, fallback),
-        };
-        let rcfg = RunConfig::new(threads, nodes, input);
+        let rcfg = most_contended(&tool, w);
+        let input = rcfg.input;
         let contended = Membind0::new(w);
         let mut r = tool.tune(&contended, &rcfg, &cfg);
         r.workload = w.name().to_string();
@@ -278,15 +257,14 @@ fn main() -> Result<(), BenchError> {
         "asymmetric scenario: uniform {uniform_cycles:.0} vs weighted {weighted_cycles:.0} cycles ({:.3}x), weighted selected: {weighted_selected}\n",
         uniform_cycles / weighted_cycles
     ));
-    write_text("results/table_tune.txt", &table)?;
-    eprint!("{table}");
+    print!("{table}");
 
     // --- JSON. ---
     let programs: Vec<String> = rows.iter().map(|(r, i)| program_json(r, *i)).collect();
     let json = format!(
         "{{\n  \"bench\": \"closed-loop guided-optimization autotuner (drbw-tune) over the Table V suite\",\n  \
          \"machine\": \"MachineConfig::scaled\",\n  \
-         \"shape\": \"per-program most contended (results/sweep.tsv ground truth; fallback T32-N4)\",\n  \
+         \"shape\": \"per-program most contended (largest ground-truth interleave speedup over its Table V cases)\",\n  \
          \"baseline_placement\": \"OS-default master first-touch (numactl --membind=0 analogue)\",\n  \
          \"config\": {{ \"candidates\": [\"colocate\", \"interleave\", \"weighted-interleave\", \"replicate\"], \
          \"max_objects\": {}, \"min_cf\": {}, \"min_speedup\": {}, \"weight_grid\": {}, \"opportunistic\": {} }},\n  \
@@ -310,6 +288,6 @@ fn main() -> Result<(), BenchError> {
         asym_report.speedup(),
     );
     write_text(&out, &json)?;
-    print!("{json}");
+    eprintln!("wrote {out}");
     Ok(())
 }

@@ -1,14 +1,14 @@
 //! The §VII benchmark sweep: detection vs ground truth over all 512 cases.
 
+use crate::util::{BenchError, Result};
 use drbw_core::classifier::ContentionClassifier;
 use drbw_core::heuristics::{AllSocketsTouch, Detector, LatencyThreshold, RemoteCount};
 use drbw_core::{Case, DrBw, Mode};
 use numasim::config::MachineConfig;
 use rayon::prelude::*;
-use std::io::Write as _;
-use std::path::Path;
-use workloads::config::{cases_for, RunConfig, Variant};
-use workloads::ground_truth::GT_SPEEDUP_THRESHOLD;
+use runcache::RunCache;
+use workloads::config::{cases_for, RunConfig};
+use workloads::ground_truth::{actual_contention_by, GroundTruth};
 use workloads::spec::Workload;
 
 /// Everything measured for one case of the sweep.
@@ -55,58 +55,37 @@ impl CaseRecord {
             self.ast_rmc as u8,
         )
     }
-
-    fn from_tsv(line: &str) -> Option<CaseRecord> {
-        let f: Vec<&str> = line.split('\t').collect();
-        if f.len() != 11 {
-            return None;
-        }
-        Some(CaseRecord {
-            benchmark: f[0].to_string(),
-            input: f[1].to_string(),
-            threads: f[2].parse().ok()?,
-            nodes: f[3].parse().ok()?,
-            interleave_speedup: f[4].parse().ok()?,
-            actual_rmc: f[5] == "1",
-            drbw_rmc: f[6] == "1",
-            contended_channels: f[7].parse().ok()?,
-            lat_rmc: f[8] == "1",
-            cnt_rmc: f[9] == "1",
-            ast_rmc: f[10] == "1",
-        })
-    }
 }
 
-/// Where the sweep caches its trained model (shared with the `drbw` CLI).
-pub const MODEL_CACHE_PATH: &str = "results/drbw.model";
-
-/// Build the DR-BW tool the sweep runs on: load the cached model from
-/// [`MODEL_CACHE_PATH`] when present, otherwise train the full Table II
-/// grid in parallel and cache it. A malformed cache falls back to an
-/// uncached retrain with a warning. The run cache selected by the
-/// environment (see [`crate::util::run_cache_dir`]) memoizes the training
-/// simulations and every run [`evaluate_benchmark`] performs.
-pub fn train_tool(mcfg: &MachineConfig) -> DrBw {
-    let builder = || {
-        let b = DrBw::builder().machine(mcfg.clone()).model_cache(MODEL_CACHE_PATH);
-        match crate::util::run_cache_dir() {
-            Some(dir) => b.run_cache(dir),
-            None => b,
-        }
+/// Build the DR-BW tool every binary runs on: the full Table II grid,
+/// trained in parallel. The run cache selected by the environment (see
+/// [`crate::util::run_cache_dir`]) memoizes the training simulations and
+/// every run [`evaluate_benchmark`] performs.
+///
+/// # Errors
+/// When the run-cache directory cannot be opened.
+pub fn train_tool(mcfg: &MachineConfig) -> Result<DrBw> {
+    let builder = DrBw::builder().machine(mcfg.clone());
+    let builder = match crate::util::run_cache_dir() {
+        Some(dir) => builder.run_cache(dir),
+        None => builder,
     };
-    match builder().build() {
-        Ok(tool) => tool,
-        Err(e) => {
-            eprintln!("warning: model cache unusable ({e}); retraining without it");
-            DrBw::builder().machine(mcfg.clone()).build().expect("the full Table II grid always trains")
-        }
-    }
+    builder.build().map_err(|e| BenchError::new(format!("cannot train DR-BW on the full Table II grid: {e}")))
 }
 
 /// Train DR-BW's classifier on the full Table II grid (kept for the
 /// figure/ablation binaries; [`train_tool`] returns the whole engine).
-pub fn train_classifier(mcfg: &MachineConfig) -> ContentionClassifier {
-    train_tool(mcfg).classifier().clone()
+pub fn train_classifier(mcfg: &MachineConfig) -> Result<ContentionClassifier> {
+    Ok(train_tool(mcfg)?.classifier().clone())
+}
+
+/// The §VII.B ground truth for one case, through the run cache: the
+/// unprofiled baseline and fully interleaved runs, contended when the
+/// interleave speedup exceeds [`workloads::ground_truth::GT_SPEEDUP_THRESHOLD`].
+/// Unprofiled runs memoize under their own cache keys (sampling tagged
+/// absent), so a warm rerun simulates neither.
+pub fn ground_truth(cache: Option<&RunCache>, w: &dyn Workload, mcfg: &MachineConfig, rcfg: &RunConfig) -> GroundTruth {
+    actual_contention_by(rcfg, |r| crate::util::memo_run(cache, w, mcfg, r, None))
 }
 
 /// Evaluate every case of one benchmark: profiled baseline (detection +
@@ -124,28 +103,19 @@ pub fn evaluate_benchmark(tool: &DrBw, w: &dyn Workload) -> Vec<CaseRecord> {
     let cases: Vec<Case<'_>> = rcfgs.iter().map(|rcfg| Case::new(w, rcfg)).collect();
     let analyses = tool.analyze_batch(&cases);
     // Ground truth compares *unprofiled* executions (profiling perturbs
-    // the baseline by its per-sample cost). Unprofiled runs memoize under
-    // their own cache keys (sampling tagged absent), so warm sweeps skip
-    // both halves.
+    // the baseline by its per-sample cost).
     let cache = tool.run_cache().map(|c| c.as_ref());
-    let speedups: Vec<f64> = rcfgs
-        .par_iter()
-        .map(|rcfg| {
-            let base = crate::util::memo_run(cache, w, mcfg, rcfg, None);
-            let inter = crate::util::memo_run(cache, w, mcfg, &rcfg.with_variant(Variant::InterleaveAll), None);
-            base.cycles() / inter.cycles()
-        })
-        .collect();
+    let truths: Vec<GroundTruth> = rcfgs.par_iter().map(|rcfg| ground_truth(cache, w, mcfg, rcfg)).collect();
     rcfgs
         .iter()
-        .zip(analyses.iter().zip(&speedups))
-        .map(|(rcfg, (analysis, &interleave_speedup))| CaseRecord {
+        .zip(analyses.iter().zip(&truths))
+        .map(|(rcfg, (analysis, gt))| CaseRecord {
             benchmark: w.name().to_string(),
             input: rcfg.input.name().to_string(),
             threads: rcfg.threads,
             nodes: rcfg.nodes,
-            interleave_speedup,
-            actual_rmc: interleave_speedup > GT_SPEEDUP_THRESHOLD,
+            interleave_speedup: gt.interleave_speedup,
+            actual_rmc: gt.is_rmc,
             drbw_rmc: analysis.detection.mode() == Mode::Rmc,
             contended_channels: analysis.detection.contended_channels.len(),
             lat_rmc: lat.detect(&analysis.profile, nodes_total),
@@ -156,8 +126,8 @@ pub fn evaluate_benchmark(tool: &DrBw, w: &dyn Workload) -> Vec<CaseRecord> {
 }
 
 /// Run the full Table V sweep (512 cases), reporting progress on stderr.
-pub fn run_sweep(mcfg: &MachineConfig) -> Vec<CaseRecord> {
-    let tool = train_tool(mcfg);
+pub fn run_sweep(mcfg: &MachineConfig) -> Result<Vec<CaseRecord>> {
+    let tool = train_tool(mcfg)?;
     let mut out = Vec::new();
     for w in workloads::suite::table_v_benchmarks() {
         let t0 = std::time::Instant::now();
@@ -173,52 +143,22 @@ pub fn run_sweep(mcfg: &MachineConfig) -> Vec<CaseRecord> {
         out.extend(records);
     }
     crate::util::report_run_cache(tool.run_cache().map(|c| c.as_ref()));
-    out
+    Ok(out)
 }
 
-/// Write records as TSV.
-pub fn save(records: &[CaseRecord], path: &Path) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::File::create(path)?;
-    for r in records {
-        writeln!(f, "{}", r.to_tsv())?;
-    }
-    Ok(())
-}
-
-/// Read records from TSV; `None` if the file is missing or malformed.
-pub fn load(path: &Path) -> Option<Vec<CaseRecord>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let records: Vec<CaseRecord> =
-        text.lines().filter(|l| !l.is_empty()).map(CaseRecord::from_tsv).collect::<Option<_>>()?;
-    (!records.is_empty()).then_some(records)
-}
-
-/// Default cache location, relative to the workspace root.
-pub const CACHE_PATH: &str = "results/sweep.tsv";
-
-/// Load the cached sweep or compute and cache it.
-pub fn cached_sweep(mcfg: &MachineConfig) -> Vec<CaseRecord> {
-    let path = Path::new(CACHE_PATH);
-    if let Some(records) = load(path) {
-        eprintln!("loaded {} cached case records from {CACHE_PATH}", records.len());
-        return records;
-    }
-    let records = run_sweep(mcfg);
-    if let Err(e) = save(&records, path) {
-        eprintln!("warning: could not cache sweep results: {e}");
-    }
-    records
+/// Records as TSV, one 11-column line per case (the format the repo
+/// benchmark reads back as its golden).
+pub fn to_tsv(records: &[CaseRecord]) -> String {
+    records.iter().map(|r| r.to_tsv() + "\n").collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn record() -> CaseRecord {
-        CaseRecord {
+    #[test]
+    fn tsv_line_has_the_eleven_golden_columns() {
+        let r = CaseRecord {
             benchmark: "IRSmk".into(),
             input: "large".into(),
             threads: 64,
@@ -230,38 +170,8 @@ mod tests {
             lat_rmc: true,
             cnt_rmc: false,
             ast_rmc: true,
-        }
-    }
-
-    #[test]
-    fn tsv_roundtrip() {
-        let r = record();
-        let parsed = CaseRecord::from_tsv(&r.to_tsv()).unwrap();
-        assert_eq!(parsed.benchmark, r.benchmark);
-        assert_eq!(parsed.threads, 64);
-        assert!((parsed.interleave_speedup - 3.21).abs() < 1e-6);
-        assert_eq!(parsed, r);
-    }
-
-    #[test]
-    fn malformed_tsv_rejected() {
-        assert!(CaseRecord::from_tsv("only\tthree\tfields").is_none());
-        assert!(CaseRecord::from_tsv("").is_none());
-    }
-
-    #[test]
-    fn save_and_load() {
-        let dir = std::env::temp_dir().join(format!("drbw_sweep_test_{}", std::process::id()));
-        let path = dir.join("sweep.tsv");
-        let records = vec![record(), record()];
-        save(&records, &path).unwrap();
-        let loaded = load(&path).unwrap();
-        assert_eq!(loaded, records);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_missing_is_none() {
-        assert!(load(Path::new("/nonexistent/sweep.tsv")).is_none());
+        };
+        let line = "IRSmk\tlarge\t64\t4\t3.210000\t1\t1\t3\t1\t0\t1\n";
+        assert_eq!(to_tsv(&[r.clone(), r]), line.repeat(2));
     }
 }

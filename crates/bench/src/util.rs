@@ -57,7 +57,8 @@ pub fn write_text(path: impl AsRef<Path>, text: &str) -> Result<()> {
     std::fs::write(path, text).map_err(|e| BenchError::new(format!("cannot write {}: {e}", path.display())))
 }
 
-/// Default run-cache location, next to the other `results/` caches.
+/// Default run-cache location: the one path under `results/` that is a
+/// cache rather than an output (git-ignored).
 pub const RUN_CACHE_DIR: &str = "results/runcache";
 
 /// The run-cache directory the binaries should use, controlled by the

@@ -2,7 +2,7 @@
 //!
 //! Every fallible operation reachable from the public `drbw::prelude`
 //! surface reports a [`DrbwError`]: malformed model files, class-index and
-//! feature-arity mismatches, and I/O around model caching. Lower layers
+//! feature-arity mismatches, and model-file I/O. Lower layers
 //! keep their own typed errors ([`mldt::MldtError`], [`std::io::Error`])
 //! and convert with `From`, so `?` composes across the stack.
 
@@ -24,7 +24,7 @@ pub enum DrbwError {
     },
     /// The embedded decision tree failed to parse or validate.
     Model(MldtError),
-    /// Reading or writing a model cache failed.
+    /// Reading or writing a model file failed.
     Io(std::io::Error),
     /// A training set was empty or single-class, so no classifier can be
     /// trained from it.

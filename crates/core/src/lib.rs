@@ -143,9 +143,8 @@ impl TrainingSet {
 /// let tool = DrBw::builder()
 ///     .training_set(TrainingSet::Full)
 ///     .threads(8)
-///     .model_cache("results/drbw.model")
 ///     .build()
-///     .expect("train or load DR-BW");
+///     .expect("train DR-BW");
 /// ```
 #[derive(Debug, Clone)]
 pub struct DrBwBuilder {
@@ -154,7 +153,6 @@ pub struct DrBwBuilder {
     train_cfg: TrainConfig,
     sampler: SamplerConfig,
     threads: Option<usize>,
-    model_cache: Option<std::path::PathBuf>,
     run_cache: Option<std::path::PathBuf>,
 }
 
@@ -166,7 +164,6 @@ impl Default for DrBwBuilder {
             train_cfg: TrainConfig::default(),
             sampler: SamplerConfig::default(),
             threads: None,
-            model_cache: None,
             run_cache: None,
         }
     }
@@ -180,8 +177,7 @@ impl DrBwBuilder {
         self
     }
 
-    /// Which training grid to run when no cached model is available
-    /// (default: [`TrainingSet::Full`]).
+    /// Which training grid to run (default: [`TrainingSet::Full`]).
     pub fn training_set(mut self, set: TrainingSet) -> Self {
         self.training_set = set;
         self
@@ -219,13 +215,6 @@ impl DrBwBuilder {
         self
     }
 
-    /// Load the model from this path if present; otherwise train and save
-    /// the result there (creating parent directories).
-    pub fn model_cache(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.model_cache = Some(path.into());
-        self
-    }
-
     /// Memoize simulated runs in a content-addressed on-disk cache rooted
     /// at `dir` (created if needed). Training-grid runs and every
     /// [`DrBw::analyze`] / [`DrBw::analyze_batch`] profile are then served
@@ -237,16 +226,14 @@ impl DrBwBuilder {
         self
     }
 
-    /// Produce the configured tool: load the cached model when one exists,
-    /// else run the training grid (in parallel) and cache the result.
+    /// Produce the configured tool: run the training grid (in parallel)
+    /// and train the classifier on it. To reuse a trained model, save it
+    /// with [`DrBw::save`] and load it with [`DrBw::load`].
     ///
     /// # Errors
-    /// [`DrbwError::Model`] / [`DrbwError::ModelFormat`] /
-    /// [`DrbwError::FeatureArity`] when a cached model exists but is
-    /// malformed (delete the file to retrain), [`DrbwError::Io`] when the
-    /// trained model cannot be written back, and
-    /// [`DrbwError::EmptyTrainingSet`] when a custom spec list covers only
-    /// one class.
+    /// [`DrbwError::Io`] when the thread pool or the run cache cannot be
+    /// set up, and [`DrbwError::EmptyTrainingSet`] when a custom spec list
+    /// covers only one class.
     pub fn build(self) -> Result<DrBw, DrbwError> {
         let pool = match self.threads {
             Some(n) => Some(
@@ -261,13 +248,6 @@ impl DrBwBuilder {
             Some(dir) => Some(std::sync::Arc::new(runcache::RunCache::open(dir)?)),
             None => None,
         };
-        if let Some(path) = &self.model_cache {
-            if path.exists() {
-                let text = std::fs::read_to_string(path)?;
-                let classifier = ContentionClassifier::from_model_string(&text)?;
-                return Ok(DrBw { classifier, machine: self.machine, sampler: self.sampler, pool, run_cache });
-            }
-        }
         let specs = self.training_set.specs();
         let collect = || training::collect_training_set_cached(&self.machine, &specs, run_cache.as_deref());
         let data = match &pool {
@@ -275,11 +255,7 @@ impl DrBwBuilder {
             None => collect(),
         };
         let classifier = ContentionClassifier::try_train(&data, self.train_cfg)?;
-        let tool = DrBw { classifier, machine: self.machine, sampler: self.sampler, pool, run_cache };
-        if let Some(path) = &self.model_cache {
-            tool.save(path)?;
-        }
-        Ok(tool)
+        Ok(DrBw { classifier, machine: self.machine, sampler: self.sampler, pool, run_cache })
     }
 }
 
@@ -314,9 +290,7 @@ impl DrBw {
 
     /// Load a tool whose classifier was saved with [`DrBw::save`] (the
     /// portable `drbw-classifier v1` text format). Machine and sampler
-    /// configuration take their defaults; use
-    /// `DrBw::builder().model_cache(path)` to combine loading with other
-    /// knobs.
+    /// configuration take their defaults.
     ///
     /// # Errors
     /// [`DrbwError::Io`] when the file cannot be read, or a model-format

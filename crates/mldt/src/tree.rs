@@ -132,6 +132,17 @@ impl DecisionTree {
         self.nodes.push(Node::Leaf { label: 0, counts: Vec::new() }); // placeholder
         let left = self.build(data, left_idx, depth + 1, cfg);
         let right = self.build(data, right_idx, depth + 1, cfg);
+        // A split whose children are leaves of one class predicts that
+        // class either way: fold it into one leaf. Both leaves are then the
+        // last two nodes, and bottom-up this collapses whole same-class
+        // chains. The class with the most rows in both children has the
+        // most in their sum, so the folded leaf keeps their label.
+        if let (Node::Leaf { label: l, .. }, Node::Leaf { label: r, .. }) = (&self.nodes[left], &self.nodes[right]) {
+            if l == r {
+                self.nodes.truncate(slot);
+                return self.make_leaf(counts);
+            }
+        }
         self.nodes[slot] = Node::Split { feature: best.feature, threshold: best.threshold, left, right };
         slot
     }
@@ -358,6 +369,61 @@ mod tests {
         assert_eq!(t.features_used(), vec![0], "noise feature must not be used");
         assert_eq!(t.depth(), 1);
         assert_eq!(t.num_leaves(), 2);
+    }
+
+    #[test]
+    fn same_class_chain_collapses_bottom_up() {
+        // 0..20 good, 100..120 rmc, 200..220 rmc with every fifth row good.
+        // Gini splits the rmc side twice more (pure B off the noisy C, then
+        // C in two), but every one of those leaves predicts rmc, so the
+        // chain folds back into one rmc leaf under the root split.
+        let mut d = Dataset::binary(vec!["f0".into()]);
+        for i in 0..20 {
+            d.push(vec![i as f64], 0);
+            d.push(vec![100.0 + i as f64], 1);
+            d.push(vec![200.0 + i as f64], usize::from(i % 5 != 0));
+        }
+        let t = DecisionTree::train(&d, TrainConfig::default());
+        assert_eq!(t.nodes().len(), 3, "one split over two leaves: {:?}", t.nodes());
+        match &t.nodes()[0] {
+            Node::Split { threshold, .. } => assert!((*threshold - 59.5).abs() < 1e-9),
+            n => panic!("root should be a split, got {n:?}"),
+        }
+        assert_eq!(t.nodes()[2], Node::Leaf { label: 1, counts: vec![4, 36] }, "the parent's counts");
+        for i in 0..d.len() {
+            assert_eq!(t.predict(d.row(i)), usize::from(d.row(i)[0] > 59.5));
+        }
+    }
+
+    /// No trained tree keeps a split whose two children are leaves of one
+    /// class, over datasets that grow splits of every depth.
+    #[test]
+    fn no_split_has_two_same_label_leaf_children() {
+        let loose = TrainConfig { max_depth: 4, min_samples_leaf: 1, min_samples_split: 2, min_gain: 0.0 };
+        for seed in 0..40u64 {
+            let mut d = Dataset::binary(vec!["a".into(), "b".into()]);
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            for _ in 0..60 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let (a, b) = ((x % 97) as f64, ((x >> 8) % 89) as f64);
+                d.push(vec![a, b], usize::from(a + b > 90.0 || (x >> 20) % 7 == 0));
+            }
+            for cfg in [TrainConfig::default(), loose] {
+                let t = DecisionTree::train(&d, cfg);
+                for n in t.nodes() {
+                    if let Node::Split { left, right, .. } = n {
+                        if let (Node::Leaf { label: l, .. }, Node::Leaf { label: r, .. }) =
+                            (&t.nodes()[*left], &t.nodes()[*right])
+                        {
+                            assert_ne!(l, r, "seed {seed}: same-class sibling leaves survived: {:?}", t.nodes());
+                        }
+                    }
+                }
+                assert!(DecisionTree::from_parts(t.nodes().to_vec(), 2, 2).is_ok(), "arena stays a proper tree");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! domains and therefore relieves (only) bandwidth contention.
 
 use crate::config::{RunConfig, Variant};
-use crate::runner::run;
+use crate::runner::{run, RunOutcome};
 use crate::spec::Workload;
 use numasim::config::MachineConfig;
 
@@ -25,9 +25,20 @@ pub struct GroundTruth {
 /// # Panics
 /// Panics if `rcfg` is not a baseline configuration.
 pub fn actual_contention(workload: &dyn Workload, mcfg: &MachineConfig, rcfg: &RunConfig) -> GroundTruth {
+    actual_contention_by(rcfg, |r| run(workload, mcfg, r, None))
+}
+
+/// The rule itself, over any source of unprofiled runs (`run_unprofiled`
+/// is handed the baseline, then the fully interleaved configuration), so
+/// a caller that memoizes runs applies exactly the rule
+/// [`actual_contention`] does.
+///
+/// # Panics
+/// Panics if `rcfg` is not a baseline configuration.
+pub fn actual_contention_by(rcfg: &RunConfig, mut run_unprofiled: impl FnMut(&RunConfig) -> RunOutcome) -> GroundTruth {
     assert_eq!(rcfg.variant, Variant::Baseline, "ground truth starts from the baseline");
-    let base = run(workload, mcfg, rcfg, None);
-    let inter = run(workload, mcfg, &rcfg.with_variant(Variant::InterleaveAll), None);
+    let base = run_unprofiled(rcfg);
+    let inter = run_unprofiled(&rcfg.with_variant(Variant::InterleaveAll));
     let interleave_speedup = inter.speedup_over(&base);
     GroundTruth { interleave_speedup, is_rmc: interleave_speedup > GT_SPEEDUP_THRESHOLD }
 }

@@ -7,8 +7,9 @@
 //!
 //! With `--full` this runs the complete 192-run grid of the paper (§V,
 //! Table II) — a few minutes of simulation; without it, a quick subset.
-//! The dot output lands in `results/decision_tree.dot`
-//! (`dot -Tpng results/decision_tree.dot -o tree.png` renders Figure 3).
+//! The dot output lands in `target/decision_tree.dot` (`results/` holds
+//! only the bench binaries' outputs); `dot -Tpng target/decision_tree.dot
+//! -o tree.png` renders Figure 3.
 
 use drbw::core::classifier::ContentionClassifier;
 use drbw::core::training;
@@ -44,7 +45,7 @@ fn main() {
     println!("stratified {k}-fold cross-validation: {:.1}% accuracy", cv.accuracy() * 100.0);
     print!("{}", cv.confusion.to_table());
 
-    std::fs::create_dir_all("results").ok();
-    std::fs::write("results/decision_tree.dot", classifier.render_dot()).expect("write dot file");
-    println!("\nGraphviz tree written to results/decision_tree.dot");
+    std::fs::create_dir_all("target").ok();
+    std::fs::write("target/decision_tree.dot", classifier.render_dot()).expect("write dot file");
+    println!("\nGraphviz tree written to target/decision_tree.dot");
 }

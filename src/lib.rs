@@ -31,12 +31,10 @@
 //! ```no_run
 //! use drbw::prelude::*;
 //!
-//! // Train on the §V mini-program grid (192 parallel simulations),
-//! // caching the model so later runs load instead of retraining.
-//! let tool = DrBw::builder()
-//!     .model_cache("results/drbw.model")
-//!     .build()
-//!     .expect("train or load the DR-BW model");
+//! // Train on the §V mini-program grid (192 parallel simulations) and
+//! // save the model, so later runs can `DrBw::load` it instead.
+//! let tool = DrBw::builder().build().expect("train the DR-BW model");
+//! tool.save("drbw.model").expect("write the model");
 //! // Analyze a benchmark case end to end.
 //! let workload = drbw::workloads::suite::by_name("Streamcluster").unwrap();
 //! let analysis = tool.analyze(workload, &RunConfig::new(32, 4, Input::Native));

@@ -1,6 +1,6 @@
 //! Integration tests for the batch-analysis engine: parallel-vs-serial
-//! determinism of training-set generation, model persistence, and the
-//! `DrBw` builder's error surface.
+//! determinism of training-set generation (and Table III on that grid),
+//! model persistence, and the `DrBw` builder's error surface.
 
 use drbw::core::training;
 use drbw::prelude::*;
@@ -24,6 +24,20 @@ fn parallel_full_training_set_is_bit_identical_to_serial() {
     for i in 0..serial.len() {
         assert_eq!(serial.label(i), parallel.label(i), "label of instance {i}");
         assert_eq!(serial.row(i), parallel.row(i), "features of instance {i}");
+    }
+
+    // Table III on the same dataset, as `table3_confusion` prints it: the
+    // 10-fold CV count and the Figure 3 root split.
+    let cfg = TrainConfig::default();
+    let cv = drbw::mldt::crossval::stratified_kfold(&parallel, 10, 0xC4055, cfg);
+    let correct = (cv.accuracy() * parallel.len() as f64).round() as usize;
+    assert_eq!(correct, 183, "10-fold CV correct of 192 (paper: 187)");
+    let clf = ContentionClassifier::train(&parallel, cfg);
+    match &clf.tree().nodes()[0] {
+        drbw::mldt::tree::Node::Split { feature, .. } => {
+            assert_eq!(*feature, drbw::core::features::REMOTE_LATENCY, "root splits on avg_remote_dram_latency")
+        }
+        root => panic!("the Figure 3 tree's root is a leaf: {root:?}"),
     }
 }
 
@@ -64,34 +78,12 @@ fn analyze_batch_matches_single_analyses_in_order() {
 }
 
 #[test]
-fn builder_caches_model_and_reloads_it() {
-    let dir = scratch_dir("cache");
-    let path = dir.join("cache/drbw.model");
-    let t1 =
-        DrBw::builder().training_set(TrainingSet::Quick).model_cache(path.clone()).build().expect("train and cache");
-    assert!(path.exists(), "build() must write the cache");
-    // An empty custom grid cannot train, so this build succeeding proves
-    // the model came from the cache.
-    let t2 = DrBw::builder()
-        .training_set(TrainingSet::Custom(vec![]))
-        .model_cache(path.clone())
-        .build()
-        .expect("load from cache");
-    assert_eq!(t1.classifier().render_tree(), t2.classifier().render_tree());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn malformed_input_surfaces_typed_errors_not_panics() {
     let dir = scratch_dir("errors");
     std::fs::create_dir_all(&dir).unwrap();
     let bad = dir.join("bad.model");
     std::fs::write(&bad, "not a model").unwrap();
     assert!(matches!(DrBw::load(&bad), Err(DrbwError::ModelFormat(_))));
-    assert!(matches!(
-        DrBw::builder().training_set(TrainingSet::Quick).model_cache(bad.clone()).build(),
-        Err(DrbwError::ModelFormat(_))
-    ));
     assert!(matches!(DrBw::load(dir.join("absent.model")), Err(DrbwError::Io(_))));
     std::fs::write(&bad, "drbw-classifier v1\nfeature x\n").unwrap();
     assert!(matches!(DrBw::load(&bad), Err(DrbwError::FeatureArity { expected: 13, got: 1 })));
