@@ -23,15 +23,15 @@ echo "    benchmark: $((SECONDS - bench_start))s"
 
 echo "==> knob-creep gate (the only DRBW_* environment variables)"
 knobs=$(grep -rhoE 'DRBW_[A-Z0-9_]+' crates src examples tests | sort -u | tr '\n' ' ')
-if [ "$knobs" != "DRBW_RUNCACHE DRBW_RUNCACHE_DIR " ]; then
-    echo "knob-creep gate: expected DRBW_RUNCACHE DRBW_RUNCACHE_DIR, found: $knobs" >&2
+if [ "$knobs" != "DRBW_RUNCACHE_DIR " ]; then
+    echo "knob-creep gate: expected DRBW_RUNCACHE_DIR, found: $knobs" >&2
     exit 1
 fi
 echo "    $knobs"
 
-echo "==> surface gate (deleted engine options and per-access stream methods stay deleted)"
-if grep -rnE 'ExecMode|span_fusion|set_max_run|fn next_access|fn compute_cycles|StridedStream' crates src tests examples; then
-    echo "surface gate: the names above left the shipped surface; reach the per-access body through numasim::oracle::run" >&2
+echo "==> surface gate (deleted engine options, per-access stream methods and run-cache lock/eviction names stay deleted)"
+if grep -rnE 'ExecMode|span_fusion|set_max_run|fn next_access|fn compute_cycles|StridedStream|StoreConfig|open_with|lock_skips|claim_writer_lock|cache_hit_rate' crates src tests examples; then
+    echo "surface gate: the names above left the shipped surface; reach the per-access body through numasim::oracle::run, and open a run cache with RunCache::open" >&2
     exit 1
 fi
 echo "    clean"
@@ -53,7 +53,7 @@ echo "==> results are fresh (every bench bin, cold run cache, empty directory)"
 # must reproduce the committed files exactly, and nothing else may be
 # committed under results/.
 cargo build --release --quiet -p drbw-bench --bins
-unset DRBW_RUNCACHE DRBW_RUNCACHE_DIR
+unset DRBW_RUNCACHE_DIR
 bins=$PWD/target/release
 fresh=$(mktemp -d)
 mkdir "$fresh/results"
@@ -69,6 +69,14 @@ for b in table1_features table3_confusion table5_benchmarks table7_overhead \
     }
 done
 fresh_secs=$((SECONDS - fresh_start))
+# Temp file + rename is the store's whole write protocol: after a full
+# regeneration the cache holds entries and nothing else.
+leaked=$(find "$fresh/results/runcache" -mindepth 1 ! -name '*.run')
+if [ -n "$leaked" ]; then
+    echo "results freshness: the run cache holds files other than *.run entries:" >&2
+    echo "$leaked" >&2
+    exit 1
+fi
 diff -r -x runcache results "$fresh/results" || {
     echo "results freshness: results/ differs from a cold regeneration (above); commit the regenerated files" >&2
     exit 1

@@ -213,9 +213,6 @@ fn main() -> Result<(), BenchError> {
     let server = Arc::new(
         AnalysisServer::start(tool.classifier().clone(), ServerConfig::new(stream_cfg)).expect("start server"),
     );
-    if let Some(cache) = &cache {
-        server.attach_run_cache(Arc::clone(cache));
-    }
 
     let offer_path = if args.per_sample { "per_sample" } else { "block" };
     eprintln!(

@@ -190,13 +190,12 @@ fn main() -> Result<(), BenchError> {
     // s=0,1,2 is 2, 5, 8.
     let weak_bw = 0.4 * asym.interconnect.channel_bandwidth;
     asym.interconnect.overrides = vec![(2, weak_bw), (5, weak_bw), (8, weak_bw)];
-    let asym_builder = DrBw::builder().machine(asym).training_set(TrainingSet::Quick);
-    let asym_tool = match drbw_bench::util::run_cache_dir() {
-        Some(dir) => asym_builder.run_cache(dir),
-        None => asym_builder,
-    }
-    .build()
-    .map_err(|e| BenchError::new(format!("cannot train on the asymmetric machine: {e}")))?;
+    let asym_tool = DrBw::builder()
+        .machine(asym)
+        .training_set(TrainingSet::Quick)
+        .run_cache(drbw_bench::util::run_cache_dir())
+        .build()
+        .map_err(|e| BenchError::new(format!("cannot train on the asymmetric machine: {e}")))?;
     let asym_cfg = TuneConfig::builder()
         .candidates([CandidateKind::Interleave, CandidateKind::WeightedInterleave])
         .build()

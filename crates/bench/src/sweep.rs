@@ -65,12 +65,11 @@ impl CaseRecord {
 /// # Errors
 /// When the run-cache directory cannot be opened.
 pub fn train_tool(mcfg: &MachineConfig) -> Result<DrBw> {
-    let builder = DrBw::builder().machine(mcfg.clone());
-    let builder = match crate::util::run_cache_dir() {
-        Some(dir) => builder.run_cache(dir),
-        None => builder,
-    };
-    builder.build().map_err(|e| BenchError::new(format!("cannot train DR-BW on the full Table II grid: {e}")))
+    DrBw::builder()
+        .machine(mcfg.clone())
+        .run_cache(crate::util::run_cache_dir())
+        .build()
+        .map_err(|e| BenchError::new(format!("cannot train DR-BW on the full Table II grid: {e}")))
 }
 
 /// Train DR-BW's classifier on the full Table II grid (kept for the

@@ -61,21 +61,17 @@ pub fn write_text(path: impl AsRef<Path>, text: &str) -> Result<()> {
 /// cache rather than an output (git-ignored).
 pub const RUN_CACHE_DIR: &str = "results/runcache";
 
-/// The run-cache directory the binaries should use, controlled by the
-/// environment: `DRBW_RUNCACHE=0` disables memoization entirely,
-/// `DRBW_RUNCACHE_DIR=<dir>` relocates it (the CI smoke points it at a
-/// temp dir), default [`RUN_CACHE_DIR`].
-pub fn run_cache_dir() -> Option<PathBuf> {
-    if std::env::var("DRBW_RUNCACHE").map(|v| v == "0").unwrap_or(false) {
-        return None;
-    }
-    Some(std::env::var_os("DRBW_RUNCACHE_DIR").map(PathBuf::from).unwrap_or_else(|| RUN_CACHE_DIR.into()))
+/// The run-cache directory the binaries should use: `DRBW_RUNCACHE_DIR`
+/// when set (the CI smoke points it at a temp dir; an empty directory
+/// gives a cold run), default [`RUN_CACHE_DIR`].
+pub fn run_cache_dir() -> PathBuf {
+    std::env::var_os("DRBW_RUNCACHE_DIR").map(PathBuf::from).unwrap_or_else(|| RUN_CACHE_DIR.into())
 }
 
 /// Open the environment-selected run cache. An unusable directory only
 /// costs warmth: the binary proceeds uncached with a warning.
 pub fn open_run_cache() -> Option<Arc<RunCache>> {
-    let dir = run_cache_dir()?;
+    let dir = run_cache_dir();
     match RunCache::open(&dir) {
         Ok(cache) => Some(Arc::new(cache)),
         Err(e) => {

@@ -58,7 +58,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// of this hasher is part of the on-disk format and must never change
 /// without a [`SCHEMA_VERSION`] bump.
 #[derive(Debug, Clone)]
-pub struct KeyHasher {
+pub(crate) struct KeyHasher {
     a: u64,
     b: u64,
     len: u64,

@@ -13,13 +13,11 @@
 //!   name + `RunConfig` stands in for the unhashable phase `ThreadSpec`s);
 //! * [`codec`] — a compact columnar (struct-of-arrays) binary codec for
 //!   sample logs and run statistics, bit-exact on round-trip;
-//! * [`store::RunCache`] — one file per key, atomic writes, hash-verified
-//!   reads that degrade to a recompute on *any* corruption or schema
-//!   version mismatch, with hit/miss/bytes counters. The store is safe
-//!   under concurrent use (lock-free readers, a per-key single-writer
-//!   lock-file protocol, optional size-capped LRU eviction via
-//!   [`store::StoreConfig`]) so a long-running service can share one
-//!   directory across threads and processes;
+//! * [`store::RunCache`] — one file per key, hash-verified reads that
+//!   degrade to a recompute on *any* corruption or schema version
+//!   mismatch, and writes that go to a unique temp file and are `rename`d
+//!   into place, so threads and processes can share one directory; with
+//!   hit/miss/bytes counters;
 //! * [`run_memo`] — the drop-in memoized form of
 //!   [`workloads::runner::run`].
 //!
@@ -32,8 +30,8 @@ pub mod codec;
 pub mod key;
 pub mod store;
 
-pub use key::{KeyHasher, RunKey, SCHEMA_VERSION};
-pub use store::{CacheMetrics, CachedRun, RunCache, StoreConfig};
+pub use key::{RunKey, SCHEMA_VERSION};
+pub use store::{CacheMetrics, CachedRun, RunCache};
 
 use std::time::Instant;
 use workloads::config::RunConfig;

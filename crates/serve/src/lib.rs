@@ -22,7 +22,7 @@
 //! * [`ServeMetrics`] — a one-line-JSON snapshot of the whole service
 //!   (sessions, ingest/drop accounting, per-shard queue depth, verdict
 //!   p50/p99 latency and the queue wait inside it, model epoch, how often
-//!   the worker, producers and `finish` parked, run-cache warm-hit rate).
+//!   the worker, producers and `finish` parked).
 //!
 //! The load harness (`crates/bench/src/bin/serve_load.rs`) drives
 //! thousands of simultaneous replayed sessions through one server and
@@ -168,7 +168,6 @@ mod tests {
         assert_eq!(m.verdict_latency_count, m.verdicts, "no flush-emitted verdicts here");
         assert!(m.shard_depths.iter().all(|&d| d == 0), "shutdown drains every queue: {m:?}");
         assert!(m.windows_classified >= 6);
-        assert!(m.cache_hit_rate.is_none());
         assert!(m.queue_wait_p50_us > 0.0, "every popped block records its queue wait: {m:?}");
         assert!(m.queue_wait_p99_us >= m.queue_wait_p50_us);
     }

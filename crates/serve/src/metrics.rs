@@ -191,8 +191,6 @@ pub struct ServeMetrics {
     /// Times `SessionHandle::finish` parked because its report was not
     /// ready within the poll window.
     pub finish_parks: u64,
-    /// Warm-hit rate of the attached run cache, when one is attached.
-    pub cache_hit_rate: Option<f64>,
 }
 
 impl ServeMetrics {
@@ -200,10 +198,6 @@ impl ServeMetrics {
     /// used verbatim by `BENCH_serve.json` and the CI smoke output.
     pub fn to_json(&self) -> String {
         let depths = self.shard_depths.iter().map(|d| d.to_string()).collect::<Vec<_>>().join(",");
-        let cache = match self.cache_hit_rate {
-            Some(r) => format!("{r:.4}"),
-            None => "null".to_string(),
-        };
         format!(
             concat!(
                 "{{\"sessions_opened\": {}, \"sessions_closed\": {}, \"sessions_open\": {}, ",
@@ -212,7 +206,7 @@ impl ServeMetrics {
                 "\"model_epoch\": {}, \"model_swaps\": {}, \"shard_depths\": [{}], ",
                 "\"verdict_latency_count\": {}, \"verdict_p50_us\": {:.1}, \"verdict_p99_us\": {:.1}, ",
                 "\"verdict_mean_us\": {:.1}, \"queue_wait_p50_us\": {:.1}, \"queue_wait_p99_us\": {:.1}, ",
-                "\"worker_parks\": {}, \"producer_parks\": {}, \"finish_parks\": {}, \"cache_hit_rate\": {}}}"
+                "\"worker_parks\": {}, \"producer_parks\": {}, \"finish_parks\": {}}}"
             ),
             self.sessions_opened,
             self.sessions_closed,
@@ -235,7 +229,6 @@ impl ServeMetrics {
             self.worker_parks,
             self.producer_parks,
             self.finish_parks,
-            cache,
         )
     }
 }
@@ -315,7 +308,6 @@ mod tests {
             worker_parks: 12,
             producer_parks: 3,
             finish_parks: 4,
-            cache_hit_rate: Some(0.75),
         };
         let json = m.to_json();
         assert!(!json.contains('\n'), "snapshot must render on one line");
@@ -330,11 +322,8 @@ mod tests {
             "\"worker_parks\": 12",
             "\"producer_parks\": 3",
             "\"finish_parks\": 4",
-            "\"cache_hit_rate\": 0.7500",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        let none = ServeMetrics { cache_hit_rate: None, ..m };
-        assert!(none.to_json().contains("\"cache_hit_rate\": null"));
     }
 }

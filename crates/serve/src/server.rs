@@ -19,7 +19,6 @@ use drbw_core::registry::{ModelHandle, ModelReader, ModelRegistry};
 use drbw_stream::{StreamConfig, StreamingDetector};
 use pebs::ring::{BlockRing, OverflowPolicy, RingCounters};
 use pebs::SampleBlock;
-use runcache::RunCache;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -154,12 +153,10 @@ struct ServerInner {
     shards: Vec<ShardState>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
-    cache: Mutex<Option<Arc<RunCache>>>,
 }
 
 /// The long-running analysis service: many concurrent profiling sessions
-/// multiplexed over shard workers, one hot-swappable model registry, one
-/// optional run cache whose warm-hit rate the metrics surface.
+/// multiplexed over shard workers, one hot-swappable model registry.
 #[derive(Debug)]
 pub struct AnalysisServer {
     inner: Arc<ServerInner>,
@@ -208,7 +205,6 @@ impl AnalysisServer {
             shards,
             next_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            cache: Mutex::new(None),
         });
         let mut workers = Vec::with_capacity(cfg.shards);
         for idx in 0..cfg.shards {
@@ -236,12 +232,6 @@ impl AnalysisServer {
     /// The server configuration.
     pub fn config(&self) -> &ServerConfig {
         &self.inner.cfg
-    }
-
-    /// Attach a run cache so the metrics snapshot surfaces its warm-hit
-    /// rate alongside the service counters.
-    pub fn attach_run_cache(&self, cache: Arc<RunCache>) {
-        *self.inner.cache.lock().unwrap_or_else(|e| e.into_inner()) = Some(cache);
     }
 
     /// Atomically publish a retrained model. Already-running sessions
@@ -290,8 +280,6 @@ impl AnalysisServer {
         let rel = Ordering::Relaxed;
         let opened = inner.stats.sessions_opened.load(rel);
         let closed = inner.stats.sessions_closed.load(rel);
-        let cache_hit_rate =
-            inner.cache.lock().unwrap_or_else(|e| e.into_inner()).as_ref().map(|c| c.metrics().hit_rate());
         ServeMetrics {
             sessions_opened: opened,
             sessions_closed: closed,
@@ -314,7 +302,6 @@ impl AnalysisServer {
             worker_parks: inner.stats.worker_parks.load(rel),
             producer_parks: inner.stats.producer_parks.load(rel),
             finish_parks: inner.stats.finish_parks.load(rel),
-            cache_hit_rate,
         }
     }
 

@@ -343,11 +343,11 @@ impl StreamingDetector {
     /// [`StreamMetrics::samples_rejected`]) is counted and skipped: it
     /// moves no clock and touches no window.
     pub fn ingest(&mut self, s: &MemSample, site: SketchKey) {
-        if !self.admits(s.node, s.home, s.latency) {
+        let pane = self.cfg.window.pane_index(self.cfg.origin_cycles, s.time);
+        if !on_grid(s.time, pane) || !self.admits(s.node, s.home, s.latency) {
             self.metrics.samples_rejected += 1;
             return;
         }
-        let pane = self.cfg.window.pane_index(self.cfg.origin_cycles, s.time);
         self.advance_to(pane, 1);
         let a = s.node.0 as usize;
         match s.home {
@@ -405,6 +405,13 @@ impl StreamingDetector {
             // the samples of one pane form a contiguous run.
             let hi =
                 lo + times[lo..].partition_point(|&t| self.cfg.window.pane_index(self.cfg.origin_cycles, t) == pane);
+            // One check per run: every sample of a run shares its pane, and
+            // a NaN time leaves a block sorted only when it is alone in it.
+            if !on_grid(times[lo], pane) {
+                self.metrics.samples_rejected += (hi - lo) as u64;
+                lo = hi;
+                continue;
+            }
             let admitted = self.accumulate_run(block, lo..hi);
             if admitted > 0 {
                 self.advance_to(pane, admitted);
@@ -483,8 +490,8 @@ impl StreamingDetector {
     /// say: when every sealed pane is empty and every channel's
     /// hysteresis sits at its `Good` fixed point, each further window is
     /// an empty one that classifies `good` everywhere and changes nothing
-    /// but the two window counters — so a far-future (or infinite)
-    /// timestamp costs a few windows, not one per pane.
+    /// but the two window counters — so a far-future timestamp costs a few
+    /// windows, not one per pane.
     fn advance_to(&mut self, pane: i64, n: u64) {
         self.metrics.samples_ingested += n;
         let Some(cur) = self.cur_pane else {
@@ -631,6 +638,14 @@ impl StreamingDetector {
             self.model_version = version;
         }
     }
+}
+
+/// Whether the pane grid holds time `t`, whose pane index is `pane`: not
+/// NaN (which `pane_index` maps to pane 0) and within ±2⁵³ panes, where
+/// `pane_end` is exact. The saturated index of an infinite time falls
+/// outside, so such a sample cannot seal the panes up to it.
+fn on_grid(t: f64, pane: i64) -> bool {
+    !t.is_nan() && pane.unsigned_abs() <= 1 << 53
 }
 
 #[cfg(test)]
@@ -977,10 +992,9 @@ mod tests {
         block
     }
 
-    /// Failing-first (it does not terminate at the parent commit): one
-    /// far-future or infinite timestamp used to walk the gap pane by pane
-    /// — up to 2⁶³ `seal_pane` calls on a shard worker. The gap is now
-    /// crossed in closed form once it settles, through either entry point.
+    /// One far-future timestamp must not walk the gap pane by pane — up
+    /// to 2⁵³ `seal_pane` calls on a shard worker: the gap is crossed in
+    /// closed form once it settles, through either entry point.
     #[test]
     fn far_future_timestamp_does_not_wedge_ingest() {
         let cfg = StreamConfig::new(4, WindowConfig::sliding(1000.0, 4));
@@ -1016,16 +1030,14 @@ mod tests {
             assert_eq!((after[0].mode, after[0].channel), (Mode::Rmc, ch(1, 0)));
             assert!(after[0].window_index > 1_000_000_000_000 - 15);
 
-            // An infinite timestamp saturates the pane index; everything
-            // after it is late, and the end-of-run flush still classifies.
+            // An infinite timestamp is off the pane grid: it is rejected
+            // and moves no clock, so what follows it is on time.
             let mut det = StreamingDetector::new(classifier(), cfg);
             feed_contended(&mut det, 2, 64);
             feed(&mut det, remote(f64::INFINITY));
             feed(&mut det, remote(2500.0));
-            assert_eq!(det.metrics().late_samples, 1);
-            assert_eq!(det.metrics().windows_classified, 4 + (i64::MAX as u64 - 7), "panes 3..=6, then 7 to the last");
-            det.flush();
-            assert_eq!(det.metrics().samples_ingested, 2 * 64 + 2);
+            let m = det.metrics();
+            assert_eq!((m.samples_rejected, m.late_samples, m.samples_ingested), (1, 0, 2 * 64 + 1));
         }
     }
 
@@ -1122,9 +1134,10 @@ mod tests {
     }
 
     /// Failing-first (each of these panicked at the parent commit, or hit
-    /// only a `debug_assert!`): a sample naming a node outside the machine
-    /// — as issuer or as home — or carrying a negative, infinite or NaN
-    /// latency is counted as rejected and skipped, on both entry points
+    /// only a `debug_assert!`, or, for the times, never returned): a
+    /// sample naming a node outside the machine (as issuer or as home), or
+    /// carrying a negative, infinite or NaN latency, or a NaN or off-grid
+    /// time, is counted as rejected and skipped, on both entry points
     /// alike, and the rest of the stream classifies exactly as it would
     /// have without it.
     #[test]
@@ -1139,10 +1152,16 @@ mod tests {
             sample(900.0, 1, Some(0), DataSource::RemoteDram, -1.0),
             // Past the stream's end: a clock it moved would owe windows.
             sample(50_000.0, 1, Some(0), DataSource::RemoteDram, f64::INFINITY),
+            // Recording windows, a clock these moved would owe a summary
+            // for every pane up to them.
+            sample(f64::INFINITY, 1, Some(0), DataSource::RemoteDram, 950.0),
+            sample(f64::NEG_INFINITY, 1, Some(0), DataSource::RemoteDram, 950.0),
+            sample(f64::NAN, 1, Some(0), DataSource::RemoteDram, 950.0),
+            sample(1e300, 1, Some(0), DataSource::RemoteDram, 950.0),
         ];
         let mut dirty = clean.clone();
         for (k, s) in hostile.iter().enumerate() {
-            dirty.insert(37 + 53 * k, (*s, Some(SiteId(99))));
+            dirty.insert(37 + 41 * k, (*s, Some(SiteId(99))));
         }
         let mut reference = StreamingDetector::new(classifier(), cfg);
         for (s, site) in &clean {

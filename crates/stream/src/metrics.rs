@@ -11,9 +11,10 @@ pub struct StreamMetrics {
     /// Samples ingested into window accumulators.
     pub samples_ingested: u64,
     /// Samples refused before they reached any window: a `node` or `home`
-    /// outside the machine, or a latency that is negative, infinite or
-    /// NaN. Every sample offered to the detector is either ingested or
-    /// rejected.
+    /// outside the machine, a latency that is negative, infinite or NaN,
+    /// or a time that is NaN or lies more than 2⁵³ panes from the origin
+    /// (infinite times included). Every sample offered to the detector is
+    /// either ingested or rejected.
     pub samples_rejected: u64,
     /// Samples that arrived for an already-sealed pane and were folded
     /// into the open one (out-of-order arrival; best-effort accounting).
