@@ -29,9 +29,9 @@ if [ "$knobs" != "DRBW_RUNCACHE_DIR " ]; then
 fi
 echo "    $knobs"
 
-echo "==> surface gate (deleted engine options, per-access stream methods and run-cache lock/eviction names stay deleted)"
-if grep -rnE 'ExecMode|span_fusion|set_max_run|fn next_access|fn compute_cycles|StridedStream|StoreConfig|open_with|lock_skips|claim_writer_lock|cache_hit_rate' crates src tests examples; then
-    echo "surface gate: the names above left the shipped surface; reach the per-access body through numasim::oracle::run, and open a run cache with RunCache::open" >&2
+echo "==> surface gate (deleted engine options, per-access stream methods, run-cache lock/eviction names and per-sample offers stay deleted)"
+if grep -rnE 'ExecMode|span_fusion|set_max_run|fn next_access|fn compute_cycles|StridedStream|StoreConfig|open_with|lock_skips|claim_writer_lock|cache_hit_rate|offer_blocking|with_block_capacity|DropOldest|drain_batch|--per-sample|\bOffer\b' crates src tests examples; then
+    echo "surface gate: the names above left the shipped surface; reach the per-access body through numasim::oracle::run, open a run cache with RunCache::open, and offer samples as whole blocks (BlockRing::offer_block, SessionHandle::offer_block_blocking)" >&2
     exit 1
 fi
 echo "    clean"
@@ -120,54 +120,39 @@ fi
 echo "    warm pass ${warm_secs}s, $(grep '^autotune:' "$tune_cache/warm.out")"
 rm -rf "$tune_cache"
 
-echo "==> serve smoke matrix (50 concurrent sessions; block/per-sample arms)"
+echo "==> serve smoke (50 concurrent sessions, block offers)"
 serve_cache=$(mktemp -d)
-# Two arms over one warm run cache: the columnar block path (default)
-# and the legacy per-sample offer shim. The binary hard-asserts >=1 rmc
-# verdict per contended session, zero drops, block-vs-per-sample bit
-# identity, and version-stamped windows; here we only gate the budget
-# and sanity-check the snapshots.
-for arm in "block:" "per_sample:--per-sample"; do
-    name=${arm%%:*}
-    extra_flag=${arm#*:}
-    serve_start=$SECONDS
-    DRBW_RUNCACHE_DIR="$serve_cache" ./target/release/serve_load --smoke $extra_flag \
-        --out "$serve_cache/BENCH_serve_$name.json" > "$serve_cache/$name.out"
-    serve_secs=$((SECONDS - serve_start))
-    grep -q '"samples_dropped": 0' "$serve_cache/BENCH_serve_$name.json" || {
-        echo "serve smoke ($name): snapshot reports dropped samples" >&2
+# The binary hard-asserts >=1 rmc verdict per contended session, zero
+# drops and version-stamped windows; here we only gate the budget and
+# sanity-check the snapshot.
+serve_json="$serve_cache/BENCH_serve.json"
+serve_start=$SECONDS
+DRBW_RUNCACHE_DIR="$serve_cache" ./target/release/serve_load --smoke --out "$serve_json" > "$serve_cache/serve.out"
+serve_secs=$((SECONDS - serve_start))
+grep -q '"samples_dropped": 0' "$serve_json" || {
+    echo "serve smoke: snapshot reports dropped samples" >&2
+    exit 1
+}
+grep -q '"sessions_closed": 50' "$serve_json" || {
+    echo "serve smoke: snapshot did not close all 50 sessions" >&2
+    exit 1
+}
+# Whether the handoff slept is answered by the service's own snapshot.
+for counter in worker_parks producer_parks finish_parks; do
+    grep -qE "\"$counter\": [0-9]+" "$serve_json" || {
+        echo "serve smoke: snapshot missing the $counter counter" >&2
         exit 1
     }
-    grep -q '"sessions_closed": 50' "$serve_cache/BENCH_serve_$name.json" || {
-        echo "serve smoke ($name): snapshot did not close all 50 sessions" >&2
-        exit 1
-    }
-    grep -q '"bit_identity": true' "$serve_cache/BENCH_serve_$name.json" || {
-        echo "serve smoke ($name): snapshot missing the block bit-identity attestation" >&2
-        exit 1
-    }
-    # Whether the handoff slept is answered by the service's own snapshot.
-    for counter in worker_parks producer_parks finish_parks; do
-        grep -qE "\"$counter\": [0-9]+" "$serve_cache/BENCH_serve_$name.json" || {
-            echo "serve smoke ($name): snapshot missing the $counter counter" >&2
-            exit 1
-        }
-    done
-    if [ "$serve_secs" -ge 15 ]; then
-        echo "serve smoke ($name): took ${serve_secs}s (budget < 15s)" >&2
-        exit 1
-    fi
-    # Queue wait — a block's enqueue stamp to the worker's pop, from the
-    # service's own snapshot — is the worker-is-the-bottleneck signal. Only
-    # the block arm prints it: a per-sample offer's block is stamped at its
-    # first sample, so there the figure also holds the time to fill it.
-    queue_wait=""
-    if [ "$name" = block ]; then
-        queue_wait=" $(grep -oE '"queue_wait_p50_us": [0-9.]+' "$serve_cache/BENCH_serve_$name.json" | tail -1),"
-    fi
-    echo "    ${name}: ${serve_secs}s, $(grep -o '"verdicts": [0-9]*' "$serve_cache/BENCH_serve_$name.json") across 50 sessions, zero drops,${queue_wait}" \
-        "$(grep -oE '"(worker|producer|finish)_parks": [0-9]+' "$serve_cache/BENCH_serve_$name.json" | tail -3 | tr '\n' ' ')"
 done
+if [ "$serve_secs" -ge 15 ]; then
+    echo "serve smoke: took ${serve_secs}s (budget < 15s)" >&2
+    exit 1
+fi
+# Queue wait — a block's enqueue stamp to the worker's pop, from the
+# service's own snapshot — is the worker-is-the-bottleneck signal.
+echo "    ${serve_secs}s, $(grep -o '"verdicts": [0-9]*' "$serve_json") across 50 sessions, zero drops," \
+    "$(grep -oE '"queue_wait_p50_us": [0-9.]+' "$serve_json" | tail -1)," \
+    "$(grep -oE '"(worker|producer|finish)_parks": [0-9]+' "$serve_json" | tail -3 | tr '\n' ' ')"
 rm -rf "$serve_cache"
 
 # One workload of the repo benchmark as a traced smoke (a smoke is not a

@@ -58,7 +58,7 @@ fn run_case(label: &str, cfg: &VictimAggressorConfig, mcfg: &MachineConfig, tool
     let window = WindowConfig::tumbling((span / 8.0).max(1.0));
     let scfg = StreamConfig { record_windows: true, ..StreamConfig::new(mcfg.topology.num_nodes(), window) };
     let mut detector = StreamingDetector::new(tool.classifier().clone(), scfg);
-    let rep = replay_log(&victim_samples, &outcome.tracker, &mut detector, ReplayConfig::default());
+    let rep = replay_log(&victim_samples, &outcome.tracker, &mut detector, ReplayConfig);
 
     let mut lines = String::new();
     let _ = writeln!(lines, "--- {label} ---");

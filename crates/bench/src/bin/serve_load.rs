@@ -1,26 +1,23 @@
 //! Load harness for `drbw-serve`: one in-process [`AnalysisServer`]
 //! multiplexing hundreds to thousands of **simultaneously open** replayed
 //! sessions, fed from concurrent producer threads with blocking
-//! (backpressure-honouring) offers — whole columnar [`SampleBlock`]s by
-//! default, the legacy per-sample path under `--per-sample`. Half the
-//! sessions replay a contended recorded run, half a quiet control; a
-//! model republish lands mid-run so every verdict's version stamp
-//! exercises the hot-swap path.
+//! (backpressure-honouring) offers of whole columnar [`SampleBlock`]s.
+//! Half the sessions replay a contended recorded run, half a quiet
+//! control; a model republish lands mid-run so every verdict's version
+//! stamp exercises the hot-swap path.
 //!
 //! Asserts: zero dropped samples under the default ring sizing, an `rmc`
 //! verdict on every contended session, no verdict on any quiet session,
-//! every window version ∈ {1, 2}, and block-vs-per-sample **bit
-//! identity** (same events, metrics, and window features from both
-//! ingestion styles), and in full mode a single-core block arm at ≥ 2.5×
-//! [`RECORDED_BASELINE`]. Writes `BENCH_serve.json` (sessions, throughput,
-//! verdict p50/p99, the embedded [`drbw_serve::ServeMetrics::to_json`]
-//! snapshot, and an `ingest` section: warmup + median-of-7 single-core
-//! block vs per-sample arms, compared by within-run ratio per the
-//! BENCH_engine.json machine note).
+//! every window version ∈ {1, 2}, and in full mode single-core ingest at
+//! ≥ 2.5× [`RECORDED_BASELINE`]. Writes `BENCH_serve.json` (sessions,
+//! throughput, verdict p50/p99, the embedded
+//! [`drbw_serve::ServeMetrics::to_json`] snapshot, and an `ingest`
+//! section: warmup + median-of-7 single-core runs, reported as a ratio to
+//! the recorded baseline).
 //!
 //! ```text
 //! cargo run --release -p drbw-bench --bin serve_load [--smoke] \
-//!     [--sessions N] [--per-sample] [--out BENCH_serve.json]
+//!     [--sessions N] [--out BENCH_serve.json]
 //! ```
 //!
 //! `--smoke` is the CI shape: 50 sessions, 3 measured ingest runs,
@@ -30,7 +27,7 @@ use drbw_bench::sweep::train_tool;
 use drbw_bench::util::{memo_run, open_run_cache, write_text, BenchError};
 use drbw_core::{DrBw, Mode};
 use drbw_serve::{AnalysisServer, ServerConfig, SessionHandle};
-use drbw_stream::{StreamConfig, StreamingDetector, WindowConfig};
+use drbw_stream::{StreamConfig, WindowConfig};
 use numasim::config::MachineConfig;
 use pebs::sample::MemSample;
 use pebs::sampler::SamplerConfig;
@@ -45,27 +42,24 @@ const SAMPLES_PER_SESSION: usize = 1000;
 
 /// Samples a producer feeds one session before moving to the next, so all
 /// of a producer's sessions advance together (they stay concurrently
-/// mid-stream, not sequentially replayed). Also the block capacity on the
-/// block offer path.
+/// mid-stream, not sequentially replayed). Also the block capacity.
 const CHUNK: usize = 100;
 
-/// The single-core ingest throughput the per-sample pipeline recorded
-/// before the columnar rework (BENCH_serve.json @ PR 7) — the absolute
-/// reference the `ingest` section's ratios are reported against, and the
-/// one the full-mode gate holds the block arm to.
+/// The single-core ingest throughput the service recorded before its
+/// columnar rework, when samples were offered one at a time — the
+/// absolute reference the `ingest` section is reported against, and the
+/// one the full-mode gate holds it to.
 const RECORDED_BASELINE: f64 = 2_313_075.0;
 
 struct Args {
     smoke: bool,
     sessions: usize,
     producers: usize,
-    per_sample: bool,
     out: String,
 }
 
 fn parse_args() -> Result<Args, BenchError> {
-    let mut args =
-        Args { smoke: false, sessions: 1000, producers: 4, per_sample: false, out: "BENCH_serve.json".into() };
+    let mut args = Args { smoke: false, sessions: 1000, producers: 4, out: "BENCH_serve.json".into() };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -78,7 +72,6 @@ fn parse_args() -> Result<Args, BenchError> {
                 let v = it.next().ok_or_else(|| BenchError::new("--sessions needs a value"))?;
                 args.sessions = v.parse().map_err(|e| BenchError::new(format!("bad --sessions {v}: {e}")))?;
             }
-            "--per-sample" => args.per_sample = true,
             "--out" => args.out = it.next().ok_or_else(|| BenchError::new("--out needs a value"))?,
             other => return Err(BenchError::new(format!("unknown argument {other}"))),
         }
@@ -112,20 +105,14 @@ fn offer_chunk_block(handle: &SessionHandle, chunk: &[MemSample], mut shell: Sam
 /// One timed single-core ingest run: a 1-shard server, one session, one
 /// producer (this thread), `stream` fed end to end, wall-clocked from
 /// first offer to delivered report. Returns samples/second.
-fn ingest_run(tool: &DrBw, stream_cfg: StreamConfig, stream: &[MemSample], block_path: bool) -> f64 {
+fn ingest_run(tool: &DrBw, stream_cfg: StreamConfig, stream: &[MemSample]) -> f64 {
     let cfg = ServerConfig { shards: 1, ..ServerConfig::new(stream_cfg) };
     let server = AnalysisServer::start(tool.classifier().clone(), cfg).expect("start ingest server");
     let session = server.open_session();
     let start = Instant::now();
-    if block_path {
-        let mut shell = SampleBlock::with_capacity(CHUNK);
-        for chunk in stream.chunks(CHUNK) {
-            shell = offer_chunk_block(&session, chunk, shell);
-        }
-    } else {
-        for s in stream {
-            session.offer_blocking(s, None);
-        }
+    let mut shell = SampleBlock::with_capacity(CHUNK);
+    for chunk in stream.chunks(CHUNK) {
+        shell = offer_chunk_block(&session, chunk, shell);
     }
     let report = session.finish().expect("ingest session report");
     let wall = start.elapsed().as_secs_f64();
@@ -137,15 +124,9 @@ fn ingest_run(tool: &DrBw, stream_cfg: StreamConfig, stream: &[MemSample], block
 
 /// Warmup + `measured` timed runs, median (the BENCH discipline: absolute
 /// seconds drift 15-25% on this host, medians of within-run arms do not).
-fn ingest_median(
-    tool: &DrBw,
-    stream_cfg: StreamConfig,
-    stream: &[MemSample],
-    block_path: bool,
-    measured: usize,
-) -> f64 {
-    let _warmup = ingest_run(tool, stream_cfg, stream, block_path);
-    let mut runs: Vec<f64> = (0..measured).map(|_| ingest_run(tool, stream_cfg, stream, block_path)).collect();
+fn ingest_median(tool: &DrBw, stream_cfg: StreamConfig, stream: &[MemSample], measured: usize) -> f64 {
+    let _warmup = ingest_run(tool, stream_cfg, stream);
+    let mut runs: Vec<f64> = (0..measured).map(|_| ingest_run(tool, stream_cfg, stream)).collect();
     runs.sort_by(f64::total_cmp);
     runs[runs.len() / 2]
 }
@@ -162,26 +143,6 @@ fn ingest_stream(hot: &[MemSample], hot_cycles: f64, repeats: usize) -> Vec<MemS
         }
     }
     out
-}
-
-/// Block-vs-per-sample bit identity on the exact detector geometry the
-/// service runs: same events, same metrics, same recorded window features
-/// from both ingestion styles. Panics on any divergence.
-fn assert_bit_identity(tool: &DrBw, stream_cfg: StreamConfig, stream: &[MemSample]) {
-    let model = Arc::new(tool.classifier().clone());
-    let mut per_sample = StreamingDetector::with_model(Arc::clone(&model), 1, stream_cfg);
-    for s in stream {
-        per_sample.ingest(s, None);
-    }
-    per_sample.flush();
-    let mut blocked = StreamingDetector::with_model(model, 1, stream_cfg);
-    for chunk in stream.chunks(CHUNK) {
-        blocked.ingest_block(&SampleBlock::from_samples(chunk));
-    }
-    blocked.flush();
-    assert_eq!(blocked.metrics(), per_sample.metrics(), "block path diverged on metrics");
-    assert_eq!(blocked.drain_events(), per_sample.drain_events(), "block path diverged on events");
-    assert_eq!(blocked.drain_windows(), per_sample.drain_windows(), "block path diverged on window features");
 }
 
 fn main() -> Result<(), BenchError> {
@@ -214,14 +175,12 @@ fn main() -> Result<(), BenchError> {
         AnalysisServer::start(tool.classifier().clone(), ServerConfig::new(stream_cfg)).expect("start server"),
     );
 
-    let offer_path = if args.per_sample { "per_sample" } else { "block" };
     eprintln!(
-        "driving {} concurrent sessions ({} producers, {} samples/session, ring {}, {} offers)...",
+        "driving {} concurrent sessions ({} producers, {} samples/session, ring {})...",
         args.sessions,
         args.producers,
         hot.len().max(cold.len()),
         server.config().ring_capacity,
-        offer_path,
     );
     let start = Instant::now();
     // Every session opens before any feeding starts: the whole population
@@ -237,7 +196,6 @@ fn main() -> Result<(), BenchError> {
     // stamp v1, after it v2 — the hot-swap proof without perturbing any
     // expected verdict.
     let swap_at = SAMPLES_PER_SESSION / 2;
-    let per_sample_path = args.per_sample;
     let producers: Vec<_> = per_producer
         .into_iter()
         .enumerate()
@@ -270,13 +228,7 @@ fn main() -> Result<(), BenchError> {
                     for (contended, handle) in &sessions {
                         let stream = if *contended { &hot } else { &cold };
                         let chunk = &stream[cursor.min(stream.len())..(cursor + CHUNK).min(stream.len())];
-                        if per_sample_path {
-                            for s in chunk {
-                                handle.offer_blocking(s, None);
-                            }
-                        } else {
-                            shell = offer_chunk_block(handle, chunk, shell);
-                        }
+                        shell = offer_chunk_block(handle, chunk, shell);
                     }
                     cursor += CHUNK;
                 }
@@ -335,30 +287,19 @@ fn main() -> Result<(), BenchError> {
         args.sessions
     );
 
-    // The ingest section: single-core block vs per-sample arms measured
-    // back to back in this run (within-run ratios, per the
-    // BENCH_engine.json machine note), plus bit identity.
+    // The ingest section: single-core throughput, warmup + median, held
+    // to the recorded baseline. On the 2-core reference host it read
+    // 3.6x-10.3x the baseline (host noise), so the bound leaves a margin.
     let ingest_repeats = if args.smoke { 20 } else { 100 };
     let ingest_measured = if args.smoke { 3 } else { 7 };
-    eprintln!("measuring single-core ingest arms (warmup + median of {ingest_measured})...");
+    eprintln!("measuring single-core ingest (warmup + median of {ingest_measured})...");
     let ing_stream = ingest_stream(&hot, hot_cycles, ingest_repeats);
-    assert_bit_identity(&tool, stream_cfg, &ing_stream);
-    let per_sample_tp = ingest_median(&tool, stream_cfg, &ing_stream, false, ingest_measured);
-    let block_tp = ingest_median(&tool, stream_cfg, &ing_stream, true, ingest_measured);
-    let block_vs_per_sample = block_tp / per_sample_tp;
+    let block_tp = ingest_median(&tool, stream_cfg, &ing_stream, ingest_measured);
     let block_vs_baseline = block_tp / RECORDED_BASELINE;
-    // The gate compares the block arm with the recorded per-sample
-    // baseline, not with this run's per-sample arm: per-sample offers pay
-    // no wake-up syscall while the worker is awake, so that arm depends on
-    // scheduling — slow when the worker keeps pace and pops one-sample
-    // blocks, as fast as the block path when the producer gets ahead and
-    // the ring seals whole blocks (0.87x-17.1x within-run on the 2-core
-    // reference host). The block arm has no such second mode, only host
-    // noise: 3.6x-10.3x the baseline there, so the bound leaves a margin.
     if !args.smoke {
         assert!(
             block_vs_baseline >= 2.5,
-            "block ingest must be >= 2.5x the recorded per-sample baseline: {block_tp:.0} vs \
+            "single-core ingest must be >= 2.5x the recorded baseline: {block_tp:.0} vs \
              {RECORDED_BASELINE:.0} ({block_vs_baseline:.2}x)"
         );
     }
@@ -368,7 +309,6 @@ fn main() -> Result<(), BenchError> {
         r#"{{
   "bench": "serve_load",
   "mode": "{}",
-  "offer_path": "{}",
   "sessions": {},
   "contended_sessions": {},
   "quiet_sessions": {},
@@ -382,12 +322,9 @@ fn main() -> Result<(), BenchError> {
   "events_on_v2": {},
   "sessions_migrated_v1_to_v2": {},
   "ingest": {{
-    "protocol": "single-core (1 shard, 1 producer, 1 session), 1 warmup + median of {} runs per arm, {} samples/run; arms measured back to back, compare by within-run ratio (machine_note: absolute seconds drift 15-25%)",
+    "protocol": "single-core (1 shard, 1 producer, 1 session), 1 warmup + median of {} runs, {} samples/run (machine_note: absolute seconds drift 15-25%)",
     "samples_per_run": {},
-    "bit_identity": true,
-    "per_sample_samples_per_s": {:.0},
     "block_samples_per_s": {:.0},
-    "block_vs_per_sample": {:.2},
     "recorded_baseline_samples_per_s": {:.0},
     "block_vs_recorded_baseline": {:.2}
   }},
@@ -395,7 +332,6 @@ fn main() -> Result<(), BenchError> {
 }}
 "#,
         if args.smoke { "smoke" } else { "full" },
-        offer_path,
         args.sessions,
         contended_with_verdict,
         quiet_sessions,
@@ -411,9 +347,7 @@ fn main() -> Result<(), BenchError> {
         ingest_measured,
         ing_stream.len(),
         ing_stream.len(),
-        per_sample_tp,
         block_tp,
-        block_vs_per_sample,
         RECORDED_BASELINE,
         block_vs_baseline,
         metrics.to_json(),
@@ -421,13 +355,12 @@ fn main() -> Result<(), BenchError> {
     write_text(&args.out, &json)?;
     print!("{json}");
     eprintln!(
-        "{} sessions, {:.2}s, {:.0} samples/s; ingest block {:.0}/s vs per-sample {:.0}/s ({:.2}x) — wrote {}",
+        "{} sessions, {:.2}s, {:.0} samples/s; single-core ingest {:.0}/s ({:.2}x the recorded baseline) — wrote {}",
         args.sessions,
         wall.as_secs_f64(),
         throughput,
         block_tp,
-        per_sample_tp,
-        block_vs_per_sample,
+        block_vs_baseline,
         args.out
     );
     let server = Arc::into_inner(server).expect("all producer clones joined");

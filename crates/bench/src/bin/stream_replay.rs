@@ -12,7 +12,7 @@ use drbw_bench::sweep::train_tool;
 use drbw_bench::util::{memo_run, open_run_cache, report_run_cache, BenchError};
 use drbw_core::channels::ChannelBatches;
 use drbw_core::features::{selected_features, FeatureCtx};
-use drbw_stream::{replay, ReplayConfig, StreamConfig, StreamingDetector, WindowConfig};
+use drbw_stream::{replay, StreamConfig, StreamingDetector, WindowConfig};
 use numasim::config::MachineConfig;
 use pebs::sample::MemSample;
 use pebs::sampler::SamplerConfig;
@@ -75,7 +75,7 @@ fn report(
 ) {
     let outcome = memo_run(cache, w, mcfg, rcfg, Some(SamplerConfig::default()));
     let run_end = outcome.samples.iter().map(|s| s.time).fold(0.0f64, f64::max);
-    let rep = replay(&outcome, detector, ReplayConfig::default());
+    let rep = replay(&outcome, detector);
     let audited = audit_windows(&outcome, &rep.windows, mcfg.topology.num_nodes());
     let onset = onset_cycles(&outcome);
 

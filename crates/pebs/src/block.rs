@@ -1,14 +1,15 @@
 //! Columnar (structure-of-arrays) sample batches.
 //!
-//! The per-sample path moves one 72-byte [`MemSample`] struct at a time
-//! through ring → queue → accumulator; at millions of samples per second
-//! the per-element call, branch, and lock overhead dominates the actual
-//! feature arithmetic. A [`SampleBlock`] instead stores up to a fixed
-//! capacity of samples as parallel lanes — one boxed slice per field — so
-//! a whole batch moves through the pipeline by pointer swap (moving the
-//! lanes, never re-copying elements) and the consumers can run lane
-//! kernels: latency-bucket counts, lane-split exact sums, and
-//! binary-search pane splitting over the time lane.
+//! A block is the only form in which samples enter the online pipeline.
+//! Moving one 72-byte [`MemSample`] struct at a time through ring →
+//! accumulator would pay a call, a branch and a lock per sample, which at
+//! millions of samples per second dominates the actual feature
+//! arithmetic. A [`SampleBlock`] instead stores up to a fixed capacity of
+//! samples as parallel lanes — one boxed slice per field — so a whole
+//! batch moves through the pipeline by pointer swap (moving the lanes,
+//! never re-copying elements) and the consumers can run lane kernels:
+//! latency-bucket counts, lane-split exact sums, and binary-search pane
+//! splitting over the time lane.
 //!
 //! A sample is copied **once**, at [`SampleBlock::push`], and never
 //! again: `pebs::ring::BlockRing` hands sealed blocks to the consumer by
@@ -25,9 +26,9 @@
 //! Blocks track whether their time lane is monotone non-decreasing
 //! ([`SampleBlock::is_sorted`], maintained on push). Sorted blocks let
 //! the streaming detector assign samples to window panes with a
-//! block-splitting binary search; unsorted blocks fall back to the
-//! per-sample path, so sortedness is a fast-path hint, never a
-//! correctness requirement.
+//! block-splitting binary search; unsorted blocks fall back to a
+//! sample-at-a-time loop inside the detector, so sortedness is a
+//! fast-path hint, never a correctness requirement.
 
 use crate::alloc::SiteId;
 use crate::sample::MemSample;
@@ -155,7 +156,8 @@ impl SampleBlock {
         self.sorted = true;
     }
 
-    /// Reassemble sample `i` as a struct (the per-sample fallback path).
+    /// Reassemble sample `i` as a struct (the detector's unsorted-block
+    /// fallback).
     ///
     /// # Panics
     /// Panics if `i >= len()`.

@@ -19,10 +19,10 @@
 //!   `alloc_onnode`, interleaving) used both by the profiler (to find a
 //!   sample's locating node) and by the optimizations;
 //! * [`block::SampleBlock`] and [`ring::BlockRing`] are the online path:
-//!   a bounded ring with explicit backpressure/drop accounting in which
-//!   samples move as fixed-capacity structure-of-arrays blocks, handed off
-//!   by pointer swap so each sample is copied once at ring entry and never
-//!   again;
+//!   a bounded ring with explicit backpressure/drop accounting that
+//!   samples enter only as whole fixed-capacity structure-of-arrays
+//!   blocks, handed off by pointer swap so each sample is copied once,
+//!   into its block, and never again;
 //! * [`stream::StreamingSampler`] is the observer adapter that feeds the
 //!   ring, so a live consumer (the `drbw-stream` detector) can watch a run
 //!   without retaining its full sample log;
@@ -48,7 +48,7 @@ pub use alloc::{AllocId, AllocationTracker, SiteId};
 pub use block::SampleBlock;
 pub use ibs::{IbsConfig, IbsSampler};
 pub use mrk::{MrkConfig, MrkSampler};
-pub use ring::{BlockOffer, BlockRing, Offer, OverflowPolicy, RingCounters};
+pub use ring::{BlockOffer, BlockRing, OverflowPolicy, RingCounters};
 pub use sample::MemSample;
 pub use sampler::{AddressSampler, SamplerConfig};
 pub use stream::StreamingSampler;

@@ -6,11 +6,15 @@
 //! unacceptable for an always-on monitor. [`StreamingSampler`] keeps the
 //! sampling discipline (per-thread period, latency threshold, jitter,
 //! per-sample cost) by delegating to an inner [`AddressSampler`] and moves
-//! each record straight into a fixed-capacity ring, where a consumer
-//! (e.g. `drbw-stream`'s detector) drains it concurrently with the run.
-//! Overflow is the ring's policy; nothing here grows with run length.
+//! each record into a columnar block, the way PEBS fills its hardware
+//! buffer. A full block is offered to the fixed-capacity ring, where a
+//! consumer (e.g. `drbw-stream`'s detector) drains it concurrently with
+//! the run; the partial tail is offered at every phase end and when the
+//! ring is taken out. Overflow is the ring's policy; nothing here grows
+//! with run length.
 
-use crate::ring::BlockRing;
+use crate::block::SampleBlock;
+use crate::ring::{BlockRing, BLOCK_CAPACITY};
 use crate::sampler::{AddressSampler, SamplerConfig};
 use numasim::engine::{AccessEvent, Observer};
 use numasim::stats::RunStats;
@@ -21,16 +25,20 @@ use numasim::topology::ThreadId;
 pub struct StreamingSampler {
     inner: AddressSampler,
     ring: BlockRing,
+    /// The block being filled (always `Some` between calls).
+    block: Option<SampleBlock>,
 }
 
 impl StreamingSampler {
     /// A streaming sampler with the given sampling config over the given
-    /// ring.
+    /// ring. Records are offered in blocks of up to 256 samples (or the
+    /// ring's capacity, if smaller).
     ///
     /// # Panics
     /// Panics if `cfg.period == 0` (see [`AddressSampler::new`]).
     pub fn new(cfg: SamplerConfig, ring: BlockRing) -> Self {
-        Self { inner: AddressSampler::new(cfg), ring }
+        let block = SampleBlock::with_capacity(BLOCK_CAPACITY.min(ring.capacity()));
+        Self { inner: AddressSampler::new(cfg), ring, block: Some(block) }
     }
 
     /// The ring, for draining.
@@ -48,9 +56,18 @@ impl StreamingSampler {
         self.inner.observed_accesses()
     }
 
-    /// Take the ring out of the adapter (e.g. after the run ends).
-    pub fn into_ring(self) -> BlockRing {
+    /// Hand the partial tail block to the ring and take the ring out of
+    /// the adapter (e.g. after the run ends).
+    pub fn into_ring(mut self) -> BlockRing {
+        self.offer_block();
         self.ring
+    }
+
+    /// Hand the block being filled to the ring (a no-op when it is
+    /// empty) and keep the shell the ring hands back.
+    fn offer_block(&mut self) {
+        let block = self.block.take().expect("a block is always being filled");
+        self.block = Some(self.ring.offer_block(block).1);
     }
 }
 
@@ -59,10 +76,14 @@ impl Observer for StreamingSampler {
     fn on_access(&mut self, ev: &AccessEvent) -> f64 {
         let cost = self.inner.on_access(ev);
         // The inner sampler records at most one sample per access; move it
-        // into the ring so the inner log never grows.
+        // into the block so the inner log never grows.
         if !self.inner.samples().is_empty() {
             for s in self.inner.drain_samples() {
-                self.ring.offer(s, None);
+                let block = self.block.as_mut().expect("a block is always being filled");
+                block.push(&s, None);
+                if block.is_full() {
+                    self.offer_block();
+                }
             }
         }
         cost
@@ -70,6 +91,7 @@ impl Observer for StreamingSampler {
 
     fn on_phase_end(&mut self, stats: &RunStats) {
         self.inner.on_phase_end(stats);
+        self.offer_block();
     }
 
     fn set_enabled(&mut self, enabled: bool) {
@@ -119,9 +141,11 @@ mod tests {
         for i in 0..200 {
             s.on_access(&event(i));
         }
-        assert_eq!(s.ring().len(), 20);
         assert_eq!(s.observed_accesses(), 200);
-        assert_eq!(s.ring().dropped(), 0);
+        assert!(s.ring().is_empty(), "records wait in the block until it fills");
+        let ring = s.into_ring();
+        assert_eq!(ring.len(), 20, "taking the ring out offers the partial block");
+        assert_eq!(ring.dropped(), 0);
     }
 
     #[test]
@@ -159,11 +183,10 @@ mod tests {
         for i in 0..100 {
             s.on_access(&event(i));
         }
-        assert!(s.ring().is_empty());
         s.set_enabled(true);
         for i in 0..100 {
             s.on_access(&event(i));
         }
-        assert_eq!(s.ring().len(), 10);
+        assert_eq!(s.into_ring().len(), 10, "only the enabled phase recorded");
     }
 }

@@ -9,12 +9,12 @@
 //!   each session's samples are classified in exactly their accepted FIFO
 //!   order), each owning a pool of recycled
 //!   [`drbw_stream::StreamingDetector`]s;
-//! * [`SessionHandle`] — the producer side: a bounded columnar
+//! * [`SessionHandle`] — the producer side: samples enter only as whole
+//!   [`pebs::SampleBlock`]s, moved producer→worker by pointer swap
+//!   ([`SessionHandle::offer_block_blocking`]) so a sample is copied once
+//!   at block entry and never again; a bounded
 //!   [`pebs::ring::BlockRing`] per session gives real backpressure with
-//!   the ring's own drop accounting (`offered == dropped + popped + len`),
-//!   and whole [`pebs::SampleBlock`]s move producer→worker by pointer
-//!   swap ([`SessionHandle::offer_block_blocking`]) so a sample is copied
-//!   once at block entry and never again;
+//!   the ring's own accounting (`offered == dropped + popped + len`);
 //! * [`drbw_core::registry::ModelRegistry`] — atomic model hot-swap: one
 //!   epoch load on the steady-state classify path, and every window and
 //!   verdict stamped with the version of the exact model that classified
@@ -52,8 +52,8 @@ mod tests {
     use mldt::tree::TrainConfig;
     use numasim::hierarchy::DataSource;
     use numasim::topology::{CoreId, NodeId, ThreadId};
-    use pebs::ring::OverflowPolicy;
     use pebs::sample::MemSample;
+    use pebs::SampleBlock;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -139,12 +139,8 @@ mod tests {
         let server = AnalysisServer::start(classifier(), test_config(2)).expect("start server");
         let hot = server.open_session();
         let cold = server.open_session();
-        for s in contended_stream(4, 64) {
-            hot.offer_blocking(&s, None);
-        }
-        for s in quiet_stream(4, 64) {
-            cold.offer_blocking(&s, None);
-        }
+        feed(&hot, &contended_stream(4, 64), SampleBlock::with_capacity(64));
+        feed(&cold, &quiet_stream(4, 64), SampleBlock::with_capacity(64));
         let hot_report = hot.finish().expect("report");
         let cold_report = cold.finish().expect("report");
         assert!(
@@ -184,9 +180,7 @@ mod tests {
         let server = AnalysisServer::start(classifier(), cfg).expect("start server");
         let mid = server.open_session();
         // Two windows on v1, then publish v2 mid-stream.
-        for s in contended_stream(2, 48) {
-            mid.offer_blocking(&s, None);
-        }
+        let shell = feed(&mid, &contended_stream(2, 48), SampleBlock::with_capacity(48));
         // Let the worker ingest the first two windows before publishing,
         // so the stream observably starts on v1 (a sample popped from the
         // ring is always ingested before the worker's next epoch check).
@@ -198,10 +192,9 @@ mod tests {
         // Give the worker a moment to observe the epoch, then stream more
         // windows (time offset continues the same grid).
         std::thread::sleep(Duration::from_millis(50));
-        for s in contended_stream(6, 48) {
-            let shifted = MemSample { time: s.time + 2000.0, ..s };
-            mid.offer_blocking(&shifted, None);
-        }
+        let shifted: Vec<MemSample> =
+            contended_stream(6, 48).into_iter().map(|s| MemSample { time: s.time + 2000.0, ..s }).collect();
+        let shell = feed(&mid, &shifted, shell);
         let report = mid.finish().expect("report");
         let versions: Vec<u64> = report.windows.iter().map(|w| w.model_version).collect();
         assert!(!versions.is_empty());
@@ -219,9 +212,7 @@ mod tests {
         // A session opened after the publish runs on v2 from its first
         // window — propagation is guaranteed at adoption.
         let fresh = server.open_session();
-        for s in contended_stream(3, 48) {
-            fresh.offer_blocking(&s, None);
-        }
+        feed(&fresh, &contended_stream(3, 48), shell);
         let fresh_report = fresh.finish().expect("report");
         assert!(fresh_report.windows.iter().all(|w| w.model_version == 2));
         assert_eq!(fresh_report.model_versions, vec![2]);
@@ -237,57 +228,22 @@ mod tests {
         let server = AnalysisServer::start(classifier(), cfg).expect("start server");
         // Dirty a detector with a contended session.
         let first = server.open_session();
-        for s in contended_stream(5, 40) {
-            first.offer_blocking(&s, None);
-        }
+        let shell = feed(&first, &contended_stream(5, 40), SampleBlock::with_capacity(64));
         let _ = first.finish().expect("report");
         // The second session gets the recycled detector.
         let second = server.open_session();
         let stream = contended_stream(4, 64);
-        for s in &stream {
-            second.offer_blocking(s, None);
-        }
+        feed(&second, &stream, shell);
         let report = second.finish().expect("report");
         drop(server);
-        // Reference: a fresh detector over the same stream.
+        // Reference: a fresh detector over the same blocks.
         let mut fresh = StreamingDetector::with_model(Arc::new(classifier()), 1, cfg.stream);
-        for s in &stream {
-            fresh.ingest(s, None);
+        for chunk in stream.chunks(64) {
+            fresh.ingest_block(&SampleBlock::from_samples(chunk));
         }
         fresh.flush();
         assert_eq!(report.events, fresh.drain_events(), "recycled detector diverged from fresh");
         assert_eq!(report.stream, fresh.metrics());
-    }
-
-    /// Overflow accounting is exact end to end: every offered sample is
-    /// either ingested or counted dropped, under both ring policies.
-    #[test]
-    fn overflow_accounting_is_exact() {
-        for policy in [OverflowPolicy::RejectNewest, OverflowPolicy::DropOldest] {
-            let cfg = ServerConfig { ring_capacity: 4, overflow: policy, ..test_config(1) };
-            let server = AnalysisServer::start(classifier(), cfg).expect("start server");
-            let session = server.open_session();
-            // Non-blocking offers into a 4-slot ring, much faster than the
-            // worker needs to keep up: drops are expected and must balance.
-            for s in contended_stream(6, 200) {
-                session.offer(&s, None);
-            }
-            let report = session.finish().expect("report");
-            assert_eq!(report.ring.offered, 1200);
-            assert_eq!(report.ring.len, 0, "finish drains the ring");
-            assert_eq!(
-                report.ring.offered,
-                report.ring.dropped + report.ring.popped,
-                "every sample accounted: {:?}",
-                report.ring
-            );
-            assert_eq!(report.stream.samples_ingested, report.ring.popped, "detector saw exactly the accepted samples");
-            assert!(report.ring.peak <= 4);
-            let m = server.shutdown();
-            assert_eq!(m.samples_offered, 1200);
-            assert_eq!(m.samples_dropped, report.ring.dropped);
-            assert_eq!(m.samples_ingested, report.ring.popped);
-        }
     }
 
     /// Satellite of the columnar pipeline: a blocking block producer
@@ -300,7 +256,7 @@ mod tests {
         let server = AnalysisServer::start(classifier(), cfg).expect("start server");
         let session = server.open_session();
         let stream = contended_stream(40, 500); // 20_000 samples through a 32-slot ring
-        let mut block = pebs::SampleBlock::with_capacity(16);
+        let mut block = SampleBlock::with_capacity(16);
         for s in &stream {
             if block.is_full() {
                 block = session.offer_block_blocking(block);
@@ -341,11 +297,10 @@ mod tests {
                     let streams: Vec<Vec<MemSample>> = (0..sessions_per_thread)
                         .map(|i| if (tid + i) % 3 == 0 { quiet_stream(4, 32) } else { contended_stream(4, 32) })
                         .collect();
+                    let mut shell = SampleBlock::with_capacity(32);
                     for chunk in 0..4 {
                         for (h, stream) in handles.iter().zip(&streams) {
-                            for s in &stream[chunk * 32..(chunk + 1) * 32] {
-                                h.offer_blocking(s, None);
-                            }
+                            shell = feed(h, &stream[chunk * 32..(chunk + 1) * 32], shell);
                         }
                     }
                     handles
@@ -382,9 +337,7 @@ mod tests {
     fn shutdown_delivers_reports_for_open_sessions() {
         let server = AnalysisServer::start(classifier(), test_config(2)).expect("start server");
         let session = server.open_session();
-        for s in contended_stream(4, 64) {
-            session.offer_blocking(&s, None);
-        }
+        feed(&session, &contended_stream(4, 64), SampleBlock::with_capacity(64));
         let m = server.shutdown();
         assert_eq!(m.sessions_closed, 1);
         let report = session.finish().expect("report"); // already delivered; returns at once
@@ -413,15 +366,14 @@ mod tests {
         assert_no_thread_leak(before, "spawned shards must be shut down on start failure");
     }
 
-    /// A zero `shards`, `ring_capacity` or `drain_batch` is a typed error
-    /// naming the field, returned before any worker exists.
+    /// A zero `shards` or `ring_capacity` is a typed error naming the
+    /// field, returned before any worker exists.
     #[test]
     fn zero_config_fields_are_typed_errors_before_any_spawn() {
         let good = test_config(2);
         for (bad, want) in [
             (ServerConfig { shards: 0, ..good }, "shards"),
             (ServerConfig { ring_capacity: 0, ..good }, "ring_capacity"),
-            (ServerConfig { drain_batch: 0, ..good }, "drain_batch"),
         ] {
             let before = thread_count();
             let err = AnalysisServer::start(classifier(), bad).expect_err("zero field must be rejected");
@@ -462,7 +414,7 @@ mod tests {
         let server = AnalysisServer::start(classifier(), test_config(1)).expect("start server");
         let session = server.open_session();
         let poisoned = MemSample { addr: crate::server::test_fail::POISON_ADDR, ..quiet_stream(1, 1)[0] };
-        session.offer_blocking(&poisoned, None);
+        session.offer_block_blocking(SampleBlock::from_samples(&[poisoned]));
         let err = session.finish().expect_err("worker died; no report is possible");
         assert!(matches!(err, ServeError::WorkerPanicked { shard: 0 }), "wrong error: {err}");
         // A session opened after the panic fails fast instead of hanging.
@@ -487,7 +439,7 @@ mod tests {
         let solo = |stream: &[MemSample]| {
             let server = AnalysisServer::start(classifier(), test_config(1)).expect("start server");
             let session = server.open_session();
-            stream.iter().for_each(|s| session.offer_blocking(s, None));
+            feed(&session, stream, SampleBlock::with_capacity(64));
             session.finish().expect("solo report")
         };
         let alone = solo(&clean);
@@ -496,9 +448,9 @@ mod tests {
         let (a, b) = (server.open_session(), server.open_session());
         let mut hostile = clean[..64].to_vec();
         hostile.insert(10, sample(150.0, 9, Some(0), DataSource::RemoteDram, 950.0));
-        let shell = a.offer_block_blocking(pebs::SampleBlock::from_samples(&hostile));
+        let shell = a.offer_block_blocking(SampleBlock::from_samples(&hostile));
         assert!(shell.is_empty());
-        clean.iter().for_each(|s| b.offer_blocking(s, None));
+        feed(&b, &clean, SampleBlock::with_capacity(64));
         let report_a = a.finish().expect("the hostile sample must not kill the shard");
         let report_b = b.finish().expect("the neighbour must not pay for it");
         assert_eq!(report_a.stream.samples_rejected, 1);
@@ -515,9 +467,9 @@ mod tests {
         assert_eq!(m.samples_ingested, m.samples_offered, "the service counts consumed samples, rejects included");
     }
 
-    /// Offer `samples` in `block`-sized blocks through `shell`, returning
+    /// Feed `samples` in `block`-sized blocks through `shell`, returning
     /// the shell the last offer handed back.
-    fn feed(h: &SessionHandle, samples: &[MemSample], mut shell: pebs::SampleBlock) -> pebs::SampleBlock {
+    fn feed(h: &SessionHandle, samples: &[MemSample], mut shell: SampleBlock) -> SampleBlock {
         for chunk in samples.chunks(shell.capacity()) {
             chunk.iter().for_each(|s| assert!(shell.push(s, None)));
             shell = h.offer_block_blocking(shell);
@@ -533,7 +485,7 @@ mod tests {
         let streams: Vec<Vec<MemSample>> = (0..16)
             .map(|i| if (p + i).is_multiple_of(2) { contended_stream(6, 64) } else { quiet_stream(6, 64) })
             .collect();
-        let mut shell = pebs::SampleBlock::with_capacity(block);
+        let mut shell = SampleBlock::with_capacity(block);
         for (i, (h, stream)) in sessions.iter().zip(&streams).enumerate() {
             shell = feed(h, &stream[..3 * block], shell);
             if i % 4 == 3 {

@@ -129,8 +129,6 @@ pub(crate) struct ServerStats {
     pub offered: AtomicU64,
     /// Samples accepted into a session queue.
     pub enqueued: AtomicU64,
-    /// Samples lost to ring overflow (refused or evicted).
-    pub dropped: AtomicU64,
     /// Times a shard worker parked for want of work.
     pub worker_parks: AtomicU64,
     /// Times a blocking offer parked for want of ring space.
@@ -153,7 +151,9 @@ pub struct ServeMetrics {
     pub samples_offered: u64,
     /// Samples accepted into session queues.
     pub samples_enqueued: u64,
-    /// Samples lost to ring overflow (the backpressure account).
+    /// Samples lost to ring overflow. Every offer waits until its whole
+    /// block fits, so this is 0 by construction; load harnesses report it
+    /// beside each session ring's own drop count.
     pub samples_dropped: u64,
     /// Samples consumed by detectors.
     pub samples_ingested: u64,
@@ -167,8 +167,8 @@ pub struct ServeMetrics {
     pub model_swaps: u64,
     /// Samples currently queued, per shard (the queue-depth gauge).
     pub shard_depths: Vec<u64>,
-    /// Verdict latencies recorded (enqueue of the window-closing sample →
-    /// verdict emission).
+    /// Verdict latencies recorded (enqueue of the window-closing sample's
+    /// block → verdict emission).
     pub verdict_latency_count: u64,
     /// p50 verdict latency, microseconds (bucket ceiling).
     pub verdict_p50_us: f64,
@@ -177,9 +177,7 @@ pub struct ServeMetrics {
     /// Mean verdict latency, microseconds (exact).
     pub verdict_mean_us: f64,
     /// p50 queue wait, microseconds: a block's enqueue stamp to its pop
-    /// by the shard worker (the part of verdict latency spent queued). A
-    /// block filled by per-sample offers is stamped at its first sample,
-    /// so for that traffic the figure also holds the block's fill time.
+    /// by the shard worker (the part of verdict latency spent queued).
     pub queue_wait_p50_us: f64,
     /// p99 queue wait, microseconds.
     pub queue_wait_p99_us: f64,

@@ -17,7 +17,7 @@ use crate::session::{SessionHandle, SessionId, SessionInner, SessionQueue, Sessi
 use drbw_core::classifier::ContentionClassifier;
 use drbw_core::registry::{ModelHandle, ModelReader, ModelRegistry};
 use drbw_stream::{StreamConfig, StreamingDetector};
-use pebs::ring::{BlockRing, OverflowPolicy, RingCounters};
+use pebs::ring::{BlockRing, RingCounters};
 use pebs::SampleBlock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,11 +36,6 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Per-session sample ring capacity (the backpressure bound).
     pub ring_capacity: usize,
-    /// What a session ring does when full.
-    pub overflow: OverflowPolicy,
-    /// Samples a worker moves out of one session queue per lock
-    /// acquisition.
-    pub drain_batch: usize,
     /// How long an idle worker parks before re-polling (it is woken early
     /// by any offer, session open/close, or model publish on its shard).
     pub idle_wait: Duration,
@@ -48,20 +43,16 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// A config with the given detector geometry and service defaults:
-    /// one shard per available core (capped at 8), 1024-sample rings with
-    /// reject-newest backpressure.
+    /// one shard per available core (capped at 8) and 1024-sample rings.
     pub fn new(stream: StreamConfig) -> Self {
         let shards = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
-        Self {
-            stream,
-            shards,
-            ring_capacity: 1024,
-            overflow: OverflowPolicy::RejectNewest,
-            drain_batch: 256,
-            idle_wait: Duration::from_millis(2),
-        }
+        Self { stream, shards, ring_capacity: 1024, idle_wait: Duration::from_millis(2) }
     }
 }
+
+/// Samples a worker moves out of one session queue per lock acquisition
+/// (whole blocks, so one lock covers hundreds of samples).
+const DRAIN_BATCH: usize = 256;
 
 /// How long a thread about to sleep — an idle shard worker, a blocking
 /// producer facing a full ring, or `finish` waiting for its report —
@@ -176,14 +167,12 @@ impl AnalysisServer {
     /// Start a server over an existing (possibly shared) registry.
     ///
     /// # Errors
-    /// [`ServeError::InvalidConfig`] if `cfg.shards`, `cfg.ring_capacity`
-    /// or `cfg.drain_batch` is zero, before anything is started.
+    /// [`ServeError::InvalidConfig`] if `cfg.shards` or
+    /// `cfg.ring_capacity` is zero, before anything is started.
     /// [`ServeError::SpawnFailed`] when the OS refuses a worker thread;
     /// any shards spawned before the failure are shut down cleanly first.
     pub fn start_with_registry(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> Result<Self, ServeError> {
-        for (field, value) in
-            [("shards", cfg.shards), ("ring_capacity", cfg.ring_capacity), ("drain_batch", cfg.drain_batch)]
-        {
+        for (field, value) in [("shards", cfg.shards), ("ring_capacity", cfg.ring_capacity)] {
             if value == 0 {
                 return Err(ServeError::InvalidConfig { field });
             }
@@ -254,7 +243,7 @@ impl AnalysisServer {
         let session = Arc::new(SessionInner {
             id,
             queue: Mutex::new(SessionQueue {
-                ring: BlockRing::with_policy(self.inner.cfg.ring_capacity, self.inner.cfg.overflow),
+                ring: BlockRing::new(self.inner.cfg.ring_capacity),
                 closed: false,
                 parked_producers: 0,
             }),
@@ -286,7 +275,7 @@ impl AnalysisServer {
             sessions_open: opened - closed,
             samples_offered: inner.stats.offered.load(rel),
             samples_enqueued: inner.stats.enqueued.load(rel),
-            samples_dropped: inner.stats.dropped.load(rel),
+            samples_dropped: 0,
             samples_ingested: inner.shards.iter().map(|s| s.stats.ingested.load(rel)).sum(),
             verdicts: inner.shards.iter().map(|s| s.stats.verdicts.load(rel)).sum(),
             windows_classified: inner.shards.iter().map(|s| s.stats.windows.load(rel)).sum(),
@@ -483,9 +472,7 @@ fn run_shard_inner(inner: &ServerInner, idx: usize) {
             let (closed_and_drained, producers_parked) = {
                 let mut q = a.session.lock_queue();
                 let mut taken = 0;
-                // Whole blocks, up to the drain batch: one lock covers
-                // hundreds of samples.
-                while taken < inner.cfg.drain_batch {
+                while taken < DRAIN_BATCH {
                     let Some((block, at)) = q.ring.pop_block() else { break };
                     taken += block.len();
                     blocks.push((block, at));
@@ -517,9 +504,7 @@ fn run_shard_inner(inner: &ServerInner, idx: usize) {
                         let newly = m.verdict_transitions - a.transitions;
                         a.transitions = m.verdict_transitions;
                         // Latency is measured from the block's enqueue
-                        // stamp (its first sample's arrival) — the
-                        // conservative end of the per-sample stamps it
-                        // replaces.
+                        // stamp.
                         let ns = nanos(at.elapsed());
                         for _ in 0..newly {
                             inner.latency.record(ns);

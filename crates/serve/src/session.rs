@@ -1,9 +1,9 @@
 //! Sessions: the client half of the service.
 //!
 //! A [`SessionHandle`] is the producer side of one profiling session: the
-//! client offers samples — one at a time or as whole columnar
-//! [`SampleBlock`]s — into a bounded [`pebs::ring::BlockRing`], a shard
-//! worker on the other side drains sealed blocks into a pooled
+//! client offers samples as whole columnar [`SampleBlock`]s into a bounded
+//! [`pebs::ring::BlockRing`], a shard worker on the other side drains
+//! them into a pooled
 //! [`drbw_stream::StreamingDetector`], and `finish()` returns the
 //! [`SessionReport`] once the tail of the stream has been classified.
 //! Allocation-site attributions ride in the blocks' site lane and the
@@ -16,9 +16,7 @@ use crate::error::ServeError;
 use crate::metrics::{ServerStats, ShardStats};
 use crate::server::{poll, ShardNotify};
 use drbw_stream::{StreamMetrics, VerdictEvent, WindowSummary};
-use pebs::alloc::SiteId;
-use pebs::ring::{BlockOffer, BlockRing, Offer, RingCounters};
-use pebs::sample::MemSample;
+use pebs::ring::{BlockOffer, BlockRing, RingCounters};
 use pebs::SampleBlock;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -165,72 +163,14 @@ impl SessionHandle {
         self.shard
     }
 
-    /// Offer one sample (with its allocation-site attribution). The
-    /// outcome is the ring's: `RejectedNewest` is backpressure the caller
-    /// can react to, `EvictedOldest` means an older queued **block** was
-    /// dropped in this one's favour (the ring evicts whole blocks, so one
-    /// eviction can drop several samples — all of them land in the drop
-    /// accounting).
-    ///
-    /// # Panics
-    /// Panics if called after [`SessionHandle::finish`] began (impossible
-    /// through this API: `finish` consumes the handle).
-    pub fn offer(&self, s: &MemSample, site: Option<SiteId>) -> Offer {
-        self.server_stats.offered.fetch_add(1, Relaxed);
-        let (outcome, newly_dropped) = {
-            let mut q = self.inner.lock_queue();
-            assert!(!q.closed, "offer on a finished session");
-            let before = q.ring.dropped();
-            let outcome = q.ring.offer(*s, site);
-            (outcome, q.ring.dropped() - before)
-        };
-        match outcome {
-            Offer::Accepted => {
-                self.server_stats.enqueued.fetch_add(1, Relaxed);
-                self.shard_stats.depth.fetch_add(1, Relaxed);
-            }
-            Offer::EvictedOldest => {
-                // One in, a whole block out: the evicted samples leave the
-                // queue-depth gauge and enter the drop account.
-                self.server_stats.enqueued.fetch_add(1, Relaxed);
-                self.server_stats.dropped.fetch_add(newly_dropped, Relaxed);
-                self.shard_stats.depth.fetch_add(1, Relaxed);
-                self.shard_stats.depth.fetch_sub(newly_dropped, Relaxed);
-            }
-            Offer::RejectedNewest => {
-                self.server_stats.dropped.fetch_add(newly_dropped, Relaxed);
-            }
-        }
-        if outcome != Offer::RejectedNewest {
-            self.notify.raise();
-        }
-        outcome
-    }
-
-    /// Offer with backpressure honoured: when the ring is full the call
-    /// polls briefly, then parks on the session's space condvar (woken by
-    /// the worker's next drain) until the sample fits, so a producer that
-    /// can afford to wait never loses a sample — its own or, under a
-    /// drop-oldest ring, anyone else's.
-    pub fn offer_blocking(&self, s: &MemSample, site: Option<SiteId>) {
-        self.server_stats.offered.fetch_add(1, Relaxed);
-        {
-            let q = self.inner.lock_queue();
-            assert!(!q.closed, "offer on a finished session");
-            let mut q = self.inner.wait_for_space(q, &self.server_stats.producer_parks, |q| !q.ring.is_full());
-            let outcome = q.ring.offer(*s, site);
-            debug_assert_eq!(outcome, Offer::Accepted, "space was just confirmed under the lock");
-        }
-        self.server_stats.enqueued.fetch_add(1, Relaxed);
-        self.shard_stats.depth.fetch_add(1, Relaxed);
-        self.notify.raise();
-    }
-
-    /// Offer a whole columnar block, blocking until the ring has room for
-    /// all of it — one lock acquisition and at most one condvar wait per
-    /// *block* instead of per sample, and the samples move by pointer
-    /// swap. Returns an empty recycled shell (same capacity) for the
-    /// producer to refill, completing the zero-copy loop.
+    /// Hand over a whole columnar block — the only way samples enter a
+    /// session — blocking until the ring has room for all of it: one
+    /// lock acquisition and at most one condvar wait per block, and the
+    /// samples move by pointer swap. When the ring is full the call polls
+    /// briefly, then parks on the session's space condvar (woken by the
+    /// worker's next drain), so a blocking producer never loses a sample.
+    /// Returns an empty recycled shell (same capacity) for the producer
+    /// to refill, completing the zero-copy loop.
     ///
     /// # Panics
     /// Panics if the block is larger than the session ring (it could

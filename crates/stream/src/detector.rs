@@ -1,12 +1,13 @@
 //! The streaming detector: windowed per-channel classification with
 //! hysteresis and live top-K diagnosis.
 //!
-//! [`StreamingDetector::ingest`] routes each sample to its interconnect
-//! channel exactly as the batch pipeline's channel association does
-//! (remote traffic to the one channel it traversed, local/cache-hit
-//! samples as context for every outgoing channel of their node), into
-//! **pane accumulators** (`drbw_core::features::FeatureAccumulator`).
-//! When the sample clock crosses a pane boundary, sealed panes are merged
+//! Samples arrive as columnar blocks ([`StreamingDetector::ingest_block`]).
+//! Each sample is routed to its interconnect channel exactly as the batch
+//! pipeline's channel association does (remote traffic to the one channel
+//! it traversed, local/cache-hit samples as context for every outgoing
+//! channel of their node), into **pane accumulators**
+//! (`drbw_core::features::FeatureAccumulator`). When the sample clock
+//! crosses a pane boundary, sealed panes are merged
 //! into windows, each channel's 13 Table I features are finalized —
 //! bit-identical to batch extraction over the window's samples — and the
 //! loaded decision tree plus the batch pipeline's minimum-traffic guards
@@ -16,10 +17,12 @@
 //! space-saving sketches, so culprit data objects can be named live
 //! without retaining any sample log.
 //!
-//! [`StreamingDetector::ingest_block`] does the same in one pass over a
-//! columnar block: per sample a table lookup, one accumulator update and a
-//! sketch-key comparison; per run of one pane a split and a merge per
-//! route; per run of one sketch key a single offer.
+//! A sorted block takes one pass: per sample a table lookup, one
+//! accumulator update and a sketch-key comparison; per run of one pane a
+//! split and a merge per route; per run of one sketch key a single
+//! offer. An unsorted block falls back to a private sample-at-a-time
+//! path, which the tests also keep as the oracle the block pass must
+//! match bit for bit.
 //!
 //! Memory is `O(panes × channels + channels × sketch_k)` — independent of
 //! run length.
@@ -336,13 +339,13 @@ impl StreamingDetector {
     }
 
     /// Ingest one sample, attributed to `site` when it hit tracked heap
-    /// data (drive attribution through
-    /// `AllocationTracker::attribute_site`; pass `None` when unknown).
-    /// Window closures triggered by this sample's timestamp run before it
-    /// is accumulated. A sample the machine could not have produced (see
+    /// data: the unsorted-block fallback of `ingest_block`, and the
+    /// oracle its tests hold the block pass to. Window closures triggered
+    /// by this sample's timestamp run before it is accumulated. A sample
+    /// the machine could not have produced (see
     /// [`StreamMetrics::samples_rejected`]) is counted and skipped: it
     /// moves no clock and touches no window.
-    pub fn ingest(&mut self, s: &MemSample, site: SketchKey) {
+    fn ingest(&mut self, s: &MemSample, site: SketchKey) {
         let pane = self.cfg.window.pane_index(self.cfg.origin_cycles, s.time);
         if !on_grid(s.time, pane) || !self.admits(s.node, s.home, s.latency) {
             self.metrics.samples_rejected += 1;
@@ -365,8 +368,10 @@ impl StreamingDetector {
         }
     }
 
-    /// Ingest a columnar block, equivalent to calling
-    /// [`StreamingDetector::ingest`] on each sample in order but paying
+    /// Ingest a columnar block, each sample attributed to the allocation
+    /// site in the block's site lane (drive attribution through
+    /// `AllocationTracker::attribute_site`; `None` when unknown). This is
+    /// equivalent to ingesting each sample in order on its own, but pays
     /// the pane lookup, clock advance and pane update per *run* of
     /// same-pane samples instead of per sample.
     ///
@@ -374,19 +379,20 @@ impl StreamingDetector {
     /// push) are split into pane runs over the time lane, and each
     /// admitted sample of a run is touched once: routed by table to its
     /// remote channel or its node's context slot, and added to that
-    /// route's [`FeatureAccumulator`]. Unsorted blocks fall back to the
-    /// per-sample loop; sortedness is a fast path, never a semantic fork.
+    /// route's [`FeatureAccumulator`]. Unsorted blocks fall back to
+    /// ingesting one sample at a time; sortedness is a fast path, never a
+    /// semantic fork.
     ///
-    /// # Equivalence to the per-sample path
+    /// # Equivalence to sample-at-a-time ingestion
     ///
     /// Every pane accumulator, verdict, metric counter, and sketch state
-    /// is identical to per-sample ingestion: a route's accumulator merges
-    /// into the pane's by integer additions (a context slot folded once and
-    /// merged into each outgoing channel lands on the same state), each
-    /// channel's sketch sees its offers in stream order (a run of one key
-    /// as one `offer_n`, that many unit offers), and a rejected
-    /// sample is skipped — a run of nothing else moves no clock, just as a
-    /// rejected sample moves none on the per-sample path.
+    /// is identical to ingesting one sample at a time: a route's
+    /// accumulator merges into the pane's by integer additions (a context
+    /// slot folded once and merged into each outgoing channel lands on the
+    /// same state), each channel's sketch sees its offers in stream order
+    /// (a run of one key as one `offer_n`, that many unit offers), and a
+    /// rejected sample is skipped — a run of nothing else moves no clock,
+    /// just as a lone rejected sample moves none.
     pub fn ingest_block(&mut self, block: &SampleBlock) {
         if block.is_empty() {
             return;
@@ -1254,28 +1260,25 @@ mod tests {
         }
     }
 
-    /// The tentpole's bit-identity contract: block ingestion — for every
-    /// chunking, including chunks whose internal time regression forces
-    /// the unsorted per-sample fallback — must match per-sample ingestion
-    /// on metrics, events, recorded window features, verdict state, and
-    /// sketch contents.
-    #[test]
-    fn ingest_block_is_bit_identical_to_per_sample_ingest() {
-        let cfg = StreamConfig {
-            record_windows: true,
-            sketch_capacity: 4,
-            ..StreamConfig::new(4, WindowConfig::sliding(1000.0, 2))
-        };
-        let stream = mixed_stream(700);
-        let mut per_sample = StreamingDetector::new(classifier(), cfg);
-        for (s, site) in &stream {
+    /// Ingest `stream` one sample at a time, then in blocks of each size in
+    /// `chunks`, and assert that every block run matches the oracle on
+    /// metrics, events, recorded window features, verdict state and
+    /// sketch contents. Returns the oracle's metrics.
+    fn assert_chunkings_match(
+        model: &ContentionClassifier,
+        cfg: StreamConfig,
+        stream: &[(MemSample, SketchKey)],
+        chunks: &[usize],
+    ) -> StreamMetrics {
+        let mut per_sample = StreamingDetector::new(model.clone(), cfg);
+        for (s, site) in stream {
             per_sample.ingest(s, *site);
         }
         per_sample.flush();
         let want_events = per_sample.drain_events();
         let want_windows = per_sample.drain_windows();
-        for chunk in [1usize, 2, 3, 5, 8, 37, 64, 256, 700] {
-            let mut blocked = StreamingDetector::new(classifier(), cfg);
+        for &chunk in chunks {
+            let mut blocked = StreamingDetector::new(model.clone(), cfg);
             for group in stream.chunks(chunk) {
                 let mut block = SampleBlock::with_capacity(chunk);
                 for (s, site) in group {
@@ -1285,13 +1288,174 @@ mod tests {
             }
             blocked.flush();
             assert_eq!(blocked.metrics(), per_sample.metrics(), "chunk {chunk}");
-            assert!(blocked.metrics().late_samples > 0, "stream must exercise the late path");
             assert_eq!(blocked.drain_events(), want_events, "chunk {chunk}");
             assert_eq!(blocked.drain_windows(), want_windows, "chunk {chunk}");
             assert_eq!(blocked.contended_channels(), per_sample.contended_channels());
-            for i in 0..12 {
-                let c = channel_at(4, i);
+            for i in 0..per_sample.nch {
+                let c = channel_at(cfg.nodes, i);
                 assert_eq!(blocked.live_top(c, 8), per_sample.live_top(c, 8), "chunk {chunk} ch {c:?}");
+            }
+        }
+        per_sample.metrics()
+    }
+
+    /// A recorded contended run (Sumv, 32 threads on 4 nodes, Large input:
+    /// every node streams into node 0's memory) in time order with its
+    /// sites, under the detector geometry the service load runs: about
+    /// ten tumbling windows across the run, windows recorded, and a tree
+    /// trained the real way.
+    fn recorded_contended_run() -> (ContentionClassifier, StreamConfig, Vec<(MemSample, SketchKey)>) {
+        use drbw_core::training::quick_training_set;
+        use numasim::config::MachineConfig;
+        use pebs::sampler::SamplerConfig;
+        use workloads::config::{Input, RunConfig};
+        let mcfg = MachineConfig::scaled();
+        let model = ContentionClassifier::train(&quick_training_set(&mcfg), TrainConfig::default());
+        let rcfg = RunConfig::new(32, 4, Input::Large);
+        let outcome = workloads::runner::run(&workloads::micro::Sumv, &mcfg, &rcfg, Some(SamplerConfig::default()));
+        let window = WindowConfig::tumbling((outcome.cycles() / 10.0).max(1.0));
+        let cfg = StreamConfig { record_windows: true, ..StreamConfig::new(mcfg.topology.num_nodes(), window) };
+        let mut stream: Vec<(MemSample, SketchKey)> =
+            outcome.samples.iter().map(|s| (*s, outcome.tracker.attribute_site(s.addr))).collect();
+        stream.sort_by(|a, b| a.0.time.total_cmp(&b.0.time));
+        (model, cfg, stream)
+    }
+
+    /// The bit-identity contract: block ingestion — for every chunking,
+    /// including chunks whose internal time regression forces the
+    /// unsorted fallback — must match sample-at-a-time ingestion on
+    /// metrics, events, recorded window features, verdict state, and
+    /// sketch contents; over a synthetic stream with late samples and
+    /// over a recorded contended run in the 100-sample blocks a service
+    /// client offers.
+    #[test]
+    fn ingest_block_is_bit_identical_to_per_sample_ingest() {
+        let cfg = StreamConfig {
+            record_windows: true,
+            sketch_capacity: 4,
+            ..StreamConfig::new(4, WindowConfig::sliding(1000.0, 2))
+        };
+        let chunks = [1usize, 2, 3, 5, 8, 37, 64, 256, 700];
+        let synthetic = assert_chunkings_match(&classifier(), cfg, &mixed_stream(700), &chunks);
+        assert!(synthetic.late_samples > 0, "stream must exercise the late path");
+
+        let (model, cfg, recorded) = recorded_contended_run();
+        let m = assert_chunkings_match(&model, cfg, &recorded, &[100]);
+        assert!(m.windows_classified >= 10 && m.verdict_transitions > 0, "the run must classify rmc: {m}");
+    }
+
+    /// A shared tiny classifier for the chunking property (training once
+    /// keeps the 64-case run cheap; the split the tree learns is
+    /// irrelevant to chunk-invisibility, only that verdicts can flip).
+    fn shared_classifier() -> &'static ContentionClassifier {
+        static CLF: std::sync::OnceLock<ContentionClassifier> = std::sync::OnceLock::new();
+        CLF.get_or_init(|| {
+            let mut d = Dataset::binary(drbw_core::features::selected_names().iter().map(|s| s.to_string()).collect());
+            for i in 0..64 {
+                let mut row = vec![0.0; NUM_SELECTED];
+                let rmc = i % 2 == 0;
+                row[5] = if rmc { 500.0 } else { 30.0 };
+                row[6] = if rmc { 800.0 + i as f64 } else { 290.0 };
+                d.push(row, rmc as usize);
+            }
+            ContentionClassifier::train(&d, TrainConfig::default())
+        })
+    }
+
+    fn arb_sample(nodes: u8) -> impl proptest::prelude::Strategy<Value = MemSample> {
+        use proptest::prelude::*;
+        let source = prop_oneof![
+            Just(DataSource::L1),
+            Just(DataSource::L2),
+            Just(DataSource::L3),
+            Just(DataSource::Lfb),
+            Just(DataSource::LocalDram),
+            Just(DataSource::RemoteDram),
+        ];
+        (0..nodes, proptest::option::of(0..nodes), source, 1.0..2000.0f64, any::<u32>(), any::<bool>()).prop_map(
+            move |(node, home, source, latency, addr, is_write)| {
+                // DRAM/LFB samples carry a home; cache hits do not.
+                let home = match source {
+                    DataSource::LocalDram => Some(NodeId(node)),
+                    DataSource::RemoteDram => Some(NodeId(home.unwrap_or((node + 1) % nodes))),
+                    DataSource::Lfb => home.map(NodeId),
+                    _ => None,
+                };
+                MemSample {
+                    time: 0.0,
+                    addr: addr as u64 * 64,
+                    cpu: CoreId(node as u32 * 8),
+                    thread: ThreadId(0),
+                    node: NodeId(node),
+                    source,
+                    home,
+                    latency,
+                    is_write,
+                }
+            },
+        )
+    }
+
+    /// Pack `stream` into blocks whose capacities cycle through `caps` —
+    /// the adversarial chunking the block pipeline must be invisible under.
+    fn blocks_with_caps(stream: &[(MemSample, SketchKey)], caps: &[usize]) -> Vec<SampleBlock> {
+        let mut blocks = Vec::new();
+        let (mut i, mut pick) = (0, 0);
+        while i < stream.len() {
+            let cap = caps[pick % caps.len()];
+            pick += 1;
+            let mut b = SampleBlock::with_capacity(cap);
+            for (s, site) in &stream[i..(i + cap).min(stream.len())] {
+                assert!(b.push(s, *site), "block has room by construction");
+            }
+            i += cap;
+            blocks.push(b);
+        }
+        blocks
+    }
+
+    proptest::proptest! {
+        /// Chunk boundaries are invisible to the streaming detector: any
+        /// blocking of a time-sorted stream yields bit-identical metrics,
+        /// verdict events, recorded window features, hysteresis states, and
+        /// top-K sketches to sample-at-a-time ingestion.
+        #[test]
+        fn detector_block_chunking_is_invisible(
+            raw in proptest::collection::vec((arb_sample(4), 0.0f64..400.0), 20..200),
+            caps in proptest::collection::vec(1usize..48, 1..5),
+        ) {
+            let cfg = StreamConfig {
+                record_windows: true,
+                sketch_capacity: 4,
+                ..StreamConfig::new(4, WindowConfig::sliding(1000.0, 2))
+            };
+            let mut t = 0.0;
+            let stream: Vec<(MemSample, SketchKey)> = raw
+                .into_iter()
+                .enumerate()
+                .map(|(i, (mut s, dt))| {
+                    t += dt;
+                    s.time = t;
+                    (s, (i % 3 == 0).then_some(SiteId((i % 6) as u32)))
+                })
+                .collect();
+            let mut per_sample = StreamingDetector::new(shared_classifier().clone(), cfg);
+            for (s, site) in &stream {
+                per_sample.ingest(s, *site);
+            }
+            per_sample.flush();
+            let mut blocked = StreamingDetector::new(shared_classifier().clone(), cfg);
+            for block in blocks_with_caps(&stream, &caps) {
+                blocked.ingest_block(&block);
+            }
+            blocked.flush();
+            proptest::prop_assert_eq!(blocked.metrics(), per_sample.metrics());
+            proptest::prop_assert_eq!(blocked.drain_events(), per_sample.drain_events());
+            proptest::prop_assert_eq!(blocked.drain_windows(), per_sample.drain_windows());
+            proptest::prop_assert_eq!(blocked.contended_channels(), per_sample.contended_channels());
+            for i in 0..12 {
+                let ch = channel_at(4, i);
+                proptest::prop_assert_eq!(blocked.live_top(ch, 4), per_sample.live_top(ch, 4));
             }
         }
     }

@@ -2,13 +2,13 @@
 //!
 //! The batch pipeline (`drbw-core`) retains a run's whole sample log and
 //! classifies after the fact. This crate is the online counterpart: a
-//! [`StreamingDetector`] ingests [`pebs::sample::MemSample`]s one at a
-//! time, maintains per-channel incremental feature accumulators over
-//! tumbling or sliding [windows](WindowConfig), runs the same trained
-//! decision tree at every window boundary, and debounces verdicts with
-//! per-channel [hysteresis](HysteresisConfig) so a monitor can raise an
-//! alarm *while the run is still going* — in `O(channels)` memory instead
-//! of `O(samples)`.
+//! [`StreamingDetector`] ingests whole columnar [`pebs::SampleBlock`]s
+//! (the one way samples enter it), maintains per-channel incremental
+//! feature accumulators over tumbling or sliding [windows](WindowConfig),
+//! runs the same trained decision tree at every window boundary, and
+//! debounces verdicts with per-channel [hysteresis](HysteresisConfig) so
+//! a monitor can raise an alarm *while the run is still going* — in
+//! `O(channels)` memory instead of `O(samples)`.
 //!
 //! The load-bearing property is **batch/stream equivalence**: a closed
 //! window's 13-feature vector equals batch extraction

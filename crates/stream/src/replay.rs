@@ -2,39 +2,34 @@
 //!
 //! The batch pipeline retains the entire sample log, sorts it once, and
 //! classifies at end of run. This harness replays the same log through
-//! the streaming path — producer bursts into a bounded columnar
-//! [`BlockRing`], consumer drains sealed [`pebs::SampleBlock`]s into the
-//! [`StreamingDetector`] — measuring what an online deployment would see:
-//! detection latency from contention onset, the ring's loss accounting,
-//! and the peak number of samples retained at any instant (ring
-//! high-water mark), to compare against the batch pipeline's full-log
-//! retention.
+//! the streaming path — the producer hands bursts of 64 samples to a
+//! 256-sample [`BlockRing`] as one [`SampleBlock`] each (a PEBS buffer
+//! drain), the consumer drains them into the [`StreamingDetector`] —
+//! measuring what an online deployment would see: detection latency from
+//! contention onset, the ring's loss accounting, and the peak number of
+//! samples retained at any instant (ring high-water mark), to compare
+//! against the batch pipeline's full-log retention.
 
 use crate::detector::{StreamingDetector, VerdictEvent, WindowSummary};
 use crate::metrics::StreamMetrics;
-use pebs::ring::{BlockRing, OverflowPolicy};
-use pebs::{AllocationTracker, MemSample};
+use pebs::ring::BlockRing;
+use pebs::{AllocationTracker, MemSample, SampleBlock};
 use workloads::runner::RunOutcome;
 
-/// Replay pacing and ring sizing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayConfig {
-    /// Ring capacity between the replayed producer and the detector.
-    pub ring_capacity: usize,
-    /// Samples the producer bursts before the consumer drains (models the
-    /// PEBS buffer flush granularity; the ring only backs up when this
-    /// exceeds its capacity).
-    pub burst: usize,
-    /// What the ring does when a burst overruns it.
-    pub policy: OverflowPolicy,
-}
+/// Ring capacity between the replayed producer and the detector.
+const RING_CAPACITY: usize = 256;
 
-impl Default for ReplayConfig {
-    /// A 256-sample ring fed in bursts of 64, rejecting overflow.
-    fn default() -> Self {
-        Self { ring_capacity: 256, burst: 64, policy: OverflowPolicy::RejectNewest }
-    }
-}
+/// Samples the producer hands over per block before the consumer drains
+/// (the PEBS buffer flush granularity; below [`RING_CAPACITY`], so the
+/// ring never backs up).
+const BURST: usize = 64;
+
+/// Carries nothing: the replay geometry is fixed. It remains because the
+/// repo benchmark (`benchmark/src/tenants.rs`) passes
+/// `ReplayConfig::default()` to [`replay_log`]; it goes when that call
+/// site does.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplayConfig;
 
 /// Everything one replay produced.
 #[derive(Debug)]
@@ -67,18 +62,18 @@ impl ReplayOutcome {
     }
 }
 
-/// Replay `outcome`'s sample log through `detector` under `cfg`.
+/// Replay `outcome`'s sample log through `detector`.
 ///
 /// Samples are replayed in time order (the log of a threaded run is not
 /// globally sorted), attributed to allocation sites through the run's
-/// tracker, burst into the ring, and drained into the detector. At end of
-/// stream the detector is flushed so the trailing partial window is
-/// classified too.
-pub fn replay(outcome: &RunOutcome, detector: &mut StreamingDetector, cfg: ReplayConfig) -> ReplayOutcome {
-    replay_log(&outcome.samples, &outcome.tracker, detector, cfg)
+/// tracker, handed to the ring in bursts, and drained into the detector.
+/// At end of stream the detector is flushed so the trailing partial
+/// window is classified too.
+pub fn replay(outcome: &RunOutcome, detector: &mut StreamingDetector) -> ReplayOutcome {
+    replay_log(&outcome.samples, &outcome.tracker, detector, ReplayConfig)
 }
 
-/// Replay a bare sample log through `detector` under `cfg`.
+/// Replay a bare sample log through `detector`.
 ///
 /// Same semantics as [`replay`], but takes the log and tracker directly —
 /// the multi-tenant path uses this to replay one tenant's slice of a mixed
@@ -87,19 +82,20 @@ pub fn replay_log(
     samples: &[MemSample],
     tracker: &AllocationTracker,
     detector: &mut StreamingDetector,
-    cfg: ReplayConfig,
+    _: ReplayConfig,
 ) -> ReplayOutcome {
-    assert!(cfg.burst >= 1, "burst must be at least one sample");
     let mut order: Vec<usize> = (0..samples.len()).collect();
     order.sort_by(|&a, &b| samples[a].time.total_cmp(&samples[b].time));
-    let mut ring = BlockRing::with_policy(cfg.ring_capacity, cfg.policy);
-    for burst in order.chunks(cfg.burst) {
-        for &i in burst {
+    let mut ring = BlockRing::new(RING_CAPACITY);
+    let mut burst = SampleBlock::with_capacity(BURST);
+    for chunk in order.chunks(BURST) {
+        for &i in chunk {
             // Site attribution is a pure range lookup, so it moves ahead
             // of ring entry: the site rides the block's attribution lane
             // and the consumer never touches the tracker.
-            ring.offer(samples[i], tracker.attribute_site(samples[i].addr));
+            burst.push(&samples[i], tracker.attribute_site(samples[i].addr));
         }
+        burst = ring.offer_block(burst).1;
         while let Some((block, _)) = ring.pop_block() {
             detector.ingest_block(&block);
             ring.recycle(block);

@@ -8,7 +8,7 @@ use drbw_core::classifier::ContentionClassifier;
 use drbw_core::features::{selected_features, FeatureCtx, NUM_SELECTED, REMOTE_COUNT};
 use drbw_core::training::quick_training_set;
 use drbw_core::Mode;
-use drbw_stream::{replay, ReplayConfig, StreamConfig, StreamingDetector, WindowConfig};
+use drbw_stream::{replay, StreamConfig, StreamingDetector, WindowConfig};
 use mldt::dataset::Dataset;
 use mldt::tree::TrainConfig;
 use numasim::config::MachineConfig;
@@ -16,6 +16,7 @@ use numasim::hierarchy::DataSource;
 use numasim::topology::{CoreId, NodeId, ThreadId};
 use pebs::sample::MemSample;
 use pebs::sampler::SamplerConfig;
+use pebs::SampleBlock;
 use proptest::prelude::*;
 use workloads::config::{Input, RunConfig};
 use workloads::micro::Sumv;
@@ -89,22 +90,23 @@ fn arb_window() -> impl Strategy<Value = WindowConfig> {
 }
 
 proptest! {
-    /// For any random sample sequence and any window geometry, every
-    /// window the detector closes carries, per channel, the bit-identical
-    /// feature vector that batch extraction produces over the same time
-    /// span — the tentpole equivalence guarantee.
+    /// For any random sample sequence, any window geometry and any block
+    /// size, every window the detector closes carries, per channel, the
+    /// bit-identical feature vector that batch extraction produces over
+    /// the same time span — the tentpole equivalence guarantee.
     #[test]
     fn streamed_windows_equal_batch_extraction(
         samples in proptest::collection::vec(arb_timed_sample(), 1..250),
         window in arb_window(),
+        block in 1usize..64,
     ) {
         let nodes = 4usize;
         let mut samples = samples;
         samples.sort_by(|a, b| a.time.total_cmp(&b.time));
         let cfg = StreamConfig { record_windows: true, ..StreamConfig::new(nodes, window) };
         let mut det = StreamingDetector::new(synthetic_classifier(), cfg);
-        for s in &samples {
-            det.ingest(s, None);
+        for chunk in samples.chunks(block) {
+            det.ingest_block(&SampleBlock::from_samples(chunk));
         }
         det.flush();
         let windows = det.drain_windows();
@@ -149,10 +151,10 @@ fn replayed_contended_run_detects_before_end_with_batch_identical_windows() {
     let window = WindowConfig::tumbling(run_end / 12.0);
     let cfg = StreamConfig { record_windows: true, ..StreamConfig::new(4, window) };
     let mut det = StreamingDetector::new(classifier, cfg);
-    let rep = replay(&outcome, &mut det, ReplayConfig::default());
+    let rep = replay(&outcome, &mut det);
 
-    // The default replay config never saturates its ring (burst < capacity),
-    // so the streamed sample set is the batch log exactly.
+    // The replay never saturates its ring (its bursts are a quarter of the
+    // capacity), so the streamed sample set is the batch log exactly.
     assert_eq!(rep.dropped, 0);
     assert_eq!(rep.offered as usize, outcome.samples.len());
     assert_eq!(rep.metrics.samples_ingested as usize, outcome.samples.len());

@@ -2,9 +2,7 @@
 //! invariants, spanning crates.
 
 use drbw::core::channels::ChannelBatches;
-use drbw::core::classifier::ContentionClassifier;
-use drbw::core::features::{selected_features, selected_names, FeatureAccumulator, FeatureCtx, NUM_SELECTED};
-use drbw::stream::{StreamConfig, StreamingDetector, WindowConfig};
+use drbw::core::features::{selected_features, FeatureAccumulator, FeatureCtx, NUM_SELECTED};
 use mldt::dataset::Dataset;
 use mldt::tree::{DecisionTree, TrainConfig};
 use numasim::cache::Cache;
@@ -14,12 +12,11 @@ use numasim::memmap::{MemoryMap, PlacementPolicy};
 use numasim::sched::TenantId;
 use numasim::topology::{CoreId, NodeId, ThreadId, Topology};
 use pebs::alloc::{AllocationTracker, SiteId};
-use pebs::ring::{BlockRing, Offer, OverflowPolicy};
+use pebs::ring::{BlockOffer, BlockRing};
 use pebs::sample::MemSample;
 use pebs::tenant::TenantMap;
 use pebs::SampleBlock;
 use proptest::prelude::*;
-use std::sync::OnceLock;
 
 fn arb_source() -> impl Strategy<Value = DataSource> {
     prop_oneof![
@@ -59,24 +56,6 @@ fn arb_sample(nodes: u8) -> impl Strategy<Value = MemSample> {
 
 prop_compose! {
     fn arb_node(nodes: u8)(n in 0..nodes) -> NodeId { NodeId(n) }
-}
-
-/// A shared tiny classifier for the detector differential properties
-/// (training once keeps the 64-case runs cheap; the split the tree learns
-/// is irrelevant to chunk-invisibility, only that verdicts can flip).
-fn shared_classifier() -> &'static ContentionClassifier {
-    static CLF: OnceLock<ContentionClassifier> = OnceLock::new();
-    CLF.get_or_init(|| {
-        let mut d = Dataset::binary(selected_names().iter().map(|s| s.to_string()).collect());
-        for i in 0..64 {
-            let mut row = vec![0.0; NUM_SELECTED];
-            let rmc = i % 2 == 0;
-            row[5] = if rmc { 500.0 } else { 30.0 };
-            row[6] = if rmc { 800.0 + i as f64 } else { 290.0 };
-            d.push(row, rmc as usize);
-        }
-        ContentionClassifier::train(&d, TrainConfig::default())
-    })
 }
 
 /// Pack `stream` into blocks whose capacities cycle through `caps` — the
@@ -284,19 +263,21 @@ proptest! {
         prop_assert_eq!(lanes, per_sample);
     }
 
-    /// The block ring conserves samples under any offer/drain interleave:
-    /// `offered == dropped + popped + len` at every step, and under
-    /// `RejectNewest` the drained stream is exactly the accepted
-    /// subsequence, sites riding along.
+    /// The block ring conserves samples under any interleave of
+    /// random-length block offers and drains: `offered == dropped + popped
+    /// + len` at every step, and the drained stream is exactly the
+    /// accepted blocks in order, sites riding along.
     #[test]
     fn block_ring_conserves_samples(
         samples in proptest::collection::vec(arb_sample(4), 0..300),
         capacity in 1usize..64,
+        caps in proptest::collection::vec(1usize..64, 1..5),
         drain_every in 1usize..50,
-        policy_pick in 0..2usize,
     ) {
-        let policy = if policy_pick == 0 { OverflowPolicy::RejectNewest } else { OverflowPolicy::DropOldest };
-        let mut ring = BlockRing::with_policy(capacity, policy);
+        let mut ring = BlockRing::new(capacity);
+        let stream: Vec<(MemSample, Option<SiteId>)> =
+            samples.iter().enumerate().map(|(i, s)| (*s, (i % 3 == 0).then_some(SiteId(i as u32)))).collect();
+        let caps: Vec<usize> = caps.iter().map(|&c| c.min(capacity)).collect();
         let mut accepted: Vec<(MemSample, Option<SiteId>)> = Vec::new();
         let mut drained: Vec<(MemSample, Option<SiteId>)> = Vec::new();
         let drain = |ring: &mut BlockRing, out: &mut Vec<(MemSample, Option<SiteId>)>| {
@@ -307,10 +288,10 @@ proptest! {
                 ring.recycle(block);
             }
         };
-        for (i, s) in samples.iter().enumerate() {
-            let site = (i % 3 == 0).then_some(SiteId(i as u32));
-            if ring.offer(*s, site) == Offer::Accepted && policy == OverflowPolicy::RejectNewest {
-                accepted.push((*s, site));
+        for (i, block) in blocks_with_caps(&stream, &caps).into_iter().enumerate() {
+            let sent: Vec<(MemSample, Option<SiteId>)> = (0..block.len()).map(|j| (block.get(j), block.site(j))).collect();
+            if ring.offer_block(block).0 == BlockOffer::Accepted {
+                accepted.extend(sent);
             }
             let c = ring.counters();
             prop_assert_eq!(c.offered, c.dropped + c.popped + c.len as u64);
@@ -324,53 +305,7 @@ proptest! {
         prop_assert_eq!(c.len, 0);
         prop_assert_eq!(c.offered, samples.len() as u64);
         prop_assert_eq!(c.dropped + c.popped, c.offered);
-        if policy == OverflowPolicy::RejectNewest {
-            prop_assert_eq!(drained, accepted);
-        }
-    }
-
-    /// Chunk boundaries are invisible to the streaming detector: any
-    /// blocking of a time-sorted stream yields bit-identical metrics,
-    /// verdict events, recorded window features, hysteresis states, and
-    /// top-K sketches to the per-sample path.
-    #[test]
-    fn detector_block_chunking_is_invisible(
-        raw in proptest::collection::vec((arb_sample(4), 0.0f64..400.0), 20..200),
-        caps in proptest::collection::vec(1usize..48, 1..5),
-    ) {
-        let cfg = StreamConfig {
-            record_windows: true,
-            sketch_capacity: 4,
-            ..StreamConfig::new(4, WindowConfig::sliding(1000.0, 2))
-        };
-        let mut t = 0.0;
-        let stream: Vec<(MemSample, Option<SiteId>)> = raw
-            .into_iter()
-            .enumerate()
-            .map(|(i, (mut s, dt))| {
-                t += dt;
-                s.time = t;
-                (s, (i % 3 == 0).then_some(SiteId((i % 6) as u32)))
-            })
-            .collect();
-        let mut per_sample = StreamingDetector::new(shared_classifier().clone(), cfg);
-        for (s, site) in &stream {
-            per_sample.ingest(s, *site);
-        }
-        per_sample.flush();
-        let mut blocked = StreamingDetector::new(shared_classifier().clone(), cfg);
-        for block in blocks_with_caps(&stream, &caps) {
-            blocked.ingest_block(&block);
-        }
-        blocked.flush();
-        prop_assert_eq!(blocked.metrics(), per_sample.metrics());
-        prop_assert_eq!(blocked.drain_events(), per_sample.drain_events());
-        prop_assert_eq!(blocked.drain_windows(), per_sample.drain_windows());
-        prop_assert_eq!(blocked.contended_channels(), per_sample.contended_channels());
-        for i in 0..12 {
-            let ch = drbw::core::channels::channel_at(4, i);
-            prop_assert_eq!(blocked.live_top(ch, 4), per_sample.live_top(ch, 4));
-        }
+        prop_assert_eq!(drained, accepted);
     }
 
     /// Columnar tenant partitioning routes every mapped sample exactly
