@@ -98,11 +98,20 @@ echo "    $(ls results | wc -l) files + BENCH_tune.json byte-identical, cold ${f
     "warm table1_features: ${warm_hits} hits, stdout byte-identical"
 rm -rf "$fresh"
 
-echo "==> autotune smoke (closed-loop example, cold->warm on one cache)"
+echo "==> autotune smoke (closed-loop example, cold->warm on one cache, serial cold pass on another)"
 cargo build --release --example autotune
 tune_cache=$(mktemp -d)
 DRBW_RUNCACHE_DIR="$tune_cache" ./target/release/examples/autotune Streamcluster 32 4 \
     > "$tune_cache/cold.out" 2>/dev/null
+# The tuner's waves run in parallel; one worker must print the same report.
+serial_cache=$(mktemp -d)
+RAYON_NUM_THREADS=1 DRBW_RUNCACHE_DIR="$serial_cache" ./target/release/examples/autotune Streamcluster 32 4 \
+    > "$serial_cache/cold.out" 2>/dev/null
+diff "$tune_cache/cold.out" "$serial_cache/cold.out" || {
+    echo "autotune smoke: the one-thread cold pass printed a different report (above)" >&2
+    exit 1
+}
+rm -rf "$serial_cache"
 warm_start=$SECONDS
 DRBW_RUNCACHE_DIR="$tune_cache" ./target/release/examples/autotune Streamcluster 32 4 \
     > "$tune_cache/warm.out" 2>/dev/null

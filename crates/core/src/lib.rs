@@ -63,6 +63,7 @@ use rayon::prelude::*;
 use std::path::Path;
 use training::TrainingSpec;
 use workloads::config::RunConfig;
+use workloads::runner::{self, RunOutcome};
 use workloads::spec::Workload;
 
 /// The assembled DR-BW tool: a trained classifier plus the machine and
@@ -358,10 +359,35 @@ impl DrBw {
     /// [`DrBw::analyze`] returns for the same case (runs are seeded by
     /// their `RunConfig`, so scheduling cannot perturb them).
     pub fn analyze_batch(&self, cases: &[Case<'_>]) -> Vec<Analysis> {
-        let run = || cases.par_iter().map(|c| self.analyze(c.workload, c.rcfg)).collect();
+        self.in_pool(|| cases.par_iter().map(|c| self.analyze(c.workload, c.rcfg)).collect())
+    }
+
+    /// Run `workload` once per configuration, unprofiled, in parallel
+    /// under the builder's thread cap, and return `reduce` of each outcome
+    /// in input order. Runs are served from the run cache when one is
+    /// attached. `reduce` runs on the worker that simulated the run, so
+    /// the caller keeps only what it reads and each [`RunOutcome`] is
+    /// dropped on the thread that built it. Results do not depend on the
+    /// thread count: runs are seeded by their `RunConfig`.
+    pub fn run_each<R, F>(&self, workload: &dyn Workload, rcfgs: &[RunConfig], reduce: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(RunOutcome) -> R + Sync,
+    {
+        let run = |rcfg: &RunConfig| {
+            reduce(match self.run_cache.as_deref() {
+                Some(cache) => runcache::run_memo(cache, workload, &self.machine, rcfg, None),
+                None => runner::run(workload, &self.machine, rcfg, None),
+            })
+        };
+        self.in_pool(|| rcfgs.par_iter().map(run).collect())
+    }
+
+    /// Run `op` inside this tool's thread pool, when one is set.
+    fn in_pool<R: Send>(&self, op: impl FnOnce() -> R + Send) -> R {
         match &self.pool {
-            Some(p) => p.install(run),
-            None => run(),
+            Some(p) => p.install(op),
+            None => op(),
         }
     }
 }

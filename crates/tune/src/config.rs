@@ -42,6 +42,15 @@ pub enum TuneConfigError {
     SpeedupBelowOne(f64),
     /// The weight grid must allow at least a 2:1 ratio.
     GridTooCoarse(u32),
+    /// A fractional threshold (`min_speedup`, `min_cf`, `min_improvement`
+    /// or `replicate_write_fraction`) is NaN or infinite. Comparisons
+    /// against NaN are all false, so it would silently disable its check.
+    NonFinite {
+        /// The builder method that received the value.
+        knob: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for TuneConfigError {
@@ -51,6 +60,7 @@ impl std::fmt::Display for TuneConfigError {
             TuneConfigError::NoObjects => write!(f, "max_objects must be at least 1"),
             TuneConfigError::SpeedupBelowOne(s) => write!(f, "min_speedup {s} is below 1.0"),
             TuneConfigError::GridTooCoarse(g) => write!(f, "weight grid {g} cannot express a 2:1 ratio"),
+            TuneConfigError::NonFinite { knob, value } => write!(f, "{knob} must be finite, got {value}"),
         }
     }
 }
@@ -216,6 +226,16 @@ impl TuneConfigBuilder {
         if c.max_objects == 0 {
             return Err(TuneConfigError::NoObjects);
         }
+        for (knob, value) in [
+            ("min_speedup", c.min_speedup),
+            ("min_cf", c.min_cf),
+            ("min_improvement", c.min_improvement),
+            ("replicate_write_fraction", c.replicate_write_fraction),
+        ] {
+            if !value.is_finite() {
+                return Err(TuneConfigError::NonFinite { knob, value });
+            }
+        }
         if c.min_speedup < 1.0 {
             return Err(TuneConfigError::SpeedupBelowOne(c.min_speedup));
         }
@@ -244,6 +264,27 @@ mod tests {
         assert_eq!(TuneConfig::builder().max_objects(0).build().unwrap_err(), TuneConfigError::NoObjects);
         assert_eq!(TuneConfig::builder().min_speedup(0.9).build().unwrap_err(), TuneConfigError::SpeedupBelowOne(0.9));
         assert_eq!(TuneConfig::builder().weight_grid(1).build().unwrap_err(), TuneConfigError::GridTooCoarse(1));
+    }
+
+    #[test]
+    fn builder_rejects_non_finite_thresholds() {
+        // `NaN < 1.0` is false, so a NaN `min_speedup` once slipped past
+        // the floor check and made every plan fail `speedup >= NaN`.
+        let nan = |e: TuneConfigError| matches!(e, TuneConfigError::NonFinite { value, .. } if value.is_nan());
+        assert!(nan(TuneConfig::builder().min_speedup(f64::NAN).build().unwrap_err()));
+        assert!(nan(TuneConfig::builder().min_cf(f64::NAN).build().unwrap_err()));
+        assert!(nan(TuneConfig::builder().min_improvement(f64::NAN).build().unwrap_err()));
+        assert!(nan(TuneConfig::builder().replicate_write_fraction(f64::NAN).build().unwrap_err()));
+        assert_eq!(
+            TuneConfig::builder().min_speedup(f64::INFINITY).build().unwrap_err(),
+            TuneConfigError::NonFinite { knob: "min_speedup", value: f64::INFINITY }
+        );
+        assert_eq!(
+            TuneConfig::builder().min_cf(f64::NEG_INFINITY).build().unwrap_err(),
+            TuneConfigError::NonFinite { knob: "min_cf", value: f64::NEG_INFINITY }
+        );
+        let err = TuneConfig::builder().min_improvement(f64::INFINITY).build().unwrap_err();
+        assert_eq!(err.to_string(), "min_improvement must be finite, got inf");
     }
 
     #[test]

@@ -23,6 +23,15 @@
 //! chosen plan, the verified speedup (≥ 1 by the no-op fallback), and the
 //! full convergence trace.
 //!
+//! The re-simulations run in dependency waves through
+//! [`DrBw::run_each`](drbw_core::DrBw::run_each), each wave one parallel
+//! batch under the tool's thread cap: the profiled run alone; then the
+//! baseline, the coarse remedy and every object's first-pass families;
+//! then one wave per weight-search iterate, every live object's chain
+//! advancing side by side; the combined plan last. Runs are seeded by
+//! their run configuration and the trace is assembled in one-at-a-time
+//! order, so the report does not depend on the thread count.
+//!
 //! ```no_run
 //! use drbw_core::{DrBw, TrainingSet};
 //! use drbw_tune::{Tune, TuneConfig};

@@ -14,22 +14,33 @@
 //!    read-mostly objects) replicate.
 //! 3. **Apply + re-simulate** — each candidate becomes a
 //!    [`PlacementPlan`] carried by the [`RunConfig`]; the runner rewrites
-//!    the freshly built memory map and the engine re-simulates. With a run
-//!    cache attached, repeat evaluations are served from disk.
+//!    the freshly built memory map and the engine re-simulates
+//!    ([`DrBw::run_each`], served from the tool's run cache when one is
+//!    attached).
 //! 4. **Verify** — the measured cycles decide. Weighted-interleave weights
 //!    are refined from the *measured* per-node pressure of the previous
 //!    iterate (§"weight search"); the final plan is kept only if it beats
 //!    [`TuneConfig::min_speedup`], else the report carries the no-op plan,
 //!    so a tuned program is never slower than the original.
+//!
+//! The re-simulations run in dependency **waves**, each one parallel batch
+//! under the tool's thread cap: after the profiled run, one wave holds the
+//! baseline, the coarse remedy and every target's first-pass families;
+//! then one wave per weight-search iterate holds the next proposal of every
+//! target whose search is still live; the combined plan runs last. The
+//! trace is assembled in the order a one-at-a-time loop evaluates — coarse,
+//! then per target its families and its weight iterates, then combined —
+//! so the report does not depend on the thread count.
 
 use std::collections::HashMap;
+use std::iter;
 
-use drbw_core::diagnoser::{diagnose, UNTRACKED};
+use drbw_core::diagnoser::{diagnose, OwnedDiagnosis, UNTRACKED};
 use drbw_core::{DrBw, Profile};
 use numasim::topology::{ChannelId, NodeId};
 use workloads::config::RunConfig;
 use workloads::plan::{PlacementPlan, PlanAction};
-use workloads::runner::{self, RunOutcome};
+use workloads::runner::RunOutcome;
 use workloads::spec::Workload;
 
 use crate::config::{CandidateKind, TuneConfig};
@@ -45,7 +56,8 @@ pub trait Tune {
 
 impl Tune for DrBw {
     fn tune(&self, workload: &dyn Workload, rcfg: &RunConfig, cfg: &TuneConfig) -> TuneReport {
-        // 1. Diagnose: one profiled run under this tool's sampler.
+        // 1. Diagnose: one profiled run under this tool's sampler, alone —
+        // its diagnosis names the targets.
         let analysis = self.analyze(workload, rcfg);
         let detected = analysis.detection.mode();
         let channels = if !analysis.detection.contended_channels.is_empty() {
@@ -60,21 +72,18 @@ impl Tune for DrBw {
         drop(analysis); // the owned diagnosis outlives the profile
 
         let mut lp = Loop {
-            cfg,
             tool: self,
             workload,
             rcfg,
             nodes: (0..rcfg.nodes).map(|i| NodeId(i as u8)).collect(),
-            baseline: 0.0,
-            trace: Vec::new(),
             evaluations: 0,
         };
-        lp.baseline = lp.run(None).cycles();
 
-        // Coarse remedy first: interleave every memory-map object. This is
-        // the only candidate that reaches *untracked* allocations (static
-        // data the profiler cannot attribute to a site, §VIII.F) — when
-        // those dominate the CF ranking, no per-object plan can name them.
+        // Coarse remedy: interleave every memory-map object. This is the
+        // only candidate that reaches *untracked* allocations (static data
+        // the profiler cannot attribute to a site, §VIII.F) — when those
+        // dominate the CF ranking, no per-object plan can name them.
+        let mut coarse = None;
         if cfg.coarse_interleave && lp.nodes.len() >= 2 {
             let built = workload.build(self.machine(), rcfg);
             let mut labels: Vec<String> = Vec::new();
@@ -89,177 +98,247 @@ impl Tune for DrBw {
             }
             if !plan.is_empty() {
                 let desc = format!("all-objects\u{2192}interleave({} nodes)", lp.nodes.len());
-                lp.eval(plan, desc);
+                coarse = Some(Step::new(plan, desc, false));
             }
         }
 
-        // 2–4. Plan, apply, re-simulate, verify — per ranked object.
-        let mut targets: Vec<String> = diagnosis
-            .overall
-            .iter()
-            .filter(|o| o.label != UNTRACKED && o.cf >= cfg.min_cf)
-            .take(cfg.max_objects)
-            .map(|o| o.label.clone())
+        // 2. Plan every ranked object's first-pass families.
+        let mut objects: Vec<Object> = targets(&diagnosis, cfg)
+            .into_iter()
+            .map(|label| {
+                let write_frac = writes.get(label.as_str()).copied().unwrap_or(1.0);
+                Object::first_pass(label, write_frac, cfg, &lp.nodes)
+            })
             .collect();
-        if targets.is_empty() {
-            // No tracked object cleared the CF floor — try the top tracked
-            // labels anyway; the verify step discards useless plans, and a
-            // low-CF read-mostly object can still win big via replicate.
-            targets = diagnosis
-                .overall
-                .iter()
-                .filter(|o| o.label != UNTRACKED && o.cf > 0.0)
-                .take(cfg.max_objects)
-                .map(|o| o.label.clone())
-                .collect();
-        }
-        let mut winners: Vec<(String, PlanAction)> = Vec::new();
-        for label in &targets {
-            let write_frac = writes.get(label.as_str()).copied().unwrap_or(1.0);
-            if let Some((action, cycles)) = lp.tune_object(label, write_frac) {
-                if cycles < lp.baseline {
-                    winners.push((label.clone(), action));
-                }
-            }
-        }
-        // Combined plan: merge each object's best accepted action. Only
-        // worth an evaluation when two or more objects improved alone.
-        if winners.len() >= 2 {
-            let mut plan = PlacementPlan::new();
-            for (label, action) in &winners {
-                plan.push(label.clone(), action.clone());
-            }
-            let desc = format!("combined: {}", plan.describe());
-            lp.eval(plan, desc);
+
+        // 3. Wave one: the baseline, the coarse remedy and every first-pass
+        // candidate — none depends on another.
+        let mut wave: Vec<&mut Step> = coarse.iter_mut().chain(objects.iter_mut().flat_map(|o| &mut o.steps)).collect();
+        let mut measured = lp.run(iter::once(None).chain(wave.iter().map(|s| Some(&s.plan)))).into_iter();
+        let baseline = measured.next().expect("the baseline was run").cycles;
+        for (step, m) in wave.iter_mut().zip(measured) {
+            step.measured = m;
         }
 
-        // Final verify: keep the best measured candidate only if it clears
-        // the acceptance threshold; otherwise fall back to the no-op plan.
-        let best = lp.trace.iter().min_by(|a, b| a.cycles.total_cmp(&b.cycles)).cloned();
+        // One wave per weight-search iterate: every live search proposes
+        // from the measured pressure of its current iterate, and the
+        // targets' chains advance side by side.
+        loop {
+            let live: Vec<usize> = (0..objects.len()).filter(|&i| objects[i].propose(cfg, &lp.nodes)).collect();
+            if live.is_empty() {
+                break;
+            }
+            let measured = lp.run(live.iter().map(|&i| Some(&objects[i].steps.last().expect("just proposed").plan)));
+            for (&i, m) in live.iter().zip(measured) {
+                objects[i].record_iterate(m, cfg);
+            }
+        }
+
+        // Combined plan: merge each object's best action. Only worth an
+        // evaluation when two or more objects improved alone.
+        let mut combined_plan = PlacementPlan::new();
+        for best in objects.iter().filter_map(Object::best).filter(|s| s.measured.cycles < baseline) {
+            for e in best.plan.entries() {
+                combined_plan.push(e.label.clone(), e.action.clone());
+            }
+        }
+        let mut combined = None;
+        if combined_plan.len() >= 2 {
+            let desc = format!("combined: {}", combined_plan.describe());
+            let mut step = Step::new(combined_plan, desc, false);
+            step.measured = lp.run(iter::once(Some(&step.plan))).pop().expect("one run, one result");
+            combined = Some(step);
+        }
+
+        // 4. Verify: keep the best measured candidate (the first minimum in
+        // trace order) only if it clears the acceptance threshold;
+        // otherwise fall back to the no-op plan.
+        let trace: Vec<TuneStep> = coarse
+            .into_iter()
+            .chain(objects.into_iter().flat_map(|o| o.steps))
+            .chain(combined)
+            .map(|s| {
+                let cycles = s.measured.cycles;
+                TuneStep { plan: s.plan, description: s.description, cycles, speedup: baseline / cycles }
+            })
+            .collect();
+        let best = trace.iter().min_by(|a, b| a.cycles.total_cmp(&b.cycles));
         let (plan, tuned_cycles) = match best {
-            Some(s) if lp.baseline / s.cycles >= cfg.min_speedup => (s.plan, s.cycles),
-            _ => (PlacementPlan::new(), lp.baseline),
+            Some(s) if baseline / s.cycles >= cfg.min_speedup => (s.plan.clone(), s.cycles),
+            _ => (PlacementPlan::new(), baseline),
         };
         TuneReport {
             workload: workload.name().to_string(),
             shape: rcfg.shape_label(),
             detected,
             diagnosis,
-            baseline_cycles: lp.baseline,
+            baseline_cycles: baseline,
             plan,
             tuned_cycles,
-            trace: lp.trace,
+            trace,
             evaluations: lp.evaluations,
         }
     }
 }
 
-/// Loop state: the case under tuning plus the growing convergence trace.
+/// The tracked objects to plan: the top-CF labels above the CF floor, or,
+/// when none clears it, the top tracked labels anyway — the verify step
+/// discards useless plans, and a low-CF read-mostly object can still win
+/// big via replicate.
+fn targets(diagnosis: &OwnedDiagnosis, cfg: &TuneConfig) -> Vec<String> {
+    let tracked = || diagnosis.overall.iter().filter(|o| o.label != UNTRACKED);
+    let mut labels: Vec<String> =
+        tracked().filter(|o| o.cf >= cfg.min_cf).take(cfg.max_objects).map(|o| o.label.clone()).collect();
+    if labels.is_empty() {
+        labels = tracked().filter(|o| o.cf > 0.0).take(cfg.max_objects).map(|o| o.label.clone()).collect();
+    }
+    labels
+}
+
+/// What a re-simulation leaves behind once its outcome is reduced on the
+/// worker: the cycles, and the per-node pressure a weight search reads.
+#[derive(Default)]
+struct Measured {
+    cycles: f64,
+    pressure: Vec<f64>,
+}
+
+/// One candidate: its plan, and its measurement once its wave has run.
+struct Step {
+    plan: PlacementPlan,
+    description: String,
+    /// Whether the step competes for its object's best action. The uniform
+    /// interleave evaluated only to seed the weight search does not.
+    noted: bool,
+    measured: Measured,
+}
+
+impl Step {
+    fn new(plan: PlacementPlan, description: String, noted: bool) -> Self {
+        Self { plan, description, noted, measured: Measured::default() }
+    }
+
+    /// A single-object candidate.
+    fn action(label: &str, action: PlanAction, noted: bool) -> Self {
+        let description = format!("{label}\u{2192}{}", action.describe());
+        Self::new(PlacementPlan::new().with(label, action), description, noted)
+    }
+}
+
+/// One ranked object: its candidates in serial evaluation order, and its
+/// weight search while that is live.
+struct Object {
+    label: String,
+    steps: Vec<Step>,
+    search: Option<Search>,
+}
+
+/// A live weight search: the current weights, the step whose measurement
+/// drives the next proposal, and the proposals it may still make.
+struct Search {
+    weights: Vec<u32>,
+    from: usize,
+    left: usize,
+}
+
+impl Object {
+    /// Plan every configured first-pass family in order and, when the
+    /// weight search is on, its seed: the measured uniform interleave
+    /// (evaluated unnoted if that family was not configured).
+    fn first_pass(label: String, write_frac: f64, cfg: &TuneConfig, nodes: &[NodeId]) -> Self {
+        let mut steps = Vec::new();
+        let mut seed = None;
+        for kind in &cfg.candidates {
+            let action = match kind {
+                CandidateKind::Colocate => PlanAction::ColocateEven { nodes: nodes.len() },
+                CandidateKind::Interleave => {
+                    seed = Some(steps.len());
+                    PlanAction::Interleave(nodes.to_vec())
+                }
+                CandidateKind::Replicate if write_frac <= cfg.replicate_write_fraction => PlanAction::Replicate,
+                // Replicate only read-mostly objects; the weight search
+                // starts once its seed has been measured.
+                CandidateKind::Replicate | CandidateKind::WeightedInterleave => continue,
+            };
+            steps.push(Step::action(&label, action, true));
+        }
+        let mut search = None;
+        if cfg.candidates.contains(&CandidateKind::WeightedInterleave) && nodes.len() >= 2 {
+            let from = seed.unwrap_or_else(|| {
+                steps.push(Step::action(&label, PlanAction::Interleave(nodes.to_vec()), false));
+                steps.len() - 1
+            });
+            search = Some(Search { weights: vec![1; nodes.len()], from, left: cfg.max_iterations });
+        }
+        Self { label, steps, search }
+    }
+
+    /// Append the next weight-search proposal and return true, or end the
+    /// search: out of iterations, or converged (the measured pressure asks
+    /// for no shift — nodes above the mean shed pages, nodes with residual
+    /// headroom take them).
+    fn propose(&mut self, cfg: &TuneConfig, nodes: &[NodeId]) -> bool {
+        let Some(mut search) = self.search.take() else { return false };
+        if search.left == 0 {
+            return false;
+        }
+        let next = propose_weights(&search.weights, &self.steps[search.from].measured.pressure, cfg.weight_grid);
+        if next == search.weights {
+            return false;
+        }
+        search.left -= 1;
+        search.weights = next.clone();
+        let action = PlanAction::WeightedInterleave { nodes: nodes.to_vec(), weights: next };
+        self.steps.push(Step::action(&self.label, action, true));
+        self.search = Some(search);
+        true
+    }
+
+    /// Record the measured proposal; the search goes on only while an
+    /// iterate gains at least `min_improvement` over the one it refined.
+    fn record_iterate(&mut self, m: Measured, cfg: &TuneConfig) {
+        let search = self.search.as_mut().expect("a live search proposed this step");
+        let prev = self.steps[search.from].measured.cycles;
+        let improvement = (prev - m.cycles) / prev;
+        search.from = self.steps.len() - 1;
+        self.steps[search.from].measured = m;
+        if improvement < cfg.min_improvement {
+            self.search = None; // verified gain too small to keep iterating
+        }
+    }
+
+    /// The object's best noted candidate: the first minimum by measured
+    /// cycles.
+    fn best(&self) -> Option<&Step> {
+        self.steps.iter().filter(|s| s.noted).reduce(|b, s| if s.measured.cycles < b.measured.cycles { s } else { b })
+    }
+}
+
+/// The tuning case, and the count of re-simulations run for it.
 struct Loop<'a> {
-    cfg: &'a TuneConfig,
     tool: &'a DrBw,
     workload: &'a dyn Workload,
     rcfg: &'a RunConfig,
     nodes: Vec<NodeId>,
-    baseline: f64,
-    trace: Vec<TuneStep>,
     evaluations: usize,
 }
 
 impl Loop<'_> {
-    /// One unprofiled re-simulation, served from the tool's run cache when
-    /// one is attached.
-    fn run(&mut self, plan: Option<&PlacementPlan>) -> RunOutcome {
-        self.evaluations += 1;
-        let rcfg = match plan {
-            Some(p) => self.rcfg.with_plan(p.clone()),
-            None => self.rcfg.clone(),
-        };
-        match self.tool.run_cache() {
-            Some(cache) => runcache::run_memo(cache, self.workload, self.tool.machine(), &rcfg, None),
-            None => runner::run(self.workload, self.tool.machine(), &rcfg, None),
-        }
-    }
-
-    /// Evaluate a candidate plan and record it in the trace.
-    fn eval(&mut self, plan: PlacementPlan, description: String) -> (f64, RunOutcome) {
-        let out = self.run(Some(&plan));
-        let cycles = out.cycles();
-        self.trace.push(TuneStep { plan, description, cycles, speedup: self.baseline / cycles });
-        (cycles, out)
-    }
-
-    /// Evaluate a single-object action.
-    fn eval_action(&mut self, label: &str, action: PlanAction) -> (f64, RunOutcome) {
-        let description = format!("{label}\u{2192}{}", action.describe());
-        self.eval(PlacementPlan::new().with(label, action), description)
-    }
-
-    /// Try every configured candidate family on one object; return the
-    /// family's best action by measured cycles.
-    fn tune_object(&mut self, label: &str, write_frac: f64) -> Option<(PlanAction, f64)> {
-        let nodes = self.nodes.clone();
-        let mut best: Option<(PlanAction, f64)> = None;
-        let note = |best: &mut Option<(PlanAction, f64)>, action: PlanAction, cycles: f64| {
-            if best.as_ref().is_none_or(|(_, c)| cycles < *c) {
-                *best = Some((action, cycles));
-            }
-        };
-        let mut interleave_seed: Option<(f64, RunOutcome)> = None;
-        for kind in self.cfg.candidates.clone() {
-            match kind {
-                CandidateKind::Colocate => {
-                    let action = PlanAction::ColocateEven { nodes: nodes.len() };
-                    let (cycles, _) = self.eval_action(label, action.clone());
-                    note(&mut best, action, cycles);
-                }
-                CandidateKind::Interleave => {
-                    let action = PlanAction::Interleave(nodes.clone());
-                    let (cycles, out) = self.eval_action(label, action.clone());
-                    note(&mut best, action, cycles);
-                    interleave_seed = Some((cycles, out));
-                }
-                CandidateKind::Replicate => {
-                    if write_frac <= self.cfg.replicate_write_fraction {
-                        let action = PlanAction::Replicate;
-                        let (cycles, _) = self.eval_action(label, action.clone());
-                        note(&mut best, action, cycles);
-                    }
-                }
-                // Needs the uniform-interleave measurement as its seed;
-                // handled after the first pass.
-                CandidateKind::WeightedInterleave => {}
-            }
-        }
-        if self.cfg.candidates.contains(&CandidateKind::WeightedInterleave) && nodes.len() >= 2 {
-            // Seed the weight search from the measured uniform interleave
-            // (evaluating it first if the family was not configured).
-            let (mut cur_cycles, mut cur_out) = match interleave_seed {
-                Some(seed) => seed,
-                None => self.eval_action(label, PlanAction::Interleave(nodes.clone())),
-            };
-            let mut weights = vec![1u32; nodes.len()];
-            for _ in 0..self.cfg.max_iterations {
-                // Measured per-node pressure of the previous iterate drives
-                // the proposal: nodes above the mean shed pages, nodes with
-                // residual headroom take them.
-                let pressure = node_pressure_on(&cur_out, &nodes);
-                let next = propose_weights(&weights, &pressure, self.cfg.weight_grid);
-                if next == weights {
-                    break; // converged: the measurement asks for no shift
-                }
-                let action = PlanAction::WeightedInterleave { nodes: nodes.clone(), weights: next.clone() };
-                let (cycles, out) = self.eval_action(label, action.clone());
-                note(&mut best, action, cycles);
-                let improvement = (cur_cycles - cycles) / cur_cycles;
-                weights = next;
-                (cur_cycles, cur_out) = (cycles, out);
-                if improvement < self.cfg.min_improvement {
-                    break; // verified gain too small to keep iterating
-                }
-            }
-        }
-        best
+    /// One wave: re-simulate every plan (`None` = the program as written)
+    /// as one parallel batch, reducing each outcome on its worker.
+    fn run<'p>(&mut self, plans: impl Iterator<Item = Option<&'p PlacementPlan>>) -> Vec<Measured> {
+        let rcfgs: Vec<RunConfig> = plans
+            .map(|p| match p {
+                Some(p) => self.rcfg.with_plan(p.clone()),
+                None => self.rcfg.clone(),
+            })
+            .collect();
+        self.evaluations += rcfgs.len();
+        let nodes = &self.nodes;
+        self.tool.run_each(self.workload, &rcfgs, |out| Measured {
+            cycles: out.cycles(),
+            pressure: node_pressure_on(&out, nodes),
+        })
     }
 }
 

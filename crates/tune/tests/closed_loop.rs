@@ -3,7 +3,7 @@
 
 use drbw_core::classifier::ContentionClassifier;
 use drbw_core::{training, DrBw, TrainingSet};
-use drbw_tune::{Tune, TuneConfig};
+use drbw_tune::{CandidateKind, Tune, TuneConfig, TuneReport};
 use mldt::tree::TrainConfig;
 use numasim::config::MachineConfig;
 use numasim::memmap::PlacementPolicy;
@@ -66,6 +66,26 @@ fn tool() -> DrBw {
     let mcfg = MachineConfig::scaled();
     let data = training::quick_training_set(&mcfg);
     DrBw::new(ContentionClassifier::train(&data, TrainConfig::default()))
+}
+
+/// A tool whose runs use at most `threads` workers.
+fn capped_tool(threads: usize) -> DrBw {
+    DrBw::builder().training_set(TrainingSet::Quick).threads(threads).build().expect("the quick grid trains")
+}
+
+/// Tune one case under a 1-thread and a 2-thread tool; the reports must be
+/// identical down to the bits of every cycle count and the trace order.
+fn tune_both_ways(tools: &(DrBw, DrBw), workload: &dyn Workload, rcfg: &RunConfig, cfg: &TuneConfig) -> TuneReport {
+    let (serial, parallel) = (tools.0.tune(workload, rcfg, cfg), tools.1.tune(workload, rcfg, cfg));
+    let steps =
+        |r: &TuneReport| r.trace.iter().map(|s| (s.description.clone(), s.cycles.to_bits())).collect::<Vec<_>>();
+    assert_eq!(steps(&serial), steps(&parallel), "trace order and cycles\n{}", parallel.render());
+    assert_eq!(serial.plan, parallel.plan);
+    assert_eq!(serial.baseline_cycles.to_bits(), parallel.baseline_cycles.to_bits());
+    assert_eq!(serial.tuned_cycles.to_bits(), parallel.tuned_cycles.to_bits());
+    assert_eq!(serial.evaluations, parallel.evaluations);
+    assert_eq!(parallel.evaluations, parallel.trace.len() + 1, "the baseline plus one run per step");
+    parallel
 }
 
 #[test]
@@ -160,6 +180,52 @@ fn weighted_interleave_wins_on_an_asymmetric_machine() {
 }
 
 #[test]
+fn thread_cap_does_not_change_the_report() {
+    let tools = (capped_tool(1), capped_tool(2));
+    tune_both_ways(&tools, &ContendedMicro, &RunConfig::new(32, 4, Input::Native), &TuneConfig::default());
+
+    // Two objects' weight chains advance in the same waves; the combined
+    // plan still comes last and each chain stays in its object's block.
+    let nw_shape = RunConfig::new(64, 4, Input::Medium);
+    let nw = tune_both_ways(&tools, &workloads::suite::Nw, &nw_shape, &TuneConfig::default());
+    let chains: Vec<&str> = nw
+        .trace
+        .iter()
+        .filter(|s| s.description.contains("weighted-interleave") && !s.description.starts_with("combined"))
+        .map(|s| s.description.split('\u{2192}').next().unwrap())
+        .collect();
+    assert!(chains.len() >= 4 && chains.first() != chains.last(), "two weight chains:\n{}", nw.render());
+    assert!(chains.windows(2).filter(|w| w[0] != w[1]).count() == 1, "each chain contiguous:\n{}", nw.render());
+    assert!(nw.trace.last().unwrap().description.starts_with("combined:"), "{}", nw.render());
+
+    // The uniform seed is evaluated although it is not a configured
+    // family: each object runs it after co-locate and before its first
+    // iterate, and it never enters the combined plan (it is not noted).
+    let cfg = TuneConfig::builder()
+        .candidates([CandidateKind::Colocate, CandidateKind::WeightedInterleave])
+        .build()
+        .expect("two families are a valid configuration");
+    let seeded = tune_both_ways(&tools, &workloads::suite::Nw, &nw_shape, &cfg);
+    for label in ["input_itemsets", "reference"] {
+        let actions: Vec<&str> =
+            seeded.trace.iter().filter_map(|s| s.description.strip_prefix(&format!("{label}\u{2192}"))).collect();
+        assert_eq!(actions[..2], ["co-locate(4 nodes)", "interleave(4 nodes)"], "{}", seeded.render());
+        assert!(
+            actions.len() > 2 && actions[2..].iter().all(|a| a.starts_with("weighted-interleave(")),
+            "{}",
+            seeded.render()
+        );
+    }
+    let combined = seeded.trace.last().unwrap();
+    assert!(combined.description.starts_with("combined:"), "{}", seeded.render());
+    assert!(
+        combined.plan.entries().iter().all(|e| !matches!(e.action, PlanAction::Interleave(_))),
+        "{}",
+        seeded.render()
+    );
+}
+
+#[test]
 fn run_cache_serves_repeat_tunes() {
     let dir = std::env::temp_dir().join(format!("drbw-tune-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -169,9 +235,14 @@ fn run_cache_serves_repeat_tunes() {
     let cold = tool.tune(&ContendedMicro, &rcfg, &TuneConfig::default());
     let stored = tool.run_cache().unwrap().metrics().stores;
     assert!(stored > 0, "cold loop populates the cache");
+    // One wave may run two same-key candidates (on this one-object program
+    // the coarse plan is the object's interleave): both miss and both
+    // store, so the cold pass's store count is not pinned.
+    let cold_misses = tool.run_cache().unwrap().metrics().misses;
     let warm = tool.tune(&ContendedMicro, &rcfg, &TuneConfig::default());
     let m = tool.run_cache().unwrap().metrics();
     assert!(m.hits >= cold.evaluations as u64, "warm loop replays from disk: {m:?}");
+    assert_eq!(m.misses, cold_misses, "the warm loop misses nothing: {m:?}");
     assert_eq!(warm.plan, cold.plan, "cached replay chooses the identical plan");
     assert_eq!(warm.tuned_cycles, cold.tuned_cycles, "cached cycles are bit-identical");
     assert_eq!(warm.baseline_cycles, cold.baseline_cycles);

@@ -5,9 +5,10 @@
 //! `par_iter()` / `into_par_iter()` / `map` / `collect`, plus
 //! [`current_num_threads`] and a [`ThreadPoolBuilder`] whose pools scope a
 //! thread-count override. It is a *real* data-parallel implementation:
-//! items are dispatched to `std::thread::scope` workers through an atomic
-//! work index (dynamic scheduling, so uneven simulation runs balance), and
-//! results are returned **in input order**, which is what the
+//! items are dispatched to `std::thread::scope` workers (the calling
+//! thread among them) through an atomic work index (dynamic scheduling,
+//! so uneven simulation runs balance), and results are returned **in
+//! input order**, which is what the
 //! deterministic-training contract in `drbw-core::training` relies on.
 //! Swap the path dependency back to crates.io rayon on a networked machine
 //! and the workspace compiles unchanged.
@@ -108,6 +109,8 @@ impl ThreadPool {
 
 /// Apply `f` to every item on a scoped worker crew, returning results in
 /// input order. Dynamic scheduling: workers pull the next unclaimed index.
+/// The calling thread is one of the workers, so a crew of *n* spawns
+/// *n* − 1 threads and the caller never idles while they work.
 fn par_apply<T, R, F>(items: Vec<T>, f: &F) -> Vec<R>
 where
     T: Send,
@@ -122,18 +125,20 @@ where
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let out: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i].lock().unwrap().take().expect("each index claimed once");
-                let r = f(item);
-                *out[i].lock().unwrap() = Some(r);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let item = slots[i].lock().unwrap().take().expect("each index claimed once");
+        let r = f(item);
+        *out[i].lock().unwrap() = Some(r);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
     });
     out.into_iter().map(|m| m.into_inner().unwrap().expect("worker filled its slot")).collect()
 }
@@ -335,6 +340,26 @@ mod tests {
             assert_eq!(ids.lock().unwrap().len(), 1, "pool of one must not spawn workers");
         });
         assert_eq!(POOL_THREADS.with(|t| t.get()), None, "override restored");
+    }
+
+    #[test]
+    fn calling_thread_is_one_of_the_workers() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let caller = std::thread::current().id();
+        // Both items wait for each other, so two workers must hold one
+        // each at the same time.
+        let barrier = std::sync::Barrier::new(2);
+        let ids: Vec<std::thread::ThreadId> = pool.install(|| {
+            (0..2usize)
+                .into_par_iter()
+                .map(|_| {
+                    barrier.wait();
+                    std::thread::current().id()
+                })
+                .collect()
+        });
+        assert!(ids.contains(&caller), "the calling thread ran no item: {ids:?}");
+        assert_ne!(ids[0], ids[1], "two workers ran the two items");
     }
 
     #[test]
