@@ -208,6 +208,22 @@ traced_smoke batch-cold
 echo "    ${trace_secs}s, numasim.engine.ns_per_access $(layer numasim.engine.ns_per_access) ns, 0 failed ops"
 rm -f "$trace_out"
 
+echo "==> scheduler traced smoke (repo benchmark: tenants --smoke --trace 1)"
+# Every op checks its golden access, cycle and sample counts, so a numasim
+# change that moves an exact count in the discrete-event scheduler fails
+# here.
+traced_smoke tenants
+echo "    ${trace_secs}s, numasim.sched.ns_per_access $(layer numasim.sched.ns_per_access) ns, 0 failed ops"
+rm -f "$trace_out"
+
+echo "==> closed-loop traced smoke (repo benchmark: tune-loop --smoke --trace 1)"
+# The same for unobserved re-simulations: every op checks the tuner's
+# golden access, evaluation and cycle counts.
+traced_smoke tune-loop
+echo "    ${trace_secs}s, tune.evaluations $(layer tune.evaluations %.0f)," \
+    "tune.floor_violations $(layer tune.floor_violations %.0f), 0 failed ops"
+rm -f "$trace_out"
+
 echo "==> multi-tenant smoke (victim/aggressor through the discrete-event scheduler)"
 tenant_cache=$(mktemp -d)
 tenant_start=$(date +%s.%N)

@@ -730,6 +730,24 @@ impl AccessStream for ChainStream {
         }
         None
     }
+
+    /// The current segment's window; `None` once it is drained (the next
+    /// segment starts only when a run pull finds it so).
+    fn seq_window(&self) -> Option<AccessRun> {
+        self.streams.get(self.current)?.seq_window()
+    }
+
+    /// The current segment's interleaved span, so a zipped segment keeps
+    /// its fast path inside a chain.
+    fn next_zip(&mut self, line_step: u64, max_iters: u64, lanes: &mut Vec<AccessRun>) -> u64 {
+        match self.streams.get_mut(self.current) {
+            Some(s) => s.next_zip(line_step, max_iters, lanes),
+            None => {
+                lanes.clear();
+                0
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1061,6 +1079,17 @@ mod tests {
             (Box::new(move || Box::new(ZipStream::new(blocks()))), true),
             (Box::new(move || Box::new(ZipStream::new(wide()))), true),
             (Box::new(move || Box::new(WithMlp::new(ZipStream::new(seq3()), 3.0))), true),
+            (
+                Box::new(move || {
+                    let random = RandomStream::new(3 << 20, 64 * 64, 30, 5, AccessMix::read_only());
+                    let seq = SeqStream::new(4 << 20, 64 * 30, 1, AccessMix::read_only());
+                    Box::new(ChainStream::new(vec![
+                        Box::new(ZipStream::new(vec![Box::new(random), Box::new(seq)])),
+                        Box::new(ZipStream::new(seq3())),
+                    ]))
+                }),
+                true,
+            ),
         ];
         for (n, (make, zips)) in makers.iter().enumerate() {
             let want = drain(make());

@@ -189,6 +189,12 @@ pub(crate) struct ThreadCtx {
     /// resident — hits are imminent for a while).
     zip_cooldown: u32,
     zip_backoff: u32,
+    /// Run pulls to make before the next [`AccessStream::next_zip`]
+    /// attempt, and its doubling backoff: a zip of non-sequential members
+    /// (random lanes, pointer chases) fails every pull, and a failed pull
+    /// consumes nothing, so skipping it leaves the access sequence as is.
+    zip_pull_skip: u32,
+    zip_pull_backoff: u32,
     /// Cached absence frontiers of the sequential fused path (see
     /// [`MissProofMemo`]).
     fuse_proof: MissProofMemo,
@@ -228,6 +234,8 @@ impl ThreadCtx {
             zip_lane: 0,
             zip_cooldown: 0,
             zip_backoff: ZIP_BACKOFF_MIN,
+            zip_pull_skip: 0,
+            zip_pull_backoff: ZIP_PULL_BACKOFF_MIN,
             fuse_proof: MissProofMemo::new(),
             zip_proof: Vec::new(),
         }
@@ -275,6 +283,12 @@ const ZIP_PULL_MAX: u64 = 4096;
 const ZIP_BACKOFF_MIN: u32 = 1;
 /// Ceiling for the interleaved-proof backoff.
 const ZIP_BACKOFF_MAX: u32 = 8;
+/// Run pulls skipped after a failed [`AccessStream::next_zip`] pull; the
+/// window doubles on consecutive failures and resets on a success.
+const ZIP_PULL_BACKOFF_MIN: u32 = 1;
+/// Ceiling for the pull backoff: a stream that turns zippable (the next
+/// segment of a chain) drains at most this many runs singly first.
+const ZIP_PULL_BACKOFF_MAX: u32 = 64;
 
 /// The simulator. Owns the machine state (caches, bandwidth accounting,
 /// memory map) across phases and scenarios; see [`Engine::run_phase`] and
@@ -446,13 +460,20 @@ pub(crate) fn run_thread_slice(
                 t.run = run;
                 t.run_pos = 0;
             } else {
-                let iters = t.stream.next_zip(line_step, ZIP_PULL_MAX, &mut t.zip_lanes);
-                if iters > 0 {
-                    t.zip_iters = iters;
-                    t.zip_iter = 0;
-                    t.zip_lane = 0;
-                    t.zip_cooldown = t.zip_cooldown.saturating_sub(1);
-                    continue 'slice;
+                if t.zip_pull_skip > 0 {
+                    t.zip_pull_skip -= 1;
+                } else {
+                    let iters = t.stream.next_zip(line_step, ZIP_PULL_MAX, &mut t.zip_lanes);
+                    if iters > 0 {
+                        t.zip_iters = iters;
+                        t.zip_iter = 0;
+                        t.zip_lane = 0;
+                        t.zip_cooldown = t.zip_cooldown.saturating_sub(1);
+                        t.zip_pull_backoff = ZIP_PULL_BACKOFF_MIN;
+                        continue 'slice;
+                    }
+                    t.zip_pull_skip = t.zip_pull_backoff;
+                    t.zip_pull_backoff = (t.zip_pull_backoff * 2).min(ZIP_PULL_BACKOFF_MAX);
                 }
                 let Some(run) = t.stream.next_run(u64::MAX) else {
                     finished = true;
@@ -516,7 +537,9 @@ pub(crate) fn run_thread_slice(
                             let home = if addr >= t.span_start && addr < t.span_end {
                                 t.span_home
                             } else {
-                                let (h, end) = memmap.home_node_span(addr, t.node);
+                                // The proof covers the window, so the span
+                                // may run on over pages already touched.
+                                let (h, end) = memmap.home_node_span_within(addr, t.node, addr0 + k_miss * run.stride);
                                 t.span_start = addr;
                                 t.span_end = end;
                                 t.span_home = h;
@@ -870,7 +893,7 @@ fn zip_fuse(
                     seg_done[i] = 0;
                 }
                 let addr = l.base + (t.zip_iter + done) * l.stride;
-                let (h, end) = memmap.home_node_span(addr, t.node);
+                let (h, end) = memmap.home_node_span_within(addr, t.node, addr + (k - done) * l.stride);
                 home[i] = h;
                 seg_rem[i] = (end - addr).div_ceil(l.stride);
                 let (s, service) = if h == t.node {

@@ -5,6 +5,24 @@
 //! the fused form is provably bit-identical to the sequential chain. This
 //! module holds the one primitive that decision rests on.
 
+/// Whether `delta / ulp` — exact, since `ulp` is a power of two — is a
+/// non-integer: off this binade's grid and, since a non-integer halved is
+/// still one, off every higher binade's too. Values above 2^53 are all
+/// integers in f64.
+#[inline]
+fn off_grid(steps: f64) -> bool {
+    steps < (1u64 << 53) as f64 && steps as u64 as f64 != steps
+}
+
+/// The literal chain: `n` sequential additions of `delta` to `acc`.
+#[inline]
+fn add_chain(mut acc: f64, delta: f64, n: u64) -> f64 {
+    for _ in 0..n {
+        acc += delta;
+    }
+    acc
+}
+
 /// Advance `acc` by `n` sequential additions of `delta`, collapsing runs of
 /// the dependent add chain to fused updates whenever that is bit-identical.
 ///
@@ -16,8 +34,14 @@
 /// would round to the same grid point the fused form lands on. Crossing a
 /// binade takes one literal add, after which the (doubled) ulp grid is
 /// re-checked — so accumulators that grow through many binades (per-round
-/// byte counters) still collapse piecewise. Sub-ulp or off-grid deltas and
-/// tiny accumulators run the literal chain.
+/// byte counters) still collapse piecewise. Tiny accumulators run the
+/// literal chain.
+///
+/// An off-grid delta (`delta / ulp` a non-integer) runs the literal chain
+/// for all remaining steps after one division: the accumulator never
+/// shrinks, and every higher binade's ulp is the current one times a power
+/// of two, so `delta / ulp` stays a non-integer and no later binade could
+/// fuse.
 #[inline]
 pub fn bulk_add(mut acc: f64, delta: f64, mut n: u64) -> f64 {
     debug_assert!(acc >= 0.0 && delta >= 0.0, "accumulators and costs are non-negative");
@@ -35,6 +59,9 @@ pub fn bulk_add(mut acc: f64, delta: f64, mut n: u64) -> f64 {
                                      // rather than `fract()`, which lowers to a libm `trunc` call
                                      // on the hot path.
             let d = steps as u64;
+            if off_grid(steps) {
+                return add_chain(acc, delta, n);
+            }
             if steps <= (1u64 << 53) as f64 && d as f64 == steps {
                 // delta = d * ulp, d >= 1
                 let a = (bits & ((1u64 << 52) - 1)) | (1u64 << 52); // acc = a * ulp
@@ -77,9 +104,13 @@ pub fn bulk_add(mut acc: f64, delta: f64, mut n: u64) -> f64 {
 /// add is exact — so `count` lines land on `bits + count·d` directly.
 /// Since positive f64 bit patterns order like their values, the
 /// round-boundary line count is integer arithmetic on bit patterns:
-/// `ceil((round_end.bits − clock.bits) / d)`. Binade crossings, off-grid
-/// deltas, and zero-step lines fall back to literal per-line replay,
-/// which is bit-identical by construction.
+/// `ceil((round_end.bits − clock.bits) / d)`. Binade crossings and
+/// zero-step lines fall back to literal per-line replay, which is
+/// bit-identical by construction. Once no later binade can put a whole
+/// line back on the grid — the rep tail off-grid, or the addend off-grid
+/// with no rep tail (the [`bulk_add`] argument: a non-integer `delta/ulp`
+/// stays one as the clock grows) — the rest of the chain is the literal
+/// loop itself, with no further grid division.
 #[inline]
 pub fn bulk_line_chain(
     mut clock: f64,
@@ -92,7 +123,7 @@ pub fn bulk_line_chain(
     debug_assert!(clock >= 0.0 && addend >= 0.0 && rep_delta >= 0.0, "clocks and costs are non-negative");
     let reps_active = nreps > 0 && rep_delta != 0.0;
     let mut k = 0u64;
-    'outer: while k < max_lines && clock < round_end {
+    while k < max_lines && clock < round_end {
         let bits = clock.to_bits();
         let exp = bits >> 52; // clock >= 0.0: no sign bit to strip
                               // Rep-tail grid steps for this binade when `rep_delta` alone is
@@ -104,6 +135,19 @@ pub fn bulk_line_chain(
             let ulp = f64::from_bits((exp - 52) << 52);
             let sa = addend / ulp; // exact: ulp is a power of two
             let sr = rep_delta / ulp;
+            // Off the grid for good: the rest of the chain is the loop.
+            let literal = if reps_active { off_grid(sr) } else { off_grid(sa) };
+            if literal {
+                let mut c = clock;
+                while k < max_lines && c < round_end {
+                    c += addend;
+                    if reps_active {
+                        c = add_chain(c, rep_delta, nreps);
+                    }
+                    k += 1;
+                }
+                return (k, c);
+            }
             // Integrality via round-trip casts (exact <= 2^53), not
             // `fract()` — see `bulk_add`.
             let da = sa as u64;
@@ -136,18 +180,19 @@ pub fn bulk_line_chain(
                     if count > 0 {
                         clock = f64::from_bits(bits + count * d);
                         k += count;
-                        continue 'outer;
+                        continue;
                     }
                 }
             }
         }
-        // Off-grid delta (or a clock too small/large for the grid): the
-        // verdict cannot change until the clock leaves its binade, so
+        // Off-grid addend with an on-grid rep tail (or a clock too
+        // small/large for the grid, or a line reaching the binade top):
+        // the verdict cannot change until the clock leaves its binade, so
         // replay lines literally — the engine's exact per-line step —
-        // without re-paying the grid divisions per line. When the rep
-        // tail alone is on-grid it still collapses to one integer add:
-        // that is exactly the single fused update `bulk_add` would pick
-        // (`m = nreps` fits below the binade top).
+        // without re-paying the grid divisions per line. An on-grid rep
+        // tail still collapses to one integer add: that is exactly the
+        // single fused update `bulk_add` would pick (`m = nreps` fits
+        // below the binade top).
         loop {
             clock += addend;
             if reps_active {
@@ -161,7 +206,7 @@ pub fn bulk_line_chain(
             }
             k += 1;
             if k >= max_lines || clock >= round_end || clock.to_bits() >> 52 != exp {
-                continue 'outer;
+                break;
             }
         }
     }
@@ -189,6 +234,10 @@ pub struct LineStep {
     /// Grid steps of the whole rep tail (`nreps · rep_delta`);
     /// `u128::MAX` = off-grid, `0` = reps inactive.
     dr_tot: u128,
+    /// No later binade can collapse any part of a line (see
+    /// [`bulk_line_chain`]): every line runs the literal step, with no
+    /// re-keying. Cleared by [`LineStep::invalidate`].
+    literal: bool,
 }
 
 impl Default for LineStep {
@@ -200,7 +249,7 @@ impl Default for LineStep {
 impl LineStep {
     /// A memo valid for no binade (first use computes).
     pub const fn new() -> Self {
-        Self { exp: u64::MAX, da: u64::MAX, dr_tot: u128::MAX }
+        Self { exp: u64::MAX, da: u64::MAX, dr_tot: u128::MAX, literal: false }
     }
 
     /// Drop the memo. Callers must invalidate whenever `addend`,
@@ -209,6 +258,7 @@ impl LineStep {
     #[inline]
     pub fn invalidate(&mut self) {
         self.exp = u64::MAX;
+        self.literal = false;
     }
 
     /// Advance `clock` by one line — bit-identical to the literal step
@@ -226,11 +276,17 @@ impl LineStep {
     /// is on-grid (congested rounds give the DRAM addend a full
     /// mantissa), the addend is added literally and just the tail
     /// collapses — exactly the fused update [`bulk_add`] itself would
-    /// pick, minus its per-call division.
+    /// pick, minus its per-call division. An off-grid rep tail (or an
+    /// off-grid addend with no tail) stays off-grid as the clock grows,
+    /// so from then on every line is the literal step, memo untouched.
     #[inline]
     pub fn advance_line(&mut self, clock: f64, addend: f64, rep_delta: f64, nreps: u64) -> f64 {
         debug_assert!(clock >= 0.0 && addend >= 0.0 && rep_delta >= 0.0, "clocks and costs are non-negative");
         const TOP: u128 = (1u64 << 53) as u128 - 1;
+        if self.literal {
+            let c = clock + addend;
+            return if nreps > 0 && rep_delta != 0.0 { add_chain(c, rep_delta, nreps) } else { c };
+        }
         let bits = clock.to_bits();
         let exp = bits >> 52; // clock >= 0.0: no sign bit to strip
         if exp > 52 && exp < 0x7fe {
@@ -242,6 +298,7 @@ impl LineStep {
                 let sr = rep_delta / ulp;
                 let da = sa as u64;
                 let dr = if reps_active { sr as u64 } else { 0 };
+                self.literal = if reps_active { off_grid(sr) } else { off_grid(sa) };
                 self.da = if sa <= (1u64 << 53) as f64 && da as f64 == sa { da } else { u64::MAX };
                 self.dr_tot = if !reps_active {
                     0
@@ -297,7 +354,7 @@ mod tests {
     #[test]
     fn bulk_add_matches_sequential_chain() {
         let accs = [0.0, 1.0, 3.5, 64.0, 1000.123456, 1e6 + 1.0 / 3.0, (1u64 << 52) as f64 - 1.5];
-        let deltas = [0.0, 0.5, 1.5, 4.0 / 3.0, 0.1, 2e-20, 7.25, 64.0];
+        let deltas = [0.0, 0.5, 1.5, 4.0 / 3.0, 0.1, 0.8, 1.2, 2e-20, 7.25, 64.0];
         let reps = [1u64, 3, 7, 100, 4095];
         for &c in &accs {
             for &d in &deltas {
@@ -350,8 +407,8 @@ mod tests {
     #[test]
     fn bulk_line_chain_matches_literal_loop() {
         let clocks = [0.0, 1.0, 1000.123456, 20_000.0 + 1.0 / 3.0, 1e9, (1u64 << 52) as f64 - 1.5];
-        let addends = [0.0, 0.5, 4.25, 4.0 / 3.0, 190.0, 1e-18];
-        let rep_deltas = [0.0, 0.25, 6.5, 0.1];
+        let addends = [0.0, 0.5, 4.25, 4.0 / 3.0, 190.0, 1e-18, 0.8 + 190.0 / 3.0];
+        let rep_deltas = [0.0, 0.25, 6.5, 0.1, 0.8, 1.2];
         let nreps = [0u64, 1, 3, 7];
         let ends = [1.0, 20_000.0, 40_000.0, 1e12];
         for &c in &clocks {
@@ -402,7 +459,17 @@ mod tests {
             }
             c
         };
-        let params = [(4.25, 0.25, 7u64), (4.0 / 3.0, 0.1, 3), (0.0, 0.0, 0), (190.0, 6.5, 7), (1e-18, 2e-20, 5)];
+        let params = [
+            (4.25, 0.25, 7u64),
+            (4.0 / 3.0, 0.1, 3),
+            (0.0, 0.0, 0),
+            (190.0, 6.5, 7),
+            (1e-18, 2e-20, 5),
+            (0.8 + 190.0 / 3.0, 0.8, 3),
+            (1.2, 1.2, 3),
+            (0.8, 0.0, 0),
+            (2.0 + 190.0 / 3.0, 2.0, 3),
+        ];
         let starts = [0.0, 1.0, 1000.123456, 20_000.0 + 1.0 / 3.0, 1e9, (1u64 << 52) as f64 - 1.5];
         for &start in &starts {
             for &(a, rd, nr) in &params {

@@ -21,6 +21,7 @@
 
 use crate::config::MachineConfig;
 use crate::topology::NodeId;
+use std::cell::Cell;
 
 /// Identifier of an allocated data object, dense per [`MemoryMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -322,6 +323,9 @@ pub struct ObjectInfo {
     pub policy: PlacementPolicy,
     /// Page size used for placement of this object.
     pub page_size: u64,
+    /// `log2(page_size)`: page sizes are powers of two, so a page index
+    /// is a shift.
+    page_shift: u32,
     /// First-touch record: home node per page, `u8::MAX` = untouched.
     /// Only populated for [`PlacementPolicy::FirstTouch`].
     first_touch: Vec<u8>,
@@ -338,6 +342,19 @@ impl ObjectInfo {
 }
 
 const UNTOUCHED: u8 = u8::MAX;
+/// Entries of [`MemoryMap`]'s object-lookup memo: enough for a zip over
+/// every stream of the widest bandit instance (8 chases, one object each).
+const RECENT_OBJECTS: usize = 8;
+
+/// One entry of the object-lookup memo: an object's index and range.
+/// The empty entry (`size == 0`) contains no address.
+#[derive(Debug, Clone, Copy, Default)]
+struct RecentObject {
+    base: u64,
+    size: u64,
+    idx: usize,
+}
+
 /// Allocations start above zero so a null-ish address is never valid.
 const BASE_ADDR: u64 = 0x1000_0000;
 
@@ -352,13 +369,23 @@ pub struct MemoryMap {
     page_size: u64,
     huge_page_size: u64,
     num_nodes: usize,
-    /// One-entry lookup cache: index of the last object hit.
-    last_hit: std::cell::Cell<usize>,
+    /// Object-lookup memo: recently found objects, the last hit first, so
+    /// zipped streams over several objects (bandit's chases,
+    /// Streamcluster's `block` and `point.p`) skip the binary search.
+    /// Objects never move, so an entry never goes stale.
+    recent: [Cell<RecentObject>; RECENT_OBJECTS],
 }
 
 impl MemoryMap {
     /// An empty address space for the given machine.
+    ///
+    /// # Panics
+    /// Panics if either page size is not a power of two.
     pub fn new(cfg: &MachineConfig) -> Self {
+        assert!(
+            cfg.mem.page_size.is_power_of_two() && cfg.mem.huge_page_size.is_power_of_two(),
+            "page sizes must be powers of two"
+        );
         Self {
             objects: Vec::new(),
             bases: Vec::new(),
@@ -366,7 +393,7 @@ impl MemoryMap {
             page_size: cfg.mem.page_size,
             huge_page_size: cfg.mem.huge_page_size,
             num_nodes: cfg.topology.num_nodes(),
-            last_hit: std::cell::Cell::new(0),
+            recent: Default::default(),
         }
     }
 
@@ -414,6 +441,7 @@ impl MemoryMap {
             size,
             policy,
             page_size,
+            page_shift: page_size.trailing_zeros(),
             first_touch: Vec::new(),
             wil_pattern: Vec::new(),
         };
@@ -526,11 +554,16 @@ impl MemoryMap {
 
     #[inline]
     fn index_of(&self, addr: u64) -> Option<usize> {
-        // Fast path: the object hit by the previous lookup.
-        let cached = self.last_hit.get();
-        if let Some(info) = self.objects.get(cached) {
-            if addr >= info.base && addr < info.base + info.size {
-                return Some(cached);
+        // Fast path: a recently found object. A hit swaps with the front
+        // entry, so a stream over one object finds it at the first one.
+        for (j, e) in self.recent.iter().enumerate() {
+            let r = e.get();
+            if addr.wrapping_sub(r.base) < r.size {
+                if j > 0 {
+                    self.recent[j].set(self.recent[0].get());
+                    self.recent[0].set(r);
+                }
+                return Some(r.idx);
             }
         }
         let i = self.bases.partition_point(|&b| b <= addr);
@@ -539,7 +572,11 @@ impl MemoryMap {
         }
         let info = &self.objects[i - 1];
         if addr < info.base + info.size {
-            self.last_hit.set(i - 1);
+            // Insert at the front, dropping the last entry.
+            for j in (1..RECENT_OBJECTS).rev() {
+                self.recent[j].set(self.recent[j - 1].get());
+            }
+            self.recent[0].set(RecentObject { base: info.base, size: info.size, idx: i - 1 });
             Some(i - 1)
         } else {
             None
@@ -557,7 +594,7 @@ impl MemoryMap {
         let idx = self.index_of(addr).unwrap_or_else(|| panic!("access to unallocated address {addr:#x}"));
         let info = &mut self.objects[idx];
         let off = addr - info.base;
-        let page = (off / info.page_size) as usize;
+        let page = (off >> info.page_shift) as usize;
         match &info.policy {
             PlacementPolicy::Bind(n) => *n,
             PlacementPolicy::Replicated => accessor,
@@ -583,20 +620,37 @@ impl MemoryMap {
     /// segment for segmented placement, or of the whole object otherwise.
     /// Every address in `addr..end` has the same home for the same
     /// `accessor`, letting a sequential miss stream skip the lookup until
-    /// it crosses `end`. First-touch pages are established exactly as
-    /// `home_node` would — the span never extends past the page, so no
-    /// page is established earlier than its first actual miss.
+    /// it crosses `end`. The page of `addr` is established exactly as
+    /// `home_node` would; no other page is, so a first-touch span ends at
+    /// that page. [`MemoryMap::home_node_span_within`] may extend it.
     ///
     /// # Panics
     /// Panics if `addr` is outside every allocation.
     #[inline]
     pub fn home_node_span(&mut self, addr: u64, accessor: NodeId) -> (NodeId, u64) {
+        self.home_node_span_within(addr, accessor, addr)
+    }
+
+    /// [`MemoryMap::home_node_span`] for a caller about to walk `addr..bound`:
+    /// a first-touch span extends past the page of `addr` over the
+    /// following pages that start below `bound` and are *already touched*
+    /// with the same home. It never extends over an untouched page, so no
+    /// page is established earlier than its first actual miss; and within
+    /// a phase a touched page keeps its home, so the whole span stays
+    /// valid. A `bound` at or below the page end scans nothing, which is
+    /// what a caller with no proven window (a random access) passes.
+    ///
+    /// # Panics
+    /// Panics if `addr` is outside every allocation.
+    #[inline]
+    pub fn home_node_span_within(&mut self, addr: u64, accessor: NodeId, bound: u64) -> (NodeId, u64) {
         let idx = self.index_of(addr).unwrap_or_else(|| panic!("access to unallocated address {addr:#x}"));
         let info = &mut self.objects[idx];
         let off = addr - info.base;
-        let page = (off / info.page_size) as usize;
+        let shift = info.page_shift;
+        let page = (off >> shift) as usize;
         let obj_end = info.base + info.size;
-        let page_end = (info.base + (page as u64 + 1) * info.page_size).min(obj_end);
+        let page_end = (info.base + ((page as u64 + 1) << shift)).min(obj_end);
         match &info.policy {
             PlacementPolicy::Bind(n) => (*n, obj_end),
             PlacementPolicy::Replicated => (accessor, obj_end),
@@ -613,7 +667,16 @@ impl MemoryMap {
                 if *slot == UNTOUCHED {
                     *slot = accessor.0;
                 }
-                (NodeId(*slot), page_end)
+                let home = *slot;
+                // Pages below `last` start below `bound`.
+                let window = bound.saturating_sub(info.base);
+                let last = ((window >> shift) + (window & ((1 << shift) - 1) != 0) as u64) as usize;
+                let last = last.min(info.first_touch.len());
+                let mut p = page + 1;
+                while p < last && info.first_touch[p] == home {
+                    p += 1;
+                }
+                (NodeId(home), (info.base + ((p as u64) << shift)).min(obj_end))
             }
         }
     }
@@ -625,7 +688,7 @@ impl MemoryMap {
         let idx = self.index_of(addr)?;
         let info = &self.objects[idx];
         let off = addr - info.base;
-        let page = (off / info.page_size) as usize;
+        let page = (off >> info.page_shift) as usize;
         match &info.policy {
             PlacementPolicy::Bind(n) => Some(*n),
             PlacementPolicy::Replicated => None,
@@ -811,6 +874,62 @@ mod tests {
         // Establishing via span is indistinguishable from home_node.
         assert_eq!(m.query_node(ft.at(0)), Some(NodeId(3)));
         assert_eq!(m.query_node(ft.at(4096)), None, "next page untouched");
+    }
+
+    /// A bounded first-touch span runs on over the following pages already
+    /// touched with the same home, and stops at an untouched page (leaving
+    /// it untouched), at a page with another home, at the object end, and
+    /// at the caller's bound. With no bound it is the one-page span.
+    #[test]
+    fn first_touch_span_extends_over_touched_pages_only() {
+        let mut m = mm();
+        let page = 4096;
+        // Seven full pages and a partial eighth.
+        let a = m.alloc("a", 8 * page - 100, PlacementPolicy::FirstTouch);
+        let obj_end = a.base + a.size;
+        // Pages 0-2 and 4-5 on node 1, page 3 on node 2, 6 untouched, 7 on node 1.
+        for p in [0, 1, 2, 4, 5, 7] {
+            m.home_node(a.at(p * page), NodeId(1));
+        }
+        m.home_node(a.at(3 * page), NodeId(2));
+        let at = |p: u64| a.base + p * page;
+        assert_eq!(m.home_node_span(a.at(10), NodeId(0)), (NodeId(1), at(1)), "no bound: one page");
+        assert_eq!(m.home_node_span_within(a.at(10), NodeId(0), obj_end), (NodeId(1), at(3)), "another home");
+        assert_eq!(m.home_node_span_within(at(4), NodeId(0), obj_end), (NodeId(1), at(6)), "untouched page");
+        assert_eq!(m.query_node(at(6)), None, "the span left the untouched page untouched");
+        // Pages are scanned while they start below the bound.
+        assert_eq!(m.home_node_span_within(at(0), NodeId(0), at(1) + 1), (NodeId(1), at(2)), "bound inside page 1");
+        assert_eq!(m.home_node_span_within(at(0), NodeId(0), at(2)), (NodeId(1), at(2)), "bound at page 2");
+        assert_eq!(m.home_node_span_within(at(0) + 64, NodeId(0), at(0) + 128), (NodeId(1), at(1)), "bound in page");
+        // Establishing page 6 on node 1 (as `home_node` would) and running
+        // on over page 7 reaches the object end, not the page end.
+        assert_eq!(m.home_node_span_within(at(6) + 64, NodeId(1), u64::MAX), (NodeId(1), obj_end), "object end");
+        assert_eq!(m.query_node(at(6)), Some(NodeId(1)));
+        // Every address of a span resolves to its home.
+        let (home, end) = m.home_node_span_within(at(4), NodeId(3), obj_end);
+        assert_eq!((home, end), (NodeId(1), obj_end));
+        for addr in (at(4)..end).step_by(1000) {
+            assert_eq!(m.home_node(addr, NodeId(3)), home, "span not uniform at {addr:#x}");
+        }
+    }
+
+    /// The object-lookup memo holds several objects at once: cycling over
+    /// more objects than it holds, with gaps and unallocated addresses in
+    /// between, still finds every object (and no object in a gap).
+    #[test]
+    fn object_lookup_survives_many_interleaved_objects() {
+        let mut m = mm();
+        let objs: Vec<ObjectHandle> =
+            (0..RECENT_OBJECTS as u64 + 5).map(|i| m.alloc("o", 100 + i, PlacementPolicy::Bind(NodeId(0)))).collect();
+        for width in [1, 2, RECENT_OBJECTS, objs.len()] {
+            for round in 0..3u64 {
+                for (i, o) in objs.iter().take(width).enumerate() {
+                    assert_eq!(m.object_at(o.at((round * 37 + i as u64) % o.size)), Some(o.id));
+                    assert_eq!(m.object_at(o.base + o.size), None, "gap after object {i}");
+                }
+            }
+        }
+        assert_eq!(m.object_at(0), None);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 mod common;
 
 use common::{observe_phase, run_on, sampler, sampler_config, Outcome, ScheduledRuns};
-use numasim::access::{AccessMix, AccessStream, BlockCyclicStream, ChainStream, SeqStream, WithMlp, ZipStream};
+use numasim::access::{
+    AccessMix, AccessRun, AccessStream, BlockCyclicStream, ChainStream, RandomStream, SeqStream, WithMlp, ZipStream,
+};
 use numasim::cache::{Cache, CacheStats};
 use numasim::config::MachineConfig;
 use numasim::engine::{Engine, ThreadSpec};
@@ -19,6 +21,8 @@ use pebs::ring::BlockRing;
 use pebs::sampler::{AddressSampler, SamplerConfig};
 use pebs::stream::StreamingSampler;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A contended multi-thread phase mixing everything the batcher has to get
 /// right: write mixes, reps (LFB events), per-segment compute (the
@@ -289,6 +293,186 @@ fn store_pattern_matches_reference_for_every_event() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The run-cap schedules every differential case below is held to.
+const SCHEDULES: [Option<&[u64]>; 5] = [None, Some(&[1]), Some(&[7]), Some(&[64]), Some(&[1, 7, 64, u64::MAX])];
+
+/// Off-grid compute costs: countv's 0.8 and IRSmk's 1.2 are not dyadic, so
+/// no clock binade's grid holds them and every cost chain takes its
+/// literal branch — the fused sequential walk (`fp::bulk_line_chain`), the
+/// zip replay (`fp::LineStep`) and the per-line rep tail (`fp::bulk_add`)
+/// — with a rep tail (IRSmk's reps 4) and without one. The slice body must
+/// reproduce the oracle under every run-cap schedule, with long quiet
+/// budgets (period 997) and short ones (period 23).
+#[test]
+fn off_grid_costs_match_reference() {
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        Seq,
+        Zip,
+        Random,
+    }
+    let run = |oracle: bool, shape: Shape, reps: u16, period: u64, schedule: Option<&[u64]>| {
+        let cfg = MachineConfig::tiny();
+        let mut mm = MemoryMap::new(&cfg);
+        let a = mm.alloc("a", 256 << 10, PlacementPolicy::FirstTouch);
+        let b = mm.alloc("b", 128 << 10, PlacementPolicy::interleave_all(2));
+        let (sa, sb) = (a.size / 4, b.size / 4);
+        let threads = (0..4u64)
+            .map(|i| {
+                let seq = |base: u64, len: u64, compute: f64| {
+                    SeqStream::new(base + i * len, len, 2, AccessMix::write_every(3))
+                        .with_reps(reps)
+                        .with_compute(compute)
+                };
+                let stream: Box<dyn AccessStream> = match shape {
+                    Shape::Seq => Box::new(seq(a.base, sa, 0.8)),
+                    Shape::Zip => {
+                        Box::new(ZipStream::new(vec![Box::new(seq(a.base, sa, 0.8)), Box::new(seq(b.base, sb, 1.2))]))
+                    }
+                    Shape::Random => Box::new(
+                        RandomStream::new(a.base, a.size, 6000, 11 + i, AccessMix::write_every(5))
+                            .with_reps(reps)
+                            .with_compute(1.2),
+                    ),
+                };
+                ThreadSpec::new(i as u32, CoreId(i as u32), ScheduledRuns::wrap(stream, schedule))
+            })
+            .collect();
+        observe_phase(&cfg, mm, sampler(period), threads, oracle)
+    };
+    for shape in [Shape::Seq, Shape::Zip, Shape::Random] {
+        for reps in [1u16, 4] {
+            for period in [23u64, 997] {
+                let reference = run(true, shape, reps, period, None);
+                assert!(!reference.samples.is_empty(), "phase must actually sample");
+                for schedule in SCHEDULES {
+                    assert_eq!(
+                        run(false, shape, reps, period, schedule),
+                        reference,
+                        "{shape:?} reps {reps} period {period} schedule {schedule:?} diverged"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Bounded multi-page home spans: mid-phase, threads on both nodes
+/// first-touch alternate two-page blocks of one first-touch object's first
+/// half, then sweep all of it, while threads on both nodes sweep it from
+/// the start. The sweeps meet runs of pages touched with one home, pages
+/// homed on the other node, and untouched pages they establish
+/// themselves; the slice body must match the oracle under every schedule.
+#[test]
+fn first_touch_spans_over_interleaved_pages_match_reference() {
+    let run = |oracle: bool, schedule: Option<&[u64]>| {
+        let cfg = MachineConfig::tiny();
+        let mut mm = MemoryMap::new(&cfg);
+        let a = mm.alloc("a", 512 << 10, PlacementPolicy::FirstTouch);
+        let page = cfg.mem.page_size;
+        // Cores 0 and 1 sit on node 0, cores 2 and 3 on node 1.
+        let threads = (0..4u64)
+            .map(|i| {
+                let sweep = SeqStream::new(a.base, a.size, 1, AccessMix::read_only())
+                    .with_reps(2)
+                    .with_compute(1.5)
+                    .with_start(i * 5 * page + 64 * i);
+                let stream: Box<dyn AccessStream> = if i % 2 == 0 {
+                    let touch =
+                        BlockCyclicStream::new(a.base, a.size / 2, 2 * page, 2, i / 2, 1, AccessMix::write_only());
+                    Box::new(ChainStream::new(vec![Box::new(touch), Box::new(sweep)]))
+                } else {
+                    Box::new(sweep)
+                };
+                ThreadSpec::new(i as u32, CoreId(i as u32), ScheduledRuns::wrap(stream, schedule))
+            })
+            .collect();
+        observe_phase(&cfg, mm, sampler(997), threads, oracle)
+    };
+    let reference = run(true, None);
+    assert!(!reference.samples.is_empty(), "phase must actually sample");
+    for schedule in SCHEDULES {
+        assert_eq!(run(false, schedule), reference, "schedule {schedule:?} diverged");
+    }
+}
+
+/// Counts what the engine's interleaved pulls return: refused pulls, and
+/// iterations handed out as interleaved spans.
+struct CountZips {
+    inner: Box<dyn AccessStream>,
+    refused: Arc<AtomicU64>,
+    zipped: Arc<AtomicU64>,
+}
+
+impl AccessStream for CountZips {
+    fn next_run(&mut self, max: u64) -> Option<AccessRun> {
+        self.inner.next_run(max)
+    }
+
+    fn seq_window(&self) -> Option<AccessRun> {
+        self.inner.seq_window()
+    }
+
+    fn next_zip(&mut self, line_step: u64, max_iters: u64, lanes: &mut Vec<AccessRun>) -> u64 {
+        let iters = self.inner.next_zip(line_step, max_iters, lanes);
+        let counter = if iters == 0 { &self.refused } else { &self.zipped };
+        counter.fetch_add(iters.max(1), Ordering::Relaxed);
+        iters
+    }
+}
+
+/// Zip-pull backoff: each thread chains a zip of a random lane with a
+/// sequential one (no interleaved span exists, so every pull is refused
+/// and the engine backs off) into a zip of two sequential lanes. Skipping
+/// a pull consumes nothing, so the run must match the oracle under every
+/// run-cap schedule; the backoff must skip most refused pulls; and a
+/// thread still backed off when the second segment starts must go on to
+/// pull it as interleaved spans (every schedule but `[1]`, whose cap is
+/// below the shortest span, lets it).
+#[test]
+fn zip_pull_backoff_matches_reference_and_still_fuses_the_next_segment() {
+    const LINES: u64 = 2048;
+    let run = |oracle: bool, schedule: Option<&[u64]>| {
+        let cfg = MachineConfig::tiny();
+        let mut mm = MemoryMap::new(&cfg);
+        let a = mm.alloc("a", 4 * LINES * 64, PlacementPolicy::FirstTouch);
+        let b = mm.alloc("b", 8 * LINES * 64, PlacementPolicy::interleave_all(2));
+        let (refused, zipped) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let threads = (0..4u64)
+            .map(|i| {
+                let len = LINES * 64;
+                let seq = |base: u64, compute: f64| {
+                    Box::new(SeqStream::new(base, len, 1, AccessMix::read_only()).with_reps(2).with_compute(compute))
+                };
+                let random = RandomStream::new(b.base, b.size, LINES, 3 + i, AccessMix::write_every(4));
+                let first = ZipStream::new(vec![Box::new(random), seq(a.base + i * len, 2.0)]);
+                let second = ZipStream::new(vec![seq(b.base + 2 * i * len, 1.0), seq(b.base + (2 * i + 1) * len, 0.5)]);
+                let chain = ChainStream::new(vec![Box::new(first), Box::new(second)]);
+                let counted = CountZips {
+                    inner: ScheduledRuns::wrap(Box::new(chain), schedule),
+                    refused: refused.clone(),
+                    zipped: zipped.clone(),
+                };
+                ThreadSpec::new(i as u32, CoreId(i as u32), Box::new(counted))
+            })
+            .collect();
+        let outcome = observe_phase(&cfg, mm, sampler(997), threads, oracle);
+        (outcome, refused.load(Ordering::Relaxed), zipped.load(Ordering::Relaxed))
+    };
+    let (reference, _, _) = run(true, None);
+    assert!(!reference.samples.is_empty(), "phase must actually sample");
+    for schedule in SCHEDULES {
+        let (outcome, refused, zipped) = run(false, schedule);
+        assert_eq!(outcome, reference, "schedule {schedule:?} diverged");
+        // The first segments hold 4 × 2 × LINES accesses, one pull each
+        // without the backoff.
+        assert!(refused < 8 * LINES / 8, "schedule {schedule:?}: {refused} refused pulls");
+        if schedule != Some(&[1]) {
+            assert!(zipped > LINES, "schedule {schedule:?}: second segments zipped {zipped} iterations");
         }
     }
 }
