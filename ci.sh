@@ -29,9 +29,18 @@ if [ "$knobs" != "DRBW_RUNCACHE_DIR " ]; then
 fi
 echo "    $knobs"
 
-echo "==> surface gate (deleted engine options, per-access stream methods, run-cache lock/eviction names and per-sample offers stay deleted)"
-if grep -rnE 'ExecMode|span_fusion|set_max_run|fn next_access|fn compute_cycles|StridedStream|StoreConfig|open_with|lock_skips|claim_writer_lock|cache_hit_rate|offer_blocking|with_block_capacity|DropOldest|drain_batch|--per-sample|\bOffer\b' crates src tests examples; then
-    echo "surface gate: the names above left the shipped surface; reach the per-access body through numasim::oracle::run, open a run cache with RunCache::open, and offer samples as whole blocks (BlockRing::offer_block, SessionHandle::offer_block_blocking)" >&2
+echo "==> unsafe gate (exactly the two AVX2 dispatch calls in numasim::simd)"
+unsafe_sites=$(grep -rnoE '\bunsafe[[:space:]]*(\{|fn\b|impl\b|trait\b|extern\b)' crates src tests examples shims --include='*.rs' \
+    | cut -d: -f1 | sort | uniq -c | sed 's/^ *//')
+if [ "$unsafe_sites" != "2 crates/numasim/src/simd.rs" ]; then
+    echo "unsafe gate: expected the two unsafe blocks of crates/numasim/src/simd.rs, found: ${unsafe_sites:-none}" >&2
+    exit 1
+fi
+echo "    $unsafe_sites"
+
+echo "==> surface gate (deleted engine options, per-access stream methods, run-cache lock/eviction names and per-sample offers stay deleted; gathers stay within next_zip)"
+if grep -rnE 'ExecMode|span_fusion|set_max_run|fn next_access|fn compute_cycles|fn next_gather|fn next_batch|StridedStream|StoreConfig|open_with|lock_skips|claim_writer_lock|cache_hit_rate|offer_blocking|with_block_capacity|DropOldest|drain_batch|--per-sample|\bOffer\b' crates src tests examples; then
+    echo "surface gate: the names above left the shipped surface; reach the per-access body through numasim::oracle::run, hand out gathers through AccessStream::next_zip, open a run cache with RunCache::open, and offer samples as whole blocks (BlockRing::offer_block, SessionHandle::offer_block_blocking)" >&2
     exit 1
 fi
 echo "    clean"

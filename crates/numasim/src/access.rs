@@ -17,8 +17,12 @@
 //! once and the remaining loads are satisfied by the line-fill buffer,
 //! which is exactly how PEBS attributes them on real hardware.
 
+use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Most accesses one gather (see [`AccessStream::next_zip`]) hands out.
+pub const GATHER_MAX: u64 = 64;
 
 /// Read/write composition of a stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,11 +52,6 @@ impl AccessMix {
         assert!(n >= 1, "write_every(0) is ambiguous; use read_only()");
         let write_every = u16::try_from(n).expect("write_every period must fit the run's 16-bit pattern");
         Self { write_every }
-    }
-
-    #[inline]
-    fn is_write(&self, counter: u64) -> bool {
-        self.write_every != 0 && counter.is_multiple_of(self.write_every as u64)
     }
 }
 
@@ -128,6 +127,22 @@ impl AccessRun {
         let write_phase = store_phase(self.write_every, self.write_phase as u64 + i);
         Self { base: self.addr(i), len: 1, write_phase, ..*self }
     }
+
+    /// Append the run's accesses to `out` as single-access runs, in order:
+    /// [`AccessRun::nth`] for every `i`, with the store pattern stepped by
+    /// compare instead of reduced by division.
+    fn push_singles(&self, out: &mut Vec<AccessRun>) {
+        debug_assert!(self.write_every == 0 || self.write_phase < self.write_every, "unreduced store phase");
+        let mut phase = self.write_phase;
+        for i in 0..self.len {
+            let is_write = self.write_every != 0 && phase == 0;
+            out.push(Self::single(self.base + i * self.stride, is_write, self.reps, self.compute, self.mlp));
+            phase += 1;
+            if phase == self.write_every {
+                phase = 0;
+            }
+        }
+    }
 }
 
 /// A source of memory accesses for one simulated thread.
@@ -167,8 +182,16 @@ pub trait AccessStream: Send {
     /// lane in issue order, each of length `iters` and stride `line_step`,
     /// and the return value is `iters`; the access sequence consumed is
     /// exactly `lanes[0][0], lanes[1][0], …, lanes[0][1], lanes[1][1], …`.
-    /// Returns 0 — consuming nothing — when the stream is not an
-    /// interleaving of sequential lanes (the default).
+    /// Returns 0 — consuming nothing — when the stream has no such span to
+    /// offer (the default).
+    ///
+    /// A *gather* is the one-iteration case: `iters == 1` and `lanes` holds
+    /// the stream's next accesses as length-1 runs, in issue order — at
+    /// least one, and at most `max_iters` and [`GATHER_MAX`]. Streams of
+    /// independent single lines (random draws, pointer chases) answer with
+    /// gathers, so one call stands in for many `next_run(1)` calls. A
+    /// `line_step` of 0 matches no sequential lane: a caller that can take
+    /// only single accesses passes it and gets a gather or nothing.
     fn next_zip(&mut self, _line_step: u64, _max_iters: u64, lanes: &mut Vec<AccessRun>) -> u64 {
         lanes.clear();
         0
@@ -342,14 +365,16 @@ impl<S: AccessStream + ?Sized> AccessStream for Box<S> {
 #[derive(Debug, Clone)]
 pub struct RandomStream {
     base: u64,
-    lines: u64,
+    /// The line draw: uniform over the range's lines.
+    lines: Uniform<u64>,
     remaining: u64,
     mix: AccessMix,
     reps: u16,
     compute: f64,
     mlp: Option<f64>,
     rng: StdRng,
-    counter: u64,
+    /// Accesses issued so far, modulo the store period (0 when read-only).
+    write_phase: u16,
 }
 
 impl RandomStream {
@@ -362,14 +387,14 @@ impl RandomStream {
         assert!(len >= 64 && count > 0, "degenerate random stream");
         Self {
             base,
-            lines: len / 64,
+            lines: Uniform::new(0, len / 64),
             remaining: count,
             mix,
             reps: 1,
             compute: 4.0,
             mlp: None,
             rng: StdRng::seed_from_u64(seed),
-            counter: 0,
+            write_phase: 0,
         }
     }
 
@@ -393,19 +418,39 @@ impl RandomStream {
         self.mlp = Some(mlp);
         self
     }
+
+    /// The next access; the caller has checked `remaining > 0`. Access `k`
+    /// (1-based) stores iff `k` is a multiple of the store period.
+    #[inline]
+    fn draw(&mut self) -> AccessRun {
+        self.remaining -= 1;
+        let we = self.mix.write_every;
+        if we != 0 {
+            self.write_phase += 1;
+            if self.write_phase == we {
+                self.write_phase = 0;
+            }
+        }
+        let line = self.lines.sample(&mut self.rng);
+        let is_write = we != 0 && self.write_phase == 0;
+        AccessRun::single(self.base + line * 64, is_write, self.reps, self.compute, self.mlp)
+    }
 }
 
 impl AccessStream for RandomStream {
     #[inline]
     fn next_run(&mut self, _max: u64) -> Option<AccessRun> {
-        if self.remaining == 0 {
-            return None;
+        (self.remaining > 0).then(|| self.draw())
+    }
+
+    /// Random lines are independent single accesses: a gather.
+    fn next_zip(&mut self, _line_step: u64, max_iters: u64, lanes: &mut Vec<AccessRun>) -> u64 {
+        lanes.clear();
+        let n = self.remaining.min(max_iters).min(GATHER_MAX);
+        for _ in 0..n {
+            lanes.push(self.draw());
         }
-        self.remaining -= 1;
-        self.counter += 1;
-        let line = self.rng.gen_range(0..self.lines);
-        let is_write = self.mix.is_write(self.counter);
-        Some(AccessRun::single(self.base + line * 64, is_write, self.reps, self.compute, self.mlp))
+        (n > 0) as u64
     }
 }
 
@@ -447,14 +492,10 @@ impl PointerChaseStream {
         self.compute = cycles;
         self
     }
-}
 
-impl AccessStream for PointerChaseStream {
+    /// The next chase step; the caller has checked `remaining > 0`.
     #[inline]
-    fn next_run(&mut self, _max: u64) -> Option<AccessRun> {
-        if self.remaining == 0 {
-            return None;
-        }
+    fn step(&mut self) -> AccessRun {
         self.remaining -= 1;
         let addr = self.ring[self.pos];
         self.pos += 1;
@@ -462,7 +503,24 @@ impl AccessStream for PointerChaseStream {
             self.pos = 0;
         }
         // Dependent loads: no overlap, whatever the machine default.
-        Some(AccessRun::single(addr, false, 1, self.compute, Some(1.0)))
+        AccessRun::single(addr, false, 1, self.compute, Some(1.0))
+    }
+}
+
+impl AccessStream for PointerChaseStream {
+    #[inline]
+    fn next_run(&mut self, _max: u64) -> Option<AccessRun> {
+        (self.remaining > 0).then(|| self.step())
+    }
+
+    /// Chase steps are single accesses: a gather.
+    fn next_zip(&mut self, _line_step: u64, max_iters: u64, lanes: &mut Vec<AccessRun>) -> u64 {
+        lanes.clear();
+        let n = self.remaining.min(max_iters).min(GATHER_MAX);
+        for _ in 0..n {
+            lanes.push(self.step());
+        }
+        (n > 0) as u64
     }
 }
 
@@ -474,6 +532,10 @@ pub struct ZipStream {
     next: usize,
     exhausted: Vec<bool>,
     live: usize,
+    /// One member's pull, in flight during a gather.
+    scratch: Vec<AccessRun>,
+    /// Accesses each live member gave a gather, in rotation order.
+    got: Vec<u64>,
 }
 
 impl ZipStream {
@@ -484,16 +546,122 @@ impl ZipStream {
     pub fn new(streams: Vec<Box<dyn AccessStream>>) -> Self {
         assert!(!streams.is_empty(), "ZipStream needs at least one stream");
         let n = streams.len();
-        Self { streams, next: 0, exhausted: vec![false; n], live: n }
+        Self { streams, next: 0, exhausted: vec![false; n], live: n, scratch: Vec::new(), got: Vec::new() }
+    }
+
+    /// The member after `i` in rotation order.
+    #[inline]
+    fn after(&self, i: usize) -> usize {
+        if i + 1 == self.streams.len() {
+            0
+        } else {
+            i + 1
+        }
+    }
+
+    /// The interleaved-span pull of [`AccessStream::next_zip`]: every live
+    /// member must expose a `line_step`-strided window.
+    fn next_span(&mut self, line_step: u64, max_iters: u64, lanes: &mut Vec<AccessRun>) -> u64 {
+        // Peek pass: the span length is the shortest window. Nothing has
+        // advanced yet, so any bail-out leaves the interleaving untouched.
+        let mut iters = max_iters;
+        let mut i = self.next;
+        for _ in 0..self.streams.len() {
+            if !self.exhausted[i] {
+                let Some(w) = self.streams[i].seq_window() else {
+                    return 0;
+                };
+                if w.stride != line_step || w.len == 0 {
+                    return 0;
+                }
+                iters = iters.min(w.len);
+            }
+            i = self.after(i);
+        }
+        // Below a handful of iterations the lane setup costs more than the
+        // per-access path; a gather serves them instead.
+        if iters < 4 {
+            return 0;
+        }
+        // Commit pass: pull exactly `iters` lines from each live member in
+        // rotation order. Consuming whole iterations starting at `next`
+        // leaves the rotation cursor — and thus every future access —
+        // where `iters × live` single-access pulls would have left it.
+        for _ in 0..self.streams.len() {
+            if !self.exhausted[i] {
+                let r = self.streams[i].next_run(iters).expect("seq_window promised a non-empty run");
+                debug_assert_eq!(r.len, iters, "seq_window window shrank under next_run");
+                lanes.push(r);
+            }
+            i = self.after(i);
+        }
+        iters
+    }
+
+    /// The gather pull of [`AccessStream::next_zip`]: `g` whole iterations
+    /// as single accesses, each live member's `g` accesses pulled in bulk
+    /// (its own gathers, else its runs) and interleaved. A member that
+    /// runs dry within them is exhausted: it would have answered `None` at
+    /// its next turn, and the rotation skips it from there on, exactly as
+    /// [`ZipStream::next_run`] does.
+    fn gather(&mut self, max_iters: u64, lanes: &mut Vec<AccessRun>) -> u64 {
+        let live = self.live;
+        let g = max_iters.min(GATHER_MAX) / live as u64;
+        if g == 0 {
+            return 0;
+        }
+        lanes.resize(g as usize * live, AccessRun::single(0, false, 1, 0.0, None));
+        self.got.clear();
+        let mut i = self.next;
+        for _ in 0..self.streams.len() {
+            if !self.exhausted[i] {
+                let rank = self.got.len();
+                let mut have = 0u64;
+                while have < g {
+                    let s = &mut self.streams[i];
+                    self.scratch.clear();
+                    // Line step 0: single accesses only, never a span.
+                    let iters = s.next_zip(0, g - have, &mut self.scratch);
+                    debug_assert!(iters <= 1 && self.scratch.len() as u64 <= g - have, "gather over its cap");
+                    if iters == 0 {
+                        match s.next_run(g - have) {
+                            Some(r) => r.push_singles(&mut self.scratch),
+                            None => {
+                                self.exhausted[i] = true;
+                                self.live -= 1;
+                                break;
+                            }
+                        }
+                    }
+                    for r in &self.scratch {
+                        lanes[have as usize * live + rank] = *r;
+                        have += 1;
+                    }
+                }
+                self.got.push(have);
+            }
+            i = self.after(i);
+        }
+        if self.got.iter().any(|&h| h < g) {
+            // Close the gaps the drained members left, keeping issue order.
+            let mut kept = 0;
+            for slot in 0..lanes.len() {
+                if ((slot / live) as u64) < self.got[slot % live] {
+                    lanes[kept] = lanes[slot];
+                    kept += 1;
+                }
+            }
+            lanes.truncate(kept);
+        }
+        (!lanes.is_empty()) as u64
     }
 }
 
 impl AccessStream for ZipStream {
     fn next_run(&mut self, max: u64) -> Option<AccessRun> {
-        let n = self.streams.len();
-        for _ in 0..n {
+        for _ in 0..self.streams.len() {
             let i = self.next;
-            self.next = (self.next + 1) % n;
+            self.next = self.after(i);
             if self.exhausted[i] {
                 continue;
             }
@@ -510,52 +678,22 @@ impl AccessStream for ZipStream {
         None
     }
 
+    /// An interleaved span when every live member is sequential, else a
+    /// gather; with one member left, that member's own answer.
     fn next_zip(&mut self, line_step: u64, max_iters: u64, lanes: &mut Vec<AccessRun>) -> u64 {
         lanes.clear();
-        if self.live < 2 || max_iters == 0 {
-            return 0;
-        }
-        let n = self.streams.len();
-        // Peek pass: every live member must expose a line-strided window;
-        // the span length is the shortest one. Nothing has advanced yet,
-        // so any bail-out leaves the run-by-run interleaving untouched.
-        let mut iters = max_iters;
-        let mut idx = self.next;
-        for _ in 0..n {
-            let i = idx;
-            idx = (idx + 1) % n;
-            if self.exhausted[i] {
-                continue;
+        match self.live {
+            0 => 0,
+            1 => {
+                let i = self.exhausted.iter().position(|&e| !e).expect("one live member");
+                self.streams[i].next_zip(line_step, max_iters, lanes)
             }
-            let Some(w) = self.streams[i].seq_window() else {
-                return 0;
-            };
-            if w.stride != line_step || w.len == 0 {
-                return 0;
-            }
-            iters = iters.min(w.len);
+            _ if max_iters == 0 => 0,
+            _ => match self.next_span(line_step, max_iters, lanes) {
+                0 => self.gather(max_iters, lanes),
+                iters => iters,
+            },
         }
-        // Below a handful of iterations the lane setup costs more than the
-        // per-access path; the fallback is semantically identical.
-        if iters < 4 {
-            return 0;
-        }
-        // Commit pass: pull exactly `iters` lines from each live member in
-        // rotation order. Consuming whole iterations starting at `next`
-        // leaves the rotation cursor — and thus every future access —
-        // where `iters × live` single-access pulls would have left it.
-        let mut idx = self.next;
-        for _ in 0..n {
-            let i = idx;
-            idx = (idx + 1) % n;
-            if self.exhausted[i] {
-                continue;
-            }
-            let r = self.streams[i].next_run(iters).expect("seq_window promised a non-empty run");
-            debug_assert_eq!(r.len, iters, "seq_window window shrank under next_run");
-            lanes.push(r);
-        }
-        iters
     }
 }
 
@@ -972,20 +1110,37 @@ mod tests {
         AccessMix::write_every(0);
     }
 
+    /// What a [`drain_zipping`] pass pulled through `next_zip`.
+    #[derive(Debug, Default)]
+    struct Zipped {
+        /// Iterations handed out as interleaved spans.
+        span_iters: u64,
+        /// Gathers handed out.
+        gathers: u64,
+    }
+
     /// Drain a stream the way the engine may: cycling `schedule`, each
     /// pull first offers a `next_zip` of that many iterations and falls
     /// back to a `next_run` of that many accesses, checking `seq_window`'s
     /// peek promise against whatever the run pull returns. Returns the
-    /// expanded accesses and how many iterations arrived zipped.
-    fn drain_zipping(s: &mut dyn AccessStream, schedule: &[u64]) -> (Vec<Step>, u64) {
-        let (mut v, mut lanes, mut zipped) = (Vec::new(), Vec::new(), 0);
+    /// expanded accesses and what arrived through `next_zip`.
+    fn drain_zipping(s: &mut dyn AccessStream, schedule: &[u64]) -> (Vec<Step>, Zipped) {
+        let (mut v, mut lanes, mut zipped) = (Vec::new(), Vec::new(), Zipped::default());
         for k in 0.. {
             let cap = schedule[k % schedule.len()];
             let iters = s.next_zip(64, cap, &mut lanes);
-            if iters > 0 {
+            if iters == 1 {
+                // A gather: single accesses, in issue order, within both caps.
+                assert!(!lanes.is_empty() && lanes.len() as u64 <= cap.min(GATHER_MAX), "{} gathered", lanes.len());
+                assert!(lanes.iter().all(|l| l.len == 1), "a gather hands out single accesses");
+                zipped.gathers += 1;
+                lanes.iter().for_each(|l| expand(l, &mut v));
+                continue;
+            }
+            if iters > 1 {
                 assert!(iters <= cap && lanes.len() >= 2, "{iters} iterations over {} lanes", lanes.len());
                 assert!(lanes.iter().all(|l| l.len == iters && l.stride == 64), "lanes span the same iterations");
-                zipped += iters;
+                zipped.span_iters += iters;
                 for i in 0..iters {
                     lanes.iter().for_each(|l| expand(&l.nth(i), &mut v));
                 }
@@ -1010,6 +1165,11 @@ mod tests {
     /// compute, mlp — does not depend on how it is pulled. Every stream
     /// type and wrapper composition, under every schedule of `max` values
     /// with `next_zip` pulls interleaved, yields its `max = 1` sequence.
+    /// Interleaved spans and gathers each arrive where they must: spans
+    /// from zips of sequential lanes, gathers from random and chase
+    /// streams and from zips with such a member (members that run dry
+    /// inside a gather included), under every schedule whose cap leaves
+    /// each live member one access.
     #[test]
     fn access_sequence_is_invariant_under_chunking() {
         type Make = Box<dyn Fn() -> Box<dyn AccessStream>>;
@@ -1043,25 +1203,40 @@ mod tests {
                 })
                 .collect()
         };
-        // (stream, whether some of it must arrive through `next_zip`)
-        let makers: Vec<(Make, bool)> = vec![
-            (Box::new(|| Box::new(SeqStream::new(0, 64 * 37, 3, AccessMix::write_every(4)))), false),
+        let random =
+            |count: u64, seed: u64| RandomStream::new(3 << 20, 64 * 64, count, seed, AccessMix::write_every(3));
+        let chase = |base: u64, count: u64| PointerChaseStream::new(base << 20, 8, 4096, count, base);
+        // (stream, interleaved spans expected, gathers expected); `None`
+        // leaves gathers free — a zip of sequential lanes gathers across
+        // windows too short for a span.
+        let makers: Vec<(Make, bool, Option<bool>)> = vec![
+            (Box::new(|| Box::new(SeqStream::new(0, 64 * 37, 3, AccessMix::write_every(4)))), false, Some(false)),
             (
                 Box::new(|| {
                     Box::new(SeqStream::new(0, 64 * 16, 2, AccessMix::write_only()).with_stride(64 * 4).with_start(64))
                 }),
                 false,
+                Some(false),
             ),
             (
                 Box::new(|| {
                     Box::new(SeqStream::new(0, 1024, 2, AccessMix::write_every(1)).with_stride(256).with_reps(8))
                 }),
                 false,
+                Some(false),
             ),
-            (Box::new(|| Box::new(BlockCyclicStream::new(0, 7 * 64, 128, 2, 1, 3, AccessMix::write_every(2)))), false),
-            (Box::new(|| Box::new(BlockCyclicStream::new(0, 64 * 64, 256, 4, 3, 2, AccessMix::read_only()))), false),
-            (Box::new(|| Box::new(RandomStream::new(0, 64 * 64, 100, 42, AccessMix::write_every(3)))), false),
-            (Box::new(|| Box::new(PointerChaseStream::new(0, 8, 4096, 20, 7))), false),
+            (
+                Box::new(|| Box::new(BlockCyclicStream::new(0, 7 * 64, 128, 2, 1, 3, AccessMix::write_every(2)))),
+                false,
+                Some(false),
+            ),
+            (
+                Box::new(|| Box::new(BlockCyclicStream::new(0, 64 * 64, 256, 4, 3, 2, AccessMix::read_only()))),
+                false,
+                Some(false),
+            ),
+            (Box::new(move || Box::new(random(100, 42))), false, Some(true)),
+            (Box::new(move || Box::new(chase(0, 20))), false, Some(true)),
             (
                 Box::new(|| {
                     Box::new(ChainStream::new(vec![
@@ -1073,31 +1248,70 @@ mod tests {
                     ]))
                 }),
                 false,
+                Some(false),
             ),
-            (Box::new(|| Box::new(WithMlp::new(SeqStream::new(0, 64 * 11, 2, AccessMix::write_every(5)), 6.0))), false),
-            (Box::new(move || Box::new(ZipStream::new(seq3()))), true),
-            (Box::new(move || Box::new(ZipStream::new(blocks()))), true),
-            (Box::new(move || Box::new(ZipStream::new(wide()))), true),
-            (Box::new(move || Box::new(WithMlp::new(ZipStream::new(seq3()), 3.0))), true),
+            (
+                Box::new(|| Box::new(WithMlp::new(SeqStream::new(0, 64 * 11, 2, AccessMix::write_every(5)), 6.0))),
+                false,
+                Some(false),
+            ),
+            (Box::new(move || Box::new(WithMlp::new(random(90, 8).with_reps(2), 3.0))), false, Some(true)),
+            (Box::new(move || Box::new(ZipStream::new(seq3()))), true, None),
+            (Box::new(move || Box::new(ZipStream::new(blocks()))), true, None),
+            (Box::new(move || Box::new(ZipStream::new(wide()))), true, None),
+            (Box::new(move || Box::new(WithMlp::new(ZipStream::new(seq3()), 3.0))), true, None),
             (
                 Box::new(move || {
-                    let random = RandomStream::new(3 << 20, 64 * 64, 30, 5, AccessMix::read_only());
                     let seq = SeqStream::new(4 << 20, 64 * 30, 1, AccessMix::read_only());
                     Box::new(ChainStream::new(vec![
-                        Box::new(ZipStream::new(vec![Box::new(random), Box::new(seq)])),
+                        Box::new(ZipStream::new(vec![Box::new(random(30, 5)), Box::new(seq)])),
                         Box::new(ZipStream::new(seq3())),
                     ]))
                 }),
                 true,
+                Some(true),
+            ),
+            // Bandit-shaped: four chases of different lengths, so members
+            // run dry inside gathers one after another.
+            (
+                Box::new(move || {
+                    let chases = (1..5u64).map(|i| Box::new(chase(i, 9 * i)) as Box<dyn AccessStream>);
+                    Box::new(WithMlp::new(ZipStream::new(chases.collect()), 4.0))
+                }),
+                false,
+                Some(true),
+            ),
+            // A random member that drains long before its sequential
+            // partner, and a zip nested as a member.
+            (
+                Box::new(move || {
+                    let seq = SeqStream::new(4 << 20, 64 * 40, 2, AccessMix::write_every(7)).with_reps(2);
+                    Box::new(ZipStream::new(vec![Box::new(seq), Box::new(random(11, 2))]))
+                }),
+                false,
+                Some(true),
+            ),
+            (
+                Box::new(move || {
+                    let inner = ZipStream::new(vec![Box::new(random(25, 3)), Box::new(chase(5, 17))]);
+                    let seq = SeqStream::new(4 << 20, 64 * 30, 1, AccessMix::read_only());
+                    Box::new(ZipStream::new(vec![Box::new(inner), Box::new(seq)]))
+                }),
+                false,
+                Some(true),
             ),
         ];
-        for (n, (make, zips)) in makers.iter().enumerate() {
+        for (n, (make, spans, gathers)) in makers.iter().enumerate() {
             let want = drain(make());
             for schedule in [&[1u64][..], &[7], &[64], &[u64::MAX], &[1, 7, 64, u64::MAX]] {
                 assert_eq!(drain_runs(make().as_mut(), schedule), want, "stream {n}, runs only, {schedule:?}");
                 let (got, zipped) = drain_zipping(make().as_mut(), schedule);
                 assert_eq!(got, want, "stream {n}, zips interleaved, {schedule:?}");
-                assert_eq!(zipped > 0, *zips && schedule != [1], "stream {n} zipped {zipped} under {schedule:?}");
+                let wide_cap = schedule != [1];
+                assert_eq!(zipped.span_iters > 0, *spans && wide_cap, "stream {n}: {zipped:?} under {schedule:?}");
+                if let Some(g) = gathers {
+                    assert!(!wide_cap || (zipped.gathers > 0) == *g, "stream {n}: {zipped:?} under {schedule:?}");
+                }
             }
         }
     }

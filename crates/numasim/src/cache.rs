@@ -36,10 +36,18 @@ impl CacheStats {
     }
 }
 
-const INVALID: u64 = u64::MAX;
+/// The empty-way marker; no line may take this number.
+const INVALID: u32 = u32::MAX;
 
 /// A set-associative cache with true-LRU replacement, addressed by cache
 /// line number (byte address divided by line size).
+///
+/// **Domain.** Lines are `u64` arguments but stored as 32-bit tags, which
+/// halves the tag arrays and doubles the lanes of the proof scans: every
+/// line must lie below `u32::MAX` (the empty-way marker). The simulated
+/// address space stays below `2^38` bytes — [`crate::memmap::MemoryMap`]
+/// refuses an allocation that would pass `u32::MAX` lines — so every line
+/// of a 64-byte-line machine fits. Debug builds assert the domain.
 ///
 /// Equality compares the complete replacement state (tags, recency heads)
 /// and the counters — two caches are equal exactly when no sequence of
@@ -50,7 +58,7 @@ pub struct Cache {
     /// Tags per set, a circular buffer in recency order: the MRU way of
     /// set `s` is `tags[s * assoc + heads[s]]`, and recency decreases
     /// walking forward (wrapping) from it.
-    tags: Vec<u64>,
+    tags: Vec<u32>,
     /// Physical index of each set's MRU way.
     heads: Vec<u8>,
     /// Per-set monotone upper bound on every tag ever installed (0 when
@@ -58,7 +66,7 @@ pub struct Cache {
     /// set `s` holds no tag in `[first, ∞)` — the O(sets) prefilter that
     /// lets [`Cache::span_miss_prefix`] certify forward streaming without
     /// scanning any ways.
-    set_max: Vec<u64>,
+    set_max: Vec<u32>,
     assoc: usize,
     set_mask: u64,
     stats: CacheStats,
@@ -118,8 +126,9 @@ impl Cache {
     /// Returns `true` on hit.
     #[inline]
     pub fn access(&mut self, line: u64) -> bool {
-        debug_assert_ne!(line, INVALID, "line number reserved as invalid marker");
+        debug_assert!(line < INVALID as u64, "line {line:#x} outside the 32-bit tag domain");
         let set = self.set_of(line);
+        let line = line as u32;
         let base = set * self.assoc;
         let head = self.heads[set] as usize;
         let ways = &mut self.tags[base..base + self.assoc];
@@ -179,9 +188,10 @@ impl Cache {
     /// are plain integers, so deferring them is order-free.
     #[inline]
     pub(crate) fn install_line_deferred(&mut self, line: u64) {
-        debug_assert_ne!(line, INVALID, "line number reserved as invalid marker");
+        debug_assert!(line < INVALID as u64, "line {line:#x} outside the 32-bit tag domain");
         debug_assert!(!self.probe(line), "install_line on a resident line");
         let set = self.set_of(line);
+        let line = line as u32;
         let head = self.heads[set] as usize;
         let lru = if head == 0 { self.assoc - 1 } else { head - 1 };
         self.tags[set * self.assoc + lru] = line;
@@ -200,9 +210,10 @@ impl Cache {
 
     /// Whether `line` is resident, without touching LRU state or stats.
     pub fn probe(&self, line: u64) -> bool {
+        debug_assert!(line < INVALID as u64, "line {line:#x} outside the 32-bit tag domain");
         let set = self.set_of(line);
         let base = set * self.assoc;
-        self.tags[base..base + self.assoc].contains(&line)
+        self.tags[base..base + self.assoc].contains(&(line as u32))
     }
 
     /// Invalidate every line (e.g. between workload phases).
@@ -263,7 +274,7 @@ impl Cache {
         if n == 0 {
             return true;
         }
-        debug_assert!(first.checked_add(n).is_some(), "span overflows line space");
+        debug_assert!(first + n <= INVALID as u64, "span outside the 32-bit tag domain");
         let sets = self.set_mask + 1;
         // The span touches a contiguous (wrapping) stretch of sets, so its
         // candidate tags form at most two contiguous slices of the tag
@@ -273,19 +284,17 @@ impl Cache {
         // Prefilter on the per-set tag upper bounds: forward streaming —
         // the dominant caller — never revisits lines, so every touched
         // set's `set_max` sits below `first` and the span is certified
-        // all-miss after one `u64` compare per set instead of per way.
+        // all-miss after one compare per set instead of per way (the max
+        // reduction [`crate::simd::any_ge`]).
         let s0 = (first & self.set_mask) as usize;
         let w = n.min(sets) as usize;
         let nsets = self.set_max.len();
-        // `m >= first` iff `m.wrapping_sub(first)` does not borrow, i.e.
-        // its sign bit is clear (both operands are < 2^63: lines carry a
-        // byte address divided by the line size). The borrow-sign AND
-        // reduction is [`crate::simd::any_ge`].
+        let first32 = first as u32;
         let suspect = if s0 + w <= nsets {
-            crate::simd::any_ge(&self.set_max[s0..s0 + w], first)
+            crate::simd::any_ge(&self.set_max[s0..s0 + w], first32)
         } else {
-            crate::simd::any_ge(&self.set_max[s0..], first)
-                || crate::simd::any_ge(&self.set_max[..s0 + w - nsets], first)
+            crate::simd::any_ge(&self.set_max[s0..], first32)
+                || crate::simd::any_ge(&self.set_max[..s0 + w - nsets], first32)
         };
         if !suspect {
             return true;
@@ -300,13 +309,17 @@ impl Cache {
         // is *about* to stream through, which are essentially never
         // resident — and a false positive is not an error: it just falls
         // through to the exact `span_first_hit` walk below.
+        // A window of 2^32 lines or more admits every tag: unproven.
         let shift = 64 - (n - 1).leading_zeros().min(63);
+        if shift >= 32 {
+            return false;
+        }
         let found = if start + len <= self.tags.len() {
-            crate::simd::any_near(&self.tags[start..start + len], first, shift)
+            crate::simd::any_near(&self.tags[start..start + len], first32, shift)
         } else {
             let wrap = start + len - self.tags.len();
-            crate::simd::any_near(&self.tags[start..], first, shift)
-                || crate::simd::any_near(&self.tags[..wrap], first, shift)
+            crate::simd::any_near(&self.tags[start..], first32, shift)
+                || crate::simd::any_near(&self.tags[..wrap], first32, shift)
         };
         !found
     }
@@ -330,7 +343,9 @@ impl Cache {
             let base = s * self.assoc;
             let head = self.heads[s] as usize;
             for w in 0..self.assoc {
-                let off = self.tags[base + w].wrapping_sub(first);
+                // Span lines sit below `INVALID`, so `INVALID` and tags
+                // below `first` wrap to offsets of at least `n`.
+                let off = self.tags[base + w].wrapping_sub(first as u32) as u64;
                 if off < n {
                     // This tag is span line i = off/sets + 1 of its set, at
                     // recency position p; it hits iff i + p <= assoc.
@@ -368,10 +383,13 @@ impl Cache {
         if n == 0 {
             return 0;
         }
-        debug_assert!(first.checked_add(n).is_some(), "span overflows line space");
+        debug_assert!(first + n <= INVALID as u64, "span outside the 32-bit tag domain");
         let sets = self.set_mask + 1;
         let set_shift = sets.trailing_zeros(); // sets is a power of two
         let n_eff = n.min(sets * self.assoc as u64);
+        // Set k holds ceil((n_eff - k) / sets) span lines: q + 1 for
+        // k < r, q after (hoisted: no set divides).
+        let (q, r) = (n_eff >> set_shift, n_eff & self.set_mask);
         let mut best = n_eff;
         // A gap in the `k`-th touched set sits at span offset ≥ `k`, so no
         // set at or past `best` can shorten the prefix further.
@@ -383,12 +401,12 @@ impl Cache {
             let base = s * self.assoc;
             // This set holds span lines k, k + sets, k + 2·sets, …:
             // m of them in the capped span, m <= assoc <= 32.
-            let m = (n_eff - k).div_ceil(sets);
+            let m = q + (k < r) as u64;
             let mut resident = 0u64;
             for w in 0..self.assoc {
                 // Tags in set s with span offset < n_eff automatically
                 // have offset ≡ k (mod sets); INVALID wraps far outside.
-                let off = self.tags[base + w].wrapping_sub(first);
+                let off = self.tags[base + w].wrapping_sub(first as u32) as u64;
                 if off < n_eff {
                     resident |= 1u64 << (off >> set_shift);
                 }
@@ -420,24 +438,31 @@ impl Cache {
             return;
         }
         let sets = self.set_mask + 1;
+        // Set k holds ceil((n - k) / sets) span lines: q + 1 for k < r, q
+        // after — hoisted, as in `install_span`, so no set divides.
+        let (q, r) = (n >> sets.trailing_zeros(), n & self.set_mask);
         for k in 0..n.min(sets) {
             let s = ((first + k) & self.set_mask) as usize;
             let base = s * self.assoc;
-            let m = ((n - k).div_ceil(sets)) as usize; // <= assoc: all resident
+            let m = (q + (k < r) as u64) as usize;
+            debug_assert!(m <= self.assoc, "an all-hit span holds at most assoc lines per set");
             let head0 = self.heads[s] as usize;
             // Cyclic-rescan fast case: i-th span line at physical slot
             // head0 - 1 - i (mod assoc) means every touch hits recency
             // position assoc-1, so each is an O(1) head retreat.
+            let mut phys = head0;
             let cyclic = (0..m).all(|i| {
-                let phys = (head0 + self.assoc - 1 - i) % self.assoc;
-                self.tags[base + phys] == first + k + i as u64 * sets
+                phys = if phys == 0 { self.assoc - 1 } else { phys - 1 };
+                self.tags[base + phys] as u64 == first + k + i as u64 * sets
             });
             if cyclic {
-                self.heads[s] = ((head0 + self.assoc - m % self.assoc) % self.assoc) as u8;
+                // Retreat by m (mod assoc), with 1 <= m <= assoc.
+                let h = head0 + self.assoc - m;
+                self.heads[s] = if h >= self.assoc { h - self.assoc } else { h } as u8;
                 continue;
             }
             for i in 0..m {
-                let line = first + k + i as u64 * sets;
+                let line = (first + k + i as u64 * sets) as u32;
                 // Replica of the hit arm of `access`.
                 let head = self.heads[s] as usize;
                 let ways = &mut self.tags[base..base + self.assoc];
@@ -445,8 +470,10 @@ impl Cache {
                     continue;
                 }
                 let phys = ways.iter().position(|&t| t == line).expect("promote_span line not resident");
-                let pos = (phys + self.assoc - head) % self.assoc;
-                if pos == self.assoc - 1 {
+                // Logical recency position of the hit way: LRU when it sits
+                // just before the head.
+                let lru = if head == 0 { self.assoc - 1 } else { head - 1 };
+                if phys == lru {
                     self.heads[s] = phys as u8;
                 } else {
                     let mut j = phys;
@@ -483,8 +510,8 @@ impl Cache {
             // touched set exactly one line: the head retreats one way
             // onto it. Kept minimal; this bound is the walk's floor.
             for k in 0..n {
-                let line = first + k;
-                let s = (line & self.set_mask) as usize;
+                let s = ((first + k) & self.set_mask) as usize;
+                let line = (first + k) as u32;
                 let h = self.heads[s] as usize;
                 let h1 = if h == 0 { self.assoc - 1 } else { h - 1 };
                 self.tags[s * self.assoc + h1] = line;
@@ -514,12 +541,13 @@ impl Cache {
             if h1 >= self.assoc {
                 h1 -= self.assoc;
             }
-            let last = first + k + (m - 1) * sets;
+            let last = (first + k + (m - 1) * sets) as u32;
             // Walk the ways from the new head with one wrap and a running
             // line counter — no division in the per-way loop. The counter
             // may wrap below zero after the final write; it is unused then.
             let mut w = h1;
             let mut line = last;
+            let sets = sets as u32;
             for _ in 0..fill[extra] {
                 self.tags[base + w] = line;
                 w += 1;

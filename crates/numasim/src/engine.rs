@@ -156,17 +156,22 @@ pub(crate) struct ThreadCtx {
     /// Events the observer has promised not to need (see
     /// [`Observer::run_hint`]).
     quiet: u64,
-    /// Home-node span cache: every address in `span_start..span_end` is
-    /// homed on `span_home` for this thread.
-    span_start: u64,
-    span_end: u64,
-    span_home: NodeId,
+    /// Home-node spans this thread resolved recently.
+    spans: HomeSpans,
     /// Memo of the last `latency / mlp` quotient: streaming runs repeat
     /// the same division for every line of a span within a round, and the
     /// divide sits on the clock's dependency chain.
     lat_memo: f64,
     mlp_memo: f64,
     quot_memo: f64,
+    /// `latency / mlp` for the three cache levels' fixed latencies, valid
+    /// while `mlp` equals `hit_mlp`: random and chased lines switch level
+    /// from one access to the next, which the one-entry memo above misses.
+    hit_mlp: f64,
+    hit_quot: [f64; 3],
+    /// The quotient the last line was charged: the per-line latency the
+    /// fused paths' round-fit estimates assume.
+    last_quot: f64,
     /// Lines to process per-line before the next fused-span attempt; set
     /// after a failed all-miss proof so hit-heavy (cache-resident) phases
     /// do not pay for repeated proof scans.
@@ -174,10 +179,12 @@ pub(crate) struct ThreadCtx {
     /// Current backoff window: doubles on consecutive failed attempts up
     /// to [`FUSE_BACKOFF_MAX`], resets on success.
     fuse_backoff: u64,
-    /// In-flight interleaved span (see [`AccessStream::next_zip`]): one
-    /// pre-pulled sequential run per lane, in issue order. Empty when no
-    /// span is active. Draining these positions reproduces exactly the
-    /// single-access runs the stream would have handed out one by one.
+    /// In-flight interleaved span or gather (see
+    /// [`AccessStream::next_zip`]): one pre-pulled run per lane, in issue
+    /// order — sequential runs for a span, single accesses for a gather
+    /// (`zip_iters == 1`). Empty when neither is active. Draining these
+    /// positions reproduces exactly the single-access runs the stream
+    /// would have handed out one by one.
     zip_lanes: Vec<AccessRun>,
     /// Iterations in the active span / next iteration index / next lane
     /// index within that iteration.
@@ -218,14 +225,14 @@ impl ThreadCtx {
             run: AccessRun { len: 0, ..AccessRun::single(0, false, 1, 0.0, None) },
             run_pos: 0,
             quiet: 0,
-            // Empty span: the first miss resolves one.
-            span_start: 0,
-            span_end: 0,
-            span_home: NodeId(0),
+            spans: HomeSpans::new(),
             // NaN never compares equal: the first access computes.
             lat_memo: f64::NAN,
             mlp_memo: f64::NAN,
             quot_memo: 0.0,
+            hit_mlp: f64::NAN,
+            hit_quot: [0.0; 3],
+            last_quot: 0.0,
             fuse_cooldown: 0,
             fuse_backoff: FUSE_BACKOFF_MIN,
             zip_lanes: Vec::new(),
@@ -241,6 +248,30 @@ impl ThreadCtx {
         }
     }
 
+    /// `latency / mlp` for a DRAM latency, through the one-entry memo:
+    /// streaming runs repeat the same division line after line.
+    #[inline]
+    fn dram_quot(&mut self, latency: f64) -> f64 {
+        if latency == self.lat_memo && self.mlp == self.mlp_memo {
+            return self.quot_memo;
+        }
+        let q = latency / self.mlp;
+        (self.lat_memo, self.mlp_memo, self.quot_memo) = (latency, self.mlp, q);
+        q
+    }
+
+    /// `cfg.base_latency(src) / mlp` for a cache level `src`, from the
+    /// per-level memo.
+    #[inline]
+    fn hit_quot(&mut self, cfg: &MachineConfig, src: DataSource) -> f64 {
+        debug_assert!(matches!(src, DataSource::L1 | DataSource::L2 | DataSource::L3));
+        if self.mlp != self.hit_mlp {
+            self.hit_mlp = self.mlp;
+            self.hit_quot = [cfg.latency.l1, cfg.latency.l2, cfg.latency.l3].map(|l| l / self.mlp);
+        }
+        self.hit_quot[src as usize]
+    }
+
     /// Move the thread to `core` on `node` (a scheduled migration). The
     /// home-span cache and the miss-proof memos describe the old binding —
     /// `Replicated` and untouched first-touch pages resolve to the
@@ -251,10 +282,63 @@ impl ThreadCtx {
     pub(crate) fn rebind(&mut self, core: CoreId, node: NodeId) {
         self.core = core;
         self.node = node;
-        self.span_start = 0;
-        self.span_end = 0;
+        self.spans = HomeSpans::new();
         self.fuse_proof = MissProofMemo::new();
         self.zip_proof.clear();
+    }
+}
+
+/// Entries of [`HomeSpans`]: one per member of the widest zip of
+/// independent objects (bandit's 8 chases), as in the memory map's
+/// object-lookup memo.
+const HOME_SPANS: usize = 8;
+
+/// A few home-node spans, each a half-open address range whose every
+/// address is homed on one node for this thread — what
+/// [`MemoryMap::home_node_range`] answered. Exact for as long as
+/// the thread keeps its binding: a span covers only pages whose home is
+/// established (first touch never moves a touched page within a run)
+/// or fixed by policy, and `Replicated` resolves to the accessor's node,
+/// which is why [`ThreadCtx::rebind`] starts the cache over. Several
+/// entries serve zips over several objects (bandit's chases,
+/// Streamcluster's `block` and `point.p`), which one entry would miss on
+/// every lane switch.
+#[derive(Debug, Clone, Copy)]
+struct HomeSpans {
+    start: [u64; HOME_SPANS],
+    /// `end - start`; 0 for an empty entry, which contains no address.
+    len: [u64; HOME_SPANS],
+    home: [NodeId; HOME_SPANS],
+    /// The entry that answered last, tried first.
+    last: usize,
+    /// The entry the next insert overwrites (round robin).
+    victim: usize,
+}
+
+impl HomeSpans {
+    const fn new() -> Self {
+        Self { start: [0; HOME_SPANS], len: [0; HOME_SPANS], home: [NodeId(0); HOME_SPANS], last: 0, victim: 0 }
+    }
+
+    /// The home of `addr` and the end of its cached span, if one holds it.
+    #[inline]
+    fn find(&mut self, addr: u64) -> Option<(NodeId, u64)> {
+        let l = self.last;
+        if addr.wrapping_sub(self.start[l]) < self.len[l] {
+            return Some((self.home[l], self.start[l] + self.len[l]));
+        }
+        let i = (0..HOME_SPANS).find(|&i| addr.wrapping_sub(self.start[i]) < self.len[i])?;
+        self.last = i;
+        Some((self.home[i], self.start[i] + self.len[i]))
+    }
+
+    /// Cache the span `start..end` homed on `home`.
+    #[inline]
+    fn insert(&mut self, start: u64, end: u64, home: NodeId) {
+        let v = self.victim;
+        (self.start[v], self.len[v], self.home[v]) = (start, end - start, home);
+        self.last = v;
+        self.victim = if v + 1 == HOME_SPANS { 0 } else { v + 1 };
     }
 }
 
@@ -418,7 +502,7 @@ pub(crate) fn run_thread_slice(
 ) -> bool {
     let cfg = ctx.cfg;
     let (hierarchy, bw, memmap, observer) = (&mut *ctx.hierarchy, &mut *ctx.bw, &mut *ctx.memmap, &mut *ctx.observer);
-    let (lfb_latency, l1_latency, default_mlp) = (cfg.latency.lfb, cfg.latency.l1, cfg.engine.default_mlp);
+    let default_mlp = cfg.engine.default_mlp;
     let (line_step, line_bytes) = (cfg.cache.line_size, cfg.cache.line_size as f64);
     let mut finished = false;
     // Disjoint field borrows: the cache handle pins the hierarchy for the
@@ -430,6 +514,24 @@ pub(crate) fn run_thread_slice(
     let mut pending: u64 = 0;
     'slice: while t.clock < limit {
         if t.run_pos == t.run.len {
+            if t.zip_iters == 1 {
+                // A gather: single accesses, each straight through the
+                // per-line path (there is no span to prove), tested
+                // against `limit` before each as ever.
+                while t.zip_lane < t.zip_lanes.len() {
+                    if t.clock >= limit {
+                        break 'slice;
+                    }
+                    let run = t.zip_lanes[t.zip_lane];
+                    t.zip_lane += 1;
+                    t.mlp = run.mlp.unwrap_or(default_mlp).max(1.0);
+                    access_line(cfg, &mut caches, bw, memmap, observer, counts, &mut pending, t, &run, 0);
+                }
+                t.zip_iters = 0;
+                t.zip_lane = 0;
+                t.zip_lanes.clear();
+                continue 'slice;
+            }
             if t.zip_iter < t.zip_iters {
                 // An interleaved span is in flight. At an
                 // iteration boundary a fused commit may absorb
@@ -468,7 +570,11 @@ pub(crate) fn run_thread_slice(
                         t.zip_iters = iters;
                         t.zip_iter = 0;
                         t.zip_lane = 0;
-                        t.zip_cooldown = t.zip_cooldown.saturating_sub(1);
+                        // The proof cooldown counts interleaved spans; a
+                        // gather is not one.
+                        if iters > 1 {
+                            t.zip_cooldown = t.zip_cooldown.saturating_sub(1);
+                        }
                         t.zip_pull_backoff = ZIP_PULL_BACKOFF_MIN;
                         continue 'slice;
                     }
@@ -506,7 +612,7 @@ pub(crate) fn run_thread_slice(
                     // fit from the memoized quotient; any cap
                     // is sound — the loop simply proves the
                     // next chunk afterwards.
-                    let per_line = reps_total as f64 * compute + t.quot_memo;
+                    let per_line = reps_total as f64 * compute + t.last_quot;
                     if per_line > 0.0 {
                         let est = ((limit - t.clock) / per_line) as u64 + 2;
                         k_cap = k_cap.min(est.max(FUSE_MIN));
@@ -534,18 +640,15 @@ pub(crate) fn run_thread_slice(
                         let mut done = 0u64;
                         while done < k_miss && t.clock < limit {
                             let addr = addr0 + done * run.stride;
-                            let home = if addr >= t.span_start && addr < t.span_end {
-                                t.span_home
-                            } else {
+                            let (home, span_end) = t.spans.find(addr).unwrap_or_else(|| {
                                 // The proof covers the window, so the span
                                 // may run on over pages already touched.
-                                let (h, end) = memmap.home_node_span_within(addr, t.node, addr0 + k_miss * run.stride);
-                                t.span_start = addr;
-                                t.span_end = end;
-                                t.span_home = h;
-                                h
-                            };
-                            let span_lines = (t.span_end - addr).div_ceil(run.stride);
+                                let bound = addr0 + k_miss * run.stride;
+                                let (h, start, end) = memmap.home_node_range(addr, t.node, bound);
+                                t.spans.insert(start, end, h);
+                                (h, end)
+                            });
+                            let span_lines = (span_end - addr).div_ceil(run.stride);
                             let k_seg = (k_miss - done).min(span_lines);
                             let (src, service) = if home == t.node {
                                 (DataSource::LocalDram, cfg.latency.dram_local_service)
@@ -558,16 +661,8 @@ pub(crate) fn run_thread_slice(
                             // value for the whole segment.
                             let f = bw.factor_for(t.node, home);
                             let latency = cfg.latency.dram_fixed + service * f;
-                            let quot = if latency == t.lat_memo && t.mlp == t.mlp_memo {
-                                t.quot_memo
-                            } else {
-                                let q = latency / t.mlp;
-                                t.lat_memo = latency;
-                                t.mlp_memo = t.mlp;
-                                t.quot_memo = q;
-                                q
-                            };
-                            let addend = compute + quot;
+                            t.last_quot = t.dram_quot(latency);
+                            let addend = compute + t.last_quot;
                             // Collapse the reference clock's
                             // per-line replay to one closed-form
                             // grid step per binade (bit-identical
@@ -601,21 +696,12 @@ pub(crate) fn run_thread_slice(
                         if k_hit >= FUSE_MIN {
                             t.fuse_backoff = FUSE_BACKOFF_MIN;
                             let nreps = reps_total - 1;
-                            let latency = cfg.base_latency(src);
-                            let quot = if latency == t.lat_memo && t.mlp == t.mlp_memo {
-                                t.quot_memo
-                            } else {
-                                let q = latency / t.mlp;
-                                t.lat_memo = latency;
-                                t.mlp_memo = t.mlp;
-                                t.quot_memo = q;
-                                q
-                            };
-                            let addend = compute + quot;
+                            t.last_quot = t.hit_quot(cfg, src);
+                            let addend = compute + t.last_quot;
                             // Cache-hit reps hit L1 and are
                             // charged its latency — the same
                             // per-rep addend every line.
-                            let rep_delta = compute + l1_latency / t.mlp;
+                            let rep_delta = compute + t.hit_quot(cfg, DataSource::L1);
                             let (k_fit, clock) = bulk_line_chain(t.clock, addend, rep_delta, nreps, k_hit, limit);
                             caches.commit_hit_span(src, line0, k_fit);
                             // The hit commit installs only the
@@ -641,115 +727,8 @@ pub(crate) fn run_thread_slice(
             }
             t.fuse_cooldown = t.fuse_cooldown.saturating_sub(1);
             let pos = t.run_pos;
-            let addr = run.base + pos * run.stride;
             t.run_pos += 1;
-            let (source, home, latency) = match caches.access(addr) {
-                Some(src) => (src, None, cfg.base_latency(src)),
-                None => {
-                    let home = if addr >= t.span_start && addr < t.span_end {
-                        t.span_home
-                    } else {
-                        let (h, end) = memmap.home_node_span(addr, t.node);
-                        t.span_start = addr;
-                        t.span_end = end;
-                        t.span_home = h;
-                        h
-                    };
-                    let (src, service) = if home == t.node {
-                        (DataSource::LocalDram, cfg.latency.dram_local_service)
-                    } else {
-                        (DataSource::RemoteDram, cfg.latency.dram_remote_service)
-                    };
-                    let f = bw.factor_for(t.node, home);
-                    bw.record_dram(t.node, home, line_bytes);
-                    (src, Some(home), cfg.latency.dram_fixed + service * f)
-                }
-            };
-            // `latency / mlp` is usually the same division as
-            // on the previous line; reusing the quotient is
-            // exact and takes the divide off the clock chain.
-            let quot = if latency == t.lat_memo && t.mlp == t.mlp_memo {
-                t.quot_memo
-            } else {
-                let q = latency / t.mlp;
-                t.lat_memo = latency;
-                t.mlp_memo = t.mlp;
-                t.quot_memo = q;
-                q
-            };
-            t.clock += compute + quot;
-            counts.record(source);
-            if t.quiet > 0 {
-                t.quiet -= 1;
-                pending += 1;
-            } else {
-                if pending > 0 {
-                    observer.on_run(t.thread, pending);
-                    pending = 0;
-                }
-                t.clock += observer.on_access(&AccessEvent {
-                    time: t.clock,
-                    thread: t.thread,
-                    core: t.core,
-                    node: t.node,
-                    addr,
-                    is_write: run.is_write_at(pos),
-                    source,
-                    home,
-                    latency,
-                });
-                t.quiet = observer.run_hint(t.thread);
-            }
-            // Remaining element loads within the same line.
-            let nreps = run.reps as u64 - 1;
-            if nreps > 0 {
-                let (rep_source, rep_latency, rep_home) = if source.is_dram() {
-                    (DataSource::Lfb, lfb_latency, home)
-                } else {
-                    (DataSource::L1, l1_latency, None)
-                };
-                // Constant across the line's reps, so the
-                // per-rep clock advance is one dependent add.
-                let rep_delta = compute + if rep_source == DataSource::Lfb { 0.0 } else { rep_latency / t.mlp };
-                if t.quiet >= nreps {
-                    // Every rep is covered by the observer's
-                    // promise: bulk-count them. Adding 0.0
-                    // never changes a non-negative clock, so
-                    // the chain itself is skippable then.
-                    counts.record_n(rep_source, nreps);
-                    t.quiet -= nreps;
-                    pending += nreps;
-                    if rep_delta != 0.0 {
-                        t.clock = bulk_add(t.clock, rep_delta, nreps);
-                    }
-                } else {
-                    for _ in 0..nreps {
-                        t.clock += rep_delta;
-                        counts.record(rep_source);
-                        if t.quiet > 0 {
-                            t.quiet -= 1;
-                            pending += 1;
-                        } else {
-                            if pending > 0 {
-                                observer.on_run(t.thread, pending);
-                                pending = 0;
-                            }
-                            t.clock += observer.on_access(&AccessEvent {
-                                time: t.clock,
-                                thread: t.thread,
-                                core: t.core,
-                                node: t.node,
-                                addr,
-                                is_write: run.is_write_at(pos),
-                                source: rep_source,
-                                home: rep_home,
-                                latency: rep_latency,
-                            });
-                            t.quiet = observer.run_hint(t.thread);
-                        }
-                    }
-                }
-            }
+            access_line(cfg, &mut caches, bw, memmap, observer, counts, &mut pending, t, &run, pos);
         }
     }
     // Commit the slice's skipped events before any other thread's events
@@ -759,6 +738,124 @@ pub(crate) fn run_thread_slice(
         observer.on_run(t.thread, pending);
     }
     finished
+}
+
+/// One line of `run` (its access `pos`) through the caches, DRAM, the
+/// clock and the observer, with its trailing same-line reps — the
+/// per-line path every access the fused forms do not take goes through,
+/// the accesses of a gather included.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // the engine's split field borrows
+fn access_line(
+    cfg: &MachineConfig,
+    caches: &mut CoreCaches<'_>,
+    bw: &mut BandwidthModel,
+    memmap: &mut MemoryMap,
+    observer: &mut dyn Observer,
+    counts: &mut AccessCounts,
+    pending: &mut u64,
+    t: &mut ThreadCtx,
+    run: &AccessRun,
+    pos: u64,
+) {
+    let compute = run.compute;
+    let (lfb_latency, l1_latency, line_bytes) = (cfg.latency.lfb, cfg.latency.l1, cfg.cache.line_size as f64);
+    let addr = run.base + pos * run.stride;
+    // `latency / mlp` comes from a memo: reusing the quotient is
+    // exact and takes the divide off the clock chain.
+    let (source, home, latency, quot) = match caches.access(addr) {
+        Some(src) => (src, None, cfg.base_latency(src), t.hit_quot(cfg, src)),
+        None => {
+            let home = match t.spans.find(addr) {
+                Some((h, _)) => h,
+                None => {
+                    let (h, start, end) = memmap.home_node_range(addr, t.node, addr);
+                    t.spans.insert(start, end, h);
+                    h
+                }
+            };
+            let (src, service) = if home == t.node {
+                (DataSource::LocalDram, cfg.latency.dram_local_service)
+            } else {
+                (DataSource::RemoteDram, cfg.latency.dram_remote_service)
+            };
+            let f = bw.factor_for(t.node, home);
+            bw.record_dram(t.node, home, line_bytes);
+            let latency = cfg.latency.dram_fixed + service * f;
+            (src, Some(home), latency, t.dram_quot(latency))
+        }
+    };
+    t.last_quot = quot;
+    t.clock += compute + quot;
+    counts.record(source);
+    if t.quiet > 0 {
+        t.quiet -= 1;
+        *pending += 1;
+    } else {
+        if *pending > 0 {
+            observer.on_run(t.thread, *pending);
+            *pending = 0;
+        }
+        t.clock += observer.on_access(&AccessEvent {
+            time: t.clock,
+            thread: t.thread,
+            core: t.core,
+            node: t.node,
+            addr,
+            is_write: run.is_write_at(pos),
+            source,
+            home,
+            latency,
+        });
+        t.quiet = observer.run_hint(t.thread);
+    }
+    // Remaining element loads within the same line.
+    let nreps = run.reps as u64 - 1;
+    if nreps > 0 {
+        let (rep_source, rep_latency, rep_home) =
+            if source.is_dram() { (DataSource::Lfb, lfb_latency, home) } else { (DataSource::L1, l1_latency, None) };
+        // Constant across the line's reps, so the
+        // per-rep clock advance is one dependent add.
+        let rep_delta = compute + if rep_source == DataSource::Lfb { 0.0 } else { t.hit_quot(cfg, DataSource::L1) };
+        if t.quiet >= nreps {
+            // Every rep is covered by the observer's
+            // promise: bulk-count them. Adding 0.0
+            // never changes a non-negative clock, so
+            // the chain itself is skippable then.
+            counts.record_n(rep_source, nreps);
+            t.quiet -= nreps;
+            *pending += nreps;
+            if rep_delta != 0.0 {
+                t.clock = bulk_add(t.clock, rep_delta, nreps);
+            }
+        } else {
+            for _ in 0..nreps {
+                t.clock += rep_delta;
+                counts.record(rep_source);
+                if t.quiet > 0 {
+                    t.quiet -= 1;
+                    *pending += 1;
+                } else {
+                    if *pending > 0 {
+                        observer.on_run(t.thread, *pending);
+                        *pending = 0;
+                    }
+                    t.clock += observer.on_access(&AccessEvent {
+                        time: t.clock,
+                        thread: t.thread,
+                        core: t.core,
+                        node: t.node,
+                        addr,
+                        is_write: run.is_write_at(pos),
+                        source: rep_source,
+                        home: rep_home,
+                        latency: rep_latency,
+                    });
+                    t.quiet = observer.run_hint(t.thread);
+                }
+            }
+        }
+    }
 }
 
 /// Assemble a run's [`RunStats`] from the final per-thread clocks, the
@@ -815,7 +912,7 @@ fn zip_fuse(
     }
     // Round-fit estimate from the memoized quotient; any cap is sound —
     // the next iteration boundary proves the following chunk.
-    let per_iter: f64 = t.zip_lanes.iter().map(|l| l.reps as f64 * l.compute).sum::<f64>() + nl as f64 * t.quot_memo;
+    let per_iter: f64 = t.zip_lanes.iter().map(|l| l.reps as f64 * l.compute).sum::<f64>() + nl as f64 * t.last_quot;
     if per_iter > 0.0 {
         let est = ((limit - t.clock) / per_iter) as u64 + 2;
         k_cap = k_cap.min(est.max(ZIP_MIN));
@@ -893,7 +990,7 @@ fn zip_fuse(
                     seg_done[i] = 0;
                 }
                 let addr = l.base + (t.zip_iter + done) * l.stride;
-                let (h, end) = memmap.home_node_span_within(addr, t.node, addr + (k - done) * l.stride);
+                let (h, _, end) = memmap.home_node_range(addr, t.node, addr + (k - done) * l.stride);
                 home[i] = h;
                 seg_rem[i] = (end - addr).div_ceil(l.stride);
                 let (s, service) = if h == t.node {

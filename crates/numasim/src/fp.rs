@@ -14,6 +14,21 @@ fn off_grid(steps: f64) -> bool {
     steps < (1u64 << 53) as f64 && steps as u64 as f64 != steps
 }
 
+/// `1 / ulp` for a value of biased exponent `exp` (`52 < exp < 0x7fe`):
+/// the ulp is `2^(exp − 1075)`, so its inverse is the power of two with
+/// biased exponent `2098 − exp`. Scaling by an exact power of two is
+/// exact, and both `x / ulp` and `x * (1 / ulp)` are the same real value
+/// rounded once — bit-identical quotients with no divide.
+#[inline]
+fn inv_ulp(exp: u64) -> f64 {
+    debug_assert!(exp > 52 && exp < 0x7fe);
+    f64::from_bits((2098 - exp) << 52)
+}
+
+/// The largest mantissa, in ulps: a binade's values are `a · ulp` with
+/// `2^52 ≤ a ≤ TOP`.
+const TOP: u64 = (1 << 53) - 1;
+
 /// The literal chain: `n` sequential additions of `delta` to `acc`.
 #[inline]
 fn add_chain(mut acc: f64, delta: f64, n: u64) -> f64 {
@@ -53,21 +68,23 @@ pub fn bulk_add(mut acc: f64, delta: f64, mut n: u64) -> f64 {
         let bits = acc.to_bits();
         let exp = bits >> 52; // acc >= 0.0 always: no sign bit to strip.
         if exp > 52 && exp < 0x7fe {
-            let ulp = f64::from_bits((exp - 52) << 52);
-            let steps = delta / ulp; // exact: ulp is a power of two
-                                     // Integrality via round-trip cast (exact for values <= 2^53)
-                                     // rather than `fract()`, which lowers to a libm `trunc` call
-                                     // on the hot path.
+            // Exact (see `inv_ulp`). Integrality via round-trip cast (exact
+            // for values <= 2^53) rather than `fract()`, which lowers to a
+            // libm `trunc` call on the hot path.
+            let steps = delta * inv_ulp(exp);
             let d = steps as u64;
             if off_grid(steps) {
                 return add_chain(acc, delta, n);
             }
             if steps <= (1u64 << 53) as f64 && d as f64 == steps {
-                // delta = d * ulp, d >= 1
-                let a = (bits & ((1u64 << 52) - 1)) | (1u64 << 52); // acc = a * ulp
-                                                                    // Largest m with a + m*d < 2^53 (the binade top in ulps):
-                                                                    // all partial sums then stay exact on the grid.
-                let m = (((1u64 << 53) - 1 - a) / d).min(n);
+                // delta = d * ulp, d >= 1; acc = a * ulp. The largest m
+                // with a + m*d <= TOP keeps every partial sum exact on the
+                // grid — all `n` steps when they fit, which needs no divide.
+                let a = (bits & ((1u64 << 52) - 1)) | (1u64 << 52);
+                let m = match n.checked_mul(d) {
+                    Some(nd) if nd <= TOP - a => n,
+                    _ => ((TOP - a) / d).min(n),
+                };
                 if m > 0 {
                     acc += m as f64 * delta; // m*d < 2^53: product and sum exact
                     n -= m;
@@ -132,9 +149,9 @@ pub fn bulk_line_chain(
                               // line's rep tail even when `addend` is off-grid.
         let mut dr_tot = u128::MAX;
         if exp > 52 && exp < 0x7fe {
-            let ulp = f64::from_bits((exp - 52) << 52);
-            let sa = addend / ulp; // exact: ulp is a power of two
-            let sr = rep_delta / ulp;
+            let inv = inv_ulp(exp);
+            let sa = addend * inv; // exact: see `inv_ulp`
+            let sr = rep_delta * inv;
             // Off the grid for good: the rest of the chain is the loop.
             let literal = if reps_active { off_grid(sr) } else { off_grid(sa) };
             if literal {
@@ -292,10 +309,10 @@ impl LineStep {
         if exp > 52 && exp < 0x7fe {
             if exp != self.exp {
                 self.exp = exp;
-                let ulp = f64::from_bits((exp - 52) << 52);
+                let inv = inv_ulp(exp);
                 let reps_active = nreps > 0 && rep_delta != 0.0;
-                let sa = addend / ulp; // exact: ulp is a power of two
-                let sr = rep_delta / ulp;
+                let sa = addend * inv; // exact: see `inv_ulp`
+                let sr = rep_delta * inv;
                 let da = sa as u64;
                 let dr = if reps_active { sr as u64 } else { 0 };
                 self.literal = if reps_active { off_grid(sr) } else { off_grid(sa) };
@@ -494,6 +511,23 @@ mod tests {
                 got = step.advance_line(got, a, rd, nr);
             }
             assert_eq!(got.to_bits(), want.to_bits(), "segment {i}");
+        }
+    }
+
+    /// `bulk_add` skips its division when the whole chain fits below the
+    /// binade top, and takes the division when it does not: both must
+    /// equal the literal chain, up to the last step that fits.
+    #[test]
+    fn bulk_add_matches_the_chain_at_the_binade_top() {
+        // 2^40 has ulp 2^-12: a delta of 2^-12 · d is d grid steps.
+        let base = (1u64 << 40) as f64;
+        let ulp = base / (1u64 << 52) as f64;
+        for a_off in [0u64, 1, (1 << 52) - 9, (1 << 52) - 1] {
+            let acc = base + a_off as f64 * ulp;
+            for (d, n) in [(1u64, 8u64), (3, 3), (3, 4), (7, 1), (1, 9), (2, 5)] {
+                let delta = d as f64 * ulp;
+                assert_eq!(bulk_add(acc, delta, n).to_bits(), chain(acc, delta, n).to_bits(), "a+{a_off}, {d}x{n}");
+            }
         }
     }
 

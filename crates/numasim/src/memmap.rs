@@ -329,6 +329,12 @@ pub struct ObjectInfo {
     /// First-touch record: home node per page, `u8::MAX` = untouched.
     /// Only populated for [`PlacementPolicy::FirstTouch`].
     first_touch: Vec<u8>,
+    /// First-touch pages not yet touched, and the home of the touched
+    /// ones while they all share one (`UNTOUCHED` before the first touch,
+    /// `MIXED` once two homes occur): with no page left untouched and one
+    /// home, the whole object is one home span.
+    untouched: usize,
+    touched_home: u8,
     /// Materialised weighted-interleave striping pattern (page slot →
     /// node), so `home_node` stays O(1). Only populated for
     /// [`PlacementPolicy::WeightedInterleave`].
@@ -339,9 +345,34 @@ impl ObjectInfo {
     fn page_count(&self) -> usize {
         (self.size.div_ceil(self.page_size)) as usize
     }
+
+    /// The home of first-touch page `page`, establishing it on `accessor`
+    /// if it is untouched.
+    #[inline]
+    fn touch(&mut self, page: usize, accessor: NodeId) -> u8 {
+        let slot = &mut self.first_touch[page];
+        if *slot == UNTOUCHED {
+            *slot = accessor.0;
+            self.untouched -= 1;
+            if self.touched_home == UNTOUCHED {
+                self.touched_home = accessor.0;
+            } else if self.touched_home != accessor.0 {
+                self.touched_home = MIXED;
+            }
+        }
+        *slot
+    }
+
+    /// Every page is touched, all with one home.
+    #[inline]
+    fn uniformly_touched(&self) -> bool {
+        self.untouched == 0 && self.touched_home != MIXED
+    }
 }
 
 const UNTOUCHED: u8 = u8::MAX;
+/// [`ObjectInfo`]'s `touched_home` once touched pages have two homes.
+const MIXED: u8 = u8::MAX - 1;
 /// Entries of [`MemoryMap`]'s object-lookup memo: enough for a zip over
 /// every stream of the widest bandit instance (8 chases, one object each).
 const RECENT_OBJECTS: usize = 8;
@@ -369,6 +400,10 @@ pub struct MemoryMap {
     page_size: u64,
     huge_page_size: u64,
     num_nodes: usize,
+    /// No object may end past this address: every line of the address
+    /// space must fit the caches' 32-bit tags below their empty-way
+    /// marker (`u32::MAX` lines — `2^38 − 64` bytes with 64-byte lines).
+    addr_limit: u64,
     /// Object-lookup memo: recently found objects, the last hit first, so
     /// zipped streams over several objects (bandit's chases,
     /// Streamcluster's `block` and `point.p`) skip the binary search.
@@ -393,6 +428,7 @@ impl MemoryMap {
             page_size: cfg.mem.page_size,
             huge_page_size: cfg.mem.huge_page_size,
             num_nodes: cfg.topology.num_nodes(),
+            addr_limit: (u32::MAX as u64) << cfg.cache.line_size.trailing_zeros(),
             recent: Default::default(),
         }
     }
@@ -400,7 +436,10 @@ impl MemoryMap {
     /// Allocate `size` bytes on base (4 KiB) pages.
     ///
     /// # Panics
-    /// Panics if `size == 0` or the policy is invalid for this machine.
+    /// Panics if `size == 0`, if the policy is invalid for this machine,
+    /// or if the object would end past the simulated address space (just
+    /// under `2^38` bytes with 64-byte lines: the caches hold 32-bit line
+    /// tags).
     pub fn alloc(&mut self, label: &str, size: u64, policy: PlacementPolicy) -> ObjectHandle {
         self.alloc_with_page_size(label, size, policy, self.page_size)
     }
@@ -408,6 +447,9 @@ impl MemoryMap {
     /// Allocate `size` bytes on huge (2 MiB) pages — the bandit
     /// micro-benchmark needs the deterministic page-offset → cache-set
     /// mapping huge pages provide.
+    ///
+    /// # Panics
+    /// As [`MemoryMap::alloc`].
     pub fn alloc_huge(&mut self, label: &str, size: u64, policy: PlacementPolicy) -> ObjectHandle {
         self.alloc_with_page_size(label, size, policy, self.huge_page_size)
     }
@@ -433,7 +475,14 @@ impl MemoryMap {
         // exactly this pathological alignment.
         let color = (self.objects.len() as u64 % 61) * 64;
         let base = self.next_addr.next_multiple_of(page_size) + color;
-        self.next_addr = base + size;
+        let end = base.checked_add(size).filter(|&end| end <= self.addr_limit);
+        let Some(end) = end else {
+            panic!(
+                "allocation of {size} bytes for {label:?} would end past the {:#x}-byte address space",
+                self.addr_limit
+            );
+        };
+        self.next_addr = end;
         let id = ObjectId(self.objects.len() as u32);
         let mut info = ObjectInfo {
             label: label.to_string(),
@@ -443,10 +492,13 @@ impl MemoryMap {
             page_size,
             page_shift: page_size.trailing_zeros(),
             first_touch: Vec::new(),
+            untouched: 0,
+            touched_home: UNTOUCHED,
             wil_pattern: Vec::new(),
         };
         if info.policy.is_first_touch() {
             info.first_touch = vec![UNTOUCHED; info.page_count()];
+            info.untouched = info.first_touch.len();
         }
         if let Some((nodes, weights)) = info.policy.weighted_nodes() {
             info.wil_pattern = PlacementPolicy::weighted_pattern(nodes, weights);
@@ -519,6 +571,7 @@ impl MemoryMap {
         self.check_policy(&policy, size)?;
         let info = &mut self.objects[id.0 as usize];
         info.first_touch = if policy.is_first_touch() { vec![UNTOUCHED; info.page_count()] } else { Vec::new() };
+        (info.untouched, info.touched_home) = (info.first_touch.len(), UNTOUCHED);
         info.wil_pattern = match policy.weighted_nodes() {
             Some((nodes, weights)) => PlacementPolicy::weighted_pattern(nodes, weights),
             None => Vec::new(),
@@ -543,6 +596,7 @@ impl MemoryMap {
     pub fn reset_first_touch(&mut self) {
         for info in &mut self.objects {
             info.first_touch.fill(UNTOUCHED);
+            (info.untouched, info.touched_home) = (info.first_touch.len(), UNTOUCHED);
         }
     }
 
@@ -604,79 +658,64 @@ impl MemoryMap {
                 let i = segs.partition_point(|&(end, _)| end <= off);
                 segs[i].1
             }
-            PlacementPolicy::FirstTouch => {
-                let slot = &mut info.first_touch[page];
-                if *slot == UNTOUCHED {
-                    *slot = accessor.0;
-                }
-                NodeId(*slot)
-            }
+            PlacementPolicy::FirstTouch => NodeId(info.touch(page, accessor)),
         }
     }
 
-    /// Like [`MemoryMap::home_node`], but also returns the first address
-    /// *after* `addr` at which the answer could change: the end of the
-    /// page for page-granular policies (interleave, first-touch), of the
-    /// segment for segmented placement, or of the whole object otherwise.
-    /// Every address in `addr..end` has the same home for the same
-    /// `accessor`, letting a sequential miss stream skip the lookup until
-    /// it crosses `end`. The page of `addr` is established exactly as
-    /// `home_node` would; no other page is, so a first-touch span ends at
-    /// that page. [`MemoryMap::home_node_span_within`] may extend it.
+    /// Like [`MemoryMap::home_node`], but also returns a range
+    /// `start..end` holding `addr` whose every address has the same home
+    /// for the same `accessor`, so a caller that caches it skips the
+    /// lookup for later addresses inside. The range is the whole object
+    /// for bound and replicated data, the segment for segmented data and
+    /// the page for interleaved data. For first-touch data it is the page
+    /// of `addr` — established exactly as `home_node` would, and no other
+    /// page is — extended forward over the following pages that start
+    /// below `hi` and are *already touched* with the same home, or the
+    /// whole object once every page is touched with one home. It never
+    /// covers an untouched page, so no page is established before its
+    /// first actual miss, and within a phase a touched page keeps its
+    /// home, so the range stays valid. A `hi` at or below the page end
+    /// scans nothing, which is what a caller with no proven window (a
+    /// random access) passes.
     ///
     /// # Panics
     /// Panics if `addr` is outside every allocation.
     #[inline]
-    pub fn home_node_span(&mut self, addr: u64, accessor: NodeId) -> (NodeId, u64) {
-        self.home_node_span_within(addr, accessor, addr)
-    }
-
-    /// [`MemoryMap::home_node_span`] for a caller about to walk `addr..bound`:
-    /// a first-touch span extends past the page of `addr` over the
-    /// following pages that start below `bound` and are *already touched*
-    /// with the same home. It never extends over an untouched page, so no
-    /// page is established earlier than its first actual miss; and within
-    /// a phase a touched page keeps its home, so the whole span stays
-    /// valid. A `bound` at or below the page end scans nothing, which is
-    /// what a caller with no proven window (a random access) passes.
-    ///
-    /// # Panics
-    /// Panics if `addr` is outside every allocation.
-    #[inline]
-    pub fn home_node_span_within(&mut self, addr: u64, accessor: NodeId, bound: u64) -> (NodeId, u64) {
+    pub fn home_node_range(&mut self, addr: u64, accessor: NodeId, hi: u64) -> (NodeId, u64, u64) {
         let idx = self.index_of(addr).unwrap_or_else(|| panic!("access to unallocated address {addr:#x}"));
         let info = &mut self.objects[idx];
         let off = addr - info.base;
         let shift = info.page_shift;
         let page = (off >> shift) as usize;
         let obj_end = info.base + info.size;
-        let page_end = (info.base + ((page as u64 + 1) << shift)).min(obj_end);
+        let page_start = info.base + ((page as u64) << shift);
+        let page_end = (page_start + (1 << shift)).min(obj_end);
         match &info.policy {
-            PlacementPolicy::Bind(n) => (*n, obj_end),
-            PlacementPolicy::Replicated => (accessor, obj_end),
-            PlacementPolicy::Interleave(nodes) => (nodes[page % nodes.len()], page_end),
+            PlacementPolicy::Bind(n) => (*n, info.base, obj_end),
+            PlacementPolicy::Replicated => (accessor, info.base, obj_end),
+            PlacementPolicy::Interleave(nodes) => (nodes[page % nodes.len()], page_start, page_end),
             PlacementPolicy::WeightedInterleave { .. } => {
-                (NodeId(info.wil_pattern[page % info.wil_pattern.len()]), page_end)
+                (NodeId(info.wil_pattern[page % info.wil_pattern.len()]), page_start, page_end)
             }
             PlacementPolicy::Segmented(segs) => {
                 let i = segs.partition_point(|&(end, _)| end <= off);
-                (segs[i].1, info.base + segs[i].0)
+                let seg_start = if i == 0 { 0 } else { segs[i - 1].0 };
+                (segs[i].1, info.base + seg_start, info.base + segs[i].0)
             }
             PlacementPolicy::FirstTouch => {
-                let slot = &mut info.first_touch[page];
-                if *slot == UNTOUCHED {
-                    *slot = accessor.0;
+                let home = info.touch(page, accessor);
+                if info.uniformly_touched() {
+                    return (NodeId(home), info.base, obj_end);
                 }
-                let home = *slot;
-                // Pages below `last` start below `bound`.
-                let window = bound.saturating_sub(info.base);
+                // Pages below `last` start below `hi`.
+                let window = hi.saturating_sub(info.base);
                 let last = ((window >> shift) + (window & ((1 << shift) - 1) != 0) as u64) as usize;
                 let last = last.min(info.first_touch.len());
                 let mut p = page + 1;
                 while p < last && info.first_touch[p] == home {
                     p += 1;
                 }
-                (NodeId(home), (info.base + ((p as u64) << shift)).min(obj_end))
+                (NodeId(home), page_start, (info.base + ((p as u64) << shift)).min(obj_end))
             }
         }
     }
@@ -846,6 +885,13 @@ mod tests {
         m.home_node(42, NodeId(0));
     }
 
+    /// The home of `addr` and the end of its home range, scanning forward
+    /// to `hi`.
+    fn span(m: &mut MemoryMap, addr: u64, accessor: NodeId, hi: u64) -> (NodeId, u64) {
+        let (home, _, end) = m.home_node_range(addr, accessor, hi);
+        (home, end)
+    }
+
     #[test]
     fn home_node_span_agrees_and_bounds_are_tight() {
         let mut m = mm();
@@ -857,7 +903,7 @@ mod tests {
         let mut check = |addr: u64, accessor: NodeId| {
             let mut probe = m.clone();
             let expect = probe.home_node(addr, accessor);
-            let (home, end) = m.home_node_span(addr, accessor);
+            let (home, end) = span(&mut m, addr, accessor, addr);
             assert_eq!(home, expect);
             assert!(end > addr, "span must be non-empty");
             // Every address within the span resolves identically.
@@ -893,23 +939,79 @@ mod tests {
         }
         m.home_node(a.at(3 * page), NodeId(2));
         let at = |p: u64| a.base + p * page;
-        assert_eq!(m.home_node_span(a.at(10), NodeId(0)), (NodeId(1), at(1)), "no bound: one page");
-        assert_eq!(m.home_node_span_within(a.at(10), NodeId(0), obj_end), (NodeId(1), at(3)), "another home");
-        assert_eq!(m.home_node_span_within(at(4), NodeId(0), obj_end), (NodeId(1), at(6)), "untouched page");
+        assert_eq!(span(&mut m, a.at(10), NodeId(0), a.at(10)), (NodeId(1), at(1)), "no bound: one page");
+        assert_eq!(span(&mut m, a.at(10), NodeId(0), obj_end), (NodeId(1), at(3)), "another home");
+        assert_eq!(span(&mut m, at(4), NodeId(0), obj_end), (NodeId(1), at(6)), "untouched page");
         assert_eq!(m.query_node(at(6)), None, "the span left the untouched page untouched");
         // Pages are scanned while they start below the bound.
-        assert_eq!(m.home_node_span_within(at(0), NodeId(0), at(1) + 1), (NodeId(1), at(2)), "bound inside page 1");
-        assert_eq!(m.home_node_span_within(at(0), NodeId(0), at(2)), (NodeId(1), at(2)), "bound at page 2");
-        assert_eq!(m.home_node_span_within(at(0) + 64, NodeId(0), at(0) + 128), (NodeId(1), at(1)), "bound in page");
+        assert_eq!(span(&mut m, at(0), NodeId(0), at(1) + 1), (NodeId(1), at(2)), "bound inside page 1");
+        assert_eq!(span(&mut m, at(0), NodeId(0), at(2)), (NodeId(1), at(2)), "bound at page 2");
+        assert_eq!(span(&mut m, at(0) + 64, NodeId(0), at(0) + 128), (NodeId(1), at(1)), "bound in page");
         // Establishing page 6 on node 1 (as `home_node` would) and running
         // on over page 7 reaches the object end, not the page end.
-        assert_eq!(m.home_node_span_within(at(6) + 64, NodeId(1), u64::MAX), (NodeId(1), obj_end), "object end");
+        assert_eq!(span(&mut m, at(6) + 64, NodeId(1), u64::MAX), (NodeId(1), obj_end), "object end");
         assert_eq!(m.query_node(at(6)), Some(NodeId(1)));
         // Every address of a span resolves to its home.
-        let (home, end) = m.home_node_span_within(at(4), NodeId(3), obj_end);
+        let (home, end) = span(&mut m, at(4), NodeId(3), obj_end);
         assert_eq!((home, end), (NodeId(1), obj_end));
         for addr in (at(4)..end).step_by(1000) {
             assert_eq!(m.home_node(addr, NodeId(3)), home, "span not uniform at {addr:#x}");
+        }
+    }
+
+    /// A home range runs forward from the page of its address — over
+    /// first-touch pages already touched with its home, below `hi`, and to
+    /// the whole object once every page shares one home — establishes only
+    /// the page of its address, and resolves every address it covers to
+    /// its home. Placement-fixed policies give the object, segment or page.
+    #[test]
+    fn home_ranges_run_forward_over_touched_pages() {
+        let mut m = mm();
+        let page = 4096;
+        let a = m.alloc("a", 8 * page, PlacementPolicy::FirstTouch);
+        let at = |p: u64| a.base + p * page;
+        // Pages 1-3 and 5 on node 1, page 4 on node 2; 0, 6, 7 untouched.
+        for p in [1, 2, 3, 5] {
+            m.home_node(at(p), NodeId(1));
+        }
+        m.home_node(at(4), NodeId(2));
+        assert_eq!(m.home_node_range(at(2) + 8, NodeId(0), u64::MAX), (NodeId(1), at(2), at(4)));
+        assert_eq!(m.home_node_range(at(1), NodeId(0), at(3)), (NodeId(1), at(1), at(3)), "hi bounds");
+        assert_eq!(m.home_node_range(at(2), NodeId(0), at(2) + 1), (NodeId(1), at(2), at(3)));
+        // Touching page 6 from node 1 runs forward over nothing (7 is
+        // untouched), and leaves page 7 untouched.
+        assert_eq!(m.home_node_range(at(6) + 64, NodeId(1), u64::MAX), (NodeId(1), at(6), at(7)));
+        assert_eq!(m.query_node(at(7)), None, "the range left the untouched page after it untouched");
+        // Every page touched, two homes: still page runs.
+        m.home_node(at(0), NodeId(1));
+        m.home_node(at(7), NodeId(1));
+        assert_eq!(m.home_node_range(at(5), NodeId(3), u64::MAX), (NodeId(1), at(5), a.base + a.size));
+        // One home everywhere: the whole object, whatever the window.
+        let b = m.alloc("b", 4 * page, PlacementPolicy::FirstTouch);
+        for p in 0..4 {
+            let (h, start, end) = m.home_node_range(b.base + p * page + 8, NodeId(2), 0);
+            assert_eq!(h, NodeId(2));
+            let whole = (start, end) == (b.base, b.base + b.size);
+            assert_eq!(whole, p == 3, "page {p}: {start:#x}..{end:#x}");
+        }
+        assert_eq!(span(&mut m, b.base + 5, NodeId(0), b.base + 5), (NodeId(2), b.base + b.size));
+        // Placement-fixed policies.
+        let seg = m.alloc("seg", 1 << 20, PlacementPolicy::colocate_even(1 << 20, 4));
+        let il = m.alloc("il", 4 * page, PlacementPolicy::interleave_all(4));
+        let bind = m.alloc("bind", 3 * page, PlacementPolicy::Bind(NodeId(3)));
+        let q = 1 << 18;
+        assert_eq!(m.home_node_range(seg.base + q + 5, NodeId(0), 0), (NodeId(1), seg.base + q, seg.base + 2 * q));
+        assert_eq!(
+            m.home_node_range(il.base + page + 5, NodeId(0), 0),
+            (NodeId(1), il.base + page, il.base + 2 * page)
+        );
+        assert_eq!(m.home_node_range(bind.base + 9, NodeId(0), 0), (NodeId(3), bind.base, bind.base + bind.size));
+        // Every address of every range resolves to its home.
+        for (addr, acc) in [(at(2) + 8, NodeId(0)), (at(6), NodeId(3)), (seg.base + 3 * q, NodeId(1))] {
+            let (home, start, end) = m.home_node_range(addr, acc, u64::MAX);
+            for x in (start..end).step_by(997) {
+                assert_eq!(m.home_node(x, acc), home, "range not uniform at {x:#x}");
+            }
         }
     }
 
@@ -937,6 +1039,28 @@ mod tests {
     fn segmented_must_cover() {
         let mut m = mm();
         m.alloc("a", 100, PlacementPolicy::Segmented(vec![(50, NodeId(0))]));
+    }
+
+    /// Every line of the address space fits a 32-bit cache tag: the last
+    /// object that fits ends at `u32::MAX` lines, and one byte more — or
+    /// an object past `2^38` bytes — is refused.
+    #[test]
+    fn allocations_stay_below_the_tag_domain() {
+        let limit = (u32::MAX as u64) * 64;
+        assert_eq!(limit, (1 << 38) - 64);
+        let mut m = mm();
+        let a = m.alloc("a", 100, PlacementPolicy::Bind(NodeId(0)));
+        // Page-aligned base plus the second object's 64-byte colour.
+        let next_base = (a.base + a.size).next_multiple_of(4096) + 64;
+        let last = m.clone().alloc("fits", limit - next_base, PlacementPolicy::Bind(NodeId(0)));
+        assert_eq!(last.base + last.size, limit);
+        for size in [limit - next_base + 1, 1 << 38, u64::MAX - next_base] {
+            let mut m = m.clone();
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                m.alloc("big", size, PlacementPolicy::Bind(NodeId(0)));
+            }));
+            assert!(refused.is_err(), "an object of {size} bytes was placed");
+        }
     }
 
     #[test]
@@ -1012,7 +1136,7 @@ mod tests {
         assert_eq!(m.home_node(a.at(2 << 20), NodeId(3)), NodeId(0));
         assert_eq!(m.home_node(a.at(4 << 20), NodeId(3)), NodeId(1));
         // Span is page-granular and agrees with home_node.
-        let (home, end) = m.home_node_span(a.at(7), NodeId(3));
+        let (home, end) = span(&mut m, a.at(7), NodeId(3), a.at(7));
         assert_eq!(home, NodeId(1));
         assert_eq!(end, a.base + (2 << 20));
     }

@@ -3,7 +3,8 @@
 //! The build container has no crates.io access, so the workspace vendors
 //! the *subset* of `rand 0.8` the simulator actually uses: a seedable,
 //! cloneable [`rngs::StdRng`], [`Rng::gen_range`] over integer ranges,
-//! and [`seq::SliceRandom::shuffle`]. The generator is xoshiro256++
+//! its precomputed form [`distributions::Uniform`], and
+//! [`seq::SliceRandom::shuffle`]. The generator is xoshiro256++
 //! seeded through SplitMix64 — statistically strong, deterministic, and
 //! stable across platforms, which is all the deterministic simulation
 //! contract requires (DESIGN.md §7). Swap this path dependency back to
@@ -55,6 +56,109 @@ fn uniform_below<G: Rng + ?Sized>(rng: &mut G, n: u64) -> u64 {
         let v = rng.next_u64();
         if v < zone {
             return v % n;
+        }
+    }
+}
+
+/// Distributions: [`distributions::Uniform`], the precomputed form of
+/// [`Rng::gen_range`] for a range drawn from many times.
+pub mod distributions {
+    use super::Rng;
+
+    /// Types that can be sampled from.
+    pub trait Distribution<T> {
+        /// Draw one sample.
+        fn sample<G: Rng + ?Sized>(&self, rng: &mut G) -> T;
+    }
+
+    /// A uniform distribution over `[low, high)`, with the rejection zone
+    /// and the reduction's reciprocal computed once: each
+    /// [`Distribution::sample`] consumes the same draws and returns the
+    /// same value as `rng.gen_range(low..high)`, with no division. Only
+    /// `Uniform<u64>` is implemented: the one type the workspace draws.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Uniform<T> {
+        low: T,
+        /// `high - low`.
+        span: u64,
+        /// Draws at or above this are rejected; `0` marks a power-of-two
+        /// span, which masks and never rejects.
+        zone: u64,
+        /// `⌈2^128 / span⌉`: `v mod span` is the high 128 bits of
+        /// `(recip · v mod 2^128) · span` for every 64-bit `v` (Lemire,
+        /// Kaser and Kurz, "Faster remainder by direct computation", with
+        /// 128 fraction bits ≥ 64 numerator bits + 64 divisor bits).
+        recip: u128,
+    }
+
+    impl Uniform<u64> {
+        /// The uniform distribution over `[low, high)`.
+        ///
+        /// # Panics
+        /// Panics if the range is empty.
+        pub fn new(low: u64, high: u64) -> Self {
+            assert!(low < high, "Uniform::new called with `low >= high`");
+            let span = high - low;
+            if span.is_power_of_two() {
+                return Self { low, span, zone: 0, recip: 0 };
+            }
+            // The same zone `uniform_below` computes per draw. `span` is
+            // not a power of two, so it does not divide 2^128 and the
+            // ceiling is the floor of `(2^128 - 1) / span`, plus one.
+            Self { low, span, zone: u64::MAX - (u64::MAX % span), recip: u128::MAX / span as u128 + 1 }
+        }
+
+        /// A draw in `[0, span)`, bit-identical to `uniform_below`.
+        #[inline]
+        fn below<G: Rng + ?Sized>(&self, rng: &mut G) -> u64 {
+            if self.zone == 0 {
+                return rng.next_u64() & (self.span - 1);
+            }
+            loop {
+                let v = rng.next_u64();
+                if v < self.zone {
+                    return self.reduce(v);
+                }
+            }
+        }
+
+        /// `v % span` by the reciprocal.
+        #[inline]
+        fn reduce(&self, v: u64) -> u64 {
+            let frac = self.recip.wrapping_mul(v as u128);
+            let n = self.span as u128;
+            let hi = (frac >> 64) * n;
+            let lo = (frac as u64 as u128) * n;
+            // Neither sum overflows: hi <= (2^64 - 1)^2 and lo >> 64 < 2^64.
+            ((hi + (lo >> 64)) >> 64) as u64
+        }
+    }
+
+    impl Distribution<u64> for Uniform<u64> {
+        #[inline]
+        fn sample<G: Rng + ?Sized>(&self, rng: &mut G) -> u64 {
+            self.low + self.below(rng)
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::Uniform;
+        use crate::rngs::StdRng;
+        use crate::{Rng, SeedableRng};
+
+        /// The reciprocal reduction is `%`: on random numerators below the
+        /// rejection zone, at the zone's edges, and at `u64::MAX`.
+        #[test]
+        fn uniform_reduction_is_exact_at_the_edges() {
+            for n in [3u64, 7, 10, 1000, (1 << 32) - 1, (1 << 32) + 1, (1 << 63) + 1, u64::MAX - 1, u64::MAX] {
+                let u = Uniform::new(0, n);
+                let mut rng = StdRng::seed_from_u64(n);
+                let edges = [0, 1, n - 1, n, n.wrapping_add(1), u.zone - 1, u.zone / 2, u64::MAX / n * n - 1, u64::MAX];
+                for v in edges.into_iter().chain((0..10_000).map(|_| rng.next_u64() % u.zone)) {
+                    assert_eq!(u.reduce(v), v % n, "{v} mod {n}");
+                }
+            }
         }
     }
 }
@@ -222,6 +326,60 @@ mod tests {
         let mut sorted = a.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, orig, "shuffle is a permutation");
+    }
+
+    /// A `Uniform` consumes the same draws and returns the same values as
+    /// `gen_range` over the same range: powers of two (masked), odd and
+    /// even spans, spans near 2^32 and near 2^64 (whose rejection zones
+    /// reject often), over many seeds.
+    #[test]
+    fn uniform_matches_gen_range_bit_for_bit() {
+        use super::distributions::{Distribution, Uniform};
+        let spans = [
+            1u64,
+            2,
+            3,
+            5,
+            6,
+            7,
+            64,
+            100,
+            1000,
+            4095,
+            4096,
+            65_537,
+            (1 << 31) - 1,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 1,
+            (1 << 32) + 12_345,
+            (1 << 63) - 1,
+            (1 << 63) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for &n in &spans {
+            let uniform = Uniform::new(0, n);
+            for seed in 0..40 {
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                for _ in 0..200 {
+                    assert_eq!(uniform.sample(&mut a), b.gen_range(0..n), "span {n}, seed {seed}");
+                }
+                assert_eq!(a.next_u64(), b.next_u64(), "span {n}, seed {seed}: draws consumed differ");
+            }
+        }
+        // An offset range.
+        let (mut a, mut b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        let offset = Uniform::new(17, 1017);
+        for _ in 0..1000 {
+            assert_eq!(offset.sample(&mut a), b.gen_range(17u64..1017));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "low >= high")]
+    fn uniform_rejects_an_empty_range() {
+        super::distributions::Uniform::new(4u64, 4);
     }
 
     #[test]

@@ -8,7 +8,8 @@ mod common;
 
 use common::{observe_phase, run_on, sampler, sampler_config, Outcome, ScheduledRuns};
 use numasim::access::{
-    AccessMix, AccessRun, AccessStream, BlockCyclicStream, ChainStream, RandomStream, SeqStream, WithMlp, ZipStream,
+    AccessMix, AccessRun, AccessStream, BlockCyclicStream, ChainStream, PointerChaseStream, RandomStream, SeqStream,
+    WithMlp, ZipStream,
 };
 use numasim::cache::{Cache, CacheStats};
 use numasim::config::MachineConfig;
@@ -16,13 +17,17 @@ use numasim::engine::{Engine, ThreadSpec};
 use numasim::hierarchy::Hierarchy;
 use numasim::memmap::{MemoryMap, PlacementPolicy};
 use numasim::sched::TenantRun;
-use numasim::topology::CoreId;
+use numasim::topology::{CoreId, NodeId};
 use pebs::ring::BlockRing;
 use pebs::sampler::{AddressSampler, SamplerConfig};
 use pebs::stream::StreamingSampler;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The run-cap schedules every differential case is held to (the property
+/// test draws its own).
+const SCHEDULES: [Option<&[u64]>; 5] = [None, Some(&[1]), Some(&[7]), Some(&[64]), Some(&[1, 7, 64, u64::MAX])];
 
 /// A contended multi-thread phase mixing everything the batcher has to get
 /// right: write mixes, reps (LFB events), per-segment compute (the
@@ -63,8 +68,7 @@ fn batched_reproduces_reference_bit_for_bit() {
     let reference = run_sampled(true, None);
     assert!(!reference.samples.is_empty(), "phase must actually sample");
     assert!(reference.suppressed > 0, "threshold must actually suppress");
-    let schedules: [Option<&[u64]>; 5] = [None, Some(&[1]), Some(&[7]), Some(&[64]), Some(&[1, 7, 64, u64::MAX])];
-    for schedule in schedules {
+    for schedule in SCHEDULES {
         assert_eq!(run_sampled(false, schedule), reference, "batched run (schedule {schedule:?}) diverged");
     }
 }
@@ -73,10 +77,10 @@ fn batched_reproduces_reference_bit_for_bit() {
 /// contents and overflow accounting match per-event delivery exactly.
 #[test]
 fn streaming_sampler_ring_is_identical_across_modes() {
-    let run = |oracle: bool| {
+    let run = |oracle: bool, schedule: Option<&[u64]>| {
         let cfg = MachineConfig::scaled();
         let mut mm = MemoryMap::new(&cfg);
-        let threads = make_threads(&cfg, &mut mm, None);
+        let threads = make_threads(&cfg, &mut mm, schedule);
         let obs = StreamingSampler::new(sampler_config(23), BlockRing::new(1 << 16));
         let mut eng = Engine::new(&cfg, mm, obs);
         let stats = run_on(&mut eng, vec![TenantRun::new(0, threads)], oracle).run;
@@ -89,10 +93,11 @@ fn streaming_sampler_ring_is_identical_across_modes() {
         }
         (stats, observed, ring.dropped(), drained)
     };
-    let reference = run(true);
-    let batched = run(false);
+    let reference = run(true, None);
     assert!(!reference.3.is_empty(), "ring must carry samples");
-    assert_eq!(batched, reference);
+    for schedule in SCHEDULES {
+        assert_eq!(run(false, schedule), reference, "schedule {schedule:?} diverged");
+    }
 }
 
 /// Property: *any* interleaving of run sizes — including ones that chop
@@ -139,7 +144,7 @@ proptest! {
 /// The slice body and the oracle must agree on everything observable.
 #[test]
 fn fused_streaming_phase_matches_reference_under_sampling() {
-    let run = |oracle: bool| {
+    let run = |oracle: bool, schedule: Option<&[u64]>| {
         let cfg = MachineConfig::scaled();
         let mut mm = MemoryMap::new(&cfg);
         let a = mm.alloc("a", 8 << 20, PlacementPolicy::FirstTouch);
@@ -155,14 +160,16 @@ fn fused_streaming_phase_matches_reference_under_sampling() {
                     .with_reps(4);
                 let blk = BlockCyclicStream::new(b.base, b.size, 4096, 8, i as u64, 1, AccessMix::read_only());
                 let chain = ChainStream::new(vec![Box::new(seq), Box::new(WithMlp::new(blk, 2.0))]);
-                ThreadSpec::new(i as u32, *core, Box::new(chain))
+                ThreadSpec::new(i as u32, *core, ScheduledRuns::wrap(Box::new(chain), schedule))
             })
             .collect();
         observe_phase(&cfg, mm, sampler(23), threads, oracle)
     };
-    let reference = run(true);
+    let reference = run(true, None);
     assert!(!reference.samples.is_empty(), "phase must actually sample");
-    assert_eq!(run(false), reference, "fused batched run diverged");
+    for schedule in SCHEDULES {
+        assert_eq!(run(false, schedule), reference, "fused batched run (schedule {schedule:?}) diverged");
+    }
 }
 
 /// Zip-heavy phases (dotv-shaped): multi-lane `ZipStream`s whose `next_run`
@@ -178,7 +185,7 @@ fn fused_streaming_phase_matches_reference_under_sampling() {
 /// period 1 (every lane line drained singly) and period 997.
 #[test]
 fn zipped_streams_match_reference_under_sampling() {
-    let run = |oracle: bool, wrapped: bool, period: u64| {
+    let run = |oracle: bool, wrapped: bool, period: u64, schedule: Option<&[u64]>| {
         let cfg = MachineConfig::scaled();
         let mut mm = MemoryMap::new(&cfg);
         let a = mm.alloc("a", 4 << 20, PlacementPolicy::FirstTouch);
@@ -206,15 +213,21 @@ fn zipped_streams_match_reference_under_sampling() {
                 ]);
                 let stream: Box<dyn AccessStream> =
                     if wrapped { Box::new(WithMlp::new(zip, 2.0)) } else { Box::new(zip) };
-                ThreadSpec::new(i as u32, *core, stream)
+                ThreadSpec::new(i as u32, *core, ScheduledRuns::wrap(stream, schedule))
             })
             .collect();
         observe_phase(&cfg, mm, sampler(period), threads, oracle)
     };
     for (wrapped, period) in [(false, 997), (true, 23), (true, 1), (true, 997)] {
-        let reference = run(true, wrapped, period);
+        let reference = run(true, wrapped, period, None);
         assert!(!reference.samples.is_empty(), "phase must actually sample");
-        assert_eq!(run(false, wrapped, period), reference, "zip run (wrapped {wrapped}, period {period}) diverged");
+        for schedule in SCHEDULES {
+            assert_eq!(
+                run(false, wrapped, period, schedule),
+                reference,
+                "zip run (wrapped {wrapped}, period {period}, schedule {schedule:?}) diverged"
+            );
+        }
     }
 }
 
@@ -272,7 +285,6 @@ fn store_pattern_matches_reference_for_every_event() {
         let obs = AddressSampler::new(SamplerConfig { latency_threshold: 0.0, ..sampler_config(period) });
         observe_phase(&cfg, mm, obs, threads, oracle)
     };
-    let schedules: [Option<&[u64]>; 5] = [None, Some(&[1]), Some(&[7]), Some(&[64]), Some(&[1, 7, 64, u64::MAX])];
     for shape in [Shape::Seq, Shape::BlockCyclic, Shape::Zip2, Shape::Zip29] {
         for we in [0u32, 1, 2, 3, 5, 6, 29] {
             for reps in [1u16, 4] {
@@ -284,7 +296,7 @@ fn store_pattern_matches_reference_for_every_event() {
                         let want = if we == 0 { 0 } else { reference.samples.len() / we as usize };
                         assert!(stores.abs_diff(want) <= 4 * 29 * reps as usize, "{shape:?} we {we}: {stores} stores");
                     }
-                    for schedule in schedules {
+                    for schedule in SCHEDULES {
                         let batched = run(false, shape, we, reps, period, schedule);
                         assert_eq!(
                             batched, reference,
@@ -296,9 +308,6 @@ fn store_pattern_matches_reference_for_every_event() {
         }
     }
 }
-
-/// The run-cap schedules every differential case below is held to.
-const SCHEDULES: [Option<&[u64]>; 5] = [None, Some(&[1]), Some(&[7]), Some(&[64]), Some(&[1, 7, 64, u64::MAX])];
 
 /// Off-grid compute costs: countv's 0.8 and IRSmk's 1.2 are not dyadic, so
 /// no clock binade's grid holds them and every cost chain takes its
@@ -400,12 +409,24 @@ fn first_touch_spans_over_interleaved_pages_match_reference() {
     }
 }
 
-/// Counts what the engine's interleaved pulls return: refused pulls, and
-/// iterations handed out as interleaved spans.
+/// Counts what the engine's interleaved pulls return: refused pulls,
+/// gathers, and iterations handed out as interleaved spans.
 struct CountZips {
     inner: Box<dyn AccessStream>,
-    refused: Arc<AtomicU64>,
-    zipped: Arc<AtomicU64>,
+    counts: Arc<ZipCounts>,
+}
+
+#[derive(Default)]
+struct ZipCounts {
+    refused: AtomicU64,
+    gathers: AtomicU64,
+    span_iters: AtomicU64,
+}
+
+impl CountZips {
+    fn wrap(inner: Box<dyn AccessStream>, counts: &Arc<ZipCounts>) -> Box<dyn AccessStream> {
+        Box::new(Self { inner, counts: counts.clone() })
+    }
 }
 
 impl AccessStream for CountZips {
@@ -419,20 +440,24 @@ impl AccessStream for CountZips {
 
     fn next_zip(&mut self, line_step: u64, max_iters: u64, lanes: &mut Vec<AccessRun>) -> u64 {
         let iters = self.inner.next_zip(line_step, max_iters, lanes);
-        let counter = if iters == 0 { &self.refused } else { &self.zipped };
-        counter.fetch_add(iters.max(1), Ordering::Relaxed);
+        let c = &self.counts;
+        match iters {
+            0 => c.refused.fetch_add(1, Ordering::Relaxed),
+            1 => c.gathers.fetch_add(1, Ordering::Relaxed),
+            _ => c.span_iters.fetch_add(iters, Ordering::Relaxed),
+        };
         iters
     }
 }
 
-/// Zip-pull backoff: each thread chains a zip of a random lane with a
-/// sequential one (no interleaved span exists, so every pull is refused
-/// and the engine backs off) into a zip of two sequential lanes. Skipping
-/// a pull consumes nothing, so the run must match the oracle under every
-/// run-cap schedule; the backoff must skip most refused pulls; and a
-/// thread still backed off when the second segment starts must go on to
-/// pull it as interleaved spans (every schedule but `[1]`, whose cap is
-/// below the shortest span, lets it).
+/// Zip-pull backoff: each thread chains a block-cyclic sweep in blocks of
+/// one line — a run per access, and no interleaved pull to offer, so every
+/// `next_zip` is refused and the engine backs off — into a zip of two
+/// sequential lanes. Skipping a pull consumes nothing, so the run must
+/// match the oracle under every run-cap schedule; the backoff must skip
+/// most refused pulls; and a thread at full backoff when the second
+/// segment starts must go on to pull it as interleaved spans (every
+/// schedule but `[1]`, whose cap is below the shortest span, lets it).
 #[test]
 fn zip_pull_backoff_matches_reference_and_still_fuses_the_next_segment() {
     const LINES: u64 = 2048;
@@ -441,38 +466,169 @@ fn zip_pull_backoff_matches_reference_and_still_fuses_the_next_segment() {
         let mut mm = MemoryMap::new(&cfg);
         let a = mm.alloc("a", 4 * LINES * 64, PlacementPolicy::FirstTouch);
         let b = mm.alloc("b", 8 * LINES * 64, PlacementPolicy::interleave_all(2));
-        let (refused, zipped) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let counts = Arc::new(ZipCounts::default());
         let threads = (0..4u64)
             .map(|i| {
                 let len = LINES * 64;
                 let seq = |base: u64, compute: f64| {
                     Box::new(SeqStream::new(base, len, 1, AccessMix::read_only()).with_reps(2).with_compute(compute))
                 };
-                let random = RandomStream::new(b.base, b.size, LINES, 3 + i, AccessMix::write_every(4));
-                let first = ZipStream::new(vec![Box::new(random), seq(a.base + i * len, 2.0)]);
+                let first = BlockCyclicStream::new(a.base + i * len, len, 64, 1, 0, 2, AccessMix::write_every(4))
+                    .with_reps(2)
+                    .with_compute(2.0);
                 let second = ZipStream::new(vec![seq(b.base + 2 * i * len, 1.0), seq(b.base + (2 * i + 1) * len, 0.5)]);
                 let chain = ChainStream::new(vec![Box::new(first), Box::new(second)]);
-                let counted = CountZips {
-                    inner: ScheduledRuns::wrap(Box::new(chain), schedule),
-                    refused: refused.clone(),
-                    zipped: zipped.clone(),
-                };
-                ThreadSpec::new(i as u32, CoreId(i as u32), Box::new(counted))
+                let counted = CountZips::wrap(ScheduledRuns::wrap(Box::new(chain), schedule), &counts);
+                ThreadSpec::new(i as u32, CoreId(i as u32), counted)
             })
             .collect();
-        let outcome = observe_phase(&cfg, mm, sampler(997), threads, oracle);
-        (outcome, refused.load(Ordering::Relaxed), zipped.load(Ordering::Relaxed))
+        (observe_phase(&cfg, mm, sampler(997), threads, oracle), counts)
     };
-    let (reference, _, _) = run(true, None);
+    let (reference, _) = run(true, None);
     assert!(!reference.samples.is_empty(), "phase must actually sample");
     for schedule in SCHEDULES {
-        let (outcome, refused, zipped) = run(false, schedule);
+        let (outcome, counts) = run(false, schedule);
         assert_eq!(outcome, reference, "schedule {schedule:?} diverged");
         // The first segments hold 4 × 2 × LINES accesses, one pull each
         // without the backoff.
+        let refused = counts.refused.load(Ordering::Relaxed);
         assert!(refused < 8 * LINES / 8, "schedule {schedule:?}: {refused} refused pulls");
         if schedule != Some(&[1]) {
-            assert!(zipped > LINES, "schedule {schedule:?}: second segments zipped {zipped} iterations");
+            let spans = counts.span_iters.load(Ordering::Relaxed);
+            assert!(spans > LINES, "schedule {schedule:?}: second segments zipped {spans} iterations");
+        }
+    }
+}
+
+/// Gathers: streams of independent single lines hand the engine up to 64
+/// accesses per pull, which it drains through the per-line path. Each
+/// shape must match the oracle under every run-cap schedule, with short
+/// and long quiet budgets:
+/// * Streamcluster-shaped, a zip of a random lane and a sequential one;
+/// * bandit-shaped, a zip of four pointer chases over four objects — one
+///   bound to each node, two first-touched mid-phase by threads on both
+///   nodes, a line per page — so the engine's home-span cache holds
+///   several objects and ranges of freshly established pages;
+/// * a random stream under an MLP override;
+/// * a chain of a bare random stream into a zip of two sequential lanes,
+///   whose second segment must still arrive as interleaved spans after
+///   the gathers (under every cap that leaves room for one).
+#[test]
+fn gathers_match_reference() {
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shape {
+        RandomSeq,
+        Chases,
+        Mlp,
+        Chain,
+    }
+    const LINES: u64 = 1024;
+    let run = |oracle: bool, shape: Shape, period: u64, schedule: Option<&[u64]>| {
+        let cfg = MachineConfig::tiny();
+        let page = cfg.mem.page_size;
+        let mut mm = MemoryMap::new(&cfg);
+        let a = mm.alloc("a", 4 * LINES * 64, PlacementPolicy::FirstTouch);
+        let b = mm.alloc("b", 8 * LINES * 64, PlacementPolicy::interleave_all(2));
+        let chased = [
+            mm.alloc("c0", 66 * page, PlacementPolicy::Bind(NodeId(0))),
+            mm.alloc("c1", 66 * page, PlacementPolicy::FirstTouch),
+            mm.alloc("c2", 66 * page, PlacementPolicy::Bind(NodeId(1))),
+            mm.alloc("c3", 66 * page, PlacementPolicy::FirstTouch),
+        ];
+        let counts = Arc::new(ZipCounts::default());
+        let threads = (0..4u64)
+            .map(|i| {
+                let len = LINES * 64;
+                let seq = |base: u64, compute: f64| {
+                    Box::new(SeqStream::new(base, len, 1, AccessMix::read_only()).with_reps(2).with_compute(compute))
+                };
+                let random = || {
+                    RandomStream::new(b.base, b.size, 3 * LINES, 7 + i, AccessMix::write_every(3))
+                        .with_reps(2)
+                        .with_compute(1.5)
+                };
+                let stream: Box<dyn AccessStream> = match shape {
+                    Shape::RandomSeq => Box::new(ZipStream::new(vec![Box::new(random()), seq(a.base + i * len, 2.0)])),
+                    Shape::Chases => {
+                        let chases = chased.iter().enumerate().map(|(j, o)| {
+                            let steps = 600 + 40 * j as u64;
+                            let chase =
+                                PointerChaseStream::new(o.base + 64 * i, 64, page + 64, steps, 11 * i + j as u64);
+                            Box::new(chase.with_compute(1.0)) as Box<dyn AccessStream>
+                        });
+                        Box::new(WithMlp::new(ZipStream::new(chases.collect()), 4.0))
+                    }
+                    Shape::Mlp => Box::new(WithMlp::new(random(), 3.0)),
+                    Shape::Chain => {
+                        let second = ZipStream::new(vec![seq(a.base + i * len, 1.0), seq(b.base + 2 * i * len, 0.5)]);
+                        Box::new(ChainStream::new(vec![Box::new(random()), Box::new(second)]))
+                    }
+                };
+                let counted = CountZips::wrap(ScheduledRuns::wrap(stream, schedule), &counts);
+                ThreadSpec::new(i as u32, CoreId(i as u32), counted)
+            })
+            .collect();
+        (observe_phase(&cfg, mm, sampler(period), threads, oracle), counts)
+    };
+    for shape in [Shape::RandomSeq, Shape::Chases, Shape::Mlp, Shape::Chain] {
+        for period in [23u64, 997] {
+            let (reference, _) = run(true, shape, period, None);
+            assert!(!reference.samples.is_empty(), "phase must actually sample");
+            for schedule in SCHEDULES {
+                let (outcome, counts) = run(false, shape, period, schedule);
+                assert_eq!(outcome, reference, "{shape:?} period {period} schedule {schedule:?} diverged");
+                let gathers = counts.gathers.load(Ordering::Relaxed);
+                // A one-access cap leaves a zip no whole iteration to gather.
+                let zipped = matches!(shape, Shape::RandomSeq | Shape::Chases);
+                assert!(gathers > 0 || (zipped && schedule == Some(&[1])), "{shape:?} {schedule:?}: no gathers");
+                if shape == Shape::Chain && schedule != Some(&[1]) {
+                    let spans = counts.span_iters.load(Ordering::Relaxed);
+                    assert!(spans > LINES, "{schedule:?}: the zip after the gathers fused {spans} iterations");
+                }
+            }
+        }
+    }
+}
+
+/// The per-line rep tail follows the costs: random lines (every one
+/// through the per-line path) whose reps and compute change from one chain
+/// segment to the next, and a zip whose two random members take turns with
+/// different costs, must match the oracle under every run-cap schedule.
+/// Long quiet budgets (period 997) put nearly every tail through the
+/// collapsed `bulk_add` step; the costs are dyadic, so each tail collapses
+/// to one integer step that a stale cost would get wrong.
+#[test]
+fn rep_tails_follow_cost_changes() {
+    let run = |oracle: bool, zipped: bool, schedule: Option<&[u64]>| {
+        let cfg = MachineConfig::tiny();
+        let mut mm = MemoryMap::new(&cfg);
+        let a = mm.alloc("a", 256 << 10, PlacementPolicy::FirstTouch);
+        let threads = (0..4u64)
+            .map(|i| {
+                let random = |count: u64, seed: u64, reps: u16, compute: f64| {
+                    let r = RandomStream::new(a.base, a.size, count, seed + 10 * i, AccessMix::read_only());
+                    Box::new(r.with_reps(reps).with_compute(compute)) as Box<dyn AccessStream>
+                };
+                let stream: Box<dyn AccessStream> = if zipped {
+                    Box::new(ZipStream::new(vec![random(3000, 1, 4, 1.25), random(3000, 2, 2, 2.5)]))
+                } else {
+                    Box::new(ChainStream::new(vec![
+                        random(2000, 1, 4, 1.5),
+                        random(2000, 2, 2, 0.75),
+                        random(2000, 3, 8, 3.0),
+                        random(2000, 4, 4, 0.5),
+                    ]))
+                };
+                ThreadSpec::new(i as u32, CoreId(i as u32), ScheduledRuns::wrap(stream, schedule))
+            })
+            .collect();
+        observe_phase(&cfg, mm, sampler(997), threads, oracle)
+    };
+    for zipped in [false, true] {
+        let reference = run(true, zipped, None);
+        assert!(!reference.samples.is_empty(), "phase must actually sample");
+        for schedule in SCHEDULES {
+            assert_eq!(run(false, zipped, schedule), reference, "zipped {zipped} schedule {schedule:?} diverged");
         }
     }
 }
